@@ -4,7 +4,6 @@ quantum-modularity verification suites."""
 
 from .numkernel import (
     BranchCutError,
-    BranchPolicy,
     DomainError,
     LogComplex,
     QuadratureError,

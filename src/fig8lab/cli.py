@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from math import gcd
 
 import numpy as np
@@ -94,13 +93,6 @@ def _parse_n_range(text: str, step: int) -> list[int]:
     return [int(t) for t in text.split(",")]
 
 
-def _parallel(items, fn, threads: int):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -113,7 +105,7 @@ def cmd_jones(args) -> int:
         return {"N": n, "u": args.u, "p": args.p,
                 "logmag": value.logmag, "phase": value.phase}
 
-    records = sorted(_parallel(n_values, one, args.threads), key=lambda r: r["N"])
+    records = sorted((one(n) for n in n_values), key=lambda r: r["N"])
     _emit(_header("jones", args), records, args)
     return EXIT_OK
 
@@ -132,7 +124,7 @@ def cmd_theorem(args) -> int:
                 "ratio_re": ratio.real, "ratio_im": ratio.imag,
                 "abs_ratio_minus_1": abs(ratio - 1.0)}
 
-    records = sorted(_parallel(n_values, one, args.threads), key=lambda r: r["N"])
+    records = sorted((one(n) for n in n_values), key=lambda r: r["N"])
     _emit(_header("theorem", args), records, args)
     return EXIT_OK
 
@@ -279,20 +271,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def output(sp):
         sp.add_argument("--out", help="output file (default: stdout)")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("--tol", type=float, default=1e-10,
-                        help="quadrature tolerance")
-        sp.add_argument("--threads", type=int, default=1)
-        sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("jones", help="evaluate J_N(E;e^{xi/N})")
     sp.add_argument("--u", type=float, required=True)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--N", required=True, help="single N, list, or range lo..hi")
     sp.add_argument("--step", type=int, default=1)
-    common(sp)
+    output(sp)
     sp.set_defaults(func=cmd_jones)
 
     sp = sub.add_parser("theorem", help="sweep the main-asymptotics ratio")
@@ -301,14 +289,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--N", required=True)
     sp.add_argument("--step", type=int, default=1)
     sp.add_argument("--allow-noncoprime", action="store_true")
-    common(sp)
+    output(sp)
     sp.set_defaults(func=cmd_theorem)
 
     sp = sub.add_parser("lemmas", help="identity and inequality residual suite")
     sp.add_argument("--samples", type=int, default=50)
     sp.add_argument("--threshold", type=float, default=1e-7,
                     help="pass/fail residual threshold for the identities")
-    common(sp)
+    sp.add_argument("--tol", type=float, default=1e-10, help="quadrature tolerance")
+    sp.add_argument("--seed", type=int, default=0)
+    output(sp)
     sp.set_defaults(func=cmd_lemmas)
 
     sp = sub.add_parser("region", help="saddle-region grid scan and components")
@@ -317,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--res", type=int, default=400)
     sp.add_argument("--nu", type=float, default=0.02)
-    common(sp)
+    sp.add_argument("--out", help="prefix of the grid files OUT.csv and OUT.json")
     sp.set_defaults(func=cmd_region)
 
     sp = sub.add_parser("modularity", help="quantum-modularity ratio experiments")
@@ -327,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--N-list", dest="N_list", default="299,599,899")
     sp.add_argument("--zagier", action="store_true",
                     help="u=0 root-of-unity comparison (exploratory)")
-    common(sp)
+    output(sp)
     sp.set_defaults(func=cmd_modularity)
 
     return parser

@@ -1,8 +1,8 @@
 """Branch-disciplined complex kernels.
 
-Log-domain complex arithmetic (LogComplex), the principal dilogarithm Li2,
-and the closed forms of the three contour integrals L_0, L_1, L_2 on the
-strip 0 < Re z < 1.  Every other module builds on these primitives, so the
+Log-domain complex arithmetic (LogComplex, and the vectorised log1mexp and
+log_sum_exp behind it), the principal dilogarithm Li2, and the closed forms
+of the three contour integrals L_0, L_1, L_2 on the strip 0 < Re z < 1.  Every other module builds on these primitives, so the
 branch conventions are fixed once, here:
 
 * principal logarithm, Im log w in (-pi, pi];
@@ -35,39 +35,28 @@ class QuadratureError(RuntimeError):
     """Contour quadrature failed to reach the requested tolerance."""
 
 
-def normalize_phase(x: float) -> float:
-    """Reduce an angle to the half-open interval (-pi, pi].
+def reduce_phase(x) -> np.ndarray:
+    """Reduce angles elementwise to the half-open interval (-pi, pi].
 
     Values already in range are returned unchanged so that tiny phases are
     not destroyed by the modular reduction.
     """
+    y = np.array(x, dtype=np.float64)
+    out = (y <= -math.pi) | (y > math.pi)
+    r = math.pi - np.mod(math.pi - y[out], TWO_PI)
+    # x = -pi (mod 2pi) must land on +pi, the closed end of the interval
+    r[r <= -math.pi] += TWO_PI
+    y[out] = r
+    return y
+
+
+def normalize_phase(x: float) -> float:
+    """reduce_phase of one finite angle, as a float."""
     if not math.isfinite(x):
         raise DomainError(f"phase must be finite, got {x!r}")
     if -math.pi < x <= math.pi:
         return x
-    y = math.pi - (math.pi - x) % TWO_PI
-    # x = -pi (mod 2pi) must land on +pi, the closed end of the interval
-    if y <= -math.pi:
-        y += TWO_PI
-    return y
-
-
-@dataclass(frozen=True)
-class BranchPolicy:
-    """The fixed branch conventions used throughout the package."""
-
-    @staticmethod
-    def log(w: complex) -> complex:
-        """Principal logarithm, Im in (-pi, pi]."""
-        return cmath.log(w)
-
-    @staticmethod
-    def on_li2_cut(w: complex) -> bool:
-        """True when w sits exactly on the Li2 cut (1, oo)."""
-        return w.imag == 0.0 and w.real > 1.0
-
-
-BRANCH = BranchPolicy()
+    return float(reduce_phase(x))
 
 
 # ---------------------------------------------------------------------------
@@ -140,43 +129,58 @@ ZERO = LogComplex(-math.inf, 0.0)
 ONE = LogComplex(0.0, 0.0)
 
 
-def lc_sum(terms) -> LogComplex:
-    """Sum a sequence of LogComplex values.
+def log_sum_exp(logs) -> complex:
+    """log(sum(exp(logs))) for complex logs, as a complex log.
 
-    The maximum log-magnitude is factored out so intermediates stay in
-    native floating-point range regardless of the terms' scale.
+    The largest real part is factored out so intermediates stay in native
+    floating-point range regardless of the terms' scale.  A real part -inf
+    is an exact zero, and so is the result -inf + 0j.
     """
-    terms = list(terms)
-    if not terms:
-        raise DomainError("lc_sum of an empty sequence")
-    mags = [t.logmag for t in terms if not t.is_zero]
-    if not mags:
-        return ZERO
-    m = max(mags)
-    acc = 0j
-    for t in terms:
-        if not t.is_zero:
-            acc += cmath.rect(math.exp(t.logmag - m), t.phase)
+    logs = np.asarray(logs, dtype=np.complex128)
+    if logs.size == 0:
+        raise DomainError("sum of an empty sequence")
+    m = float(logs.real.max())
+    if m == -math.inf:
+        return complex(-math.inf, 0.0)
+    scaled = logs - m
+    acc = complex(np.exp(scaled, out=scaled).sum())
     if acc == 0j:
-        return ZERO
-    return LogComplex.from_complex(acc) * LogComplex(m, 0.0)
+        return complex(-math.inf, 0.0)
+    return complex(math.log(abs(acc)) + m, cmath.phase(acc))
+
+
+def lc_sum(terms) -> LogComplex:
+    """Sum a sequence of LogComplex values (see log_sum_exp)."""
+    return LogComplex.from_exponent(log_sum_exp([complex(t.logmag, t.phase) for t in terms]))
+
+
+def log1mexp(w) -> np.ndarray:
+    """log(1 - e^w) elementwise over complex w, stable for any sign of Re w.
+
+    Imaginary parts lie in (-pi, pi]; w = 0 gives the exact zero -inf + 0j.
+    """
+    w = np.asarray(w, dtype=np.complex128)
+    big = w.real > 0.0
+    # 1 - e^w = e^w (e^{-w} - 1): keep the large factor in the exponent
+    out = np.negative(w, where=big, out=w.copy())
+    np.expm1(out, out=out)
+    np.negative(out, out=out, where=~big)
+    with np.errstate(divide="ignore"):
+        np.log(out, out=out)
+    np.add(out, w, out=out, where=big)
+    out.imag = reduce_phase(out.imag)
+    out.imag[out.real == -math.inf] = 0.0
+    return out
 
 
 def lc_one_minus_exp(w: complex) -> LogComplex:
-    """1 - exp(w) as a LogComplex, stable for any sign of Re w."""
-    w = complex(w)
-    if w.real <= 0.0:
-        return LogComplex.from_complex(1.0 - cmath.exp(w))
-    # 1 - e^w = e^w (e^{-w} - 1): keep the large factor in the exponent
-    return LogComplex.from_exponent(w) * LogComplex.from_complex(cmath.exp(-w) - 1.0)
+    """1 - exp(w) as a LogComplex (see log1mexp)."""
+    return LogComplex.from_exponent(complex(log1mexp(w)))
 
 
 def lc_one_plus_exp(w: complex) -> LogComplex:
-    """1 + exp(w) as a LogComplex, stable for any sign of Re w."""
-    w = complex(w)
-    if w.real <= 0.0:
-        return LogComplex.from_complex(1.0 + cmath.exp(w))
-    return LogComplex.from_exponent(w) * LogComplex.from_complex(cmath.exp(-w) + 1.0)
+    """1 + exp(w) = 1 - exp(w + i pi) as a LogComplex (see log1mexp)."""
+    return lc_one_minus_exp(complex(w) + 1j * math.pi)
 
 
 # ---------------------------------------------------------------------------

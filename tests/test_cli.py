@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from fig8lab.cli import main
 
 
@@ -47,6 +49,23 @@ def test_unknown_flag_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["jones", "--u", "0.5", "--p", "2", "--N", "101", "--tol", "1e-3"],
+    ["theorem", "--u", "0.5", "--p", "2", "--N", "101", "--seed", "1"],
+    ["region", "--u", "0.5", "--p", "3", "--m", "2", "--format", "csv"],
+])
+def test_flag_of_another_subcommand_exits_2(argv, capsys):
+    code = main(argv)
+    capsys.readouterr()
+    assert code == 2
+
+
+def test_header_params_are_the_flags_read(capsys):
+    _, out, _ = run(["jones", "--u", "0.5", "--p", "2", "--N", "11"], capsys)
+    params = parse_jsonl(out)[0]["params"]
+    assert params == {"u": 0.5, "p": 2, "N": "11", "step": 1}
+
+
 def test_theorem_skips_noncoprime(capsys):
     code, out, _ = run(
         ["theorem", "--u", "0.5", "--p", "2", "--N", "100..102"], capsys
@@ -56,13 +75,6 @@ def test_theorem_skips_noncoprime(capsys):
     by_n = {r["N"]: r for r in records}
     assert by_n[100].get("skipped") and by_n[102].get("skipped")
     assert "abs_ratio_minus_1" in by_n[101]
-
-
-def test_theorem_threads_match_serial(capsys):
-    argv = ["theorem", "--u", "0.5", "--p", "2", "--N", "101..141", "--step", "20"]
-    _, out1, _ = run(argv, capsys)
-    _, out2, _ = run(argv + ["--threads", "3"], capsys)
-    assert parse_jsonl(out1)[1:] == parse_jsonl(out2)[1:]
 
 
 def test_lemmas_pass_and_deterministic(tmp_path, capsys):

@@ -3,7 +3,9 @@ finite-N decomposition / product identities."""
 
 import cmath
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -39,6 +41,25 @@ def naive_jones(n: int, w: complex) -> complex:
             )
         total += prod
     return total
+
+
+def mp_jones(n: int, q, factor=None):
+    """The defining sum in mpmath at the working precision.
+
+    factor(e) is 1 - q^e; by default it is computed from q directly.
+    """
+    factor = factor or (lambda e: 1 - q ** e)
+    total, prod = mp.mpc(0), mp.mpc(1)
+    for k in range(n):
+        if k:
+            prod *= factor(n + k) * factor(n - k)
+        total += q ** (-k * n) * prod
+    return total
+
+
+def log_relative_error(value, ref) -> float:
+    """|value / ref - 1| for a LogComplex value and an mpmath reference."""
+    return float(abs(mp.expm1(mp.mpc(value.logmag, value.phase) - mp.log(ref))))
 
 
 def test_matches_naive_oracle_on_unit_circle():
@@ -77,6 +98,17 @@ def test_cusp_small_case_matches_brute_force():
     ctx = EvalContext(u=0.5, p=2, n=3)
     brute = naive_jones(3, ctx.xi / 3)
     assert abs(jones_at_cusp(ctx).to_complex() - brute) <= 1e-12 * abs(brute)
+
+
+@pytest.mark.parametrize("u,p,n,tol", [(0.2, 1, 801, 5e-12), (0.5, 2, 501, 1.5e-10)])
+def test_cusp_matches_mpmath(u, p, n, tol):
+    # the tolerances sit just above the float64 error of a factor-by-factor
+    # product (1.3e-12, 5.2e-11); a kernel that sums unreduced phases misses both
+    value = jones_at_cusp(EvalContext(u=u, p=p, n=n))
+    assert type(value.logmag) is float and type(value.phase) is float
+    with mp.workdps(40):
+        ref = mp_jones(n, mp.exp(mp.mpc(u, 2 * p * mp.pi) / n))
+        assert log_relative_error(value, ref) <= tol
 
 
 def test_cusp_trivial():
@@ -230,3 +262,21 @@ def test_unity_path_exact_zero_detection():
             prod *= (1 - q ** (6 + l)) * (1 - q ** (6 - l))
         expected += q ** (-6 * k) * prod
     assert abs(value - expected) <= 1e-12 * abs(expected)
+
+
+def test_unity_long_product_vanishing_in_middle():
+    # n = 200 at q = e^{2 pi i 5/301}: the factor 1 - q^{n+k} first vanishes
+    # at k = 101, so terms 101..199 drop out of the sum exactly
+    n, num, den = 200, 5, 301
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = jones_exp_unity(n, num, den)
+    with mp.workdps(40):
+        q = mp.expjpi(mp.mpf(2 * num) / den)
+
+        def factor(e):
+            r = e * num % den
+            return 0 if r == 0 else 1 - mp.expjpi(mp.mpf(2 * r) / den)
+
+        assert min(k for k in range(1, n) if factor(n + k) * factor(n - k) == 0) == 101
+        assert log_relative_error(value, mp_jones(n, q, factor)) <= 1e-11

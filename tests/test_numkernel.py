@@ -7,9 +7,13 @@ relations, and the inversion identity as a self-consistency residual.
 
 import cmath
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fig8lab.numkernel import (
     BranchCutError,
@@ -24,6 +28,7 @@ from fig8lab.numkernel import (
     lc_one_plus_exp,
     lc_sum,
     li2,
+    log1mexp,
     normalize_phase,
 )
 
@@ -131,6 +136,45 @@ def test_one_minus_exp_stability():
     assert abs(w.to_complex() - (1 - cmath.exp(-2.0 + 0.5j))) < 1e-15
     x = lc_one_plus_exp(300.0 + 0.3j)
     assert x.logmag == pytest.approx(300.0, abs=1e-9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-700.0, 700.0), st.floats(-60.0, 60.0))
+@example(0.0, 0.0)
+@example(-0.0, -0.0)
+@example(1e-300, 0.0)
+@example(-1e-9, 2 * math.pi)
+def test_log1mexp_against_mpmath(re, im):
+    w = complex(re, im)
+    got = complex(log1mexp(w))
+    scalar = lc_one_minus_exp(w)
+    assert type(scalar.logmag) is float and type(scalar.phase) is float
+    assert complex(scalar.logmag, scalar.phase) == got
+    if w == 0:
+        assert got == complex(-math.inf, 0.0) and scalar.is_zero
+        return
+    assert -math.pi < got.imag <= math.pi
+    with mp.workdps(40):
+        e = mp.exp(mp.mpc(w))
+        one_minus_e = -mp.expm1(mp.mpc(w))      # 1 - e^w without cancellation near w = 0
+        diff = mp.mpc(got) - mp.log(one_minus_e)
+        # compare phases modulo 2 pi: a value next to the cut may land on either side
+        diff = mp.mpc(diff.real, (diff.imag + mp.pi) % (2 * mp.pi) - mp.pi)
+        # float rounding of e^w is amplified by |e^w / (1 - e^w)|; adding w back costs |w|
+        bound = 4 * 2.0 ** -52 * (1 + abs(w) + abs(e / one_minus_e))
+        assert abs(diff) <= bound
+
+
+def test_log1mexp_vectorised_with_exact_zero():
+    w = np.array([[0.5 + 30.0j, 0j], [-3.0 - 1.0j, 650.0 + 2.0j]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = log1mexp(w)
+    assert out.shape == w.shape
+    assert out[0, 1] == complex(-math.inf, 0.0)
+    for value, x in zip(out.ravel(), w.ravel()):
+        if x != 0:
+            assert value == complex(log1mexp(x))
 
 
 # ---------------------------------------------------------------------------
