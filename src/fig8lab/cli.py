@@ -9,6 +9,7 @@ failures, 2 bad input, 3 numeric non-convergence.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from math import gcd
@@ -60,9 +61,9 @@ def _emit(header: dict, records: list[dict], args) -> None:
             keys = sorted({k for rec in records for k in rec})
             meta = " ".join(f"{k}={v}" for k, v in sorted(header.items()) if k != "schema")
             out.write(f"# {header['schema']} {meta}\n")
-            out.write(",".join(keys) + "\n")
-            for rec in records:
-                out.write(",".join(_csv_cell(rec.get(k)) for k in keys) + "\n")
+            writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(keys)
+            writer.writerows([_csv_cell(rec.get(k)) for k in keys] for rec in records)
     finally:
         if args.out:
             out.close()

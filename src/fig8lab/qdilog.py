@@ -72,23 +72,20 @@ class EvalContext:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Contour truncation and refinement knobs.
+    """Contour refinement knobs.
 
-    tail_cutoff=None derives the truncation abscissa per evaluation from the
-    integrand's exponential decay rate so the analytic tail bound stays
-    below tol; an explicit value overrides that on both rays.
+    The truncation abscissa of each ray is derived per evaluation from the
+    integrand's exponential decay rate, so the analytic tail bound stays
+    below tol.
     """
 
-    tail_cutoff: float | None = None
     panels_per_unit: int = 1
     semicircle_panels: int = 8
     tol: float = 1.0e-10
 
     def refined(self) -> "QuadratureConfig":
-        cutoff = None if self.tail_cutoff is None else 1.3 * self.tail_cutoff
         return replace(
             self,
-            tail_cutoff=cutoff,
             panels_per_unit=2 * self.panels_per_unit,
             semicircle_panels=2 * self.semicircle_panels,
         )
@@ -144,11 +141,8 @@ def _contour_quadrature(z: complex, gamma: complex | None, cfg: QuadratureConfig
     nu_pos = 2.0 + g_re - 2.0 * z.real
     nu_neg = 2.0 * z.real + g_re
 
-    if cfg.tail_cutoff is not None:
-        x_pos = x_neg = float(cfg.tail_cutoff)
-    else:
-        x_pos = _tail_abscissa(nu_pos, cfg.tol)
-        x_neg = _tail_abscissa(nu_neg, cfg.tol)
+    x_pos = _tail_abscissa(nu_pos, cfg.tol)
+    x_neg = _tail_abscissa(nu_neg, cfg.tol)
 
     osc = 2.0 * abs(z.imag) + (abs(gamma.imag) if gamma is not None else 0.0)
 

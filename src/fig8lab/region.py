@@ -6,8 +6,8 @@ the shifted potential Phi_m.  The hexagon E_m (the strip clipped to
 D_m = {Re Phi_m < Re Phi_m(sigma_m)} and the two tilted-threshold bands
 R-bar / R-under are reconstructed on a rectangular grid, from which the
 two-lobe structure of D_m within E_m and the connectivity of the bands are
-verified by flood fill.  Vertex and line data of the hexagon are exposed in
-closed form for the boundary-segment inequalities.
+verified by 4-connected component labelling.  Vertex and line data of the
+hexagon are exposed in closed form for the boundary-segment inequalities.
 """
 
 from __future__ import annotations
@@ -123,8 +123,7 @@ class RegionGrid:
     xs: np.ndarray
     ys: np.ndarray
     re_phi: np.ndarray       # shape (ny, nx); NaN outside U_m
-    in_u: np.ndarray
-    in_e: np.ndarray
+    in_u: np.ndarray         # also E_m: the grid box is E_m's bounding box by construction
     in_d: np.ndarray
     in_rbar: np.ndarray
     in_runder: np.ndarray
@@ -160,48 +159,47 @@ def grid_scan(m: int, u: float, p: int, resolution=400, nu: float = 0.02) -> Reg
     z_inside = (X + 1j * Y)[in_u] - 2j * m * math.pi / xi
     re_phi[in_u] = f_values(z_inside, u, p).real
 
-    in_e = in_u.copy()  # the grid box is E_m's bounding box by construction
     with np.errstate(invalid="ignore"):
-        in_d = in_e & (re_phi < threshold)
+        in_d = in_u & (re_phi < threshold)
         in_rbar = in_u & (Y >= 0.0) & (re_phi < threshold + 2.0 * math.pi * Y)
         in_runder = in_u & (Y <= 0.0) & (re_phi < threshold - 2.0 * math.pi * Y)
 
     return RegionGrid(
         m=m, u=u, p=p, nu=nu, resolution=(nx, ny),
         bounds=(x_lo, x_hi, y_lo, y_hi), xs=xs, ys=ys,
-        re_phi=re_phi, in_u=in_u, in_e=in_e, in_d=in_d,
+        re_phi=re_phi, in_u=in_u, in_d=in_d,
         in_rbar=in_rbar, in_runder=in_runder,
         threshold=threshold, sigma_m=sigma_m,
     )
 
 
 def label_components(mask: np.ndarray):
-    """4-connected component labels of a boolean grid; returns (labels, count)."""
-    labels = np.zeros(mask.shape, dtype=np.int32)
-    nrows, ncols = mask.shape
-    count = 0
-    for i in range(nrows):
-        row = mask[i]
-        for j in range(ncols):
-            if row[j] and labels[i, j] == 0:
-                count += 1
-                stack = [(i, j)]
-                labels[i, j] = count
-                while stack:
-                    a, b = stack.pop()
-                    if a > 0 and mask[a - 1, b] and labels[a - 1, b] == 0:
-                        labels[a - 1, b] = count
-                        stack.append((a - 1, b))
-                    if a + 1 < nrows and mask[a + 1, b] and labels[a + 1, b] == 0:
-                        labels[a + 1, b] = count
-                        stack.append((a + 1, b))
-                    if b > 0 and mask[a, b - 1] and labels[a, b - 1] == 0:
-                        labels[a, b - 1] = count
-                        stack.append((a, b - 1))
-                    if b + 1 < ncols and mask[a, b + 1] and labels[a, b + 1] == 0:
-                        labels[a, b + 1] = count
-                        stack.append((a, b + 1))
-    return labels, count
+    """4-connected component labels of a boolean grid; returns (labels, count).
+
+    Components are numbered 1, 2, ... in the raster order of their first
+    cell.  Each horizontal run of set cells is one node; runs in adjacent
+    rows that share a column are merged by a union-find whose links always
+    point to the lower run index, so each root is its component's first run.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    starts = mask.copy()
+    starts[:, 1:] &= ~mask[:, :-1]
+    run = np.cumsum(starts).reshape(mask.shape)    # run number at set cells
+    touch = mask[:-1] & mask[1:]
+    touch[:, 1:] &= ~touch[:, :-1]                  # one cell per touching pair of runs
+    parent = list(range(int(np.count_nonzero(starts)) + 1))
+    for a, b in zip(run[:-1][touch].tolist(), run[1:][touch].tolist()):
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        parent[max(a, b)] = min(a, b)
+    root = np.array(parent)
+    while not np.array_equal(root[root], root):
+        root = root[root]
+    number = np.cumsum(root == np.arange(root.size)) - 1    # 0 for the background run 0
+    labels = np.where(mask, number[root][run], 0).astype(np.int32)
+    return labels, int(number[-1])
 
 
 def pinch_epsilon(grid: RegionGrid) -> float:
@@ -230,7 +228,7 @@ def components_d_cap_e(grid: RegionGrid, epsilon: float | None = None) -> int:
     if epsilon is None:
         epsilon = pinch_epsilon(grid)
     with np.errstate(invalid="ignore"):
-        mask = grid.in_e & (grid.re_phi < grid.threshold - epsilon)
+        mask = grid.in_u & (grid.re_phi < grid.threshold - epsilon)
     if not mask.any():
         raise DomainError("D_m ∩ E_m is empty on this grid")
     _, count = label_components(mask)
@@ -395,26 +393,20 @@ def grid_header(grid: RegionGrid, components: int | None = None) -> dict:
 
 
 def write_grid_csv(grid: RegionGrid, path) -> None:
-    """Cell dump: x, y, rePhi and the five membership flags as 0/1."""
-    ny, nx = grid.re_phi.shape
+    """Cell dump: x, y, rePhi and the five membership flags as 0/1.
+
+    The in_e column repeats in_u, since within the grid E_m and U_m coincide.
+    """
+    columns = (grid.re_phi, grid.in_u, grid.in_u, grid.in_d, grid.in_rbar, grid.in_runder)
+    cells = np.empty((8, grid.xs.size))
+    cells[0] = grid.xs
+    template = "%.17g,%.17g,%.17g,%d,%d,%d,%d,%d\n" * grid.xs.size
     with open(path, "w") as fh:
         fh.write("x,y,re_phi,in_u,in_e,in_d,in_rbar,in_runder\n")
-        for iy in range(ny):
-            y = grid.ys[iy]
-            for ix in range(nx):
-                fh.write(
-                    "%.17g,%.17g,%.17g,%d,%d,%d,%d,%d\n"
-                    % (
-                        grid.xs[ix],
-                        y,
-                        grid.re_phi[iy, ix],
-                        grid.in_u[iy, ix],
-                        grid.in_e[iy, ix],
-                        grid.in_d[iy, ix],
-                        grid.in_rbar[iy, ix],
-                        grid.in_runder[iy, ix],
-                    )
-                )
+        for iy, y in enumerate(grid.ys.tolist()):
+            cells[1] = y
+            cells[2:] = [column[iy] for column in columns]
+            fh.write(template % tuple(cells.T.ravel().tolist()))
 
 
 def write_grid_header(grid: RegionGrid, path, components: int | None = None) -> None:

@@ -1,9 +1,16 @@
 """End-to-end CLI behavior: records, exit codes, determinism."""
 
+import csv
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fig8lab
 from fig8lab.cli import main
 
 
@@ -145,11 +152,39 @@ def test_modularity_zagier_mode(capsys):
     assert all("lhs" in r and "rhs" in r and "bd_constant_re" in r for r in records)
 
 
-def test_csv_format(tmp_path):
+@pytest.mark.parametrize("argv,keys,n_rows", [
+    pytest.param(["jones", "--u", "0.5", "--p", "1", "--N", "11,21"],
+                 ["N", "u", "p", "logmag", "phase"], 2, id="jones"),
+    pytest.param(["theorem", "--u", "0.5", "--p", "3", "--N", "30,31"],
+                 ["N", "u", "p", "ratio_re", "ratio_im", "abs_ratio_minus_1",
+                  "skipped", "reason"], 2, id="theorem"),
+    pytest.param(["modularity", "--eta", "0,-1,1,0", "--p", "1", "--N-list", "99,199"],
+                 ["eta", "u", "p", "N", "ratio", "rhs", "C_estimate", "C_extrapolated",
+                  "spread"], 4, id="modularity"),
+])
+def test_csv_format(tmp_path, argv, keys, n_rows):
+    # list cells, eta and the skip reason contain commas and must come back whole
     out = tmp_path / "rows.csv"
-    assert main(["jones", "--u", "0.5", "--p", "1", "--N", "11,21",
-                 "--format", "csv", "--out", str(out)]) == 0
-    lines = out.read_text().splitlines()
-    assert lines[0].startswith("# fig8lab/1")
-    assert lines[1].split(",") == sorted(["N", "u", "p", "logmag", "phase"])
-    assert len(lines) == 4
+    assert main(argv + ["--format", "csv", "--out", str(out)]) == 0
+    meta, body = out.read_text().split("\n", 1)
+    assert meta.startswith("# fig8lab/1")
+    rows = list(csv.reader(io.StringIO(body)))
+    assert rows[0] == sorted(keys)
+    assert len(rows) == 1 + n_rows
+    assert all(len(row) == len(rows[0]) for row in rows)
+
+
+def test_region_imports_no_scipy():
+    # scipy would add about 0.4 s of start-up and 16 MB of traced allocations
+    script = (
+        "import sys\n"
+        "from fig8lab.cli import main\n"
+        "code = main(['region', '--u', '0.5', '--p', '1', '--m', '0', '--res', '50'])\n"
+        "print(code, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    path = [str(Path(fig8lab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"

