@@ -45,7 +45,7 @@ from .numkernel import (
     log_sum_exp,
     reduce_phase,
 )
-from .qdilog import DEFAULT_CONFIG, EvalContext, QuadratureConfig, t_n
+from .qdilog import DEFAULT_CONFIG, EvalContext, QuadratureConfig, e_n_ratio, t_n
 
 
 def _multiples(e: np.ndarray, w) -> np.ndarray:
@@ -120,17 +120,22 @@ def beta_factor(ctx: EvalContext, m: int) -> LogComplex:
     return LogComplex.from_exponent(-m * ctx.p * w) * _qpoch(ctx.p, m, w)
 
 
-def f_n(z: complex, ctx: EvalContext, cfg: QuadratureConfig = DEFAULT_CONFIG) -> complex:
-    """Finite-N phase f_N(z), defined on -1/(2N) < Re z + (u/2 p pi) Im z < 1/p + 1/(2N)."""
-    z = complex(z)
+def f_n(z, ctx: EvalContext, cfg: QuadratureConfig = DEFAULT_CONFIG):
+    """Finite-N phase f_N(z), defined on -1/(2N) < Re z + (u/2 p pi) Im z < 1/p + 1/(2N).
+
+    z may be an array; its 2 z.size T_N values come from one batched t_n call.
+    """
+    z = np.asarray(z, dtype=complex)
     s = z.real + ctx.u / (2.0 * math.pi * ctx.p) * z.imag
     lo, hi = -0.5 / ctx.n, 1.0 / ctx.p + 0.5 / ctx.n
-    if not lo < s < hi:
-        raise DomainError(f"z outside the f_N strip: skew abscissa {s} not in ({lo}, {hi})")
+    outside = ~((lo < s) & (s < hi))
+    if outside.any():
+        raise DomainError(f"z outside the f_N strip: skew abscissa {s[outside][0]} not in ({lo}, {hi})")
     xi, n = ctx.xi, ctx.n
-    a = t_n(xi * (1.0 - z) / (2j * math.pi) - ctx.p + 1.0, ctx, cfg)
-    b = t_n(xi * (1.0 + z) / (2j * math.pi) - ctx.p, ctx, cfg)
-    return (a - b) / n - ctx.u * z + 4.0 * ctx.p * math.pi ** 2 / xi
+    a, b = t_n(np.stack([xi * (1.0 - z) / (2j * math.pi) - ctx.p + 1.0,
+                         xi * (1.0 + z) / (2j * math.pi) - ctx.p]), ctx, cfg)
+    value = (a - b) / n - ctx.u * z + 4.0 * ctx.p * math.pi ** 2 / xi
+    return complex(value) if z.ndim == 0 else value
 
 
 def k_range(m: int, ctx: EvalContext):
@@ -154,14 +159,13 @@ def decomposition_residual(ctx: EvalContext, cfg: QuadratureConfig = DEFAULT_CON
     prefactor = lc_one_minus_exp(-4.0 * ctx.p * n * math.pi ** 2 / xi) / LogComplex.from_complex(
         2.0 * math.sinh(0.5 * ctx.u)
     )
-    terms = []
+    z, betas = [], []
     for m in range(ctx.p):
-        beta_m = beta_factor(ctx, m)
-        shift = 2j * m * math.pi / xi
-        for k in k_range(m, ctx):
-            z = (2 * k + 1) / (2.0 * n) - shift
-            terms.append(beta_m * LogComplex.from_exponent(n * f_n(z, ctx, cfg)))
-    rhs = prefactor * lc_sum(terms)
+        k = np.array(k_range(m, ctx))
+        z.append((2 * k + 1) / (2.0 * n) - 2j * m * math.pi / xi)
+        betas += [beta_factor(ctx, m)] * k.size
+    exponents = n * f_n(np.concatenate(z), ctx, cfg)
+    rhs = prefactor * lc_sum(beta * LogComplex.from_exponent(e) for beta, e in zip(betas, exponents))
     lhs = jones_at_cusp(ctx)
     return abs((rhs / lhs).to_complex() - 1.0)
 
@@ -172,8 +176,6 @@ def _qfactorial_direct(k: int, ctx: EvalContext) -> LogComplex:
 
 def _qfactorial_via_en(k: int, ctx: EvalContext, cfg: QuadratureConfig) -> LogComplex:
     """The same product expressed through E_N ratios and dual-side factors."""
-    from .qdilog import e_n
-
     xi, n, p = ctx.xi, ctx.n, ctx.p
     gamma = ctx.gamma
     w_dual = 4.0 * n * math.pi ** 2 / xi
@@ -186,17 +188,15 @@ def _qfactorial_via_en(k: int, ctx: EvalContext, cfg: QuadratureConfig) -> LogCo
         # k = n N': the boundary case carries its own explicit unity factors
         extra = lc_one_minus_exp((c - nn) * xi / c) * lc_one_minus_exp((c + nn) * xi / c)
         dual = _qpoch(p, nn * p_prime - 1, w_dual)
-        ratio = e_n((n - nn * n_prime + 0.5) * gamma - p + nn * p_prime, ctx, cfg) / e_n(
-            (n + nn * n_prime - 0.5) * gamma - p - nn * p_prime + 1, ctx, cfg
-        )
+        ratio = e_n_ratio((n - nn * n_prime + 0.5) * gamma - p + nn * p_prime,
+                          (n + nn * n_prime - 0.5) * gamma - p - nn * p_prime + 1, ctx, cfg)
         return extra * head * dual * ratio
 
     # for coprime p, N (c = 1, N' = N) this is nn = 0 and m = kp // N
     m = nn * p_prime + (k - nn * n_prime) * p_prime // n_prime
     dual = _qpoch(p, m, w_dual)
-    ratio = e_n((n - k - 0.5) * gamma - p + m + 1, ctx, cfg) / e_n(
-        (n + k + 0.5) * gamma - p - m, ctx, cfg
-    )
+    ratio = e_n_ratio((n - k - 0.5) * gamma - p + m + 1,
+                      (n + k + 0.5) * gamma - p - m, ctx, cfg)
     return head * dual * ratio
 
 

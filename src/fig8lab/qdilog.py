@@ -5,11 +5,16 @@ along the contour Omega = (-oo,-1] + upper unit semicircle + [1,oo), oriented
 left to right, with gamma = xi/(2 N pi i) and xi = u + 2 p pi i.  The integral
 converges on the strip -p/(2N) < Re z < 1 + p/(2N).  E_N(z) = exp(T_N(z)) is
 returned in log form, which is the only representation that survives the
-sizes reached downstream.
+sizes reached downstream.  The same driver evaluates the N-free integrals
+behind L_0, L_1, L_2, to cross-check the closed forms of numkernel.
 
-The same contour machinery evaluates the N-free integrals behind L_0, L_1,
-L_2 so the closed forms of numkernel can be cross-checked against direct
-quadrature.
+One batched driver serves every z.  Each ray is cut where the analytic tail
+bound drops below tol and covered by Gauss panels graded to the integrand
+(see _RATE_WIDTH), so a point near the strip edge, whose ray is long, needs
+few of them.  The nodes of all points are evaluated in one numpy call per ray
+and level and summed back per point.  A base pass is followed by passes with
+every panel halved until a point moves by less than tol (at most 3
+refinements); only unconverged points go on.
 
 Poles of the T_N integrand sit at k pi i (from sinh x) and at the zeros of
 sinh(gamma x), i.e. x = -2 k N pi^2 / xi; for admissible (u, p, N) both
@@ -20,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -37,9 +41,13 @@ from .numkernel import (
 
 KAPPA = math.acosh(1.5)
 
-_GAUSS_ORDER = 12
+_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(12)
 _MAX_REFINEMENTS = 3
 _MAX_TAIL = 5.0e5
+# Ray panels double in width from [1, 2] up to _RATE_WIDTH / (|a| + |Im gamma|), a
+# the ray's exponential rate.  12-point Gauss then errs near 5.8^-24 = 5e-19 on
+# [x, 2x] (the pole of 1/x at 0) and 3e-15 on e^{a x} over a width of 8/|a|.
+_RATE_WIDTH = 8.0
 
 
 @dataclass(frozen=True)
@@ -74,9 +82,10 @@ class EvalContext:
 class QuadratureConfig:
     """Contour refinement knobs.
 
-    The truncation abscissa of each ray is derived per evaluation from the
-    integrand's exponential decay rate, so the analytic tail bound stays
-    below tol.
+    panels_per_unit is the number of equal Gauss panels each graded ray
+    panel is split into.  The truncation abscissa of each ray is derived per
+    evaluation from the integrand's exponential decay rate, so the analytic
+    tail bound stays below tol.
     """
 
     panels_per_unit: int = 1
@@ -95,121 +104,139 @@ DEFAULT_CONFIG = QuadratureConfig()
 
 
 # ---------------------------------------------------------------------------
-# Panel quadrature plumbing
+# Batched panel quadrature
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _gauss_rule(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+def _tail_abscissa(nu: np.ndarray, tol: float) -> np.ndarray:
+    """Truncation points X with integral_X^oo 4 e^{-nu x}/x dx safely < tol."""
+    x = (np.log(40.0 / (tol * nu)) + 4.0) / nu
+    x = (np.log(40.0 / (tol * nu * np.maximum(x, 1.0))) + 4.0) / nu
+    return np.maximum(x, 10.0)
 
 
-def _panel_nodes(a: float, b: float, n_panels: int):
-    """Gauss-Legendre nodes/weights on n_panels equal panels of [a, b]."""
-    x, w = _gauss_rule(_GAUSS_ORDER)
-    edges = np.linspace(a, b, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    nodes = (mid[:, None] + half * x[None, :]).ravel()
-    weights = np.broadcast_to(half * w[None, :], (n_panels, x.size)).ravel()
-    return nodes, weights
+def _ray_sums(x_end, cap, rate, split: int, ray) -> np.ndarray:
+    """Per-point Gauss sums of e^{rate x} ray(x) over graded panels of [1, x_end].
+
+    The panel edges are 2^j until a panel would be wider than the point's
+    cap, then evenly spaced by cap.  Each panel is split into `split` equal
+    Gauss panels.
+    """
+    k = np.maximum(np.ceil(np.log2(cap)), 0.0)
+    x_k = 2.0 ** k
+    count = np.where(x_k >= x_end, np.ceil(np.log2(x_end)),
+                     k + np.ceil((x_end - x_k) / cap)).astype(np.int64)
+    owner = np.repeat(np.arange(count.size), count)
+    j = np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
+    k, cap, x_end = k[owner], cap[owner], x_end[owner]
+
+    def edge(i):
+        return np.minimum(2.0 ** np.minimum(i, k) + np.maximum(i - k, 0.0) * cap, x_end)
+
+    left = edge(j)
+    half = (edge(j + 1) - left) / (2 * split)
+    mid = left[:, None] + half[:, None] * np.arange(1, 2 * split, 2)
+    nodes = (mid[:, :, None] + half[:, None, None] * _GAUSS_X).ravel()
+    values = np.exp(np.repeat(rate, count * split * _GAUSS_X.size) * nodes) * ray(nodes)
+    panels = half * np.dot(values.reshape(left.size, -1), np.tile(_GAUSS_W, split))
+    return np.add.reduceat(panels, np.cumsum(count) - count)
 
 
-def _tail_abscissa(nu: float, tol: float) -> float:
-    """Truncation point X with integral_X^oo 4 e^{-nu x}/x dx safely < tol."""
-    if nu <= 0.0:
-        raise DomainError("non-decaying integrand tail")
-    x = (math.log(40.0 / (tol * nu)) + 4.0) / nu
-    x = (math.log(40.0 / (tol * nu * max(x, 1.0))) + 4.0) / nu
-    x = max(x, 10.0)
-    if x > _MAX_TAIL:
-        raise QuadratureError(
-            f"tail cutoff {x:.3g} exceeds limit; z too close to the strip edge"
-        )
-    return x
+def _contour(z: np.ndarray, gamma: complex, cfg: QuadratureConfig, ray, circ,
+             neg_sign: float, where: str) -> np.ndarray:
+    """Per-point integrals along Omega, with the per-point two-level check.
 
+    The integrand is e^{(2z-1) x} circ(x) on the semicircle.  On the rays it
+    is rewritten as e^{(2z-2-gamma) x} ray(x) on [1, oo), and as
+    neg_sign e^{-(2z+gamma) x} ray(x) on the negative ray mirrored onto
+    [1, oo) (gamma = 0 for the L_k integrals).
+    """
+    if not z.size:
+        return np.zeros(0, dtype=complex)
+    rates = (2.0 * z - 2.0 - gamma, -(2.0 * z + gamma))
+    ends = [_tail_abscissa(-rate.real, cfg.tol) for rate in rates]
+    far = (ends[0] > _MAX_TAIL) | (ends[1] > _MAX_TAIL)
+    if far.any():
+        raise QuadratureError(f"tail cutoff exceeds {_MAX_TAIL:.3g}: z = {z[far][0]} "
+                              f"too close to the strip edge at {where}")
+    caps = [_RATE_WIDTH / (np.abs(rate) + abs(gamma.imag)) for rate in rates]
 
-def _ray_panel_count(length: float, ppu: int, osc_rate: float) -> int:
-    density = max(ppu, math.ceil(max(osc_rate, 1e-12) / 4.0))
-    return max(1, math.ceil(length * density))
+    def evaluate(level: QuadratureConfig, idx: np.ndarray) -> np.ndarray:
+        total = np.zeros(idx.size, dtype=complex)
+        for sign, rate, end, cap in zip((1.0, neg_sign), rates, ends, caps):
+            total += sign * _ray_sums(end[idx], cap[idx], rate[idx], level.panels_per_unit, ray)
+        # points with the same panel count share the semicircle nodes x = e^{it}
+        n_circ = np.maximum(np.ceil(np.abs(2.0 * z[idx] - 1.0)).astype(int), level.semicircle_panels)
+        for n in set(n_circ.tolist()):  # np.unique would import numpy.ma, 10-20 ms
+            half = 0.5 * math.pi / n
+            x = np.exp(1j * half * (2 * np.arange(n)[:, None] + 1 + _GAUSS_X).ravel())
+            sel = n_circ == n
+            # the semicircle runs t: pi -> 0, and dx = i x dt
+            total[sel] -= np.dot(np.exp(np.outer(2.0 * z[idx[sel]] - 1.0, x)),
+                                 1j * x * np.tile(half * _GAUSS_W, n) * circ(x))
+        return total
 
-
-def _contour_quadrature(z: complex, gamma: complex | None, cfg: QuadratureConfig,
-                        pos_fn, neg_fn, circ_fn) -> complex:
-    """Integrate along Omega with per-ray stable integrand forms."""
-    g_re = gamma.real if gamma is not None else 0.0
-    nu_pos = 2.0 + g_re - 2.0 * z.real
-    nu_neg = 2.0 * z.real + g_re
-
-    x_pos = _tail_abscissa(nu_pos, cfg.tol)
-    x_neg = _tail_abscissa(nu_neg, cfg.tol)
-
-    osc = 2.0 * abs(z.imag) + (abs(gamma.imag) if gamma is not None else 0.0)
-
-    total = 0j
-    nodes, weights = _panel_nodes(1.0, x_pos, _ray_panel_count(x_pos - 1.0, cfg.panels_per_unit, osc))
-    total += np.sum(pos_fn(nodes) * weights)
-    nodes, weights = _panel_nodes(-x_neg, -1.0, _ray_panel_count(x_neg - 1.0, cfg.panels_per_unit, osc))
-    total += np.sum(neg_fn(nodes) * weights)
-
-    n_circ = max(cfg.semicircle_panels, math.ceil(abs(2.0 * z - 1.0)))
-    t_nodes, t_weights = _panel_nodes(0.0, math.pi, n_circ)
-    total -= np.sum(circ_fn(t_nodes) * t_weights)  # semicircle runs t: pi -> 0
-    return complex(total)
-
-
-def _tn_raw(z: complex, gamma: complex, cfg: QuadratureConfig) -> complex:
-    two_z = 2.0 * z
-
-    def pos(x):
-        # 1/sinh factored as 2 e^{-x}/(1-e^{-2x}) to avoid overflow on the ray
-        expo = (two_z - 2.0 - gamma) * x
-        return 4.0 * np.exp(expo) / (x * (1.0 - np.exp(-2.0 * x)) * (1.0 - np.exp(-2.0 * gamma * x)))
-
-    def neg(x):
-        expo = (two_z + gamma) * x
-        return 4.0 * np.exp(expo) / (x * (1.0 - np.exp(2.0 * x)) * (1.0 - np.exp(2.0 * gamma * x)))
-
-    def circ(t):
-        x = np.exp(1j * t)
-        return np.exp((two_z - 1.0) * x) / (x * np.sinh(x) * np.sinh(gamma * x)) * 1j * x
-
-    return 0.25 * _contour_quadrature(z, gamma, cfg, pos, neg, circ)
-
-
-def _with_refinement(evaluate, cfg: QuadratureConfig) -> complex:
-    value = evaluate(cfg)
+    active = np.arange(z.size)
+    value = evaluate(cfg, active)
+    best = np.full(z.size, np.inf)
     fine = cfg
-    for _ in range(_MAX_REFINEMENTS):
+    for level in range(1, _MAX_REFINEMENTS + 1):
         fine = fine.refined()
-        refined = evaluate(fine)
-        if abs(refined - value) < cfg.tol:
-            return refined
-        value = refined
-    raise QuadratureError("quadrature failed to meet tol at maximum refinement")
+        refined = evaluate(fine, active)
+        delta = np.abs(refined - value[active])
+        best[active] = np.minimum(best[active], delta)
+        value[active] = refined
+        active = active[delta >= cfg.tol]
+        if not active.size:
+            return value
+    i = active[0]
+    raise QuadratureError(
+        f"quadrature failed to meet tol at maximum refinement: z = {z[i]} at {where}, "
+        f"level {level}, best |delta| = {best[i]:.3g} >= tol = {cfg.tol:.3g}"
+    )
 
 
 # ---------------------------------------------------------------------------
 # Public surface
 # ---------------------------------------------------------------------------
 
-def t_n(z: complex, ctx: EvalContext, cfg: QuadratureConfig = DEFAULT_CONFIG) -> complex:
-    """Quantum dilogarithm T_N(z) on -p/(2N) < Re z < 1 + p/(2N)."""
-    z = complex(z)
+def t_n(z, ctx: EvalContext, cfg: QuadratureConfig = DEFAULT_CONFIG):
+    """Quantum dilogarithm T_N(z) on -p/(2N) < Re z < 1 + p/(2N).
+
+    z is a complex scalar (a complex is returned) or an array of points at
+    the same (u, p, N), integrated in one batched quadrature (an array of
+    the same shape is returned).
+    """
     half_gamma = 0.5 * ctx.p / ctx.n
-    if not -half_gamma < z.real < 1.0 + half_gamma:
-        raise DomainError(
-            f"Re z = {z.real} outside convergence strip (-{half_gamma}, {1 + half_gamma})"
-        )
-    return _with_refinement(lambda c: _tn_raw(z, ctx.gamma, c), cfg)
+    gamma = ctx.gamma
+
+    def ray(x):
+        # 1/sinh factored as 2 e^{-x}/(1-e^{-2x}) to avoid overflow on the ray
+        return 4.0 / (x * (1.0 - np.exp(-2.0 * x)) * (1.0 - np.exp(-2.0 * gamma * x)))
+
+    def circ(x):
+        return 1.0 / (x * np.sinh(x) * np.sinh(gamma * x))
+
+    zs = np.asarray(z, dtype=complex)
+    flat = zs.ravel()
+    outside = ~((-half_gamma < flat.real) & (flat.real < 1.0 + half_gamma))
+    if outside.any():
+        raise DomainError(f"Re z = {flat[outside][0].real} outside convergence strip "
+                          f"(-{half_gamma}, {1 + half_gamma})")
+    values = 0.25 * _contour(flat, gamma, cfg, ray, circ, -1.0,
+                             f"(u, p, N) = ({ctx.u}, {ctx.p}, {ctx.n})")
+    return complex(values[0]) if zs.ndim == 0 else values.reshape(zs.shape)
 
 
 def e_n(z: complex, ctx: EvalContext, cfg: QuadratureConfig = DEFAULT_CONFIG) -> LogComplex:
     """E_N(z) = exp(T_N(z)) in log form: logmag is exactly Re T_N(z)."""
-    return LogComplex.from_exponent(t_n(z, ctx, cfg))
+    return LogComplex.from_exponent(t_n(complex(z), ctx, cfg))
 
 
-_L_CLOSED = {0: l0_closed, 1: l1_closed, 2: l2_closed}
+def e_n_ratio(num: complex, den: complex, ctx: EvalContext,
+              cfg: QuadratureConfig = DEFAULT_CONFIG) -> LogComplex:
+    """E_N(num) / E_N(den) in log form, both T_N values from one batched call."""
+    t_num, t_den = t_n([num, den], ctx, cfg)
+    return LogComplex.from_exponent(t_num) / LogComplex.from_exponent(t_den)
 
 
 def l_k_quadrature(k: int, z: complex, cfg: QuadratureConfig = DEFAULT_CONFIG) -> complex:
@@ -219,23 +246,17 @@ def l_k_quadrature(k: int, z: complex, cfg: QuadratureConfig = DEFAULT_CONFIG) -
     z = complex(z)
     if not 0.0 < z.real < 1.0:
         raise DomainError(f"Re z = {z.real} outside (0, 1)")
-    two_z = 2.0 * z
 
-    def pos(x):
-        return 2.0 * np.exp((two_z - 2.0) * x) / (x ** k * (1.0 - np.exp(-2.0 * x)))
+    def ray(x):
+        return 2.0 / (x ** k * (1.0 - np.exp(-2.0 * x)))
 
-    def neg(x):
-        return -2.0 * np.exp(two_z * x) / (x ** k * (1.0 - np.exp(2.0 * x)))
-
-    def circ(t):
-        x = np.exp(1j * t)
-        return np.exp((two_z - 1.0) * x) / (x ** k * np.sinh(x)) * 1j * x
+    def circ(x):
+        return 1.0 / (x ** k * np.sinh(x))
 
     prefactor = {0: 1.0, 1: -0.5, 2: 0.5j * math.pi}[k]
-    value = _with_refinement(
-        lambda c: _contour_quadrature(z, None, c, pos, neg, circ), cfg
-    )
-    return prefactor * value
+    # on the negative ray x^k flips sign for odd k
+    value = _contour(np.array([z]), 0j, cfg, ray, circ, -(-1.0) ** k, f"L_{k}")
+    return prefactor * complex(value[0])
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +278,7 @@ def check_shift_identity(z: complex, ctx: EvalContext,
     if rhs.is_zero or rhs.logmag < -7.0:
         raise DomainError("z too close to an integer: identity RHS vanishes")
     half = 0.5 * ctx.gamma
-    lhs = e_n(z - half, ctx, cfg) / e_n(z + half, ctx, cfg)
+    lhs = e_n_ratio(z - half, z + half, ctx, cfg)
     return _relative_residual(lhs, rhs)
 
 
@@ -273,7 +294,7 @@ def check_gamma_half(w: complex, ctx: EvalContext,
         raise DomainError("identity denominator 1 - e^{2 pi i w} vanishes")
     rhs = lc_one_minus_exp(2j * math.pi * w / gamma) / denom
     half = 0.5 * gamma
-    lhs = e_n(w + half, ctx, cfg) / e_n(w - half + 1.0, ctx, cfg)
+    lhs = e_n_ratio(w + half, w - half + 1.0, ctx, cfg)
     return _relative_residual(lhs, rhs)
 
 
@@ -285,5 +306,5 @@ def check_unit_shift(z: complex, ctx: EvalContext,
     if not abs(z.real) < 0.5 * gamma.real:
         raise DomainError("unit shift identity requires |Re z| < Re gamma / 2")
     rhs = lc_one_plus_exp(2j * math.pi * z / gamma)
-    lhs = e_n(z, ctx, cfg) / e_n(z + 1.0, ctx, cfg)
+    lhs = e_n_ratio(z, z + 1.0, ctx, cfg)
     return _relative_residual(lhs, rhs)

@@ -357,15 +357,13 @@ def endpoint_decay(ctx: EvalContext, m: int, delta_grid: float,
     top = sd.f_sigma0.real
     shift = 2j * m * math.pi / sd.xi
     lo_edge, hi_edge = m / ctx.p, (m + 1) / ctx.p
-    rows = []
-    for k in k_range(m, ctx):
-        t = k / ctx.n
-        if t - lo_edge <= delta_grid or hi_edge - t <= delta_grid:
-            value = f_n((2 * k + 1) / (2.0 * ctx.n) - shift, ctx, cfg).real
-            rows.append((k, t, value, top - value))
-    if not rows:
+    ks = [k for k in k_range(m, ctx)
+          if k / ctx.n - lo_edge <= delta_grid or hi_edge - k / ctx.n <= delta_grid]
+    if not ks:
         raise DomainError("no summation points within delta_grid of the interval ends")
-    return EndpointDecayReport(rows=rows)
+    values = f_n((2 * np.array(ks) + 1) / (2.0 * ctx.n) - shift, ctx, cfg).real
+    return EndpointDecayReport(rows=[(k, k / ctx.n, value, top - value)
+                                     for k, value in zip(ks, values.tolist())])
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,20 @@ def test_lemmas_tight_threshold_fails(capsys):
     assert "FAIL" in err
 
 
+def test_lemmas_seed_with_strip_edge_sample_passes(capsys):
+    # seed 3 draws a unit-shift point 0.11 Re gamma from the strip edge
+    code, _, err = run(["lemmas", "--samples", "50", "--seed", "3"], capsys)
+    assert code == 0, err
+
+
+def test_lemmas_unmeetable_tol_exits_3(capsys):
+    code, _, err = run(["lemmas", "--samples", "5", "--tol", "1e-16"], capsys)
+    assert code == 3
+    assert "failed to meet tol" in err
+    for field in ("z = ", "(u, p, N) = ", "level 3", "best |delta| = "):
+        assert field in err
+
+
 def test_region_emits_grid_files(tmp_path, capsys):
     prefix = tmp_path / "grid"
     code, out, _ = run(
@@ -174,12 +188,12 @@ def test_csv_format(tmp_path, argv, keys, n_rows):
     assert all(len(row) == len(rows[0]) for row in rows)
 
 
-def test_region_imports_no_scipy():
-    # scipy would add about 0.4 s of start-up and 16 MB of traced allocations
+def _scipy_modules_loaded_by(argv):
+    """Exit code of main(argv) in a fresh interpreter and the scipy modules it loaded."""
     script = (
         "import sys\n"
         "from fig8lab.cli import main\n"
-        "code = main(['region', '--u', '0.5', '--p', '1', '--m', '0', '--res', '50'])\n"
+        f"code = main({argv!r})\n"
         "print(code, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
     )
     path = [str(Path(fig8lab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
@@ -187,4 +201,15 @@ def test_region_imports_no_scipy():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 []"
+    return proc.stdout.splitlines()[-1]
+
+
+def test_region_imports_no_scipy():
+    # scipy would add about 0.4 s of start-up and 16 MB of traced allocations
+    argv = ["region", "--u", "0.5", "--p", "1", "--m", "0", "--res", "50"]
+    assert _scipy_modules_loaded_by(argv) == "0 []"
+
+
+def test_lemmas_imports_no_scipy():
+    # a scipy.integrate quadrature would add about 0.9 s of start-up
+    assert _scipy_modules_loaded_by(["lemmas", "--samples", "5"]) == "0 []"

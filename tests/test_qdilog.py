@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fig8lab.numkernel import DomainError, l0_closed, l1_closed, l2_closed, li2
+from fig8lab.numkernel import DomainError, QuadratureError, l0_closed, l1_closed, l2_closed, li2
 from fig8lab.qdilog import (
     KAPPA,
     EvalContext,
@@ -106,6 +108,32 @@ def test_self_consistency_under_refinement():
     assert abs(v1 - v2) < base.tol
 
 
+def test_batched_t_n_matches_scalar():
+    ctx = EvalContext(u=0.5, p=3, n=31)
+    g, tol = ctx.gamma.real, QuadratureConfig().tol
+    # central points, and points within 1e-3 Re gamma of either strip edge
+    z = np.array([0.5, 0.3 + 0.2j, 0.9 - 0.4j,
+                  complex(-g / 2 + 1e-3 * g, 0.05), complex(-g / 2 + 5e-4 * g, -0.1),
+                  complex(1 + g / 2 - 1e-3 * g, -0.05), complex(1 + g / 2 - 5e-4 * g, 0.1)])
+    batched = t_n(z, ctx)
+    assert batched.shape == z.shape
+    for zi, value in zip(z, batched):
+        assert abs(value - t_n(zi, ctx)) <= tol
+    assert t_n(z.reshape(7, 1), ctx).shape == (7, 1)
+    assert t_n(np.array([]), ctx).shape == (0,)
+
+
+def test_unmeetable_tol_names_the_failure():
+    ctx = EvalContext(u=0.5, p=2, n=40)
+    with pytest.raises(QuadratureError) as info:
+        t_n([0.5, 0.3 + 0.2j], ctx, QuadratureConfig(tol=1e-16))
+    message = str(info.value)
+    assert "z = (0.5+0j)" in message
+    assert "(u, p, N) = (0.5, 2, 40)" in message
+    assert "level 3" in message
+    assert "best |delta| = " in message
+
+
 def test_e_n_logmag_is_re_t_n():
     ctx = EvalContext(u=0.5, p=1, n=50)
     value = t_n(0.37 + 0.04j, ctx)
@@ -146,6 +174,12 @@ def test_gamma_half_examples():
         check_gamma_half(complex(ctx.gamma.real, 0.1), ctx)
 
 
+def test_unit_shift_at_strip_edge():
+    # lemmas --seed 3 draws this point, 0.11 Re gamma from the strip edge
+    ctx = EvalContext(u=0.2, p=1, n=97)
+    assert check_unit_shift(-0.004006817540464774 - 0.05885511384705713j, ctx) <= 1e-7
+
+
 def test_unit_shift_examples():
     ctx = EvalContext(u=0.5, p=2, n=40)
     assert check_unit_shift(0j, ctx) <= 1e-7
@@ -174,3 +208,35 @@ def test_identity_random_suite():
         assert check_gamma_half(w, ctx) <= 1e-7
         z = complex(rng.uniform(-0.45, 0.45) * g, rng.uniform(-0.3, 0.3))
         assert check_unit_shift(z, ctx) <= 1e-7
+
+
+# each identity's range of Re z; at either end its E_N arguments reach an
+# edge of the convergence strip
+_IDENTITY_RANGES = (
+    (check_shift_identity, lambda g: (0.0, 1.0)),
+    (check_gamma_half, lambda g: (-g, g)),
+    (check_unit_shift, lambda g: (-0.5 * g, 0.5 * g)),
+)
+
+
+@st.composite
+def _identity_case(draw):
+    """(check, z, ctx) with Re z central or 0.02-0.2 Re gamma inside an end of its range."""
+    ctx = EvalContext(u=draw(st.floats(0.05, 0.95)), p=draw(st.integers(1, 3)),
+                      n=draw(st.integers(5, 100)))
+    g = ctx.gamma.real
+    check, bounds = draw(st.sampled_from(_IDENTITY_RANGES))
+    lo, hi = bounds(g)
+    gap = draw(st.floats(0.02, 0.2)) * g
+    margin = 0.1 * (hi - lo)
+    re = draw(st.one_of(st.just(lo + gap), st.just(hi - gap),
+                        st.floats(lo + margin, hi - margin)))
+    im = draw(st.floats(0.05, 0.3)) * draw(st.sampled_from((-1, 1)))
+    return check, complex(re, im), ctx
+
+
+@settings(max_examples=40, deadline=None)
+@given(_identity_case())
+def test_identities_hold_up_to_the_strip_edge(case):
+    check, z, ctx = case
+    assert check(z, ctx) <= 1e-7

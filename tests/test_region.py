@@ -69,9 +69,13 @@ def test_polygon_domain():
 # grids and components
 # ---------------------------------------------------------------------------
 
-def test_grid_flags_are_consistent():
-    grid = grid_scan(0, 0.5, 1, resolution=80)
+@pytest.mark.parametrize("u", [0.5, 0.9])
+def test_grid_flags_are_consistent(u):
+    grid = grid_scan(0, u, 1, resolution=80)
     inside = grid.in_u
+    if u == 0.9:
+        # corner cells outside U_m, so the NaN check below is not empty
+        assert (~inside).any()
     with np.errstate(invalid="ignore"):
         assert np.array_equal(grid.in_d, inside & (grid.re_phi < grid.threshold))
         upper = inside & (grid.ys[:, None] >= 0)
