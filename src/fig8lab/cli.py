@@ -88,9 +88,14 @@ def _header(command: str, args, **extra) -> dict:
 
 
 def _parse_n_range(text: str, step: int) -> list[int]:
+    if step < 1:
+        raise DomainError(f"--step must be a positive integer, got {step}")
     if ".." in text:
         lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1, step))
+        values = list(range(int(lo), int(hi) + 1, step))
+        if not values:
+            raise DomainError(f"--N range {text} is empty: its end lies below its start")
+        return values
     return [int(t) for t in text.split(",")]
 
 

@@ -390,21 +390,36 @@ def grid_header(grid: RegionGrid, components: int | None = None) -> dict:
     return header
 
 
+# "in_u,in_e,in_d,in_rbar,in_runder" cells, indexed by the 4-bit code
+# in_u in_d in_rbar in_runder (in_u the high bit); in_e repeats in_u
+_FLAG_CELLS = tuple("%d,%d,%d,%d,%d" % (k >> 3, k >> 3, k >> 2 & 1, k >> 1 & 1, k & 1)
+                    for k in range(16))
+
+
 def write_grid_csv(grid: RegionGrid, path) -> None:
     """Cell dump: x, y, rePhi and the five membership flags as 0/1.
 
     The in_e column repeats in_u, since within the grid E_m and U_m coincide.
+    Every number is written with %.17g and every flag with %d, but only
+    re_phi is formatted cell by cell.  Each x is formatted once per grid and
+    each y once per grid row, and both are baked into that row's template
+    "x,y,%.17g,%s".  The four independent flags form a 4-bit code per cell
+    that picks its flag columns from a 16-entry string table.  The grid is
+    written one row at a time, so only one row of Python values is alive.
     """
-    columns = (grid.re_phi, grid.in_u, grid.in_u, grid.in_d, grid.in_rbar, grid.in_runder)
-    cells = np.empty((8, grid.xs.size))
-    cells[0] = grid.xs
-    template = "%.17g,%.17g,%.17g,%d,%d,%d,%d,%d\n" * grid.xs.size
+    code = np.zeros(grid.re_phi.shape, dtype=np.uint8)
+    for flag in (grid.in_u, grid.in_d, grid.in_rbar, grid.in_runder):
+        code <<= 1
+        code |= flag
+    x_cells = ["%.17g" % x for x in grid.xs.tolist()]
+    values = [None] * (2 * len(x_cells))
     with open(path, "w") as fh:
         fh.write("x,y,re_phi,in_u,in_e,in_d,in_rbar,in_runder\n")
-        for iy, y in enumerate(grid.ys.tolist()):
-            cells[1] = y
-            cells[2:] = [column[iy] for column in columns]
-            fh.write(template % tuple(cells.T.ravel().tolist()))
+        for y, re_phi, flags in zip(grid.ys.tolist(), grid.re_phi, code):
+            rest = ",%.17g,%%.17g,%%s\n" % y
+            values[0::2] = re_phi.tolist()
+            values[1::2] = [_FLAG_CELLS[k] for k in flags.tolist()]
+            fh.write((rest.join(x_cells) + rest) % tuple(values))
 
 
 def write_grid_header(grid: RegionGrid, path, components: int | None = None) -> None:

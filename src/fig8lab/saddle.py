@@ -18,6 +18,7 @@ sqrt(2 pi) e^{i pi/4} / ((1+2 cosh u)(3-2 cosh u))^{1/4}.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from math import gcd
@@ -89,7 +90,13 @@ class SaddleData:
         return self.sigma0 + 2j * m * math.pi / self.xi
 
 
+@functools.lru_cache(maxsize=256, typed=True)
 def saddle_data(u: float, p: int) -> SaddleData:
+    """The saddle constants at (u, p), cached per (u, p).
+
+    The result is frozen, so every caller may share it; a bad u or p raises
+    DomainError on every call, since exceptions are not cached.
+    """
     _check_u(u)
     if p < 1:
         raise DomainError("p must be a positive integer")

@@ -50,6 +50,19 @@ def test_bad_u_exits_2(capsys):
     assert "u must lie" in err
 
 
+@pytest.mark.parametrize("command", ["jones", "theorem"])
+@pytest.mark.parametrize("n_args, flag", [
+    (["--N", "101..501", "--step", "-1"], "--step"),
+    (["--N", "20..10"], "--N"),
+    (["--N", "101..501", "--step", "0"], "--step"),
+])
+def test_empty_or_bad_n_range_exits_2(command, n_args, flag, capsys):
+    code, out, err = run([command, "--u", "0.5", "--p", "2", *n_args], capsys)
+    assert code == 2
+    assert out == ""
+    assert flag in err
+
+
 def test_unknown_flag_exits_2(capsys):
     code = main(["jones", "--nope"])
     capsys.readouterr()

@@ -1,5 +1,6 @@
 """Region geometry, grid topology, and the boundary inequality checks."""
 
+import dataclasses
 import json
 import math
 
@@ -311,6 +312,40 @@ def test_grid_emission(tmp_path):
     assert np.array_equal(flags, np.stack([f.ravel() for f in expected], axis=1))
     outside = [row[2] for row, inside in zip(rows, grid.in_u.ravel()) if not inside]
     assert outside and all(v == "nan" for v in outside)
+
+
+def reference_grid_csv(grid) -> str:
+    """The cell dump written through one "%.17g,...,%d" template per cell."""
+    lines = ["x,y,re_phi,in_u,in_e,in_d,in_rbar,in_runder\n"]
+    for iy, y in enumerate(grid.ys.tolist()):
+        columns = (grid.re_phi[iy], grid.in_u[iy], grid.in_u[iy], grid.in_d[iy],
+                   grid.in_rbar[iy], grid.in_runder[iy])
+        for x, *cell in zip(grid.xs.tolist(), *(column.tolist() for column in columns)):
+            lines.append("%.17g,%.17g,%.17g,%d,%d,%d,%d,%d\n" % (x, y, *cell))
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("m, u, p, resolution, random_flags", [
+    (2, 0.5, 3, 60, False),
+    (0, 0.9, 1, 60, False),
+    (0, 0.9, 1, (70, 55), False),
+    (0, 0.9, 1, (70, 55), True),
+])
+def test_grid_csv_matches_reference_writer(tmp_path, m, u, p, resolution, random_flags):
+    grid = grid_scan(m, u, p, resolution=resolution)
+    if u == 0.9:
+        assert np.isnan(grid.re_phi).any()
+    if random_flags:
+        # independent flags, so every entry of the 16-entry flag table is written
+        rng = np.random.default_rng(5)
+        flags = {name: rng.random(grid.re_phi.shape) < 0.5
+                 for name in ("in_u", "in_d", "in_rbar", "in_runder")}
+        grid = dataclasses.replace(grid, **flags)
+        code = sum(flag.astype(int) << bit for bit, flag in enumerate(flags.values()))
+        assert np.unique(code).size == 16
+    path = tmp_path / "grid.csv"
+    write_grid_csv(grid, path)
+    assert path.read_bytes() == reference_grid_csv(grid).encode()
 
 
 def test_f_zero_value_matches_check():

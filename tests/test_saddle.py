@@ -67,6 +67,15 @@ def test_saddle_data_invariants():
             assert sd.t_e.imag < 0.0
 
 
+def test_saddle_data_is_cached_and_errors_are_not():
+    assert saddle_data(0.5, 2) is saddle_data(0.5, 2)
+    assert saddle_data(0.5, 2) is not saddle_data(0.5, 3)
+    for u, p in [(1.5, 2), (-0.1, 2), (0.5, 0)]:
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                saddle_data(u, p)
+
+
 def test_s_e_small_u_is_volume():
     sd = saddle_data(1e-8, 1)
     assert abs(sd.s_e - 1j * cusp_volume()) <= 1e-6
