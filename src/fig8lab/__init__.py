@@ -5,16 +5,13 @@ quantum-modularity verification suites."""
 from .numkernel import (
     BranchCutError,
     DomainError,
-    LogComplex,
     QuadratureError,
     l0_closed,
     l1_closed,
     l2_closed,
     lc_one_minus_exp,
-    lc_one_plus_exp,
     lc_sum,
     li2,
-    normalize_phase,
 )
 from .qdilog import (
     KAPPA,
@@ -31,7 +28,6 @@ from .jones import (
     beta_factor,
     decomposition_residual,
     f_n,
-    g_eval,
     jones_at_cusp,
     jones_dual,
     jones_exp,

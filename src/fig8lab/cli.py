@@ -11,12 +11,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from math import gcd
 
 import numpy as np
 
-from .numkernel import DomainError, QuadratureError, l0_closed, l1_closed, l2_closed
+from .numkernel import DomainError, QuadratureError, l0_closed, l1_closed, l2_closed, reduce_phase
 from .qdilog import (
     KAPPA,
     EvalContext,
@@ -79,6 +80,13 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+def _log_parts(value: complex) -> list[float]:
+    """[log|v|, arg v] of a complex log, the phase reduced into (-pi, pi]; zero has phase 0."""
+    if value.real == -math.inf:
+        return [value.real, 0.0]
+    return [value.real, float(reduce_phase(value.imag))]
+
+
 def _header(command: str, args, **extra) -> dict:
     params = {
         k: v for k, v in sorted(vars(args).items())
@@ -107,9 +115,8 @@ def cmd_jones(args) -> int:
     n_values = _parse_n_range(args.N, args.step)
 
     def one(n):
-        value = jones_at_cusp(EvalContext(u=args.u, p=args.p, n=n))
-        return {"N": n, "u": args.u, "p": args.p,
-                "logmag": value.logmag, "phase": value.phase}
+        logmag, phase = _log_parts(jones_at_cusp(EvalContext(u=args.u, p=args.p, n=n)))
+        return {"N": n, "u": args.u, "p": args.p, "logmag": logmag, "phase": phase}
 
     records = sorted((one(n) for n in n_values), key=lambda r: r["N"])
     _emit(_header("jones", args), records, args)
@@ -201,6 +208,10 @@ def _inequality_rows():
 
 
 def cmd_lemmas(args) -> int:
+    if args.samples < 0:
+        raise DomainError(f"--samples must be a non-negative integer, got {args.samples}")
+    if not args.tol > 0.0:
+        raise DomainError(f"--tol must be positive, got {args.tol}")
     rng = np.random.default_rng(args.seed)
     cfg = QuadratureConfig(tol=args.tol)
     rows = _sample_identity_rows(rng, cfg, args.samples, args.threshold)
@@ -237,12 +248,10 @@ def cmd_modularity(args) -> int:
     if args.zagier:
         for p in p_list:
             for n in n_list:
-                lhs = zagier_lhs(eta, p, n)
-                rhs = zagier_rhs(eta, p, n)
                 records.append({
                     "eta": str(eta), "p": p, "N": n,
-                    "lhs": [lhs.logmag, lhs.phase],
-                    "rhs": [rhs.logmag, rhs.phase],
+                    "lhs": _log_parts(zagier_lhs(eta, p, n)),
+                    "rhs": _log_parts(zagier_rhs(eta, p, n)),
                     "bd_constant_re": bettin_drappeau_c(eta).real,
                     "bd_constant_im": bettin_drappeau_c(eta).imag,
                 })
@@ -252,8 +261,8 @@ def cmd_modularity(args) -> int:
         for p, n, ratio, rhs, r in result.samples:
             records.append({
                 "eta": str(eta), "u": args.u, "p": p, "N": n,
-                "ratio": [ratio.logmag, ratio.phase],
-                "rhs": [rhs.logmag, rhs.phase],
+                "ratio": _log_parts(ratio),
+                "rhs": _log_parts(rhs),
                 "C_estimate": [r.real, r.imag],
             })
         for p, est in sorted(result.estimates.items()):

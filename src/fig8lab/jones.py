@@ -12,8 +12,8 @@ Its inner products, the dual value, the beta_{p,m} prefactors and the
 q-factorial identity all use one product, prod_{l=1}^{k} (1-e^{(c-l)w})
 (1-e^{(c+l)w}), from one numpy kernel, log_qpoch: numkernel.log1mexp of
 every factor, then one cumulative sum over the 2k factors.  The outer sum
-is one complex numkernel.log_sum_exp; LogComplex values appear only at the
-API boundary.  Invariant: the phase of every factor and of every weight
+is one numkernel.lc_sum, and every value is returned as a complex log (see
+numkernel).  Invariant: the phase of every factor and of every weight
 e^{-kNw} is reduced into (-pi, pi] before it is summed; unreduced phases,
 or pairwise sums of the two factors of each l, cost digits at large N.
 
@@ -36,15 +36,7 @@ from math import gcd
 
 import numpy as np
 
-from .numkernel import (
-    DomainError,
-    LogComplex,
-    lc_one_minus_exp,
-    lc_sum,
-    log1mexp,
-    log_sum_exp,
-    reduce_phase,
-)
+from .numkernel import DomainError, lc_one_minus_exp, lc_sum, log1mexp, reduce_phase
 from .qdilog import DEFAULT_CONFIG, EvalContext, QuadratureConfig, e_n_ratio, t_n
 
 
@@ -70,28 +62,28 @@ def log_qpoch(c: int, k: int, w) -> np.ndarray:
     return np.concatenate(([0j], np.cumsum(log1mexp(_multiples(e, w)))[1::2]))
 
 
-def _qpoch(c: int, k: int, w) -> LogComplex:
-    """prod_{l=1}^{k} (1 - e^{(c+l)w})(1 - e^{(c-l)w}) as a LogComplex."""
-    return LogComplex.from_exponent(log_qpoch(c, k, w)[-1])
+def _qpoch(c: int, k: int, w) -> complex:
+    """The complex log of prod_{l=1}^{k} (1 - e^{(c+l)w})(1 - e^{(c-l)w})."""
+    return complex(log_qpoch(c, k, w)[-1])
 
 
-def _jones_sum(n: int, w) -> LogComplex:
+def _jones_sum(n: int, w) -> complex:
     terms = log_qpoch(n, n - 1, w)
     weights = _multiples(-n * np.arange(n), w)
     terms.real += weights.real
     terms.imag += reduce_phase(weights.imag)
-    return LogComplex.from_exponent(log_sum_exp(terms))
+    return lc_sum(terms)
 
 
-def jones_exp(n: int, w: complex) -> LogComplex:
-    """J_n(E; e^w) as a LogComplex; w is the exponent of the variable q."""
+def jones_exp(n: int, w: complex) -> complex:
+    """The complex log of J_n(E; e^w); w is the exponent of the variable q."""
     if n < 1:
         raise DomainError("n must be a positive integer")
     return _jones_sum(n, complex(w))
 
 
-def jones_exp_unity(n: int, num: int, den: int) -> LogComplex:
-    """J_n(E; q) at the root of unity q = e^{2 pi i num/den}.
+def jones_exp_unity(n: int, num: int, den: int) -> complex:
+    """The complex log of J_n(E; q) at the root of unity q = e^{2 pi i num/den}.
 
     Exponents are reduced modulo den in exact integer arithmetic, so a factor
     vanishes exactly when den divides the exponent; the first vanishing
@@ -102,22 +94,24 @@ def jones_exp_unity(n: int, num: int, den: int) -> LogComplex:
     return _jones_sum(n, Fraction(num, den))
 
 
-def jones_at_cusp(ctx: EvalContext) -> LogComplex:
-    """J_N(E; e^{xi/N}) for xi = u + 2 p pi i."""
+def jones_at_cusp(ctx: EvalContext) -> complex:
+    """The complex log of J_N(E; e^{xi/N}) for xi = u + 2 p pi i."""
     return jones_exp(ctx.n, ctx.xi / ctx.n)
 
 
-def jones_dual(ctx: EvalContext) -> LogComplex:
-    """J_p(E; e^{4 N pi^2 / xi}), the low-color factor of the main asymptotics."""
+def jones_dual(ctx: EvalContext) -> complex:
+    """The complex log of J_p(E; e^{4 N pi^2 / xi}), the low-color factor of
+    the main asymptotics."""
     return jones_exp(ctx.p, 4.0 * ctx.n * math.pi ** 2 / ctx.xi)
 
 
-def beta_factor(ctx: EvalContext, m: int) -> LogComplex:
-    """beta_{p,m} = e^{-4 m p N pi^2/xi} prod_{j=1}^m (1-e^{4(p-j)N pi^2/xi})(1-e^{4(p+j)N pi^2/xi})."""
+def beta_factor(ctx: EvalContext, m: int) -> complex:
+    """The complex log of beta_{p,m} =
+    e^{-4 m p N pi^2/xi} prod_{j=1}^m (1-e^{4(p-j)N pi^2/xi})(1-e^{4(p+j)N pi^2/xi})."""
     if not 0 <= m <= ctx.p - 1:
         raise DomainError(f"m must lie in [0, p-1], got {m}")
     w = 4.0 * ctx.n * math.pi ** 2 / ctx.xi
-    return LogComplex.from_exponent(-m * ctx.p * w) * _qpoch(ctx.p, m, w)
+    return -m * ctx.p * w + _qpoch(ctx.p, m, w)
 
 
 def f_n(z, ctx: EvalContext, cfg: QuadratureConfig = DEFAULT_CONFIG):
@@ -156,48 +150,45 @@ def decomposition_residual(ctx: EvalContext, cfg: QuadratureConfig = DEFAULT_CON
     if gcd(ctx.p, ctx.n) != 1:
         raise DomainError(f"p={ctx.p} and N={ctx.n} must be coprime")
     xi, n = ctx.xi, ctx.n
-    prefactor = lc_one_minus_exp(-4.0 * ctx.p * n * math.pi ** 2 / xi) / LogComplex.from_complex(
-        2.0 * math.sinh(0.5 * ctx.u)
-    )
+    prefactor = (lc_one_minus_exp(-4.0 * ctx.p * n * math.pi ** 2 / xi)
+                 - math.log(2.0 * math.sinh(0.5 * ctx.u)))
     z, betas = [], []
     for m in range(ctx.p):
         k = np.array(k_range(m, ctx))
         z.append((2 * k + 1) / (2.0 * n) - 2j * m * math.pi / xi)
         betas += [beta_factor(ctx, m)] * k.size
-    exponents = n * f_n(np.concatenate(z), ctx, cfg)
-    rhs = prefactor * lc_sum(beta * LogComplex.from_exponent(e) for beta, e in zip(betas, exponents))
-    lhs = jones_at_cusp(ctx)
-    return abs((rhs / lhs).to_complex() - 1.0)
+    rhs = prefactor + lc_sum(np.array(betas) + n * f_n(np.concatenate(z), ctx, cfg))
+    return abs(cmath.exp(rhs - jones_at_cusp(ctx)) - 1.0)
 
 
-def _qfactorial_direct(k: int, ctx: EvalContext) -> LogComplex:
+def _qfactorial_direct(k: int, ctx: EvalContext) -> complex:
     return _qpoch(ctx.n, k, ctx.xi / ctx.n)
 
 
-def _qfactorial_via_en(k: int, ctx: EvalContext, cfg: QuadratureConfig) -> LogComplex:
+def _qfactorial_via_en(k: int, ctx: EvalContext, cfg: QuadratureConfig) -> complex:
     """The same product expressed through E_N ratios and dual-side factors."""
     xi, n, p = ctx.xi, ctx.n, ctx.p
     gamma = ctx.gamma
     w_dual = 4.0 * n * math.pi ** 2 / xi
-    head = lc_one_minus_exp(w_dual * p) / lc_one_minus_exp(xi)
+    head = lc_one_minus_exp(w_dual * p) - lc_one_minus_exp(xi)
 
     c = gcd(p, n)
     n_prime, p_prime = n // c, p // c
     nn = k // n_prime
     if k % n_prime == 0:
         # k = n N': the boundary case carries its own explicit unity factors
-        extra = lc_one_minus_exp((c - nn) * xi / c) * lc_one_minus_exp((c + nn) * xi / c)
+        extra = lc_one_minus_exp((c - nn) * xi / c) + lc_one_minus_exp((c + nn) * xi / c)
         dual = _qpoch(p, nn * p_prime - 1, w_dual)
         ratio = e_n_ratio((n - nn * n_prime + 0.5) * gamma - p + nn * p_prime,
                           (n + nn * n_prime - 0.5) * gamma - p - nn * p_prime + 1, ctx, cfg)
-        return extra * head * dual * ratio
+        return extra + head + dual + ratio
 
     # for coprime p, N (c = 1, N' = N) this is nn = 0 and m = kp // N
     m = nn * p_prime + (k - nn * n_prime) * p_prime // n_prime
     dual = _qpoch(p, m, w_dual)
     ratio = e_n_ratio((n - k - 0.5) * gamma - p + m + 1,
                       (n + k + 0.5) * gamma - p - m, ctx, cfg)
-    return head * dual * ratio
+    return head + dual + ratio
 
 
 def product_identity_residual(k: int, ctx: EvalContext,
@@ -207,10 +198,4 @@ def product_identity_residual(k: int, ctx: EvalContext,
         raise DomainError(f"k must lie in [1, N-1], got {k}")
     direct = _qfactorial_direct(k, ctx)
     via_en = _qfactorial_via_en(k, ctx, cfg)
-    return abs((via_en / direct).to_complex() - 1.0)
-
-
-def g_eval(x: float, ctx: EvalContext) -> complex:
-    """g(x) = 4 sinh(xi(1+x)/2) sinh(xi(1-x)/2) = 2(cosh xi - cosh(xi x))."""
-    xi = ctx.xi
-    return 2.0 * (cmath.cosh(xi) - cmath.cosh(xi * x))
+    return abs(cmath.exp(via_en - direct) - 1.0)

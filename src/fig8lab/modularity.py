@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .numkernel import DomainError, LogComplex, li2
+from .numkernel import DomainError, li2
 from .qdilog import EvalContext
 from .jones import jones_exp, jones_exp_unity
 from .saddle import saddle_data
@@ -87,17 +87,15 @@ def _require_experiment(eta: ModularMatrix, p: int, n: int) -> int:
     return m
 
 
-def modularity_ratio(eta: ModularMatrix, ctx: EvalContext) -> LogComplex:
-    """J_{cN+dp}(E; e^{2 pi i eta(X)}) / J_p(E; e^{2 pi i X}) in log form."""
+def modularity_ratio(eta: ModularMatrix, ctx: EvalContext) -> complex:
+    """The complex log of J_{cN+dp}(E; e^{2 pi i eta(X)}) / J_p(E; e^{2 pi i X})."""
     m = _require_experiment(eta, ctx.p, ctx.n)
     x = build_x(ctx)
-    numerator = jones_exp(m, 2j * math.pi * mobius(eta, x))
-    denominator = jones_exp(ctx.p, 2j * math.pi * x)
-    return numerator / denominator
+    return jones_exp(m, 2j * math.pi * mobius(eta, x)) - jones_exp(ctx.p, 2j * math.pi * x)
 
 
-def qmccj_rhs(eta: ModularMatrix, ctx: EvalContext, c_const: complex = 1.0) -> LogComplex:
-    """C (sqrt(-pi)/(2 sinh(u/2))) (T_E(u)/hbar)^{1/2} exp(S_E(u)/hbar).
+def qmccj_rhs(eta: ModularMatrix, ctx: EvalContext, c_const: complex = 1.0) -> complex:
+    """C (sqrt(-pi)/(2 sinh(u/2))) (T_E(u)/hbar)^{1/2} exp(S_E(u)/hbar), as a complex log.
 
     Square-root branches as in the saddle module: the torsion root is the
     principal root of T_E (fixed by the positive-i inner root), and the
@@ -107,7 +105,7 @@ def qmccj_rhs(eta: ModularMatrix, ctx: EvalContext, c_const: complex = 1.0) -> L
     sd = saddle_data(ctx.u, ctx.p)
     hb = hbar(eta, build_x(ctx))
     if c_const == 0:
-        return LogComplex.from_complex(0.0)
+        return complex(-math.inf, 0.0)
     pref = (
         complex(c_const)
         * cmath.sqrt(complex(-math.pi, 0.0))
@@ -115,7 +113,7 @@ def qmccj_rhs(eta: ModularMatrix, ctx: EvalContext, c_const: complex = 1.0) -> L
         * cmath.sqrt(sd.t_e)
         * cmath.sqrt(1.0 / hb)
     )
-    return LogComplex.from_complex(pref) * LogComplex.from_exponent(sd.s_e / hb)
+    return cmath.log(pref) + sd.s_e / hb
 
 
 @dataclass(frozen=True)
@@ -126,7 +124,7 @@ class CEstimate:
     u: float
     estimates: dict        # p -> complex
     spread: float          # max pairwise relative difference across p
-    samples: list          # (p, N, ratio LogComplex, rhs LogComplex, ratio/rhs)
+    samples: list          # (p, N, log ratio, log rhs, ratio/rhs), logs as complex
 
 
 def estimate_c(eta: ModularMatrix, u: float, p_list, n_list) -> CEstimate:
@@ -135,9 +133,9 @@ def estimate_c(eta: ModularMatrix, u: float, p_list, n_list) -> CEstimate:
     Richardson on the last two N values removes the proven O(1/N) term:
     C ~= (N2 R(N2) - N1 R(N1)) / (N2 - N1).
     """
-    n_list = sorted(n_list)
+    n_list = sorted(set(n_list))
     if len(n_list) < 2:
-        raise DomainError("need at least two N values to extrapolate")
+        raise DomainError("need at least two distinct N values to extrapolate")
     estimates = {}
     samples = []
     for p in p_list:
@@ -146,7 +144,7 @@ def estimate_c(eta: ModularMatrix, u: float, p_list, n_list) -> CEstimate:
             ctx = EvalContext(u=u, p=p, n=n)
             ratio = modularity_ratio(eta, ctx)
             rhs = qmccj_rhs(eta, ctx)
-            r = (ratio / rhs).to_complex()
+            r = cmath.exp(ratio - rhs)
             ratios.append(r)
             samples.append((p, n, ratio, rhs, r))
         n1, n2 = n_list[-2], n_list[-1]
@@ -197,20 +195,22 @@ def bettin_drappeau_c(eta: ModularMatrix) -> complex:
     return c * cmath.exp(0.75j * math.pi) / 3.0 ** 0.25 * product * tail
 
 
-def zagier_rhs(eta: ModularMatrix, p: int, n: int) -> LogComplex:
-    """C_{E,eta} (2 pi / hbar(X_0))^{3/2} exp(i Vol / hbar(X_0)) at X_0 = N/p."""
+def zagier_rhs(eta: ModularMatrix, p: int, n: int) -> complex:
+    """C_{E,eta} (2 pi / hbar(X_0))^{3/2} exp(i Vol / hbar(X_0)) at X_0 = N/p,
+    as a complex log."""
     _require_experiment(eta, p, n)
     hb = hbar(eta, build_x0(p, n))
     pref = bettin_drappeau_c(eta) * (2.0 * math.pi / hb) ** 1.5
-    return LogComplex.from_complex(pref) * LogComplex.from_exponent(1j * cusp_volume() / hb)
+    # log|pref| as math.log(abs(pref)): cmath.log rounds it differently near
+    # |pref| = 1, and the emitted zagier records are kept bit-for-bit stable
+    return complex(math.log(abs(pref)), cmath.phase(pref)) + 1j * cusp_volume() / hb
 
 
-def zagier_lhs(eta: ModularMatrix, p: int, n: int) -> LogComplex:
-    """J_{cN+dp}(E;e^{2 pi i eta(X_0)}) / J_p(E;e^{2 pi i X_0}), exactly at
-    roots of unity (integer exponent arithmetic, exact zero detection)."""
+def zagier_lhs(eta: ModularMatrix, p: int, n: int) -> complex:
+    """The complex log of J_{cN+dp}(E;e^{2 pi i eta(X_0)}) / J_p(E;e^{2 pi i X_0}),
+    exactly at roots of unity (integer exponent arithmetic, exact zero detection)."""
     m = _require_experiment(eta, p, n)
-    numerator = jones_exp_unity(m, eta.a * n + eta.b * p, m)
     denominator = jones_exp_unity(p, n, p)
-    if denominator.is_zero:
+    if denominator.real == -math.inf:
         raise DomainError("denominator colored Jones value vanishes")
-    return numerator / denominator
+    return jones_exp_unity(m, eta.a * n + eta.b * p, m) - denominator

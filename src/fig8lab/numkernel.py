@@ -1,10 +1,15 @@
 """Branch-disciplined complex kernels.
 
-Log-domain complex arithmetic (LogComplex, and the vectorised log1mexp and
-log_sum_exp behind it), the principal dilogarithm Li2, and the closed forms
-of the three contour integrals L_0, L_1, L_2 on the strip 0 < Re z < 1.  Every other module builds on these primitives, so the
-branch conventions are fixed once, here:
+Log-domain complex arithmetic (the vectorised log1mexp and lc_sum), the
+principal dilogarithm Li2, and the closed forms of the three contour
+integrals L_0, L_1, L_2 on the strip 0 < Re z < 1.  Every other module
+builds on these primitives, so the conventions are fixed once, here:
 
+* a value v too large or too small for a float is kept as its complex log,
+  a plain Python complex: the real part is log|v|, the imaginary part a
+  phase of v.  Products and quotients are sums and differences of logs, and
+  -inf + 0j is the exact zero.  Returned phases are left unreduced; they
+  are reduced into (-pi, pi] only when a value is emitted (see reduce_phase);
 * principal logarithm, Im log w in (-pi, pi];
 * Li2 has its branch cut on (1, oo); evaluation exactly on the cut is an
   error rather than a silent one-sided value.
@@ -14,7 +19,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -50,95 +54,21 @@ def reduce_phase(x) -> np.ndarray:
     return y
 
 
-def normalize_phase(x: float) -> float:
-    """reduce_phase of one finite angle, as a float."""
-    if not math.isfinite(x):
-        raise DomainError(f"phase must be finite, got {x!r}")
-    if -math.pi < x <= math.pi:
-        return x
-    return float(reduce_phase(x))
-
-
-# ---------------------------------------------------------------------------
-# LogComplex: (log-magnitude, phase) representation
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LogComplex:
-    """A nonzero complex number stored as (log magnitude, phase).
-
-    logmag = -inf encodes exact zero (absorbing under multiplication).
-    The phase is always normalized into (-pi, pi].
-    """
-
-    logmag: float
-    phase: float = 0.0
-
-    def __post_init__(self):
-        if math.isnan(self.logmag):
-            raise DomainError("logmag is NaN")
-        if self.logmag == -math.inf:
-            object.__setattr__(self, "phase", 0.0)
-        else:
-            object.__setattr__(self, "phase", normalize_phase(self.phase))
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_complex(cls, w: complex) -> "LogComplex":
-        w = complex(w)
-        r = abs(w)
-        if r == 0.0:
-            return ZERO
-        return cls(math.log(r), cmath.phase(w))
-
-    @classmethod
-    def from_exponent(cls, w: complex) -> "LogComplex":
-        """exp(w) as a LogComplex: logmag = Re w, phase = Im w (normalized)."""
-        w = complex(w)
-        return cls(w.real, w.imag)
-
-    # -- queries -----------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return self.logmag == -math.inf
-
-    def to_complex(self) -> complex:
-        """Native complex value; raises OverflowError when out of range."""
-        if self.is_zero:
-            return 0j
-        return cmath.rect(math.exp(self.logmag), self.phase)
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __mul__(self, other: "LogComplex") -> "LogComplex":
-        if self.is_zero or other.is_zero:
-            return ZERO
-        return LogComplex(self.logmag + other.logmag, self.phase + other.phase)
-
-    def __truediv__(self, other: "LogComplex") -> "LogComplex":
-        if other.is_zero:
-            raise ZeroDivisionError("division by LogComplex zero")
-        if self.is_zero:
-            return ZERO
-        return LogComplex(self.logmag - other.logmag, self.phase - other.phase)
-
-
-ZERO = LogComplex(-math.inf, 0.0)
-ONE = LogComplex(0.0, 0.0)
-
-
-def log_sum_exp(logs) -> complex:
+def lc_sum(logs) -> complex:
     """log(sum(exp(logs))) for complex logs, as a complex log.
 
     The largest real part is factored out so intermediates stay in native
     floating-point range regardless of the terms' scale.  A real part -inf
-    is an exact zero, and so is the result -inf + 0j.
+    is an exact zero, and so is the result -inf + 0j.  A term with a NaN
+    part, an infinite imaginary part or a real part +inf stands for no
+    complex number and raises DomainError.
     """
     logs = np.asarray(logs, dtype=np.complex128)
     if logs.size == 0:
         raise DomainError("sum of an empty sequence")
+    bad = ~(np.isfinite(logs.imag) & (logs.real < math.inf))
+    if bad.any():
+        raise DomainError(f"complex log {logs[bad][0]} is not a number")
     m = float(logs.real.max())
     if m == -math.inf:
         return complex(-math.inf, 0.0)
@@ -147,11 +77,6 @@ def log_sum_exp(logs) -> complex:
     if acc == 0j:
         return complex(-math.inf, 0.0)
     return complex(math.log(abs(acc)) + m, cmath.phase(acc))
-
-
-def lc_sum(terms) -> LogComplex:
-    """Sum a sequence of LogComplex values (see log_sum_exp)."""
-    return LogComplex.from_exponent(log_sum_exp([complex(t.logmag, t.phase) for t in terms]))
 
 
 def log1mexp(w) -> np.ndarray:
@@ -173,14 +98,9 @@ def log1mexp(w) -> np.ndarray:
     return out
 
 
-def lc_one_minus_exp(w: complex) -> LogComplex:
-    """1 - exp(w) as a LogComplex (see log1mexp)."""
-    return LogComplex.from_exponent(complex(log1mexp(w)))
-
-
-def lc_one_plus_exp(w: complex) -> LogComplex:
-    """1 + exp(w) = 1 - exp(w + i pi) as a LogComplex (see log1mexp)."""
-    return lc_one_minus_exp(complex(w) + 1j * math.pi)
+def lc_one_minus_exp(w: complex) -> complex:
+    """log(1 - e^w) for one complex w, as a complex (see log1mexp)."""
+    return complex(log1mexp(w))
 
 
 # ---------------------------------------------------------------------------

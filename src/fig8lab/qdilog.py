@@ -4,9 +4,10 @@ T_N(z) is a quarter of the integral of e^{(2z-1)x} / (x sinh(x) sinh(gamma x))
 along the contour Omega = (-oo,-1] + upper unit semicircle + [1,oo), oriented
 left to right, with gamma = xi/(2 N pi i) and xi = u + 2 p pi i.  The integral
 converges on the strip -p/(2N) < Re z < 1 + p/(2N).  E_N(z) = exp(T_N(z)) is
-returned in log form, which is the only representation that survives the
-sizes reached downstream.  The same driver evaluates the N-free integrals
-behind L_0, L_1, L_2, to cross-check the closed forms of numkernel.
+only ever used through its complex log T_N(z), which is the only
+representation that survives the sizes reached downstream.  The same driver
+evaluates the N-free integrals behind L_0, L_1, L_2, to cross-check the
+closed forms of numkernel.
 
 One batched driver serves every z.  Each ray is cut where the analytic tail
 bound drops below tol and covered by Gauss panels graded to the integrand
@@ -23,21 +24,14 @@ families stay far from Omega, so plain panel refinement is sufficient.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numkernel import (
-    DomainError,
-    LogComplex,
-    QuadratureError,
-    lc_one_minus_exp,
-    lc_one_plus_exp,
-    l0_closed,
-    l1_closed,
-    l2_closed,
-)
+from .numkernel import DomainError, QuadratureError, lc_one_minus_exp
+from .numkernel import l0_closed, l1_closed, l2_closed
 
 KAPPA = math.acosh(1.5)
 
@@ -91,6 +85,10 @@ class QuadratureConfig:
     panels_per_unit: int = 1
     semicircle_panels: int = 8
     tol: float = 1.0e-10
+
+    def __post_init__(self):
+        if not self.tol > 0.0:
+            raise DomainError(f"quadrature tol must be positive, got {self.tol}")
 
     def refined(self) -> "QuadratureConfig":
         return replace(
@@ -227,16 +225,16 @@ def t_n(z, ctx: EvalContext, cfg: QuadratureConfig = DEFAULT_CONFIG):
     return complex(values[0]) if zs.ndim == 0 else values.reshape(zs.shape)
 
 
-def e_n(z: complex, ctx: EvalContext, cfg: QuadratureConfig = DEFAULT_CONFIG) -> LogComplex:
-    """E_N(z) = exp(T_N(z)) in log form: logmag is exactly Re T_N(z)."""
-    return LogComplex.from_exponent(t_n(complex(z), ctx, cfg))
+def e_n(z: complex, ctx: EvalContext, cfg: QuadratureConfig = DEFAULT_CONFIG) -> complex:
+    """The complex log of E_N(z) = exp(T_N(z)), that is T_N at one point."""
+    return t_n(complex(z), ctx, cfg)
 
 
 def e_n_ratio(num: complex, den: complex, ctx: EvalContext,
-              cfg: QuadratureConfig = DEFAULT_CONFIG) -> LogComplex:
-    """E_N(num) / E_N(den) in log form, both T_N values from one batched call."""
+              cfg: QuadratureConfig = DEFAULT_CONFIG) -> complex:
+    """The complex log of E_N(num) / E_N(den), both T_N values from one batched call."""
     t_num, t_den = t_n([num, den], ctx, cfg)
-    return LogComplex.from_exponent(t_num) / LogComplex.from_exponent(t_den)
+    return t_num - t_den
 
 
 def l_k_quadrature(k: int, z: complex, cfg: QuadratureConfig = DEFAULT_CONFIG) -> complex:
@@ -263,11 +261,6 @@ def l_k_quadrature(k: int, z: complex, cfg: QuadratureConfig = DEFAULT_CONFIG) -
 # Functional-equation residuals
 # ---------------------------------------------------------------------------
 
-def _relative_residual(lhs: LogComplex, rhs: LogComplex) -> float:
-    ratio = (lhs / rhs).to_complex()
-    return abs(ratio - 1.0)
-
-
 def check_shift_identity(z: complex, ctx: EvalContext,
                          cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Residual of E_N(z - gamma/2) / E_N(z + gamma/2) = 1 - e^{2 pi i z}."""
@@ -275,11 +268,11 @@ def check_shift_identity(z: complex, ctx: EvalContext,
     if not 0.0 < z.real < 1.0:
         raise DomainError("shift identity requires 0 < Re z < 1")
     rhs = lc_one_minus_exp(2j * math.pi * z)
-    if rhs.is_zero or rhs.logmag < -7.0:
+    if rhs.real < -7.0:
         raise DomainError("z too close to an integer: identity RHS vanishes")
     half = 0.5 * ctx.gamma
     lhs = e_n_ratio(z - half, z + half, ctx, cfg)
-    return _relative_residual(lhs, rhs)
+    return abs(cmath.exp(lhs - rhs) - 1.0)
 
 
 def check_gamma_half(w: complex, ctx: EvalContext,
@@ -290,12 +283,12 @@ def check_gamma_half(w: complex, ctx: EvalContext,
     if not abs(w.real) < gamma.real:
         raise DomainError("gamma/2 identity requires |Re w| < Re gamma")
     denom = lc_one_minus_exp(2j * math.pi * w)
-    if denom.is_zero or denom.logmag < -9.0:
+    if denom.real < -9.0:
         raise DomainError("identity denominator 1 - e^{2 pi i w} vanishes")
-    rhs = lc_one_minus_exp(2j * math.pi * w / gamma) / denom
+    rhs = lc_one_minus_exp(2j * math.pi * w / gamma) - denom
     half = 0.5 * gamma
     lhs = e_n_ratio(w + half, w - half + 1.0, ctx, cfg)
-    return _relative_residual(lhs, rhs)
+    return abs(cmath.exp(lhs - rhs) - 1.0)
 
 
 def check_unit_shift(z: complex, ctx: EvalContext,
@@ -305,6 +298,7 @@ def check_unit_shift(z: complex, ctx: EvalContext,
     gamma = ctx.gamma
     if not abs(z.real) < 0.5 * gamma.real:
         raise DomainError("unit shift identity requires |Re z| < Re gamma / 2")
-    rhs = lc_one_plus_exp(2j * math.pi * z / gamma)
+    # 1 + e^v = 1 - e^{v + i pi}
+    rhs = lc_one_minus_exp(2j * math.pi * z / gamma + 1j * math.pi)
     lhs = e_n_ratio(z, z + 1.0, ctx, cfg)
-    return _relative_residual(lhs, rhs)
+    return abs(cmath.exp(lhs - rhs) - 1.0)

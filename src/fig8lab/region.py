@@ -139,6 +139,8 @@ def grid_scan(m: int, u: float, p: int, resolution=400, nu: float = 0.02) -> Reg
         raise DomainError("resolution must be at least 50x50")
     if not 0.0 < nu < 0.5:
         raise DomainError("nu must lie in (0, 0.5)")
+    if not 0 <= m <= p - 1:
+        raise DomainError(f"m must lie in [0, p-1], got {m}")
 
     sd = saddle_data(u, p)
     xi = sd.xi

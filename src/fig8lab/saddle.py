@@ -25,7 +25,7 @@ from math import gcd
 
 import numpy as np
 
-from .numkernel import DomainError, LogComplex, li2
+from .numkernel import DomainError, li2
 from .jones import jones_at_cusp, jones_dual
 from .qdilog import KAPPA, EvalContext
 
@@ -230,22 +230,18 @@ def saddle_prefactor_closed(u: float) -> complex:
     return math.sqrt(2.0 * math.pi) * cmath.exp(0.25j * math.pi) / discriminant(u) ** 0.25
 
 
-def asymptotic_rhs(ctx: EvalContext) -> LogComplex:
+def asymptotic_rhs(ctx: EvalContext) -> complex:
     """Closed-form side of the main asymptotics for J_N(E; e^{xi/N}).
 
     (sqrt(-pi)/(2 sinh(u/2))) T_E^{1/2} J_p(E;e^{4 N pi^2/xi})
         (N/xi)^{1/2} exp((N/xi) S_E(u)),
-    assembled in log form; the principal (N/xi)^{1/2} has positive real
-    part, implementing the stated choice of the outer square root.
+    returned as its complex log; the principal (N/xi)^{1/2} has positive
+    real part, implementing the stated choice of the outer square root.
     """
     sd = saddle_data(ctx.u, ctx.p)
     pref = saddle_prefactor(ctx.u) / (2.0 * math.sinh(0.5 * ctx.u))
     scale = cmath.sqrt(ctx.n / sd.xi)
-    return (
-        LogComplex.from_complex(pref * scale)
-        * jones_dual(ctx)
-        * LogComplex.from_exponent(ctx.n / sd.xi * sd.s_e)
-    )
+    return cmath.log(pref * scale) + jones_dual(ctx) + ctx.n / sd.xi * sd.s_e
 
 
 def asymptotic_ratio(ctx: EvalContext, allow_noncoprime: bool = False) -> complex:
@@ -254,4 +250,4 @@ def asymptotic_ratio(ctx: EvalContext, allow_noncoprime: bool = False) -> comple
         raise DomainError(
             f"gcd(p={ctx.p}, N={ctx.n}) > 1; pass allow_noncoprime=True to force"
         )
-    return (jones_at_cusp(ctx) / asymptotic_rhs(ctx)).to_complex()
+    return cmath.exp(jones_at_cusp(ctx) - asymptotic_rhs(ctx))

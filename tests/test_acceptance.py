@@ -126,14 +126,14 @@ def test_criterion_08_oracle_equivalence():
         for _ in range(30):
             w = 1j * rng.uniform(-math.pi, math.pi)
             for n in range(1, 9):
-                mine = f8.jones_exp(n, w).to_complex()
+                mine = cmath.exp(f8.jones_exp(n, w))
                 ref = naive_jones(n, w)
                 assert abs(mine - ref) <= 1e-12 * abs(ref), (n, w)
         for _ in range(30):
             n = int(rng.integers(2, 21))
             w = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.8, 0.8))
-            a = f8.jones_exp(n, w).to_complex()
-            b = f8.jones_exp(n, -w).to_complex()
+            a = cmath.exp(f8.jones_exp(n, w))
+            b = cmath.exp(f8.jones_exp(n, -w))
             assert abs(a - b) <= 1e-10 * abs(b), (n, w)
 
 

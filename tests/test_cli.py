@@ -63,6 +63,24 @@ def test_empty_or_bad_n_range_exits_2(command, n_args, flag, capsys):
     assert flag in err
 
 
+@pytest.mark.parametrize("argv, text", [
+    pytest.param(["lemmas", "--tol", "0"], "--tol", id="lemmas-zero-tol"),
+    pytest.param(["lemmas", "--tol", "-1e-3"], "--tol", id="lemmas-negative-tol"),
+    pytest.param(["lemmas", "--samples", "-3"], "--samples", id="lemmas-negative-samples"),
+    pytest.param(["modularity", "--eta", "0,-1,1,0", "--p", "1", "--N-list", "10,10"],
+                 "two distinct N", id="modularity-repeated-N"),
+    pytest.param(["region", "--u", "0.5", "--p", "2", "--m", "5", "--res", "50"],
+                 "m must lie in [0, p-1]", id="region-m-above-strips"),
+    pytest.param(["region", "--u", "0.5", "--p", "2", "--m", "-1", "--res", "50"],
+                 "m must lie in [0, p-1]", id="region-negative-m"),
+])
+def test_bad_value_exits_2(argv, text, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert text in err
+
+
 def test_unknown_flag_exits_2(capsys):
     code = main(["jones", "--nope"])
     capsys.readouterr()

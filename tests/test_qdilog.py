@@ -134,11 +134,17 @@ def test_unmeetable_tol_names_the_failure():
     assert "best |delta| = " in message
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan])
+def test_quadrature_config_requires_positive_tol(tol):
+    with pytest.raises(DomainError, match="tol must be positive"):
+        QuadratureConfig(tol=tol)
+
+
 def test_e_n_logmag_is_re_t_n():
     ctx = EvalContext(u=0.5, p=1, n=50)
     value = t_n(0.37 + 0.04j, ctx)
     log_form = e_n(0.37 + 0.04j, ctx)
-    assert log_form.logmag == value.real
+    assert type(log_form) is complex and log_form == value
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,12 @@ def test_grid_resolution_guard():
         grid_scan(0, 0.5, 1, resolution=30)
 
 
+@pytest.mark.parametrize("m", [-1, 2, 5])
+def test_grid_scan_requires_strip_index(m):
+    with pytest.raises(DomainError, match="m must lie"):
+        grid_scan(m, 0.5, 2, resolution=50)
+
+
 def test_label_components_simple():
     mask = np.array([
         [1, 1, 0, 0],
