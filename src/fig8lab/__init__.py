@@ -54,19 +54,15 @@ from .saddle import (
     varphi,
 )
 from .region import (
-    EndpointDecayReport,
-    PolygonData,
     RegionGrid,
     band_endpoints_connected,
     c_pm,
     c_pm_derivative_bound,
     check_f_p12,
-    check_f_sigma,
     components_d_cap_e,
     endpoint_decay,
     grid_scan,
     label_components,
-    polygon,
     write_grid_csv,
     write_grid_header,
 )

@@ -3,7 +3,8 @@
 Output is machine readable and deterministic: a schema header line followed
 by one record per line (JSON) or CSV rows.  Identical invocations (including
 --seed) produce byte-identical files.  Exit codes: 0 pass, 1 assertion
-failures, 2 bad input, 3 numeric non-convergence.
+failures, 2 bad input (including an --out that cannot be written), 3 numeric
+non-convergence.
 """
 
 from __future__ import annotations
@@ -28,12 +29,11 @@ from .qdilog import (
     l_k_quadrature,
 )
 from .jones import jones_at_cusp
-from .saddle import asymptotic_ratio, kappa
+from .saddle import asymptotic_ratio, f_zero_value, kappa, saddle_data
 from .region import (
     c_pm,
     c_pm_derivative_bound,
     check_f_p12,
-    check_f_sigma,
     components_d_cap_e,
     grid_scan,
     write_grid_csv,
@@ -95,6 +95,11 @@ def _header(command: str, args, **extra) -> dict:
     return {"schema": "fig8lab/1", "command": command, "params": params, **extra}
 
 
+def _parse_list(text: str) -> list[int]:
+    """A comma-separated list of integers, repeats dropped, first occurrences in order."""
+    return list(dict.fromkeys(int(t) for t in text.split(",")))
+
+
 def _parse_n_range(text: str, step: int) -> list[int]:
     if step < 1:
         raise DomainError(f"--step must be a positive integer, got {step}")
@@ -103,8 +108,11 @@ def _parse_n_range(text: str, step: int) -> list[int]:
         values = list(range(int(lo), int(hi) + 1, step))
         if not values:
             raise DomainError(f"--N range {text} is empty: its end lies below its start")
-        return values
-    return [int(t) for t in text.split(",")]
+    else:
+        values = _parse_list(text)
+    if min(values) < 1:
+        raise DomainError(f"--N values must be positive integers, got {text}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -189,14 +197,15 @@ def _inequality_rows():
     rows = []
     for u in (0.05, 0.2, 0.5, 0.9):
         for p in (1, 2, 3):
-            fs = check_f_sigma(u, p)
+            re_f0 = f_zero_value(u, p).real
+            re_f_sigma0 = saddle_data(u, p).f_sigma0.real
             rows.append({"check": "f_sigma", "u": u, "p": p,
-                         "re_f0": fs.re_f0, "re_f_sigma0": fs.re_f_sigma0,
-                         "pass": fs.ok})
+                         "re_f0": re_f0, "re_f_sigma0": re_f_sigma0,
+                         "pass": 0.0 < re_f0 < re_f_sigma0})
             for m in range(p):
-                pc = check_f_p12(u, p, m)
+                margin = check_f_p12(u, p, m)
                 rows.append({"check": "f_p12", "u": u, "p": p, "m": m,
-                             "margin": pc.margin, "pass": pc.ok})
+                             "margin": margin, "pass": margin > 0.0})
     for name, value, expected, tol in (
         ("kappa", kappa(), 0.962424, 1e-6),
         ("c_10_kappa", c_pm(KAPPA, 1, 0), -14.9942, 5e-3),
@@ -242,8 +251,8 @@ def cmd_region(args) -> int:
 
 def cmd_modularity(args) -> int:
     eta = ModularMatrix.from_string(args.eta)
-    p_list = [int(t) for t in args.p.split(",")]
-    n_list = [int(t) for t in args.N_list.split(",")]
+    p_list = _parse_list(args.p)
+    n_list = _parse_list(args.N_list)
     records = []
     if args.zagier:
         for p in p_list:
@@ -349,7 +358,7 @@ def main(argv=None) -> int:
     except QuadratureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (DomainError, ValueError) as exc:
+    except (DomainError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

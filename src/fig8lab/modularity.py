@@ -4,9 +4,10 @@ With X = 2 N pi i / xi, the proved asymptotics of J_N(E;e^{xi/N}) can be
 read as a transformation law under eta = (a b; c d) acting by Moebius maps,
 with weight carried by hbar_eta(X) = 2 c pi i/(c X + d).  This module
 computes the ratio J_{cN+dp}(E;e^{2 pi i eta(X)}) / J_p(E;e^{2 pi i X}),
-the conjectural right-hand side with an undetermined constant C, and a
-Richardson-extrapolated estimate of C per p (the interesting question being
-whether the estimates agree across p).
+the conjectural right-hand side taken at C = 1 (qmccj_rhs), and the
+undetermined constant C as the Richardson-extrapolated ratio of the two per
+p (estimate_c; the interesting question being whether the estimates agree
+across p).
 
 For u = 0 the evaluation points are roots of unity and the comparison
 target is the weight-3/2 law with the Bettin-Drappeau constant; those runs
@@ -94,8 +95,10 @@ def modularity_ratio(eta: ModularMatrix, ctx: EvalContext) -> complex:
     return jones_exp(m, 2j * math.pi * mobius(eta, x)) - jones_exp(ctx.p, 2j * math.pi * x)
 
 
-def qmccj_rhs(eta: ModularMatrix, ctx: EvalContext, c_const: complex = 1.0) -> complex:
-    """C (sqrt(-pi)/(2 sinh(u/2))) (T_E(u)/hbar)^{1/2} exp(S_E(u)/hbar), as a complex log.
+def qmccj_rhs(eta: ModularMatrix, ctx: EvalContext) -> complex:
+    """(sqrt(-pi)/(2 sinh(u/2))) (T_E(u)/hbar)^{1/2} exp(S_E(u)/hbar), as a complex log.
+
+    This is the conjectural right-hand side at C = 1; estimate_c extrapolates C.
 
     Square-root branches as in the saddle module: the torsion root is the
     principal root of T_E (fixed by the positive-i inner root), and the
@@ -104,11 +107,8 @@ def qmccj_rhs(eta: ModularMatrix, ctx: EvalContext, c_const: complex = 1.0) -> c
     _require_experiment(eta, ctx.p, ctx.n)
     sd = saddle_data(ctx.u, ctx.p)
     hb = hbar(eta, build_x(ctx))
-    if c_const == 0:
-        return complex(-math.inf, 0.0)
     pref = (
-        complex(c_const)
-        * cmath.sqrt(complex(-math.pi, 0.0))
+        cmath.sqrt(complex(-math.pi, 0.0))
         / (2.0 * math.sinh(0.5 * ctx.u))
         * cmath.sqrt(sd.t_e)
         * cmath.sqrt(1.0 / hb)

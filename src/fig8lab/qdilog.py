@@ -35,6 +35,15 @@ from .numkernel import l0_closed, l1_closed, l2_closed
 
 KAPPA = math.acosh(1.5)
 
+
+def require_u(u: float, closed_end: bool = False) -> None:
+    """Raise DomainError unless 0 < u < kappa (0 < u <= kappa with closed_end)."""
+    hi_ok = u <= KAPPA if closed_end else u < KAPPA
+    if not (0.0 < u and hi_ok):
+        end = "]" if closed_end else ")"
+        raise DomainError(f"u must lie in (0, {KAPPA:.6f}{end}, got {u}")
+
+
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(12)
 _MAX_REFINEMENTS = 3
 _MAX_TAIL = 5.0e5
@@ -57,8 +66,7 @@ class EvalContext:
     n: int
 
     def __post_init__(self):
-        if not 0.0 < self.u < KAPPA:
-            raise DomainError(f"u must lie in (0, {KAPPA:.6f}), got {self.u}")
+        require_u(self.u)
         if self.p < 1 or self.n < 1:
             raise DomainError("p and N must be positive integers")
 

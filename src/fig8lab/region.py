@@ -6,15 +6,17 @@ the shifted potential Phi_m.  The hexagon E_m (the strip clipped to
 D_m = {Re Phi_m < Re Phi_m(sigma_m)} and the two tilted-threshold bands
 R-bar / R-under are reconstructed on a rectangular grid, from which the
 two-lobe structure of D_m within E_m and the connectivity of the bands are
-verified by 4-connected component labelling.  Vertex and line data of the
-hexagon are exposed in closed form for the boundary-segment inequalities.
+verified by 4-connected component labelling.  The closed-form lemma checks
+return plain margins: Re Phi_m(sigma_m) - Re Phi_m(P12) at the hexagon
+vertex P12, and Re F(sigma_0) - Re f_N at the summation points near the
+ends of each sector.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,86 +26,10 @@ from .jones import f_n, k_range
 from .saddle import (
     KAPPA,
     f_values,
-    f_zero_value,
     phi_m,
     saddle_data,
     varphi,
 )
-
-
-# ---------------------------------------------------------------------------
-# Hexagon vertices and boundary lines
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PolygonData:
-    """Vertices and boundary/guide lines of the hexagon E_m.
-
-    Lines are stored as coefficient triples (a, b, c) meaning a x + b y = c
-    in z = x + i y coordinates.  p50 sits on V_W (Re z = m/p) at its crossing
-    with the saddle ray L_sigma; the crossing of L_W with L_sigma is the
-    separate point p_w = 2 m pi i / xi.
-    """
-
-    m: int
-    u: float
-    p: int
-    p0: complex
-    p1: complex
-    p2: complex
-    p3: complex
-    p4: complex
-    p5: complex
-    p12: complex
-    p34: complex
-    p45: complex
-    p50: complex
-    p_w: complex
-    sigma_m: complex
-    lines: dict = field(repr=False)
-
-
-def polygon(m: int, u: float, p: int) -> PolygonData:
-    if not 0 <= m <= p - 1:
-        raise DomainError(f"m must lie in [0, p-1], got {m}")
-    sd = saddle_data(u, p)
-    xi = sd.xi
-    xibar = xi.conjugate()
-    sigma_m = sd.sigma_m(m)
-    ims = sigma_m.imag
-
-    pts = {
-        "p0": complex(m / p, 0.0),
-        "p1": m / p + xibar / (p * math.pi) * ims,
-        "p2": (m + 1) / p - 2j * ims,
-        "p3": complex((m + 1) / p, 0.0),
-        "p4": (m + 1) / p - xibar / (p * math.pi) * ims,
-        "p5": m / p + 2j * ims,
-        "p12": (2 * m + 1) / (2 * p) + xibar / (p * math.pi) * ims,
-        "p34": 2j * (m + 1) * math.pi / xi,
-        "p45": (2 * m + 1) / (2 * p) - xibar / (p * math.pi) * ims,
-        "p50": m * xibar * 1j / (2 * p * p * math.pi),
-        "p_w": 2j * m * math.pi / xi,
-    }
-
-    slope = u / (2.0 * math.pi * p)
-    lines = {
-        "L_sigma": (1.0, -2.0 * math.pi * p / u, 0.0),
-        "L_E": (1.0, slope, (m + 1) / p),
-        "L_M": (1.0, slope, (2 * m + 1) / (2 * p)),
-        "L_W": (1.0, slope, m / p),
-        "H_bar": (0.0, 1.0, 2.0 * ims),
-        "H_under": (0.0, 1.0, -2.0 * ims),
-        "V_E": (1.0, 0.0, (m + 1) / p),
-        "V_W": (1.0, 0.0, m / p),
-    }
-
-    if not (pts["p1"].real < pts["p45"].real
-            and pts["p12"].real < pts["p4"].real
-            and pts["p12"].real < sigma_m.real):
-        raise DomainError("hexagon vertex ordering violated; parameters out of range")
-
-    return PolygonData(m=m, u=u, p=p, sigma_m=sigma_m, lines=lines, **pts)
 
 
 # ---------------------------------------------------------------------------
@@ -257,38 +183,9 @@ def band_endpoints_connected(grid: RegionGrid, lower: bool = False) -> bool:
 # Closed-form inequality checks
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FSigmaCheck:
-    re_f0: float
-    re_f_sigma0: float
-
-    @property
-    def f0_positive(self) -> bool:
-        return self.re_f0 > 0.0
-
-    @property
-    def ordered(self) -> bool:
-        return self.re_f0 < self.re_f_sigma0
-
-    @property
-    def ok(self) -> bool:
-        return self.f0_positive and self.ordered
-
-
-def check_f_sigma(u: float, p: int) -> FSigmaCheck:
-    """Margins of 0 < Re F(0) < Re F(sigma_0)."""
-    sd = saddle_data(u, p)
-    return FSigmaCheck(
-        re_f0=f_zero_value(u, p).real,
-        re_f_sigma0=sd.f_sigma0.real,
-    )
-
-
 def c_pm(u: float, p: int, m: int) -> float:
     """c_{p,m}(u) = Li2(-e^{-u-q}) - Li2(-e^{-u+q}) + u q - 2 p pi^2,
     with q = u((6m+5) pi + 2 theta)/(2 p pi); negative throughout (0, kappa]."""
-    if not 0.0 < u <= KAPPA:
-        raise DomainError(f"u must lie in (0, {KAPPA:.6f}], got {u}")
     theta = varphi(u).imag
     q = u * ((6 * m + 5) * math.pi + 2.0 * theta) / (2.0 * p * math.pi)
     value = (
@@ -309,49 +206,39 @@ def c_pm_derivative_bound() -> float:
     return 0.5 * KAPPA * math.log(3.0 + 2.0 * math.cosh(3.0 * KAPPA)) - 2.0 * math.pi ** 2
 
 
-@dataclass(frozen=True)
-class P12Check:
-    value: float       # Re Phi_m(P12)
-    threshold: float   # Re Phi_m(sigma_m)
+def check_f_p12(u: float, p: int, m: int) -> float:
+    """Margin Re Phi_m(sigma_m) - Re Phi_m(P12) of the lemma Re Phi_m(P12) < Re Phi_m(sigma_m).
 
-    @property
-    def ok(self) -> bool:
-        return self.value < self.threshold
-
-    @property
-    def margin(self) -> float:
-        return self.threshold - self.value
-
-
-def check_f_p12(u: float, p: int, m: int) -> P12Check:
-    """Direct evaluation of Re Phi_m(P12) < Re Phi_m(sigma_m)."""
-    poly = polygon(m, u, p)
+    P12 = (2m+1)/(2p) + conj(xi) Im sigma_m / (p pi) is the hexagon vertex on
+    the midline L_M.  The vertices P1, P45 and P4 sit at m/p, (2m+1)/(2p) and
+    (m+1)/p, shifted by the same offset; the hexagon exists only when
+    Re P1 < Re P45 and Re P12 < min(Re P4, Re sigma_m).
+    """
+    if not 0 <= m <= p - 1:
+        raise DomainError(f"m must lie in [0, p-1], got {m}")
     sd = saddle_data(u, p)
-    return P12Check(
-        value=phi_m(poly.p12, m, u, p).real,
-        threshold=sd.f_sigma0.real,
-    )
+    sigma_m = sd.sigma_m(m)
+    offset = sd.xi.conjugate() / (p * math.pi) * sigma_m.imag
+    mid = (2 * m + 1) / (2 * p)
+    p12 = mid + offset
+    if not ((m / p + offset).real < (mid - offset).real
+            and p12.real < ((m + 1) / p - offset).real
+            and p12.real < sigma_m.real):
+        raise DomainError("hexagon vertex ordering violated; parameters out of range")
+    return sd.f_sigma0.real - phi_m(p12, m, u, p).real
 
 
 # ---------------------------------------------------------------------------
 # Finite-N endpoint decay
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EndpointDecayReport:
-    rows: list  # (k, k/N, Re f_N, margin)
-
-    @property
-    def all_ok(self) -> bool:
-        return all(r[3] > 0.0 for r in self.rows)
-
-
 def endpoint_decay(ctx: EvalContext, m: int, delta_grid: float,
-                   cfg: QuadratureConfig = DEFAULT_CONFIG) -> EndpointDecayReport:
+                   cfg: QuadratureConfig = DEFAULT_CONFIG) -> list:
     """Re f_N at summation points near the ends of (m/p, (m+1)/p).
 
-    Each row reports the margin Re F(sigma_0) - Re f_N((2k+1)/2N - 2m pi i/xi),
-    which the endpoint estimates require to be positive.
+    Returns the rows (k, k/N, Re f_N, margin) with the margin
+    Re F(sigma_0) - Re f_N((2k+1)/2N - 2m pi i/xi), which the endpoint
+    estimates require to be positive.
     """
     if math.gcd(ctx.p, ctx.n) != 1:
         raise DomainError("endpoint decay requires gcd(p, N) = 1")
@@ -364,8 +251,7 @@ def endpoint_decay(ctx: EvalContext, m: int, delta_grid: float,
     if not ks:
         raise DomainError("no summation points within delta_grid of the interval ends")
     values = f_n((2 * np.array(ks) + 1) / (2.0 * ctx.n) - shift, ctx, cfg).real
-    return EndpointDecayReport(rows=[(k, k / ctx.n, value, top - value)
-                                     for k, value in zip(ks, values.tolist())])
+    return [(k, k / ctx.n, value, top - value) for k, value in zip(ks, values.tolist())]
 
 
 # ---------------------------------------------------------------------------

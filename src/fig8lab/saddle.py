@@ -27,7 +27,7 @@ import numpy as np
 
 from .numkernel import DomainError, li2
 from .jones import jones_at_cusp, jones_dual
-from .qdilog import KAPPA, EvalContext
+from .qdilog import KAPPA, EvalContext, require_u
 
 TWO_PI_I = 2j * math.pi
 
@@ -35,13 +35,6 @@ TWO_PI_I = 2j * math.pi
 def kappa() -> float:
     """arccosh(3/2) = 0.962424..., the upper end of the deformation range."""
     return KAPPA
-
-
-def _check_u(u: float, closed_end: bool = False) -> None:
-    hi_ok = u <= KAPPA if closed_end else u < KAPPA
-    if not (0.0 < u and hi_ok):
-        end = "]" if closed_end else ")"
-        raise DomainError(f"u must lie in (0, {KAPPA:.6f}{end}, got {u}")
 
 
 def discriminant(u: float) -> float:
@@ -63,7 +56,7 @@ def varphi(u: float) -> complex:
     The closed end u = kappa (theta = 0) is admitted for the boundary
     constants c_{p,m}(kappa).
     """
-    _check_u(u, closed_end=True)
+    require_u(u, closed_end=True)
     theta = -math.acos(min(math.cosh(u) - 0.5, 1.0))
     return 1j * theta
 
@@ -97,7 +90,7 @@ def saddle_data(u: float, p: int) -> SaddleData:
     The result is frozen, so every caller may share it; a bad u or p raises
     DomainError on every call, since exceptions are not cached.
     """
-    _check_u(u)
+    require_u(u)
     if p < 1:
         raise DomainError("p must be a positive integer")
     phi = varphi(u)
@@ -130,7 +123,7 @@ def _require_u0(z: complex, u: float, p: int) -> complex:
 
 def f_eval(z: complex, u: float, p: int) -> complex:
     """F(z) on U_0, rewritten form: its Li2 arguments stay off the cut."""
-    _check_u(u)
+    require_u(u)
     z = _require_u0(z, u, p)
     xi = complex(u, 2.0 * math.pi * p)
     return (
@@ -142,7 +135,7 @@ def f_eval(z: complex, u: float, p: int) -> complex:
 
 def f_eval_original(z: complex, u: float, p: int) -> complex:
     """F(z) in its defining form, kept for cross-checking against f_eval."""
-    _check_u(u)
+    require_u(u)
     z = _require_u0(z, u, p)
     xi = complex(u, 2.0 * math.pi * p)
     return (
@@ -173,7 +166,7 @@ def f_prime(z: complex, u: float, p: int) -> complex:
     The elementary formula extends continuously to the closure of U_0, which
     the boundary-segment checks rely on; no strip validation here.
     """
-    _check_u(u)
+    require_u(u)
     xi = complex(u, 2.0 * math.pi * p)
     w = xi * z
     return cmath.log(2.0 * math.cosh(u) - 2.0 * cmath.cosh(w))
@@ -181,7 +174,7 @@ def f_prime(z: complex, u: float, p: int) -> complex:
 
 def f_second(z: complex, u: float, p: int) -> complex:
     """F''(z) = xi (e^{-xi z} - e^{xi z}) / (e^u + e^{-u} - e^{xi z} - e^{-xi z})."""
-    _check_u(u)
+    require_u(u)
     xi = complex(u, 2.0 * math.pi * p)
     w = xi * z
     return xi * (-2.0 * cmath.sinh(w)) / (2.0 * math.cosh(u) - 2.0 * cmath.cosh(w))
@@ -195,7 +188,7 @@ def f_zero_value(u: float, p: int) -> complex:
     differs, because the Li2 arguments reach the cut from opposite sides;
     the inequalities 0 < Re F(0) < Re F(sigma_0) refer to this value.)
     """
-    _check_u(u)
+    require_u(u)
     xi = complex(u, 2.0 * math.pi * p)
     return 4.0 * p * math.pi ** 2 / xi
 

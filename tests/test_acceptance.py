@@ -144,10 +144,10 @@ def test_criterion_09_region_topology():
             assert f8.components_d_cap_e(grid) == 2, (p, m, u)
         for u in (0.05, 0.2, 0.5, 0.9):
             for p in P_GRID:
-                flags = f8.check_f_sigma(u, p)
-                assert flags.f0_positive and flags.ordered, (u, p)
+                re_f0 = f8.f_zero_value(u, p).real
+                assert 0.0 < re_f0 < f8.saddle_data(u, p).f_sigma0.real, (u, p)
                 for m in range(p):
-                    assert f8.check_f_p12(u, p, m).ok, (u, p, m)
+                    assert f8.check_f_p12(u, p, m) > 0.0, (u, p, m)
 
 
 def test_criterion_10_saddle_calculus():

@@ -55,6 +55,9 @@ def test_bad_u_exits_2(capsys):
     (["--N", "101..501", "--step", "-1"], "--step"),
     (["--N", "20..10"], "--N"),
     (["--N", "101..501", "--step", "0"], "--step"),
+    (["--N", "0"], "--N"),
+    (["--N", "3,-1"], "--N"),
+    (["--N", "0..5"], "--N"),
 ])
 def test_empty_or_bad_n_range_exits_2(command, n_args, flag, capsys):
     code, out, err = run([command, "--u", "0.5", "--p", "2", *n_args], capsys)
@@ -79,6 +82,27 @@ def test_bad_value_exits_2(argv, text, capsys):
     assert code == 2
     assert out == ""
     assert text in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["jones", "--u", "0.5", "--p", "2", "--N", "101"],
+    ["region", "--u", "0.5", "--p", "1", "--m", "0", "--res", "50"],
+], ids=["jones", "region"])
+def test_unwritable_out_exits_2(argv, tmp_path, capsys):
+    target = str(tmp_path / "missing" / "x")
+    code, out, err = run(argv + ["--out", target], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and target in err
+
+
+def test_repeated_list_values_are_dropped(capsys):
+    _, out, _ = run(["jones", "--u", "0.5", "--p", "2", "--N", "7,5,7"], capsys)
+    assert [r["N"] for r in parse_jsonl(out)[1:]] == [5, 7]
+    _, out, _ = run(["modularity", "--eta", "0,-1,1,0", "--p", "2,1,2",
+                     "--N-list", "99,49,99"], capsys)
+    samples = [(r["p"], r["N"]) for r in parse_jsonl(out)[1:] if "ratio" in r]
+    assert samples == [(2, 49), (2, 99), (1, 49), (1, 99)]
 
 
 def test_unknown_flag_exits_2(capsys):

@@ -108,14 +108,6 @@ def test_qmccj_rhs_reconciles_with_main_asymptotics():
         assert abs(cmath.exp(lhs - rhs) - 1.0) <= 1e-12
 
 
-def test_qmccj_constant_handling():
-    ctx = EvalContext(u=0.5, p=2, n=101)
-    assert qmccj_rhs(S, ctx, c_const=0) == complex(-math.inf, 0.0)
-    doubled = qmccj_rhs(S, ctx, c_const=2.0)
-    base = qmccj_rhs(S, ctx)
-    assert cmath.exp(doubled - base) == pytest.approx(2.0, abs=1e-12)
-
-
 def test_ratio_close_to_rhs_at_desk_scale():
     ctx = EvalContext(u=0.5, p=2, n=101)
     r = cmath.exp(modularity_ratio(S, ctx) - qmccj_rhs(S, ctx))

@@ -263,6 +263,31 @@ def test_li2_branch_cut_error():
     assert up.imag > 0 > dn.imag
 
 
+# (centre, radius) of the circles where li2 switches method: the series
+# inside |w| = 1/2, the inversion outside |w| = 2, the reflection inside
+# |1 - w| = 1/2; radius 0 samples the neighbourhood of w = 1
+_LI2_SWITCHES = ((0.0, 0.5), (0.0, 2.0), (1.0, 0.5), (1.0, 0.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_LI2_SWITCHES), st.floats(-1e-3, 1e-3),
+       st.floats(-math.pi, math.pi), st.floats(-12.0, -2.0))
+@example((0.0, 0.5), 0.0, 0.0, -2.0)
+@example((0.0, 2.0), 0.0, math.pi / 2, -2.0)
+@example((1.0, 0.5), 0.0, math.pi / 2, -2.0)
+@example((1.0, 0.0), 0.0, math.pi, -10.0)
+@example((1.0, 0.0), 0.0, 1e-9, -12.0)
+def test_li2_against_mpmath(switch, rel, angle, log_dist):
+    centre, radius = switch
+    r = radius * (1.0 + rel) if radius else 10.0 ** log_dist
+    w = centre + cmath.rect(r, angle)
+    if w.imag == 0.0 and w.real > 1.0:
+        return                       # on the cut, where li2 raises
+    with mp.workdps(40):
+        ref = mp.polylog(2, mp.mpc(w))
+        assert abs(mp.mpc(li2(w)) - ref) <= 1e-14 * max(1.0, abs(ref))
+
+
 def test_li2_array_matches_scalar():
     pts = np.array([0.3 + 0.1j, -2.5 + 0.7j, 0.9 + 0.05j, 3.0 + 2.0j, -0.99 + 0j])
     arr = li2(pts)

@@ -17,53 +17,15 @@ from fig8lab.region import (
     c_pm,
     c_pm_derivative_bound,
     check_f_p12,
-    check_f_sigma,
     components_d_cap_e,
     endpoint_decay,
     grid_scan,
     label_components,
     pinch_epsilon,
-    polygon,
     write_grid_csv,
     write_grid_header,
 )
 from fig8lab.saddle import f_zero_value, kappa, phi_m, phi_m_prime, saddle_data
-
-
-# ---------------------------------------------------------------------------
-# polygon
-# ---------------------------------------------------------------------------
-
-def test_polygon_vertices():
-    poly = polygon(2, 0.5, 3)
-    xi = complex(0.5, 6 * math.pi)
-    ims = poly.sigma_m.imag
-    assert abs(poly.p34 - 6j * math.pi / xi) <= 1e-15
-    assert abs(poly.p5 - (2 / 3 + 2j * ims)) <= 1e-15
-    assert abs(poly.p50 - 2 * xi.conjugate() * 1j / (18 * math.pi)) <= 1e-15
-    assert abs(poly.p_w - 4j * math.pi / xi) <= 1e-15
-    assert poly.p0 == 2 / 3 and poly.p3 == 1.0
-
-
-def test_polygon_vertex_ordering():
-    for (m, u, p) in ((0, 0.5, 1), (1, 0.2, 2), (2, 0.9, 3)):
-        poly = polygon(m, u, p)
-        assert poly.p1.real < poly.p45.real
-        assert poly.p12.real < poly.p4.real
-        assert poly.p12.real < poly.sigma_m.real
-
-
-def test_polygon_points_on_their_lines():
-    poly = polygon(1, 0.5, 2)
-    for name, pt in (("L_M", poly.p12), ("L_M", poly.p45),
-                     ("L_E", poly.p34), ("L_sigma", poly.p50)):
-        a, b, c = poly.lines[name]
-        assert a * pt.real + b * pt.imag == pytest.approx(c, abs=1e-12)
-
-
-def test_polygon_domain():
-    with pytest.raises(DomainError):
-        polygon(3, 0.5, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -230,18 +192,26 @@ def test_band_connectivity():
 # ---------------------------------------------------------------------------
 
 def test_check_f_sigma_grid():
+    # 0 < Re F(0) < Re F(sigma_0)
     for u in (0.05, 0.2, 0.5, 0.9):
         for p in (1, 2, 3):
-            flags = check_f_sigma(u, p)
-            assert flags.f0_positive and flags.ordered
+            assert 0.0 < f_zero_value(u, p).real < saddle_data(u, p).f_sigma0.real
 
 
 def test_check_f_p12():
-    assert check_f_p12(0.5, 3, 2).ok
+    # the margin is Re Phi_m(sigma_m) - Re Phi_m(P12) at the vertex P12 on the midline L_M
+    xi = complex(0.5, 6 * math.pi)
+    ims = saddle_data(0.5, 3).sigma_m(2).imag
+    p12 = 5 / 6 + xi.conjugate() * ims / (3 * math.pi)
+    assert p12.real + 0.5 / (6 * math.pi) * p12.imag == pytest.approx(5 / 6, abs=1e-12)
+    expected = saddle_data(0.5, 3).f_sigma0.real - phi_m(p12, 2, 0.5, 3).real
+    assert check_f_p12(0.5, 3, 2) == pytest.approx(expected, rel=1e-12)
     for u in (0.05, 0.2, 0.5, 0.9):
         for p in (1, 2, 3):
             for m in range(p):
-                assert check_f_p12(u, p, m).ok
+                assert check_f_p12(u, p, m) > 0.0
+    with pytest.raises(DomainError):
+        check_f_p12(0.5, 3, 3)
 
 
 def test_c_pm_constants():
@@ -265,15 +235,14 @@ def test_c_pm_negative_on_range():
 def test_endpoint_decay_positive_margins():
     ctx = EvalContext(u=0.5, p=2, n=201)
     for m in (0, 1):
-        report = endpoint_decay(ctx, m, 0.02)
-        assert report.rows and report.all_ok
+        rows = endpoint_decay(ctx, m, 0.02)
+        assert rows and all(margin > 0.0 for *_, margin in rows)
 
 
 def test_endpoint_decay_near_zero_is_small():
     # k/N near 0: Re f_N stays near 0, far below Re F(sigma_0)
     ctx = EvalContext(u=0.5, p=2, n=201)
-    report = endpoint_decay(ctx, 0, 0.02)
-    first = min(report.rows)
+    first = min(endpoint_decay(ctx, 0, 0.02))
     top = saddle_data(0.5, 2).f_sigma0.real
     assert abs(first[2]) < 0.1 and first[2] < top
 
@@ -352,8 +321,3 @@ def test_grid_csv_matches_reference_writer(tmp_path, m, u, p, resolution, random
     path = tmp_path / "grid.csv"
     write_grid_csv(grid, path)
     assert path.read_bytes() == reference_grid_csv(grid).encode()
-
-
-def test_f_zero_value_matches_check():
-    flags = check_f_sigma(0.5, 2)
-    assert flags.re_f0 == f_zero_value(0.5, 2).real
