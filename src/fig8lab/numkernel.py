@@ -12,7 +12,8 @@ builds on these primitives, so the conventions are fixed once, here:
   are reduced into (-pi, pi] only when a value is emitted (see reduce_phase);
 * principal logarithm, Im log w in (-pi, pi];
 * Li2 has its branch cut on (1, oo); evaluation exactly on the cut is an
-  error rather than a silent one-sided value.
+  error rather than a silent one-sided value.  Li2 is one series after the
+  inversion and reflection reductions, its logs taken with real ufuncs.
 """
 
 from __future__ import annotations
@@ -76,7 +77,8 @@ def lc_sum(logs) -> complex:
     acc = complex(np.exp(scaled, out=scaled).sum())
     if acc == 0j:
         return complex(-math.inf, 0.0)
-    return complex(math.log(abs(acc)) + m, cmath.phase(acc))
+    # math.atan2, not cmath.phase, which raises when the phase is subnormal
+    return complex(math.log(abs(acc)) + m, math.atan2(acc.imag, acc.real))
 
 
 def log1mexp(w) -> np.ndarray:
@@ -107,91 +109,75 @@ def lc_one_minus_exp(w: complex) -> complex:
 # Dilogarithm
 # ---------------------------------------------------------------------------
 
-_SERIES_TERMS = 80
-_SERIES_COEF = np.array([1.0 / (n * n) for n in range(1, _SERIES_TERMS + 1)])
-
-
 def _bernoulli_coefficients(count: int) -> np.ndarray:
-    """c_n = B_n / (n! (n+1)) for the log-series expansion of Li2."""
+    """c_n = B_n / (n+1)! for the log-series expansion of Li2."""
     b = [Fraction(1)]
     for m in range(1, count):
-        s = Fraction(0)
-        for j in range(m):
-            s += Fraction(math.comb(m + 1, j)) * b[j]
-        b.append(-s / (m + 1))
-    out = []
-    fact = Fraction(1)
-    for n in range(count):
-        if n > 0:
-            fact *= n
-        out.append(float(b[n] / (fact * (n + 1))))
-    return np.array(out)
+        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    return np.array([float(b[n] / math.factorial(n + 1)) for n in range(count)])
 
 
-_LOG_SERIES_COEF = _bernoulli_coefficients(80)
+# Li2(t) = sum c_n v^{n+1}, v = -log(1 - t), with c_n = 0 for odd n > 1.  On
+# |v| <= 3.22 the 26 even c_n up to c_50 leave a truncation below rounding;
+# 24 of them cost 8.7e-16 of max(1, |Li2|) near w = 1.52, 22 cost 3.3e-15.
+_LI2_COEF = _bernoulli_coefficients(52)
+_EVEN_COEF = _LI2_COEF[-2:1:-2]                 # c_50, c_48, ..., c_2
 
 
-def _horner(coeffs: np.ndarray, w):
-    p = np.zeros_like(w)
-    for c in coeffs[::-1]:
-        p = p * w + c
-    return p
+def _clog(w):
+    """Principal log from real ufuncs (see li2)."""
+    out = np.empty_like(w)
+    out.real = np.log(np.hypot(w.real, w.imag))
+    out.imag = np.arctan2(w.imag, w.real)
+    return out
 
 
-def _li2_series(w):
-    """Power series sum w^n / n^2; intended for |w| <= 0.5."""
-    return w * _horner(_SERIES_COEF, w)
-
-
-def _li2_log_series(w):
-    """Expansion in v = -log(1-w); converges for |v| < 2 pi."""
-    v = -np.log(1.0 - w)
-    return v * _horner(_LOG_SERIES_COEF, v)
+def _log_series(v):
+    """Li2(t) = v (c_0 + c_1 v + v^2 P(v^2)) for v = -log(1 - t), P in place."""
+    v2 = v * v
+    p = np.full_like(v, _EVEN_COEF[0])
+    for c in _EVEN_COEF[1:]:
+        p *= v2
+        p += c
+    return (p * v2 + (_LI2_COEF[0] + _LI2_COEF[1] * v)) * v
 
 
 def li2(w):
     """Principal dilogarithm Li2(w) = -int_0^w log(1-t)/t dt.
 
     Accepts a complex scalar or array.  The cut is (1, oo); evaluating
-    exactly on it raises BranchCutError.  Branch selection follows the
-    classical reductions: direct series inside |w| <= 1/2, the inversion
-    identity for |w| >= 2, the reflection at 1-w near the point 1, and the
-    log-series in -log(1-w) on the remaining annulus.
+    exactly on it raises BranchCutError.  w = 1 gives pi^2/6; otherwise
+    Li2 comes from one series in v = -log(1 - t) (_log_series), |v| <= 3.22
+    after the reductions: t = 1/w for |w| >= 2 (inversion), t = 1 - w for
+    |1 - w| <= 1/2 (reflection, where log w = -v), t = w elsewhere.
+
+    The logs use real ufuncs, several times faster than numpy's complex
+    log, with the same principal values.  Re v = -log1p(x (x-2) + y^2)/2
+    for t = x + iy keeps relative accuracy at tiny |t|, where log|1 - t|
+    rounds to 0, and does not cancel near t = 1.5 as |t|^2 - 2x would.
     """
     arr = np.asarray(w, dtype=np.complex128)
-    scalar = arr.ndim == 0
-    z = np.atleast_1d(arr).copy()
-
-    on_cut = (z.imag == 0.0) & (z.real > 1.0)
-    if np.any(on_cut):
+    z = arr.ravel()
+    if np.any((z.imag == 0.0) & (z.real > 1.0)):
         raise BranchCutError("Li2 evaluated on the branch cut (1, oo)")
 
-    out = np.zeros_like(z)
-    az = np.abs(z)
+    inv = np.abs(z) >= 2.0
+    near = np.abs(1.0 - z) <= 0.5
+    t = z.copy()
+    t[inv] = 1.0 / z[inv]
+    t[near] = 1.0 - z[near]                       # w = 1 gives t = 0, v = 0
+    x, y = t.real, t.imag
+    v = np.empty_like(t)
+    v.real = -0.5 * np.log1p(x * (x - 2.0) + y * y)
+    v.imag = np.arctan2(y, 1.0 - x)
+    out = _log_series(v)
 
-    m_one = z == 1.0
-    m_inv = (az >= 2.0) & ~m_one
-    m_refl = (np.abs(1.0 - z) <= 0.5) & ~m_one & ~m_inv
-    m_small = (az <= 0.5) & ~m_one & ~m_inv & ~m_refl
-    m_mid = ~(m_one | m_inv | m_refl | m_small)
-
-    if np.any(m_one):
-        out[m_one] = PI_SQ_6
-    if np.any(m_inv):
-        zi = z[m_inv]
-        lg = np.log(-zi)
-        out[m_inv] = -_li2_series(1.0 / zi) - PI_SQ_6 - 0.5 * lg * lg
-    if np.any(m_refl):
-        zr = z[m_refl]
-        out[m_refl] = PI_SQ_6 - np.log(zr) * np.log(1.0 - zr) - _li2_series(1.0 - zr)
-    if np.any(m_small):
-        out[m_small] = _li2_series(z[m_small])
-    if np.any(m_mid):
-        out[m_mid] = _li2_log_series(z[m_mid])
-
-    if scalar:
-        return complex(out[0])
-    return out.reshape(arr.shape)
+    lg = _clog(-z[inv])
+    out[inv] = -out[inv] - PI_SQ_6 - 0.5 * lg * lg
+    refl = near & (z != 1.0)
+    out[refl] = PI_SQ_6 + v[refl] * _clog(t[refl]) - out[refl]
+    out[z == 1.0] = PI_SQ_6
+    return complex(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 # ---------------------------------------------------------------------------

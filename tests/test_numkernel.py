@@ -138,6 +138,7 @@ def test_lc_sum_refuses_non_numbers(bad):
        st.lists(st.floats(-50.0, 50.0), min_size=12, max_size=12))
 @example([710.0, 709.5], [0.0] * 12)
 @example([-math.inf], [1.0] * 12)
+@example([0.0, 0.0], [0.0, 5e-324] + [0.0] * 10)
 def test_lc_sum_against_mpmath(reals, phases):
     # terms with real parts -inf (zero) and beyond 700, where e^{Re} overflows a float
     terms = [complex(r, 0.0 if r == -math.inf else phi) for r, phi in zip(reals, phases)]
@@ -263,9 +264,9 @@ def test_li2_branch_cut_error():
     assert up.imag > 0 > dn.imag
 
 
-# (centre, radius) of the circles where li2 switches method: the series
-# inside |w| = 1/2, the inversion outside |w| = 2, the reflection inside
-# |1 - w| = 1/2; radius 0 samples the neighbourhood of w = 1
+# (centre, radius) of circles to sample: the inversion outside |w| = 2, the
+# reflection inside |1 - w| = 1/2, the plain series on |w| = 1/2; radius 0
+# samples the neighbourhood of w = 1
 _LI2_SWITCHES = ((0.0, 0.5), (0.0, 2.0), (1.0, 0.5), (1.0, 0.0))
 
 
@@ -286,6 +287,41 @@ def test_li2_against_mpmath(switch, rel, angle, log_dist):
     with mp.workdps(40):
         ref = mp.polylog(2, mp.mpc(w))
         assert abs(mp.mpc(li2(w)) - ref) <= 1e-14 * max(1.0, abs(ref))
+
+
+# where the series argument v = -log(1 - t) is largest: just off the cut
+# at w = 1.5 (|v| = 3.22) and on the edges of the inversion and reflection
+_LI2_SERIES_EDGES = [
+    w
+    for sign in (1, -1)
+    for w in (
+        1.5 + sign * 1e-9j,
+        1.9999 * cmath.exp(sign * 1e-7j),
+        2.0 * (1.0 - 1e-12) * cmath.exp(sign * 0.5j),
+        0.5 * cmath.exp(sign * 2j),
+        1.0 + 0.5 * (1.0 + 1e-12) * cmath.exp(sign * 0.3j),
+    )
+]
+
+
+def test_li2_series_length():
+    # 22 of the series' even coefficients give 3.3e-15 here
+    values = li2(np.array(_LI2_SERIES_EDGES))
+    with mp.workdps(40):
+        for w, value in zip(_LI2_SERIES_EDGES, values):
+            ref = mp.polylog(2, mp.mpc(w))
+            assert abs(mp.mpc(complex(value)) - ref) <= 1e-15 * max(1.0, abs(ref)), w
+
+
+def test_li2_relative_accuracy_at_tiny_w():
+    # li2(w) ~ w: an absolute tolerance would pass li2 = 0 here
+    rng = np.random.default_rng(7)
+    w = 10.0 ** rng.uniform(-300, -1, 200) * np.exp(1j * rng.uniform(-math.pi, math.pi, 200))
+    values = li2(w)
+    with mp.workdps(40):
+        for z, value in zip(w, values):
+            ref = mp.polylog(2, mp.mpc(complex(z)))
+            assert abs(mp.mpc(complex(value)) - ref) <= 1e-15 * abs(ref), z
 
 
 def test_li2_array_matches_scalar():

@@ -13,6 +13,7 @@ from scipy import ndimage
 from fig8lab.numkernel import DomainError
 from fig8lab.qdilog import EvalContext
 from fig8lab.region import (
+    _SCAN_BLOCK,
     band_endpoints_connected,
     c_pm,
     c_pm_derivative_bound,
@@ -25,7 +26,7 @@ from fig8lab.region import (
     write_grid_csv,
     write_grid_header,
 )
-from fig8lab.saddle import f_zero_value, kappa, phi_m, phi_m_prime, saddle_data
+from fig8lab.saddle import f_values, f_zero_value, kappa, phi_m, phi_m_prime, saddle_data
 
 
 # ---------------------------------------------------------------------------
@@ -48,6 +49,27 @@ def test_grid_flags_are_consistent(u):
         )
     assert not np.isnan(grid.re_phi[inside]).any()
     assert np.isnan(grid.re_phi[~inside]).all()
+
+
+@pytest.mark.parametrize("u", [0.5, 0.9])
+def test_grid_scan_blocks_match_one_call(u):
+    p, m = 1, 0
+    grid = grid_scan(m, u, p, resolution=(200, 150))
+    inside = grid.in_u
+    assert inside.sum() > _SCAN_BLOCK
+    assert (~inside).any() == (u == 0.9)
+    X, Y = np.meshgrid(grid.xs, grid.ys)
+    xi = complex(u, 2 * math.pi * p)
+    ref = np.full(X.shape, np.nan)
+    ref[inside] = f_values((X + 1j * Y)[inside] - 2j * m * math.pi / xi, u, p).real
+    assert np.array_equal(np.isnan(grid.re_phi), np.isnan(ref))
+    assert np.all(np.abs(grid.re_phi[inside] - ref[inside]) <= 1e-15 * np.maximum(1.0, np.abs(ref[inside])))
+    skew = X + u / (2 * math.pi * p) * Y
+    assert np.array_equal(inside, (skew > m / p) & (skew < (m + 1) / p))
+    with np.errstate(invalid="ignore"):
+        assert np.array_equal(grid.in_d, inside & (ref < grid.threshold))
+        assert np.array_equal(grid.in_rbar, inside & (Y >= 0) & (ref < grid.threshold + 2 * math.pi * Y))
+        assert np.array_equal(grid.in_runder, inside & (Y <= 0) & (ref < grid.threshold - 2 * math.pi * Y))
 
 
 def test_grid_resolution_guard():
