@@ -16,7 +16,6 @@ from .numkernel import (
 from .qdilog import (
     KAPPA,
     EvalContext,
-    QuadratureConfig,
     check_gamma_half,
     check_shift_identity,
     check_unit_shift,

@@ -21,8 +21,8 @@ import numpy as np
 from .numkernel import DomainError, QuadratureError, l0_closed, l1_closed, l2_closed, reduce_phase
 from .qdilog import (
     KAPPA,
+    TOL,
     EvalContext,
-    QuadratureConfig,
     check_gamma_half,
     check_shift_identity,
     check_unit_shift,
@@ -155,7 +155,7 @@ _LEMMA_GRID_P = (1, 2, 3)
 _LEMMA_GRID_N = (31, 40, 97)
 
 
-def _sample_identity_rows(rng, cfg, samples, threshold):
+def _sample_identity_rows(rng, tol, samples, threshold):
     rows = []
     for name in ("shift", "gamma_half", "unit_shift"):
         for _ in range(samples):
@@ -165,29 +165,29 @@ def _sample_identity_rows(rng, cfg, samples, threshold):
             ctx = EvalContext(u=u, p=p, n=n)
             if name == "shift":
                 z = complex(rng.uniform(0.1, 0.9), rng.uniform(-0.5, 0.5))
-                residual = check_shift_identity(z, ctx, cfg)
+                residual = check_shift_identity(z, ctx, tol)
             elif name == "gamma_half":
                 g = ctx.gamma.real
                 z = complex(rng.uniform(0.1, 0.9) * g * rng.choice((-1, 1)),
                             rng.uniform(-0.3, 0.3))
-                residual = check_gamma_half(z, ctx, cfg)
+                residual = check_gamma_half(z, ctx, tol)
             else:
                 g = ctx.gamma.real
                 z = complex(rng.uniform(-0.45, 0.45) * g, rng.uniform(-0.3, 0.3))
-                residual = check_unit_shift(z, ctx, cfg)
+                residual = check_unit_shift(z, ctx, tol)
             rows.append({"check": name, "u": u, "p": p, "N": n,
                          "z_re": z.real, "z_im": z.imag,
                          "residual": residual, "pass": residual <= threshold})
     return rows
 
 
-def _lk_rows(rng, cfg, samples, threshold):
+def _lk_rows(rng, tol, samples, threshold):
     closed = {0: l0_closed, 1: l1_closed, 2: l2_closed}
     rows = []
     for _ in range(samples):
         k = int(rng.integers(0, 3))
         z = complex(rng.uniform(0.05, 0.95), rng.uniform(-1.0, 1.0))
-        err = abs(l_k_quadrature(k, z, cfg) - closed[k](z))
+        err = abs(l_k_quadrature(k, z, tol) - closed[k](z))
         rows.append({"check": f"l{k}_quadrature", "z_re": z.real, "z_im": z.imag,
                      "residual": err, "pass": err <= threshold})
     return rows
@@ -219,12 +219,12 @@ def _inequality_rows():
 def cmd_lemmas(args) -> int:
     if args.samples < 0:
         raise DomainError(f"--samples must be a non-negative integer, got {args.samples}")
-    if not args.tol > 0.0:
-        raise DomainError(f"--tol must be positive, got {args.tol}")
+    for flag, value in (("--threshold", args.threshold), ("--tol", args.tol)):
+        if not value > 0.0:
+            raise DomainError(f"{flag} must be positive, got {value}")
     rng = np.random.default_rng(args.seed)
-    cfg = QuadratureConfig(tol=args.tol)
-    rows = _sample_identity_rows(rng, cfg, args.samples, args.threshold)
-    rows += _lk_rows(rng, cfg, max(args.samples // 2, 10), max(args.tol, 1e-8))
+    rows = _sample_identity_rows(rng, args.tol, args.samples, args.threshold)
+    rows += _lk_rows(rng, args.tol, max(args.samples // 2, 10), max(args.tol, 1e-8))
     rows += _inequality_rows()
     _emit(_header("lemmas", args), rows, args)
     failed = [r for r in rows if not r["pass"]]
@@ -319,8 +319,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("lemmas", help="identity and inequality residual suite")
     sp.add_argument("--samples", type=int, default=50)
     sp.add_argument("--threshold", type=float, default=1e-7,
-                    help="pass/fail residual threshold for the identities")
-    sp.add_argument("--tol", type=float, default=1e-10, help="quadrature tolerance")
+                    help="pass/fail residual threshold for the identities (> 0)")
+    sp.add_argument("--tol", type=float, default=TOL, help="quadrature tolerance")
     sp.add_argument("--seed", type=int, default=0)
     output(sp)
     sp.set_defaults(func=cmd_lemmas)

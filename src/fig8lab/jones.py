@@ -37,7 +37,7 @@ from math import gcd
 import numpy as np
 
 from .numkernel import DomainError, lc_one_minus_exp, lc_sum, log1mexp, reduce_phase
-from .qdilog import DEFAULT_CONFIG, EvalContext, QuadratureConfig, e_n_ratio, t_n
+from .qdilog import EvalContext, e_n_ratio, t_n
 
 
 def _multiples(e: np.ndarray, w) -> np.ndarray:
@@ -114,7 +114,7 @@ def beta_factor(ctx: EvalContext, m: int) -> complex:
     return -m * ctx.p * w + _qpoch(ctx.p, m, w)
 
 
-def f_n(z, ctx: EvalContext, cfg: QuadratureConfig = DEFAULT_CONFIG):
+def f_n(z, ctx: EvalContext):
     """Finite-N phase f_N(z), defined on -1/(2N) < Re z + (u/2 p pi) Im z < 1/p + 1/(2N).
 
     z may be an array; its 2 z.size T_N values come from one batched t_n call.
@@ -127,7 +127,7 @@ def f_n(z, ctx: EvalContext, cfg: QuadratureConfig = DEFAULT_CONFIG):
         raise DomainError(f"z outside the f_N strip: skew abscissa {s[outside][0]} not in ({lo}, {hi})")
     xi, n = ctx.xi, ctx.n
     a, b = t_n(np.stack([xi * (1.0 - z) / (2j * math.pi) - ctx.p + 1.0,
-                         xi * (1.0 + z) / (2j * math.pi) - ctx.p]), ctx, cfg)
+                         xi * (1.0 + z) / (2j * math.pi) - ctx.p]), ctx)
     value = (a - b) / n - ctx.u * z + 4.0 * ctx.p * math.pi ** 2 / xi
     return complex(value) if z.ndim == 0 else value
 
@@ -139,7 +139,7 @@ def k_range(m: int, ctx: EvalContext):
     return range(lo, hi + 1)
 
 
-def decomposition_residual(ctx: EvalContext, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def decomposition_residual(ctx: EvalContext) -> float:
     """Relative gap between J_N(E;e^{xi/N}) and its beta/f_N decomposition.
 
     The two sides are computed by fully independent pipelines (direct
@@ -157,7 +157,7 @@ def decomposition_residual(ctx: EvalContext, cfg: QuadratureConfig = DEFAULT_CON
         k = np.array(k_range(m, ctx))
         z.append((2 * k + 1) / (2.0 * n) - 2j * m * math.pi / xi)
         betas += [beta_factor(ctx, m)] * k.size
-    rhs = prefactor + lc_sum(np.array(betas) + n * f_n(np.concatenate(z), ctx, cfg))
+    rhs = prefactor + lc_sum(np.array(betas) + n * f_n(np.concatenate(z), ctx))
     return abs(cmath.exp(rhs - jones_at_cusp(ctx)) - 1.0)
 
 
@@ -165,7 +165,7 @@ def _qfactorial_direct(k: int, ctx: EvalContext) -> complex:
     return _qpoch(ctx.n, k, ctx.xi / ctx.n)
 
 
-def _qfactorial_via_en(k: int, ctx: EvalContext, cfg: QuadratureConfig) -> complex:
+def _qfactorial_via_en(k: int, ctx: EvalContext) -> complex:
     """The same product expressed through E_N ratios and dual-side factors."""
     xi, n, p = ctx.xi, ctx.n, ctx.p
     gamma = ctx.gamma
@@ -180,22 +180,21 @@ def _qfactorial_via_en(k: int, ctx: EvalContext, cfg: QuadratureConfig) -> compl
         extra = lc_one_minus_exp((c - nn) * xi / c) + lc_one_minus_exp((c + nn) * xi / c)
         dual = _qpoch(p, nn * p_prime - 1, w_dual)
         ratio = e_n_ratio((n - nn * n_prime + 0.5) * gamma - p + nn * p_prime,
-                          (n + nn * n_prime - 0.5) * gamma - p - nn * p_prime + 1, ctx, cfg)
+                          (n + nn * n_prime - 0.5) * gamma - p - nn * p_prime + 1, ctx)
         return extra + head + dual + ratio
 
     # for coprime p, N (c = 1, N' = N) this is nn = 0 and m = kp // N
     m = nn * p_prime + (k - nn * n_prime) * p_prime // n_prime
     dual = _qpoch(p, m, w_dual)
     ratio = e_n_ratio((n - k - 0.5) * gamma - p + m + 1,
-                      (n + k + 0.5) * gamma - p - m, ctx, cfg)
+                      (n + k + 0.5) * gamma - p - m, ctx)
     return head + dual + ratio
 
 
-def product_identity_residual(k: int, ctx: EvalContext,
-                              cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def product_identity_residual(k: int, ctx: EvalContext) -> float:
     """Relative gap between the direct q-factorial product and its E_N form."""
     if not 1 <= k <= ctx.n - 1:
         raise DomainError(f"k must lie in [1, N-1], got {k}")
     direct = _qfactorial_direct(k, ctx)
-    via_en = _qfactorial_via_en(k, ctx, cfg)
+    via_en = _qfactorial_via_en(k, ctx)
     return abs(cmath.exp(via_en - direct) - 1.0)

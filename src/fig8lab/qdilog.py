@@ -13,9 +13,11 @@ One batched driver serves every z.  Each ray is cut where the analytic tail
 bound drops below tol and covered by Gauss panels graded to the integrand
 (see _RATE_WIDTH), so a point near the strip edge, whose ray is long, needs
 few of them.  The nodes of all points are evaluated in one numpy call per ray
-and level and summed back per point.  A base pass is followed by passes with
-every panel halved until a point moves by less than tol (at most 3
-refinements); only unconverged points go on.
+and level and summed back per point.  Refinement level k splits each graded
+ray panel into 2^k Gauss panels and the semicircle into 8 * 2^k.  Level 0 is
+followed by levels 1, 2, 3 until a point moves by less than tol (at most 3
+refinements); only unconverged points go on.  tol (default TOL) is the one
+accuracy setting: it also sets where each ray is cut.
 
 Poles of the T_N integrand sit at k pi i (from sinh x) and at the zeros of
 sinh(gamma x), i.e. x = -2 k N pi^2 / xi; for admissible (u, p, N) both
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,6 +47,7 @@ def require_u(u: float, closed_end: bool = False) -> None:
 
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(12)
+TOL = 1.0e-10
 _MAX_REFINEMENTS = 3
 _MAX_TAIL = 5.0e5
 # Ray panels double in width from [1, 2] up to _RATE_WIDTH / (|a| + |Im gamma|), a
@@ -78,35 +81,6 @@ class EvalContext:
     def gamma(self) -> complex:
         # xi / (2 N pi i) written so that Re gamma is exactly p/N
         return complex(self.p / self.n, -self.u / (2.0 * math.pi * self.n))
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Contour refinement knobs.
-
-    panels_per_unit is the number of equal Gauss panels each graded ray
-    panel is split into.  The truncation abscissa of each ray is derived per
-    evaluation from the integrand's exponential decay rate, so the analytic
-    tail bound stays below tol.
-    """
-
-    panels_per_unit: int = 1
-    semicircle_panels: int = 8
-    tol: float = 1.0e-10
-
-    def __post_init__(self):
-        if not self.tol > 0.0:
-            raise DomainError(f"quadrature tol must be positive, got {self.tol}")
-
-    def refined(self) -> "QuadratureConfig":
-        return replace(
-            self,
-            panels_per_unit=2 * self.panels_per_unit,
-            semicircle_panels=2 * self.semicircle_panels,
-        )
-
-
-DEFAULT_CONFIG = QuadratureConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +121,7 @@ def _ray_sums(x_end, cap, rate, split: int, ray) -> np.ndarray:
     return np.add.reduceat(panels, np.cumsum(count) - count)
 
 
-def _contour(z: np.ndarray, gamma: complex, cfg: QuadratureConfig, ray, circ,
+def _contour(z: np.ndarray, gamma: complex, tol: float, ray, circ,
              neg_sign: float, where: str) -> np.ndarray:
     """Per-point integrals along Omega, with the per-point two-level check.
 
@@ -156,22 +130,24 @@ def _contour(z: np.ndarray, gamma: complex, cfg: QuadratureConfig, ray, circ,
     neg_sign e^{-(2z+gamma) x} ray(x) on the negative ray mirrored onto
     [1, oo) (gamma = 0 for the L_k integrals).
     """
+    if not tol > 0.0:
+        raise DomainError(f"quadrature tol must be positive, got {tol}")
     if not z.size:
         return np.zeros(0, dtype=complex)
     rates = (2.0 * z - 2.0 - gamma, -(2.0 * z + gamma))
-    ends = [_tail_abscissa(-rate.real, cfg.tol) for rate in rates]
+    ends = [_tail_abscissa(-rate.real, tol) for rate in rates]
     far = (ends[0] > _MAX_TAIL) | (ends[1] > _MAX_TAIL)
     if far.any():
         raise QuadratureError(f"tail cutoff exceeds {_MAX_TAIL:.3g}: z = {z[far][0]} "
                               f"too close to the strip edge at {where}")
     caps = [_RATE_WIDTH / (np.abs(rate) + abs(gamma.imag)) for rate in rates]
 
-    def evaluate(level: QuadratureConfig, idx: np.ndarray) -> np.ndarray:
+    def evaluate(level: int, idx: np.ndarray) -> np.ndarray:
         total = np.zeros(idx.size, dtype=complex)
         for sign, rate, end, cap in zip((1.0, neg_sign), rates, ends, caps):
-            total += sign * _ray_sums(end[idx], cap[idx], rate[idx], level.panels_per_unit, ray)
+            total += sign * _ray_sums(end[idx], cap[idx], rate[idx], 1 << level, ray)
         # points with the same panel count share the semicircle nodes x = e^{it}
-        n_circ = np.maximum(np.ceil(np.abs(2.0 * z[idx] - 1.0)).astype(int), level.semicircle_panels)
+        n_circ = np.maximum(np.ceil(np.abs(2.0 * z[idx] - 1.0)).astype(int), 8 << level)
         for n in set(n_circ.tolist()):  # np.unique would import numpy.ma, 10-20 ms
             half = 0.5 * math.pi / n
             x = np.exp(1j * half * (2 * np.arange(n)[:, None] + 1 + _GAUSS_X).ravel())
@@ -182,22 +158,20 @@ def _contour(z: np.ndarray, gamma: complex, cfg: QuadratureConfig, ray, circ,
         return total
 
     active = np.arange(z.size)
-    value = evaluate(cfg, active)
+    value = evaluate(0, active)
     best = np.full(z.size, np.inf)
-    fine = cfg
     for level in range(1, _MAX_REFINEMENTS + 1):
-        fine = fine.refined()
-        refined = evaluate(fine, active)
+        refined = evaluate(level, active)
         delta = np.abs(refined - value[active])
         best[active] = np.minimum(best[active], delta)
         value[active] = refined
-        active = active[delta >= cfg.tol]
+        active = active[delta >= tol]
         if not active.size:
             return value
     i = active[0]
     raise QuadratureError(
         f"quadrature failed to meet tol at maximum refinement: z = {z[i]} at {where}, "
-        f"level {level}, best |delta| = {best[i]:.3g} >= tol = {cfg.tol:.3g}"
+        f"level {level}, best |delta| = {best[i]:.3g} >= tol = {tol:.3g}"
     )
 
 
@@ -205,7 +179,7 @@ def _contour(z: np.ndarray, gamma: complex, cfg: QuadratureConfig, ray, circ,
 # Public surface
 # ---------------------------------------------------------------------------
 
-def t_n(z, ctx: EvalContext, cfg: QuadratureConfig = DEFAULT_CONFIG):
+def t_n(z, ctx: EvalContext, tol: float = TOL):
     """Quantum dilogarithm T_N(z) on -p/(2N) < Re z < 1 + p/(2N).
 
     z is a complex scalar (a complex is returned) or an array of points at
@@ -228,24 +202,23 @@ def t_n(z, ctx: EvalContext, cfg: QuadratureConfig = DEFAULT_CONFIG):
     if outside.any():
         raise DomainError(f"Re z = {flat[outside][0].real} outside convergence strip "
                           f"(-{half_gamma}, {1 + half_gamma})")
-    values = 0.25 * _contour(flat, gamma, cfg, ray, circ, -1.0,
+    values = 0.25 * _contour(flat, gamma, tol, ray, circ, -1.0,
                              f"(u, p, N) = ({ctx.u}, {ctx.p}, {ctx.n})")
     return complex(values[0]) if zs.ndim == 0 else values.reshape(zs.shape)
 
 
-def e_n(z: complex, ctx: EvalContext, cfg: QuadratureConfig = DEFAULT_CONFIG) -> complex:
+def e_n(z: complex, ctx: EvalContext) -> complex:
     """The complex log of E_N(z) = exp(T_N(z)), that is T_N at one point."""
-    return t_n(complex(z), ctx, cfg)
+    return t_n(complex(z), ctx)
 
 
-def e_n_ratio(num: complex, den: complex, ctx: EvalContext,
-              cfg: QuadratureConfig = DEFAULT_CONFIG) -> complex:
+def e_n_ratio(num: complex, den: complex, ctx: EvalContext, tol: float = TOL) -> complex:
     """The complex log of E_N(num) / E_N(den), both T_N values from one batched call."""
-    t_num, t_den = t_n([num, den], ctx, cfg)
+    t_num, t_den = t_n([num, den], ctx, tol)
     return t_num - t_den
 
 
-def l_k_quadrature(k: int, z: complex, cfg: QuadratureConfig = DEFAULT_CONFIG) -> complex:
+def l_k_quadrature(k: int, z: complex, tol: float = TOL) -> complex:
     """L_k(z) by direct contour quadrature, k in {0, 1, 2}, 0 < Re z < 1."""
     if k not in (0, 1, 2):
         raise DomainError(f"k must be 0, 1 or 2, got {k}")
@@ -261,7 +234,7 @@ def l_k_quadrature(k: int, z: complex, cfg: QuadratureConfig = DEFAULT_CONFIG) -
 
     prefactor = {0: 1.0, 1: -0.5, 2: 0.5j * math.pi}[k]
     # on the negative ray x^k flips sign for odd k
-    value = _contour(np.array([z]), 0j, cfg, ray, circ, -(-1.0) ** k, f"L_{k}")
+    value = _contour(np.array([z]), 0j, tol, ray, circ, -(-1.0) ** k, f"L_{k}")
     return prefactor * complex(value[0])
 
 
@@ -269,8 +242,7 @@ def l_k_quadrature(k: int, z: complex, cfg: QuadratureConfig = DEFAULT_CONFIG) -
 # Functional-equation residuals
 # ---------------------------------------------------------------------------
 
-def check_shift_identity(z: complex, ctx: EvalContext,
-                         cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def check_shift_identity(z: complex, ctx: EvalContext, tol: float = TOL) -> float:
     """Residual of E_N(z - gamma/2) / E_N(z + gamma/2) = 1 - e^{2 pi i z}."""
     z = complex(z)
     if not 0.0 < z.real < 1.0:
@@ -279,12 +251,11 @@ def check_shift_identity(z: complex, ctx: EvalContext,
     if rhs.real < -7.0:
         raise DomainError("z too close to an integer: identity RHS vanishes")
     half = 0.5 * ctx.gamma
-    lhs = e_n_ratio(z - half, z + half, ctx, cfg)
+    lhs = e_n_ratio(z - half, z + half, ctx, tol)
     return abs(cmath.exp(lhs - rhs) - 1.0)
 
 
-def check_gamma_half(w: complex, ctx: EvalContext,
-                     cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def check_gamma_half(w: complex, ctx: EvalContext, tol: float = TOL) -> float:
     """Residual of E_N(w+gamma/2)/E_N(w-gamma/2+1) = (1-e^{2 pi i w/gamma})/(1-e^{2 pi i w})."""
     w = complex(w)
     gamma = ctx.gamma
@@ -295,12 +266,11 @@ def check_gamma_half(w: complex, ctx: EvalContext,
         raise DomainError("identity denominator 1 - e^{2 pi i w} vanishes")
     rhs = lc_one_minus_exp(2j * math.pi * w / gamma) - denom
     half = 0.5 * gamma
-    lhs = e_n_ratio(w + half, w - half + 1.0, ctx, cfg)
+    lhs = e_n_ratio(w + half, w - half + 1.0, ctx, tol)
     return abs(cmath.exp(lhs - rhs) - 1.0)
 
 
-def check_unit_shift(z: complex, ctx: EvalContext,
-                     cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+def check_unit_shift(z: complex, ctx: EvalContext, tol: float = TOL) -> float:
     """Residual of E_N(z)/E_N(z+1) = 1 + e^{2 pi i z/gamma}."""
     z = complex(z)
     gamma = ctx.gamma
@@ -308,5 +278,5 @@ def check_unit_shift(z: complex, ctx: EvalContext,
         raise DomainError("unit shift identity requires |Re z| < Re gamma / 2")
     # 1 + e^v = 1 - e^{v + i pi}
     rhs = lc_one_minus_exp(2j * math.pi * z / gamma + 1j * math.pi)
-    lhs = e_n_ratio(z, z + 1.0, ctx, cfg)
+    lhs = e_n_ratio(z, z + 1.0, ctx, tol)
     return abs(cmath.exp(lhs - rhs) - 1.0)

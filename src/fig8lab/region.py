@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numkernel import DomainError, li2
-from .qdilog import DEFAULT_CONFIG, EvalContext, QuadratureConfig
+from .qdilog import EvalContext
 from .jones import f_n, k_range
 from .saddle import (
     KAPPA,
@@ -158,16 +158,14 @@ def pinch_epsilon(grid: RegionGrid) -> float:
     return abs(sd.a2) * (3.0 * max(dx, dy)) ** 2
 
 
-def components_d_cap_e(grid: RegionGrid, epsilon: float | None = None) -> int:
+def components_d_cap_e(grid: RegionGrid) -> int:
     """Number of 4-connected components of D_m within E_m.
 
-    Counted on {Re Phi_m < threshold - epsilon} with the pinch-aware
-    default epsilon above; pass epsilon=0.0 for the literal strict mask.
+    Counted on {Re Phi_m < threshold - pinch_epsilon(grid)}, the sublevel
+    set lowered by the pinch-aware margin above.
     """
-    if epsilon is None:
-        epsilon = pinch_epsilon(grid)
     with np.errstate(invalid="ignore"):
-        mask = grid.in_u & (grid.re_phi < grid.threshold - epsilon)
+        mask = grid.in_u & (grid.re_phi < grid.threshold - pinch_epsilon(grid))
     if not mask.any():
         raise DomainError("D_m ∩ E_m is empty on this grid")
     _, count = label_components(mask)
@@ -243,8 +241,7 @@ def check_f_p12(u: float, p: int, m: int) -> float:
 # Finite-N endpoint decay
 # ---------------------------------------------------------------------------
 
-def endpoint_decay(ctx: EvalContext, m: int, delta_grid: float,
-                   cfg: QuadratureConfig = DEFAULT_CONFIG) -> list:
+def endpoint_decay(ctx: EvalContext, m: int, delta_grid: float) -> list:
     """Re f_N at summation points near the ends of (m/p, (m+1)/p).
 
     Returns the rows (k, k/N, Re f_N, margin) with the margin
@@ -261,7 +258,7 @@ def endpoint_decay(ctx: EvalContext, m: int, delta_grid: float,
           if k / ctx.n - lo_edge <= delta_grid or hi_edge - k / ctx.n <= delta_grid]
     if not ks:
         raise DomainError("no summation points within delta_grid of the interval ends")
-    values = f_n((2 * np.array(ks) + 1) / (2.0 * ctx.n) - shift, ctx, cfg).real
+    values = f_n((2 * np.array(ks) + 1) / (2.0 * ctx.n) - shift, ctx).real
     return [(k, k / ctx.n, value, top - value) for k, value in zip(ks, values.tolist())]
 
 
@@ -269,7 +266,8 @@ def endpoint_decay(ctx: EvalContext, m: int, delta_grid: float,
 # Emission
 # ---------------------------------------------------------------------------
 
-def grid_header(grid: RegionGrid, components: int | None = None) -> dict:
+def write_grid_header(grid: RegionGrid, path, components: int) -> None:
+    """The grid's parameters, sigma_m, threshold and D_m component count as JSON."""
     header = {
         "schema": "fig8lab/1",
         "kind": "region-grid",
@@ -283,10 +281,11 @@ def grid_header(grid: RegionGrid, components: int | None = None) -> dict:
         },
         "sigma_m": [grid.sigma_m.real, grid.sigma_m.imag],
         "threshold": grid.threshold,
+        "components_d_cap_e": components,
     }
-    if components is not None:
-        header["components_d_cap_e"] = components
-    return header
+    with open(path, "w") as fh:
+        json.dump(header, fh, sort_keys=True)
+        fh.write("\n")
 
 
 # "in_u,in_e,in_d,in_rbar,in_runder" cells, indexed by the 4-bit code
@@ -319,9 +318,3 @@ def write_grid_csv(grid: RegionGrid, path) -> None:
             values[0::2] = re_phi.tolist()
             values[1::2] = [_FLAG_CELLS[k] for k in flags.tolist()]
             fh.write((rest.join(x_cells) + rest) % tuple(values))
-
-
-def write_grid_header(grid: RegionGrid, path, components: int | None = None) -> None:
-    with open(path, "w") as fh:
-        json.dump(grid_header(grid, components), fh, sort_keys=True)
-        fh.write("\n")

@@ -122,15 +122,9 @@ def _require_u0(z: complex, u: float, p: int) -> complex:
 
 
 def f_eval(z: complex, u: float, p: int) -> complex:
-    """F(z) on U_0, rewritten form: its Li2 arguments stay off the cut."""
+    """F(z) on U_0: f_values at one point, with u and z checked."""
     require_u(u)
-    z = _require_u0(z, u, p)
-    xi = complex(u, 2.0 * math.pi * p)
-    return (
-        (li2(cmath.exp(-xi * (1.0 + z))) - li2(cmath.exp(-xi * (1.0 - z)))) / xi
-        + u * z
-        - TWO_PI_I
-    )
+    return complex(f_values(_require_u0(z, u, p), u, p))
 
 
 def f_eval_original(z: complex, u: float, p: int) -> complex:

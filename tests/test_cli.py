@@ -70,6 +70,8 @@ def test_empty_or_bad_n_range_exits_2(command, n_args, flag, capsys):
     pytest.param(["lemmas", "--tol", "0"], "--tol", id="lemmas-zero-tol"),
     pytest.param(["lemmas", "--tol", "-1e-3"], "--tol", id="lemmas-negative-tol"),
     pytest.param(["lemmas", "--samples", "-3"], "--samples", id="lemmas-negative-samples"),
+    pytest.param(["lemmas", "--threshold", "nan"], "--threshold", id="lemmas-nan-threshold"),
+    pytest.param(["lemmas", "--threshold", "-1"], "--threshold", id="lemmas-negative-threshold"),
     pytest.param(["modularity", "--eta", "0,-1,1,0", "--p", "1", "--N-list", "10,10"],
                  "two distinct N", id="modularity-repeated-N"),
     pytest.param(["region", "--u", "0.5", "--p", "2", "--m", "5", "--res", "50"],
@@ -169,6 +171,13 @@ def test_lemmas_unmeetable_tol_exits_3(capsys):
     assert "failed to meet tol" in err
     for field in ("z = ", "(u, p, N) = ", "level 3", "best |delta| = "):
         assert field in err
+
+
+def test_lemmas_tol_reaches_the_l_k_rows(capsys):
+    # with no identity samples only the L_k quadratures see --tol
+    code, _, err = run(["lemmas", "--samples", "0", "--tol", "1e-16"], capsys)
+    assert code == 3
+    assert "failed to meet tol" in err and " at L_" in err
 
 
 def test_region_emits_grid_files(tmp_path, capsys):

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from fig8lab.numkernel import DomainError, QuadratureError, l0_closed, l1_closed, l2_closed, li2
 from fig8lab.qdilog import (
     KAPPA,
+    TOL,
     EvalContext,
-    QuadratureConfig,
     check_gamma_half,
     check_shift_identity,
     check_unit_shift,
@@ -101,16 +101,14 @@ def test_t_n_convergence_rate_sequence():
 
 def test_self_consistency_under_refinement():
     ctx = EvalContext(u=0.5, p=2, n=40)
-    base = QuadratureConfig()
-    fine = QuadratureConfig(panels_per_unit=2, semicircle_panels=16)
-    v1 = t_n(0.3 + 0.2j, ctx, base)
-    v2 = t_n(0.3 + 0.2j, ctx, fine)
-    assert abs(v1 - v2) < base.tol
+    v1 = t_n(0.3 + 0.2j, ctx)
+    v2 = t_n(0.3 + 0.2j, ctx, tol=1e-13)
+    assert abs(v1 - v2) < TOL
 
 
 def test_batched_t_n_matches_scalar():
     ctx = EvalContext(u=0.5, p=3, n=31)
-    g, tol = ctx.gamma.real, QuadratureConfig().tol
+    g, tol = ctx.gamma.real, TOL
     # central points, and points within 1e-3 Re gamma of either strip edge
     z = np.array([0.5, 0.3 + 0.2j, 0.9 - 0.4j,
                   complex(-g / 2 + 1e-3 * g, 0.05), complex(-g / 2 + 5e-4 * g, -0.1),
@@ -126,18 +124,22 @@ def test_batched_t_n_matches_scalar():
 def test_unmeetable_tol_names_the_failure():
     ctx = EvalContext(u=0.5, p=2, n=40)
     with pytest.raises(QuadratureError) as info:
-        t_n([0.5, 0.3 + 0.2j], ctx, QuadratureConfig(tol=1e-16))
+        t_n([0.5, 0.3 + 0.2j], ctx, 1e-16)
     message = str(info.value)
     assert "z = (0.5+0j)" in message
     assert "(u, p, N) = (0.5, 2, 40)" in message
     assert "level 3" in message
     assert "best |delta| = " in message
+    with pytest.raises(QuadratureError, match=r"z = \(0\.4\+0\.3j\) at L_0, level 3"):
+        l_k_quadrature(0, 0.4 + 0.3j, 1e-16)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan])
 def test_quadrature_config_requires_positive_tol(tol):
     with pytest.raises(DomainError, match="tol must be positive"):
-        QuadratureConfig(tol=tol)
+        t_n(0.5, EvalContext(u=0.5, p=2, n=40), tol)
+    with pytest.raises(DomainError, match="tol must be positive"):
+        l_k_quadrature(0, 0.4 + 0.3j, tol)
 
 
 def test_e_n_logmag_is_re_t_n():
