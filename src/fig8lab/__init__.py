@@ -20,6 +20,7 @@ from .qdilog import (
     check_shift_identity,
     check_unit_shift,
     e_n,
+    identity_residuals,
     l_k_quadrature,
     t_n,
 )

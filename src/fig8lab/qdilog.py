@@ -9,15 +9,19 @@ representation that survives the sizes reached downstream.  The same driver
 evaluates the N-free integrals behind L_0, L_1, L_2, to cross-check the
 closed forms of numkernel.
 
-One batched driver serves every z.  Each ray is cut where the analytic tail
-bound drops below tol and covered by Gauss panels graded to the integrand
-(see _RATE_WIDTH), so a point near the strip edge, whose ray is long, needs
-few of them.  The nodes of all points are evaluated in one numpy call per ray
-and level and summed back per point.  Refinement level k splits each graded
-ray panel into 2^k Gauss panels and the semicircle into 8 * 2^k.  Level 0 is
-followed by levels 1, 2, 3 until a point moves by less than tol (at most 3
-refinements); only unconverged points go on.  tol (default TOL) is the one
-accuracy setting: it also sets where each ray is cut.
+One batched driver serves every z, and one call of it takes points of any
+(u, p, N): t_n accepts one context per point, and identity_residuals checks
+all three functional equations of E_N for a list of samples with one t_n
+call.  Each ray is cut where the analytic tail bound drops below tol and
+covered by Gauss panels graded to the integrand (see _RATE_WIDTH), so a point
+near the strip edge, whose ray is long, needs few of them.  The ray nodes of
+all points are evaluated in blocks of at most _BLOCK_NODES, so memory stays
+bounded however large the batch, and summed back per point; points with the
+same integrand share the semicircle nodes.  Refinement level k splits each
+graded ray panel into 2^k Gauss panels and the semicircle into 8 * 2^k.
+Level 0 is followed by levels 1, 2, 3 until a point moves by less than tol
+(at most 3 refinements); only unconverged points go on.  tol (default TOL) is
+the one accuracy setting: it also sets where each ray is cut.
 
 Poles of the T_N integrand sit at k pi i (from sinh x) and at the zeros of
 sinh(gamma x), i.e. x = -2 k N pi^2 / xi; for admissible (u, p, N) both
@@ -87,6 +91,10 @@ class EvalContext:
 # Batched panel quadrature
 # ---------------------------------------------------------------------------
 
+# Ray nodes evaluated at once, so that a large batch keeps its temporaries small.
+_BLOCK_NODES = 16_384
+
+
 def _tail_abscissa(nu: np.ndarray, tol: float) -> np.ndarray:
     """Truncation points X with integral_X^oo 4 e^{-nu x}/x dx safely < tol."""
     x = (np.log(40.0 / (tol * nu)) + 4.0) / nu
@@ -94,12 +102,13 @@ def _tail_abscissa(nu: np.ndarray, tol: float) -> np.ndarray:
     return np.maximum(x, 10.0)
 
 
-def _ray_sums(x_end, cap, rate, split: int, ray) -> np.ndarray:
-    """Per-point Gauss sums of e^{rate x} ray(x) over graded panels of [1, x_end].
+def _ray_sums(x_end, cap, rate, key, split: int, ray) -> np.ndarray:
+    """Per-point Gauss sums of e^{rate x} ray(x, key) over graded panels of [1, x_end].
 
     The panel edges are 2^j until a panel would be wider than the point's
     cap, then evenly spaced by cap.  Each panel is split into `split` equal
-    Gauss panels.
+    Gauss panels.  The panels are evaluated in blocks of at most _BLOCK_NODES
+    nodes and at least two panels, since BLAS sums a lone row in another order.
     """
     k = np.maximum(np.ceil(np.log2(cap)), 0.0)
     x_k = 2.0 ** k
@@ -107,28 +116,37 @@ def _ray_sums(x_end, cap, rate, split: int, ray) -> np.ndarray:
                      k + np.ceil((x_end - x_k) / cap)).astype(np.int64)
     owner = np.repeat(np.arange(count.size), count)
     j = np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
-    k, cap, x_end = k[owner], cap[owner], x_end[owner]
+    k, cap, x_end, rate, key = k[owner], cap[owner], x_end[owner], rate[owner], key[owner]
 
     def edge(i):
         return np.minimum(2.0 ** np.minimum(i, k) + np.maximum(i - k, 0.0) * cap, x_end)
 
     left = edge(j)
     half = (edge(j + 1) - left) / (2 * split)
-    mid = left[:, None] + half[:, None] * np.arange(1, 2 * split, 2)
-    nodes = (mid[:, :, None] + half[:, None, None] * _GAUSS_X).ravel()
-    values = np.exp(np.repeat(rate, count * split * _GAUSS_X.size) * nodes) * ray(nodes)
-    panels = half * np.dot(values.reshape(left.size, -1), np.tile(_GAUSS_W, split))
+    weights = np.tile(_GAUSS_W, split)
+    step = max(_BLOCK_NODES // weights.size, 2)
+    starts = list(range(0, left.size, step))
+    if left.size - starts[-1] == 1 and len(starts) > 1:
+        starts.pop()                    # no lone last panel
+    panels = np.empty(left.size, dtype=complex)
+    for lo, hi in zip(starts, starts[1:] + [left.size]):
+        b = slice(lo, hi)
+        mid = left[b, None] + half[b, None] * np.arange(1, 2 * split, 2)
+        nodes = mid[:, :, None] + half[b, None, None] * _GAUSS_X
+        values = np.exp(rate[b, None, None] * nodes) * ray(nodes, key[b, None, None])
+        panels[b] = half[b] * np.dot(values.reshape(hi - lo, -1), weights)
     return np.add.reduceat(panels, np.cumsum(count) - count)
 
 
-def _contour(z: np.ndarray, gamma: complex, tol: float, ray, circ,
-             neg_sign: float, where: str) -> np.ndarray:
+def _contour(z, gamma, sign, key, tol: float, ray, circ, where) -> np.ndarray:
     """Per-point integrals along Omega, with the per-point two-level check.
 
-    The integrand is e^{(2z-1) x} circ(x) on the semicircle.  On the rays it
-    is rewritten as e^{(2z-2-gamma) x} ray(x) on [1, oo), and as
-    neg_sign e^{-(2z+gamma) x} ray(x) on the negative ray mirrored onto
-    [1, oo) (gamma = 0 for the L_k integrals).
+    Every argument but tol, ray, circ and where is a per-point array, so one
+    call takes points of any integrand.  The integrand is e^{(2z-1) x}
+    circ(x, key) on the semicircle.  On the rays it is rewritten as
+    e^{(2z-2-gamma) x} ray(x, key) on [1, oo), and as sign e^{-(2z+gamma) x}
+    ray(x, key) on the negative ray mirrored onto [1, oo) (gamma = 0 for the
+    L_k integrals).  where(i) names point i in an error.
     """
     if not tol > 0.0:
         raise DomainError(f"quadrature tol must be positive, got {tol}")
@@ -136,25 +154,28 @@ def _contour(z: np.ndarray, gamma: complex, tol: float, ray, circ,
         return np.zeros(0, dtype=complex)
     rates = (2.0 * z - 2.0 - gamma, -(2.0 * z + gamma))
     ends = [_tail_abscissa(-rate.real, tol) for rate in rates]
-    far = (ends[0] > _MAX_TAIL) | (ends[1] > _MAX_TAIL)
-    if far.any():
-        raise QuadratureError(f"tail cutoff exceeds {_MAX_TAIL:.3g}: z = {z[far][0]} "
-                              f"too close to the strip edge at {where}")
-    caps = [_RATE_WIDTH / (np.abs(rate) + abs(gamma.imag)) for rate in rates]
+    far = np.flatnonzero((ends[0] > _MAX_TAIL) | (ends[1] > _MAX_TAIL))
+    if far.size:
+        raise QuadratureError(f"tail cutoff exceeds {_MAX_TAIL:.3g}: z = {z[far[0]]} "
+                              f"too close to the strip edge at {where(far[0])}")
+    caps = [_RATE_WIDTH / (np.abs(rate) + np.abs(gamma.imag)) for rate in rates]
+    signs = (np.ones(z.size), sign)
 
     def evaluate(level: int, idx: np.ndarray) -> np.ndarray:
         total = np.zeros(idx.size, dtype=complex)
-        for sign, rate, end, cap in zip((1.0, neg_sign), rates, ends, caps):
-            total += sign * _ray_sums(end[idx], cap[idx], rate[idx], 1 << level, ray)
-        # points with the same panel count share the semicircle nodes x = e^{it}
+        for s, rate, end, cap in zip(signs, rates, ends, caps):
+            total += s[idx] * _ray_sums(end[idx], cap[idx], rate[idx], key[idx], 1 << level, ray)
         n_circ = np.maximum(np.ceil(np.abs(2.0 * z[idx] - 1.0)).astype(int), 8 << level)
-        for n in set(n_circ.tolist()):  # np.unique would import numpy.ma, 10-20 ms
+        keys = key[idx]
+        # points with the same panel count and key share the semicircle nodes
+        # x = e^{it} and one matrix product (np.unique would import numpy.ma, 10-20 ms)
+        for n, g in set(zip(n_circ.tolist(), keys.tolist())):
             half = 0.5 * math.pi / n
             x = np.exp(1j * half * (2 * np.arange(n)[:, None] + 1 + _GAUSS_X).ravel())
-            sel = n_circ == n
+            sel = (n_circ == n) & (keys == g)
             # the semicircle runs t: pi -> 0, and dx = i x dt
             total[sel] -= np.dot(np.exp(np.outer(2.0 * z[idx[sel]] - 1.0, x)),
-                                 1j * x * np.tile(half * _GAUSS_W, n) * circ(x))
+                                 1j * x * np.tile(half * _GAUSS_W, n) * circ(x, g))
         return total
 
     active = np.arange(z.size)
@@ -170,7 +191,7 @@ def _contour(z: np.ndarray, gamma: complex, tol: float, ray, circ,
             return value
     i = active[0]
     raise QuadratureError(
-        f"quadrature failed to meet tol at maximum refinement: z = {z[i]} at {where}, "
+        f"quadrature failed to meet tol at maximum refinement: z = {z[i]} at {where(i)}, "
         f"level {level}, best |delta| = {best[i]:.3g} >= tol = {tol:.3g}"
     )
 
@@ -179,31 +200,41 @@ def _contour(z: np.ndarray, gamma: complex, tol: float, ray, circ,
 # Public surface
 # ---------------------------------------------------------------------------
 
-def t_n(z, ctx: EvalContext, tol: float = TOL):
+def _named(ctx: EvalContext) -> str:
+    return f"(u, p, N) = ({ctx.u}, {ctx.p}, {ctx.n})"
+
+
+def _t_ray(x, gamma):
+    # 1/sinh factored as 2 e^{-x}/(1-e^{-2x}) to avoid overflow on the ray
+    return 4.0 / (x * (1.0 - np.exp(-2.0 * x)) * (1.0 - np.exp(-2.0 * gamma * x)))
+
+
+def _t_circ(x, gamma):
+    return 1.0 / (x * np.sinh(x) * np.sinh(gamma * x))
+
+
+def t_n(z, ctx, tol: float = TOL):
     """Quantum dilogarithm T_N(z) on -p/(2N) < Re z < 1 + p/(2N).
 
-    z is a complex scalar (a complex is returned) or an array of points at
-    the same (u, p, N), integrated in one batched quadrature (an array of
-    the same shape is returned).
+    z is a complex scalar (a complex is returned) or an array of points,
+    integrated in one batched quadrature (an array of the same shape is
+    returned).  ctx is one EvalContext for every point, or a sequence of
+    them, one per point of z in flattened order.
     """
-    half_gamma = 0.5 * ctx.p / ctx.n
-    gamma = ctx.gamma
-
-    def ray(x):
-        # 1/sinh factored as 2 e^{-x}/(1-e^{-2x}) to avoid overflow on the ray
-        return 4.0 / (x * (1.0 - np.exp(-2.0 * x)) * (1.0 - np.exp(-2.0 * gamma * x)))
-
-    def circ(x):
-        return 1.0 / (x * np.sinh(x) * np.sinh(gamma * x))
-
     zs = np.asarray(z, dtype=complex)
     flat = zs.ravel()
-    outside = ~((-half_gamma < flat.real) & (flat.real < 1.0 + half_gamma))
-    if outside.any():
-        raise DomainError(f"Re z = {flat[outside][0].real} outside convergence strip "
-                          f"(-{half_gamma}, {1 + half_gamma})")
-    values = 0.25 * _contour(flat, gamma, tol, ray, circ, -1.0,
-                             f"(u, p, N) = ({ctx.u}, {ctx.p}, {ctx.n})")
+    ctxs = [ctx] * flat.size if isinstance(ctx, EvalContext) else list(ctx)
+    if len(ctxs) != flat.size:
+        raise DomainError(f"{len(ctxs)} contexts for {flat.size} points")
+    gamma = np.array([c.gamma for c in ctxs], dtype=complex)
+    half_gamma = 0.5 * gamma.real
+    outside = np.flatnonzero(~((-half_gamma < flat.real) & (flat.real < 1.0 + half_gamma)))
+    if outside.size:
+        i = outside[0]
+        raise DomainError(f"Re z = {flat[i].real} outside convergence strip "
+                          f"(-{half_gamma[i]}, {1 + half_gamma[i]}) at {_named(ctxs[i])}")
+    values = 0.25 * _contour(flat, gamma, np.full(flat.size, -1.0), gamma, tol,
+                             _t_ray, _t_circ, lambda i: _named(ctxs[i]))
     return complex(values[0]) if zs.ndim == 0 else values.reshape(zs.shape)
 
 
@@ -218,46 +249,55 @@ def e_n_ratio(num: complex, den: complex, ctx: EvalContext, tol: float = TOL) ->
     return t_num - t_den
 
 
-def l_k_quadrature(k: int, z: complex, tol: float = TOL) -> complex:
-    """L_k(z) by direct contour quadrature, k in {0, 1, 2}, 0 < Re z < 1."""
-    if k not in (0, 1, 2):
-        raise DomainError(f"k must be 0, 1 or 2, got {k}")
-    z = complex(z)
-    if not 0.0 < z.real < 1.0:
-        raise DomainError(f"Re z = {z.real} outside (0, 1)")
+_LK_PREFACTOR = np.array([1.0, -0.5, 0.5j * math.pi])
 
-    def ray(x):
-        return 2.0 / (x ** k * (1.0 - np.exp(-2.0 * x)))
 
-    def circ(x):
-        return 1.0 / (x ** k * np.sinh(x))
+def l_k_quadrature(k, z, tol: float = TOL):
+    """L_k(z) by direct contour quadrature, k in {0, 1, 2}, 0 < Re z < 1.
 
-    prefactor = {0: 1.0, 1: -0.5, 2: 0.5j * math.pi}[k]
+    k and z are scalars (a complex is returned) or broadcastable arrays,
+    integrated in one batched quadrature (an array is returned).
+    """
+    ks, zs = np.broadcast_arrays(np.asarray(k), np.asarray(z, dtype=complex))
+    for k_i, z_i in zip(ks.flat, zs.flat):
+        if k_i not in (0, 1, 2):
+            raise DomainError(f"k must be 0, 1 or 2, got {k_i}")
+        if not 0.0 < z_i.real < 1.0:
+            raise DomainError(f"Re z = {z_i.real} outside (0, 1)")
+    ks, flat = ks.ravel().astype(int), zs.ravel()
+
+    # the integrands take a point's index: each point is its own semicircle
+    # group, summed by the one-row product of a single-point call
+    def ray(x, i):
+        return 2.0 / (np.choose(ks[i], (1.0, x, x * x)) * (1.0 - np.exp(-2.0 * x)))
+
+    def circ(x, i):
+        return 1.0 / (x ** int(ks[i]) * np.sinh(x))
+
     # on the negative ray x^k flips sign for odd k
-    value = _contour(np.array([z]), 0j, tol, ray, circ, -(-1.0) ** k, f"L_{k}")
-    return prefactor * complex(value[0])
+    values = _LK_PREFACTOR[ks] * _contour(flat, np.zeros(flat.size, dtype=complex),
+                                           -(-1.0) ** ks, np.arange(flat.size), tol,
+                                           ray, circ, lambda i: f"L_{ks[i]}")
+    return complex(values[0]) if zs.ndim == 0 else values.reshape(zs.shape)
 
 
 # ---------------------------------------------------------------------------
 # Functional-equation residuals
 # ---------------------------------------------------------------------------
 
-def check_shift_identity(z: complex, ctx: EvalContext, tol: float = TOL) -> float:
-    """Residual of E_N(z - gamma/2) / E_N(z + gamma/2) = 1 - e^{2 pi i z}."""
-    z = complex(z)
+def _shift_terms(z: complex, ctx: EvalContext):
+    """E_N(z - gamma/2) / E_N(z + gamma/2) = 1 - e^{2 pi i z}."""
     if not 0.0 < z.real < 1.0:
         raise DomainError("shift identity requires 0 < Re z < 1")
     rhs = lc_one_minus_exp(2j * math.pi * z)
     if rhs.real < -7.0:
         raise DomainError("z too close to an integer: identity RHS vanishes")
     half = 0.5 * ctx.gamma
-    lhs = e_n_ratio(z - half, z + half, ctx, tol)
-    return abs(cmath.exp(lhs - rhs) - 1.0)
+    return rhs, z - half, z + half
 
 
-def check_gamma_half(w: complex, ctx: EvalContext, tol: float = TOL) -> float:
-    """Residual of E_N(w+gamma/2)/E_N(w-gamma/2+1) = (1-e^{2 pi i w/gamma})/(1-e^{2 pi i w})."""
-    w = complex(w)
+def _gamma_half_terms(w: complex, ctx: EvalContext):
+    """E_N(w+gamma/2)/E_N(w-gamma/2+1) = (1-e^{2 pi i w/gamma})/(1-e^{2 pi i w})."""
     gamma = ctx.gamma
     if not abs(w.real) < gamma.real:
         raise DomainError("gamma/2 identity requires |Re w| < Re gamma")
@@ -266,17 +306,55 @@ def check_gamma_half(w: complex, ctx: EvalContext, tol: float = TOL) -> float:
         raise DomainError("identity denominator 1 - e^{2 pi i w} vanishes")
     rhs = lc_one_minus_exp(2j * math.pi * w / gamma) - denom
     half = 0.5 * gamma
-    lhs = e_n_ratio(w + half, w - half + 1.0, ctx, tol)
-    return abs(cmath.exp(lhs - rhs) - 1.0)
+    return rhs, w + half, w - half + 1.0
 
 
-def check_unit_shift(z: complex, ctx: EvalContext, tol: float = TOL) -> float:
-    """Residual of E_N(z)/E_N(z+1) = 1 + e^{2 pi i z/gamma}."""
-    z = complex(z)
+def _unit_shift_terms(z: complex, ctx: EvalContext):
+    """E_N(z)/E_N(z+1) = 1 + e^{2 pi i z/gamma}."""
     gamma = ctx.gamma
     if not abs(z.real) < 0.5 * gamma.real:
         raise DomainError("unit shift identity requires |Re z| < Re gamma / 2")
     # 1 + e^v = 1 - e^{v + i pi}
-    rhs = lc_one_minus_exp(2j * math.pi * z / gamma + 1j * math.pi)
-    lhs = e_n_ratio(z, z + 1.0, ctx, tol)
-    return abs(cmath.exp(lhs - rhs) - 1.0)
+    return lc_one_minus_exp(2j * math.pi * z / gamma + 1j * math.pi), z, z + 1.0
+
+
+# each kind maps (z, ctx) to (log of the right-hand side, numerator, denominator)
+_IDENTITIES = {"shift": _shift_terms, "gamma_half": _gamma_half_terms,
+               "unit_shift": _unit_shift_terms}
+
+
+def identity_residuals(samples, tol: float = TOL) -> list[float]:
+    """Residuals |E_N(num) / E_N(den) / rhs - 1| of (kind, z, ctx) samples.
+
+    kind is "shift", "gamma_half" or "unit_shift".  Every sample's domain is
+    checked, in order, before one t_n call integrates all their points.
+    """
+    rhs, points, ctxs = [], [], []
+    for kind, z, ctx in samples:
+        if kind not in _IDENTITIES:
+            raise DomainError(f"unknown identity {kind!r}")
+        try:
+            r, num, den = _IDENTITIES[kind](complex(z), ctx)
+        except DomainError as exc:
+            raise DomainError(f"{exc}: z = {complex(z)} at {_named(ctx)}") from None
+        rhs.append(r)
+        points += [num, den]
+        ctxs += [ctx, ctx]
+    t = t_n(np.array(points, dtype=complex), ctxs, tol)
+    return [abs(cmath.exp(t_num - t_den - r) - 1.0)
+            for r, t_num, t_den in zip(rhs, t[0::2], t[1::2])]
+
+
+def check_shift_identity(z: complex, ctx: EvalContext, tol: float = TOL) -> float:
+    """Residual of E_N(z - gamma/2) / E_N(z + gamma/2) = 1 - e^{2 pi i z}."""
+    return identity_residuals([("shift", z, ctx)], tol)[0]
+
+
+def check_gamma_half(w: complex, ctx: EvalContext, tol: float = TOL) -> float:
+    """Residual of E_N(w+gamma/2)/E_N(w-gamma/2+1) = (1-e^{2 pi i w/gamma})/(1-e^{2 pi i w})."""
+    return identity_residuals([("gamma_half", w, ctx)], tol)[0]
+
+
+def check_unit_shift(z: complex, ctx: EvalContext, tol: float = TOL) -> float:
+    """Residual of E_N(z)/E_N(z+1) = 1 + e^{2 pi i z/gamma}."""
+    return identity_residuals([("unit_shift", z, ctx)], tol)[0]

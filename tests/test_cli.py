@@ -171,6 +171,10 @@ def test_lemmas_unmeetable_tol_exits_3(capsys):
     assert "failed to meet tol" in err
     for field in ("z = ", "(u, p, N) = ", "level 3", "best |delta| = "):
         assert field in err
+    # the first identity row already misses 1e-16, so the error names its context
+    _, out, _ = run(["lemmas", "--samples", "5"], capsys)
+    first = json.loads(out.splitlines()[1])
+    assert f"(u, p, N) = ({first['u']}, {first['p']}, {first['N']})" in err
 
 
 def test_lemmas_tol_reaches_the_l_k_rows(capsys):

@@ -16,9 +16,11 @@ from fig8lab.qdilog import (
     check_shift_identity,
     check_unit_shift,
     e_n,
+    identity_residuals,
     l_k_quadrature,
     t_n,
 )
+from fig8lab import jones, qdilog
 
 CLOSED = {0: l0_closed, 1: l1_closed, 2: l2_closed}
 
@@ -121,6 +123,80 @@ def test_batched_t_n_matches_scalar():
     assert t_n(np.array([]), ctx).shape == (0,)
 
 
+def _fails_alone(quadrature, *args):
+    """Whether a single-point call misses tol = 1e-16."""
+    try:
+        quadrature(*args, 1e-16)
+    except QuadratureError:
+        return True
+    return False
+
+
+def _edge_points(ctx, frac):
+    """Points frac Re gamma inside either strip edge."""
+    g = ctx.gamma.real
+    return [complex(-g / 2 + frac * g, 0.05), complex(1 + g / 2 - frac * g, -0.1)]
+
+
+_BATCH_CONTEXTS = (EvalContext(u=0.5, p=3, n=31), EvalContext(u=0.3, p=2, n=17),
+                   EvalContext(u=0.7, p=5, n=40))
+
+
+def test_t_n_batch_across_contexts_is_bit_equal():
+    per_ctx = {ctx: [0.3 + 0.2j] + _edge_points(ctx, 1e-3) + _edge_points(ctx, 5e-3)
+               for ctx in _BATCH_CONTEXTS}
+    # interleaved, so that each point's neighbours belong to other contexts
+    points = [(zs[i], ctx) for i in range(5) for ctx, zs in per_ctx.items()]
+    batch = t_n([z for z, _ in points], [ctx for _, ctx in points])
+    alone = {ctx: iter(t_n(zs, ctx)) for ctx, zs in per_ctx.items()}
+    assert np.array_equal(batch, [next(alone[ctx]) for _, ctx in points])
+
+
+def test_t_n_needs_one_context_per_point():
+    with pytest.raises(DomainError, match="2 contexts for 3 points"):
+        t_n([0.5, 0.4, 0.3], _BATCH_CONTEXTS[:2])
+
+
+def test_t_n_strip_error_names_the_point_context():
+    ctx = _BATCH_CONTEXTS[1]
+    with pytest.raises(DomainError, match=r"Re z = -0\.5 .* at \(u, p, N\) = \(0\.3, 2, 17\)"):
+        t_n([0.5, -0.5], [_BATCH_CONTEXTS[0], ctx])
+
+
+@pytest.mark.parametrize("block", [12, 100])
+def test_node_blocks_are_bit_equal(monkeypatch, block):
+    ctx = EvalContext(u=0.5, p=3, n=31)
+    edge = _edge_points(ctx, 1e-3)
+    dec = EvalContext(u=0.5, p=2, n=97)
+    monkeypatch.setattr(qdilog, "_BLOCK_NODES", 10 ** 9)
+    whole = t_n(edge, ctx), jones.decomposition_residual(dec)
+    monkeypatch.setattr(qdilog, "_BLOCK_NODES", block)
+    blocked = t_n(edge, ctx), jones.decomposition_residual(dec)
+    assert np.array_equal(blocked[0], whole[0]) and blocked[1] == whole[1]
+
+
+def test_unmeetable_tol_in_a_batch_names_the_first_failing_point():
+    points = [(z, ctx) for ctx in _BATCH_CONTEXTS for z in (0.5 + 0.1j, 0.2 - 0.3j)]
+    z, ctx = next((z, ctx) for z, ctx in points if _fails_alone(t_n, z, ctx))
+    with pytest.raises(QuadratureError) as info:
+        t_n(np.array([z for z, _ in points]), [c for _, c in points], 1e-16)
+    assert f"z = {np.complex128(z)} at (u, p, N) = ({ctx.u}, {ctx.p}, {ctx.n})," in str(info.value)
+
+
+def test_l_k_batch_is_bit_equal_and_names_the_first_failing_row():
+    k = np.array([2, 0, 1, 1, 2, 0])
+    z = np.array([0.3 + 0.4j, 0.5, 0.06 - 0.9j, 0.94 + 0.99j, 0.7 - 0.2j, 0.2 + 0.8j])
+    alone = [l_k_quadrature(int(k_i), z_i) for k_i, z_i in zip(k, z)]
+    assert np.array_equal(l_k_quadrature(k, z), alone)
+    assert l_k_quadrature(k.reshape(2, 3), z.reshape(2, 3)).shape == (2, 3)
+    first = next(i for i in range(k.size) if _fails_alone(l_k_quadrature, int(k[i]), z[i]))
+    with pytest.raises(QuadratureError) as info:
+        l_k_quadrature(k, z, 1e-16)
+    assert f"z = {z[first]} at L_{k[first]}, level 3" in str(info.value)
+    with pytest.raises(DomainError, match="k must be 0, 1 or 2, got 3"):
+        l_k_quadrature([0, 3], [0.5, 0.5])
+
+
 def test_unmeetable_tol_names_the_failure():
     ctx = EvalContext(u=0.5, p=2, n=40)
     with pytest.raises(QuadratureError) as info:
@@ -180,6 +256,63 @@ def test_gamma_half_examples():
     assert check_gamma_half(ctx.gamma / 4, ctx) <= 1e-7
     with pytest.raises(DomainError):
         check_gamma_half(complex(ctx.gamma.real, 0.1), ctx)
+
+
+def _lemma_samples(seed, count):
+    """(kind, z, ctx) draws over the lemmas grid, as lemmas draws them."""
+    rng = np.random.default_rng(seed)
+    samples = []
+    for kind in ("shift", "gamma_half", "unit_shift"):
+        for _ in range(count):
+            ctx = EvalContext(u=float(rng.choice((0.2, 0.5, 0.9))), p=int(rng.choice((1, 2, 3))),
+                              n=int(rng.choice((31, 40, 97))))
+            g = ctx.gamma.real
+            z = {"shift": lambda: complex(rng.uniform(0.1, 0.9), rng.uniform(-0.5, 0.5)),
+                 "gamma_half": lambda: complex(rng.uniform(0.1, 0.9) * g * rng.choice((-1, 1)),
+                                               rng.uniform(-0.3, 0.3)),
+                 "unit_shift": lambda: complex(rng.uniform(-0.45, 0.45) * g,
+                                               rng.uniform(-0.3, 0.3))}[kind]()
+            samples.append((kind, z, ctx))
+    return samples
+
+
+def test_identity_residuals_equal_the_single_checks():
+    checks = {"shift": check_shift_identity, "gamma_half": check_gamma_half,
+              "unit_shift": check_unit_shift}
+    samples = _lemma_samples(7, 12)
+    samples.insert(5, ("unit_shift", -0.004006817540464774 - 0.05885511384705713j,
+                       EvalContext(u=0.2, p=1, n=97)))
+    residuals = identity_residuals(samples)
+    assert len(residuals) == len(samples)
+    for (kind, z, ctx), residual in zip(samples, residuals):
+        assert residual == checks[kind](z, ctx)
+    assert identity_residuals([]) == []
+
+
+def test_identity_domain_errors_come_before_any_quadrature(monkeypatch):
+    def no_quadrature(*args):
+        raise AssertionError("quadrature ran before the domain checks")
+
+    monkeypatch.setattr(qdilog, "_contour", no_quadrature)
+    ctx = EvalContext(u=0.5, p=1, n=30)
+    samples = [("shift", 0.5 + 0.1j, ctx), ("shift", 1e-9 + 0j, ctx), ("unit_shift", 5.0, ctx)]
+    with pytest.raises(DomainError, match=r"too close to an integer.*z = \(1e-09\+0j\) "
+                                          r"at \(u, p, N\) = \(0\.5, 1, 30\)"):
+        identity_residuals(samples)
+    with pytest.raises(DomainError, match="unknown identity 'swap'"):
+        identity_residuals([("swap", 0.5, ctx)])
+
+
+def test_identity_batch_failure_names_the_first_failing_point():
+    samples = _lemma_samples(0, 2)
+    points = []
+    for kind, z, ctx in samples:
+        _, num, den = qdilog._IDENTITIES[kind](z, ctx)
+        points += [(num, ctx), (den, ctx)]
+    z, ctx = next((z, ctx) for z, ctx in points if _fails_alone(t_n, z, ctx))
+    with pytest.raises(QuadratureError) as info:
+        identity_residuals(samples, 1e-16)
+    assert f"z = {np.complex128(z)} at (u, p, N) = ({ctx.u}, {ctx.p}, {ctx.n})," in str(info.value)
 
 
 def test_unit_shift_at_strip_edge():
