@@ -3,14 +3,18 @@
 Output is machine readable and deterministic: a schema header line followed
 by one record per line (JSON) or CSV rows.  Identical invocations (including
 --seed) produce byte-identical files.  Exit codes: 0 pass, 1 assertion
-failures, 2 bad input (including an --out that cannot be written), 3 numeric
-non-convergence.
+failures, 2 bad input (including an --out that cannot be written, or a flag
+that the chosen mode would not read), 3 numeric non-convergence.
+
+The argument parser is built once per process, on the first call of main,
+and reused by every later call in the same process.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -247,7 +251,14 @@ def cmd_region(args) -> int:
     return EXIT_OK
 
 
+_MODULARITY_U = 0.5
+
+
 def cmd_modularity(args) -> int:
+    if args.zagier and args.u is not None:
+        raise DomainError("--u does not apply with --zagier, the u = 0 experiment")
+    if not args.zagier and args.u is None:
+        args.u = _MODULARITY_U
     eta = ModularMatrix.from_string(args.eta)
     p_list = _parse_list(args.p)
     n_list = _parse_list(args.N_list)
@@ -285,7 +296,14 @@ def cmd_modularity(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on first use.
+
+    Reusing it is safe: parse_args builds a fresh namespace every call, no
+    argument has a mutable default or an append action, and the cmd_*
+    functions look up module globals when they run.
+    """
     parser = argparse.ArgumentParser(
         prog="fig8lab",
         description="Numerical experiments on the colored Jones polynomial "
@@ -337,7 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("modularity", help="quantum-modularity ratio experiments")
     sp.add_argument("--eta", required=True, help="matrix entries a,b,c,d")
-    sp.add_argument("--u", type=float, default=0.5)
+    sp.add_argument("--u", type=float, help=f"default {_MODULARITY_U}; not with --zagier")
     sp.add_argument("--p", default="1,2,3")
     sp.add_argument("--N-list", dest="N_list", default="299,599,899")
     sp.add_argument("--zagier", action="store_true",

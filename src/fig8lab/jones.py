@@ -11,11 +11,15 @@ evaluation points used here (w = 4 N pi^2 / xi has large positive real part).
 Its inner products, the dual value, the beta_{p,m} prefactors and the
 q-factorial identity all use one product, prod_{l=1}^{k} (1-e^{(c-l)w})
 (1-e^{(c+l)w}), from one numpy kernel, log_qpoch: numkernel.log1mexp of
-every factor, then one cumulative sum over the 2k factors.  The outer sum
-is one numkernel.lc_sum, and every value is returned as a complex log (see
-numkernel).  Invariant: the phase of every factor and of every weight
-e^{-kNw} is reduced into (-pi, pi] before it is summed; unreduced phases,
-or pairwise sums of the two factors of each l, cost digits at large N.
+every factor (principal logs from real ufuncs, in blocks of bounded
+scratch), then one cumulative sum over the 2k factors.  The outer sum is
+one numkernel.lc_sum, and every value is returned as a complex log (see
+numkernel).  Invariant: the phase of every factor (the principal value
+log1mexp returns) and of every weight e^{-kNw} (through reduce_phase) lies
+in (-pi, pi] before it is summed; unreduced phases, or pairwise sums of the
+two factors of each l, cost digits at large N.  At the cusp and at roots of
+unity the imaginary part of w is a rational multiple of 2 pi, and the
+phases of the exponents are reduced in exact integers (see _multiples).
 
 The float64 sum cancels.  The benchmark (bench/README.md) measures about
 4.5 digits lost per 1000 N at u = 0.5, p = 2, and 8.9 digits lost at
@@ -41,14 +45,23 @@ from .qdilog import EvalContext, e_n_ratio, t_n
 
 
 def _multiples(e: np.ndarray, w) -> np.ndarray:
-    """The exponents e * w for an integer array e.  A Fraction w = num/den is
-    the root-of-unity exponent 2 pi i num/den: e * num is reduced modulo den
-    in exact integers, so e * w is exactly 0 when den divides e * num.
+    """The exponents e * w for an integer array e.
+
+    w is a complex, or a pair (a, r) of a float a and a Fraction r standing
+    for w = a + 2 pi i r.  For a pair, e * r is reduced modulo 1 in exact
+    integers, so each phase is rounded once however large e is, and e * w
+    is exactly 0 when a = 0 and e * r is an integer.
     """
-    if isinstance(w, Fraction):
-        residues = e.astype(object) * w.numerator % w.denominator
-        return 2j * math.pi / w.denominator * residues.astype(np.float64)
-    return e * complex(w)
+    if not isinstance(w, tuple):
+        return e * complex(w)
+    a, r = w
+    num, den = r.numerator % r.denominator, r.denominator
+    if den > 2 ** 31:                  # keep (e mod den) * num within int64
+        e = e.astype(object)
+    out = np.empty(e.shape, dtype=complex)
+    out.real = e * a
+    out.imag = 2.0 * math.pi / den * (e % den * num % den)
+    return out
 
 
 def log_qpoch(c: int, k: int, w) -> np.ndarray:
@@ -56,10 +69,11 @@ def log_qpoch(c: int, k: int, w) -> np.ndarray:
 
     One cumulative sum runs over the 2k factor logs in the order c+1, c-1,
     c+2, c-2, ...; a vanishing factor gives -inf, which every later entry
-    inherits.  w is a complex exponent or a root-of-unity Fraction.
+    inherits.  w is a complex exponent or a pair (a, r) (see _multiples).
     """
-    e = (c + np.outer(np.arange(1, k + 1), (1, -1))).ravel()
-    return np.concatenate(([0j], np.cumsum(log1mexp(_multiples(e, w)))[1::2]))
+    # no name holds the exponent array, so it is freed before log1mexp allocates
+    logs = log1mexp(_multiples((c + np.outer(np.arange(1, k + 1), (1, -1))).ravel(), w))
+    return np.concatenate(([0j], np.cumsum(logs)[1::2]))
 
 
 def _qpoch(c: int, k: int, w) -> complex:
@@ -75,11 +89,15 @@ def _jones_sum(n: int, w) -> complex:
     return lc_sum(terms)
 
 
-def jones_exp(n: int, w: complex) -> complex:
-    """The complex log of J_n(E; e^w); w is the exponent of the variable q."""
+def jones_exp(n: int, w) -> complex:
+    """The complex log of J_n(E; e^w); w is the exponent of the variable q.
+
+    w is a complex, or a pair (a, r) for a + 2 pi i r with r a Fraction,
+    whose phases are exact (see _multiples).
+    """
     if n < 1:
         raise DomainError("n must be a positive integer")
-    return _jones_sum(n, complex(w))
+    return _jones_sum(n, w)
 
 
 def jones_exp_unity(n: int, num: int, den: int) -> complex:
@@ -91,12 +109,17 @@ def jones_exp_unity(n: int, num: int, den: int) -> complex:
     """
     if n < 1 or den < 1:
         raise DomainError("n and den must be positive integers")
-    return _jones_sum(n, Fraction(num, den))
+    return _jones_sum(n, (0.0, Fraction(num, den)))
 
 
 def jones_at_cusp(ctx: EvalContext) -> complex:
-    """The complex log of J_N(E; e^{xi/N}) for xi = u + 2 p pi i."""
-    return jones_exp(ctx.n, ctx.xi / ctx.n)
+    """The complex log of J_N(E; e^{xi/N}) for xi = u + 2 p pi i.
+
+    xi/N goes in as the pair (u/N, p/N), so that every phase of the sum is
+    reduced modulo 2 pi in exact integers: the weights e^{-kN xi/N} have
+    phase exactly 0, and no phase carries the rounding of 2 p pi/N times k.
+    """
+    return jones_exp(ctx.n, (ctx.u / ctx.n, Fraction(ctx.p, ctx.n)))
 
 
 def jones_dual(ctx: EvalContext) -> complex:

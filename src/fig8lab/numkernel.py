@@ -14,6 +14,13 @@ builds on these primitives, so the conventions are fixed once, here:
 * Li2 has its branch cut on (1, oo); evaluation exactly on the cut is an
   error rather than a silent one-sided value.  Li2 is one series after the
   inversion and reflection reductions, its logs taken with real ufuncs.
+
+log1mexp is the one kernel behind every Jones product (jones.log_qpoch)
+and lc_one_minus_exp.  It takes log(1 - e^w) from real ufuncs (a sin of
+y/2, a sin of y, an atan2 and a hypot per factor), in blocks of bounded
+scratch, and its phase needs no modular reduction.  On long products it
+costs about a third of numpy's complex expm1 and log; on one factor the
+two cost the same, since there the number of ufunc calls sets the time.
 """
 
 from __future__ import annotations
@@ -81,23 +88,71 @@ def lc_sum(logs) -> complex:
     return complex(math.log(abs(acc)) + m, math.atan2(acc.imag, acc.real))
 
 
+# Factors per block of log1mexp: its six rows of float scratch stay at
+# 192 KiB however long the product.
+_FACTOR_BLOCK = 4096
+# Constant operands of the kernel as 0-d arrays: numpy converts a Python
+# float on every call, which costs half again the call on a short array.
+_ZERO, _HALF, _TWO, _MINUS_ONE, _MINUS_PI = (np.array(x) for x in (0.0, 0.5, 2.0, -1.0, -math.pi))
+
+
 def log1mexp(w) -> np.ndarray:
     """log(1 - e^w) elementwise over complex w, stable for any sign of Re w.
 
     Imaginary parts lie in (-pi, pi]; w = 0 gives the exact zero -inf + 0j.
+    The factors go through _log1mexp_block in blocks of _FACTOR_BLOCK.
     """
     w = np.asarray(w, dtype=np.complex128)
-    big = w.real > 0.0
-    # 1 - e^w = e^w (e^{-w} - 1): keep the large factor in the exponent
-    out = np.negative(w, where=big, out=w.copy())
-    np.expm1(out, out=out)
-    np.negative(out, out=out, where=~big)
+    out = np.empty(w.shape, dtype=np.complex128)
+    src, dst = w.ravel(), out.ravel()
+    scratch = np.empty((6, min(src.size, _FACTOR_BLOCK)))
     with np.errstate(divide="ignore"):
-        np.log(out, out=out)
-    np.add(out, w, out=out, where=big)
-    out.imag = reduce_phase(out.imag)
-    out.imag[out.real == -math.inf] = 0.0
+        for lo in range(0, src.size, _FACTOR_BLOCK):
+            hi = lo + _FACTOR_BLOCK
+            rows = scratch if hi <= src.size else scratch[:, :src.size - lo]
+            _log1mexp_block(src[lo:hi], dst[lo:hi], *rows)
+    # a phase within half an ulp above -pi rounds to -pi, outside the interval
+    out.imag[out.imag == _MINUS_PI] = math.pi
     return out
+
+
+def _log1mexp_block(v, o, a, b, c, d, e, f) -> None:
+    """log1mexp of v = r + iy into o, with a..f as float scratch of v's size.
+
+    With S = sin(y/2) and F = e^min(r, 0),
+        1 - e^v = (2 F S^2 - expm1(r)) - i F sin(y)               for r <= 0,
+        1 - e^v = e^r ((2 S^2 + expm1(-r)) - i sin(y))            for r > 0,
+    the second pulling the large factor e^r out of the log.  For r <= 0 the
+    real part is a sum of two terms >= 0; for r > 0 its terms cancel only
+    where |sin(y)| carries the modulus.  The atan2 of the bracket is the
+    phase, with no modular reduction.  sin(y), not 2 S cos(y/2), keeps a
+    subnormal y, and hypot, not a sum of squares, keeps |1 - e^v| ~ 1e-300
+    from underflowing.
+
+    Short products cost one ufunc call per line, so no call writes over its
+    own input: numpy's overlap check would double the cost of a call on a
+    few elements.
+    """
+    r, y = v.real, v.imag
+    np.multiply(y, _HALF, out=a)
+    np.sin(a, out=b)                            # S
+    np.sin(y, out=c)
+    np.minimum(r, _ZERO, out=a)
+    np.exp(a, out=d)                            # F
+    np.multiply(c, d, out=a)                    # F sin(y), the imaginary part negated
+    np.multiply(b, b, out=c)
+    np.multiply(c, d, out=e)
+    np.multiply(e, _TWO, out=b)                 # 2 F S^2
+    np.copysign(r, _MINUS_ONE, out=c)
+    np.expm1(c, out=d)
+    np.copysign(d, r, out=c)                    # expm1(r) for r <= 0, -expm1(-r) else
+    np.subtract(b, c, out=d)                    # the real part
+    np.subtract(_ZERO, a, out=c)                # a zero sine gives +0, so the cut maps to +pi
+    np.arctan2(c, d, out=o.imag)
+    np.hypot(d, a, out=e)
+    np.log(e, out=f)
+    np.maximum(r, _ZERO, out=a)
+    np.add(f, a, out=o.real)
 
 
 def lc_one_minus_exp(w: complex) -> complex:

@@ -14,14 +14,15 @@ One batched driver serves every z, and one call of it takes points of any
 all three functional equations of E_N for a list of samples with one t_n
 call.  Each ray is cut where the analytic tail bound drops below tol and
 covered by Gauss panels graded to the integrand (see _RATE_WIDTH), so a point
-near the strip edge, whose ray is long, needs few of them.  The ray nodes of
-all points are evaluated in blocks of at most _BLOCK_NODES, so memory stays
-bounded however large the batch, and summed back per point; points with the
-same integrand share the semicircle nodes.  Refinement level k splits each
-graded ray panel into 2^k Gauss panels and the semicircle into 8 * 2^k.
-Level 0 is followed by levels 1, 2, 3 until a point moves by less than tol
-(at most 3 refinements); only unconverged points go on.  tol (default TOL) is
-the one accuracy setting: it also sets where each ray is cut.
+near the strip edge, whose ray is long, needs few of them.  Points with the
+same integrand share the semicircle nodes.  The ray nodes of all points, and
+the semicircle rows of each group of points, are evaluated in blocks of at
+most _BLOCK_NODES nodes, so memory stays bounded however large the batch.
+Refinement level k splits each graded ray panel into 2^k Gauss panels and
+the semicircle into 8 * 2^k.  Level 0 is followed by levels 1, 2, 3 until a
+point moves by less than tol (at most 3 refinements); only unconverged
+points go on.  tol (default TOL) is the one accuracy setting: it also sets
+where each ray is cut.
 
 Poles of the T_N integrand sit at k pi i (from sinh x) and at the zeros of
 sinh(gamma x), i.e. x = -2 k N pi^2 / xi; for admissible (u, p, N) both
@@ -107,8 +108,7 @@ def _ray_sums(x_end, cap, rate, key, split: int, ray) -> np.ndarray:
 
     The panel edges are 2^j until a panel would be wider than the point's
     cap, then evenly spaced by cap.  Each panel is split into `split` equal
-    Gauss panels.  The panels are evaluated in blocks of at most _BLOCK_NODES
-    nodes and at least two panels, since BLAS sums a lone row in another order.
+    Gauss panels.  The panels are evaluated in blocks (see _row_blocks).
     """
     k = np.maximum(np.ceil(np.log2(cap)), 0.0)
     x_k = 2.0 ** k
@@ -124,18 +124,25 @@ def _ray_sums(x_end, cap, rate, key, split: int, ray) -> np.ndarray:
     left = edge(j)
     half = (edge(j + 1) - left) / (2 * split)
     weights = np.tile(_GAUSS_W, split)
-    step = max(_BLOCK_NODES // weights.size, 2)
-    starts = list(range(0, left.size, step))
-    if left.size - starts[-1] == 1 and len(starts) > 1:
-        starts.pop()                    # no lone last panel
     panels = np.empty(left.size, dtype=complex)
-    for lo, hi in zip(starts, starts[1:] + [left.size]):
-        b = slice(lo, hi)
+    for b in _row_blocks(left.size, weights.size):
         mid = left[b, None] + half[b, None] * np.arange(1, 2 * split, 2)
         nodes = mid[:, :, None] + half[b, None, None] * _GAUSS_X
         values = np.exp(rate[b, None, None] * nodes) * ray(nodes, key[b, None, None])
-        panels[b] = half[b] * np.dot(values.reshape(hi - lo, -1), weights)
+        panels[b] = half[b] * np.dot(values.reshape(nodes.shape[0], -1), weights)
     return np.add.reduceat(panels, np.cumsum(count) - count)
+
+
+def _row_blocks(rows: int, width: int) -> list[slice]:
+    """Slices covering range(rows), each of at most _BLOCK_NODES // width rows.
+
+    A block holds at least two rows, and no block is a lone last row: BLAS
+    sums a one-row product in another order than a row of a larger one, so
+    the blocks keep every row's sum bit-equal to the unblocked product's.
+    """
+    step = max(_BLOCK_NODES // width, 2)
+    bounds = [0, *range(step, rows - 1, step), rows]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _contour(z, gamma, sign, key, tol: float, ray, circ, where) -> np.ndarray:
@@ -172,10 +179,12 @@ def _contour(z, gamma, sign, key, tol: float, ray, circ, where) -> np.ndarray:
         for n, g in set(zip(n_circ.tolist(), keys.tolist())):
             half = 0.5 * math.pi / n
             x = np.exp(1j * half * (2 * np.arange(n)[:, None] + 1 + _GAUSS_X).ravel())
-            sel = (n_circ == n) & (keys == g)
             # the semicircle runs t: pi -> 0, and dx = i x dt
-            total[sel] -= np.dot(np.exp(np.outer(2.0 * z[idx[sel]] - 1.0, x)),
-                                 1j * x * np.tile(half * _GAUSS_W, n) * circ(x, g))
+            weights = 1j * x * np.tile(half * _GAUSS_W, n) * circ(x, g)
+            rows = np.flatnonzero((n_circ == n) & (keys == g))
+            for b in _row_blocks(rows.size, x.size):
+                sel = rows[b]
+                total[sel] -= np.dot(np.exp(np.outer(2.0 * z[idx[sel]] - 1.0, x)), weights)
         return total
 
     active = np.arange(z.size)

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import fig8lab
+from fig8lab import cli
 from fig8lab.cli import main
 
 
@@ -128,6 +129,54 @@ def test_header_params_are_the_flags_read(capsys):
     _, out, _ = run(["jones", "--u", "0.5", "--p", "2", "--N", "11"], capsys)
     params = parse_jsonl(out)[0]["params"]
     assert params == {"u": 0.5, "p": 2, "N": "11", "step": 1}
+
+
+@pytest.mark.parametrize("argv, params", [
+    (["modularity", "--eta", "0,-1,1,0", "--p", "1", "--N-list", "50,100"],
+     {"eta": "0,-1,1,0", "p": "1", "N_list": "50,100", "u": 0.5, "zagier": False}),
+    (["modularity", "--eta", "0,-1,1,0", "--p", "1", "--N-list", "50,100", "--u", "0.3"],
+     {"eta": "0,-1,1,0", "p": "1", "N_list": "50,100", "u": 0.3, "zagier": False}),
+    (["modularity", "--eta", "0,-1,1,0", "--p", "1", "--N-list", "50,100", "--zagier"],
+     {"eta": "0,-1,1,0", "p": "1", "N_list": "50,100", "zagier": True}),
+], ids=["default-u", "explicit-u", "zagier-has-no-u"])
+def test_modularity_header_records_u_only_where_read(argv, params, capsys):
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert parse_jsonl(out)[0]["params"] == params
+
+
+@pytest.mark.parametrize("u", ["0.5", "0.3"])
+def test_modularity_zagier_refuses_u(u, capsys):
+    # --zagier is the u = 0 experiment: a --u there would be read and ignored
+    code, out, err = run(["modularity", "--eta", "0,-1,1,0", "--zagier", "--u", u,
+                          "--p", "1", "--N-list", "50,100"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--u" in err and "--zagier" in err
+
+
+def test_parser_reuse_leaks_no_state(capsys):
+    # main builds its parser once per process; every later call must print
+    # what the same call prints as the first call of a process
+    theorem = ["theorem", "--u", "0.5", "--p", "2", "--N", "4"]
+    jones = ["jones", "--u", "0.5", "--p", "2", "--N", "11"]
+    sequence = [theorem + ["--allow-noncoprime"], theorem,
+                jones + ["--format", "csv"], jones,
+                ["jones", "--u", "0.5", "--nope"], jones,
+                ["--help"], ["theorem", "--help"], theorem]
+    first = []
+    for argv in sequence:
+        cli._build_parser.cache_clear()
+        first.append(run(argv, capsys))
+    cli._build_parser.cache_clear()
+    assert [run(argv, capsys) for argv in sequence] == first
+    assert cli._build_parser.cache_info().misses == 1
+    codes = [code for code, _, _ in first]
+    assert codes == [0, 0, 0, 0, 2, 0, 0, 0, 0]
+    assert "ratio_re" in parse_jsonl(first[0][1])[1]
+    assert parse_jsonl(first[1][1])[1]["skipped"]
+    assert first[2][1].startswith("# fig8lab/1") and first[3][1].startswith("{")
+    assert "usage: fig8lab" in first[6][1] and "--allow-noncoprime" in first[7][1]
 
 
 def test_theorem_skips_noncoprime(capsys):

@@ -4,10 +4,13 @@ finite-N decomposition / product identities."""
 import cmath
 import math
 import warnings
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fig8lab.numkernel import DomainError, lc_sum
 from fig8lab.qdilog import EvalContext
@@ -20,6 +23,7 @@ from fig8lab.jones import (
     jones_exp,
     jones_exp_unity,
     k_range,
+    log_qpoch,
     product_identity_residual,
 )
 from fig8lab.saddle import phi_m, saddle_data
@@ -98,10 +102,13 @@ def test_cusp_small_case_matches_brute_force():
     assert abs(cmath.exp(jones_at_cusp(ctx)) - brute) <= 1e-12 * abs(brute)
 
 
-@pytest.mark.parametrize("u,p,n,tol", [(0.2, 1, 801, 5e-12), (0.5, 2, 501, 1.5e-10)])
+@pytest.mark.parametrize("u,p,n,tol", [(0.2, 1, 801, 5e-12), (0.5, 2, 501, 1.5e-10),
+                                        (0.5, 2, 301, 1e-12)])
 def test_cusp_matches_mpmath(u, p, n, tol):
-    # the tolerances sit just above the float64 error of a factor-by-factor
-    # product (1.3e-12, 5.2e-11); a kernel that sums unreduced phases misses both
+    # the first two tolerances sit just above the float64 error of a
+    # factor-by-factor product (1.3e-12, 5.2e-11); a kernel that sums
+    # unreduced phases misses both.  The third needs the cusp phases reduced
+    # exactly (3.7e-13): with xi/N rounded to a complex the sum errs by 2.8e-12
     value = jones_at_cusp(EvalContext(u=u, p=p, n=n))
     assert type(value) is complex
     with mp.workdps(40):
@@ -111,6 +118,53 @@ def test_cusp_matches_mpmath(u, p, n, tol):
 
 def test_cusp_trivial():
     assert jones_at_cusp(EvalContext(u=0.5, p=1, n=1)) == 0j
+
+
+# ---------------------------------------------------------------------------
+# the product kernel
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 40), st.integers(0, 40), st.floats(-3.0, 3.0), st.floats(-7.0, 7.0))
+@example(61, 60, 0.5 / 61, 4 * math.pi / 61)            # jones_exp at the cusp (0.5, 2, 61)
+@example(3, 2, 4.0, -9.0 / 4)                            # beta_factor's c = p > k = m
+@example(5, 9, -0.3, 1.1)                                # c <= k: factor l = c vanishes
+@example(7, 7, 0.0, 0.0)
+@example(20, 19, 0.0, 3.5443109969266384)                # e w = 39 w lies near 44 pi i
+def test_log_qpoch_against_mpmath(c, k, re, im):
+    w = complex(re, im)
+    logs = log_qpoch(c, k, w)
+    assert logs.shape == (k + 1,) and logs[0] == 0j
+    eps = 2.0 ** -52
+    with mp.workdps(40):
+        product, budget = mp.mpc(1), 0.0
+        for j in range(1, k + 1):
+            for e in (c + j, c - j):
+                q = mp.exp(e * mp.mpc(w))
+                one_minus_q = -mp.expm1(e * mp.mpc(w))
+                product *= one_minus_q
+                if one_minus_q != 0:
+                    # log1mexp's own bound, 4 eps (1 + |ew| + |q/(1-q)|), plus the
+                    # rounding of the exponent e * w, eps |ew|, amplified by |q/(1-q)|
+                    budget += 4 * eps * (1 + abs(e * w)) * (1 + float(abs(q / one_minus_q)))
+            budget += 2 * eps * abs(logs[j])                # the cumulative sum's rounding
+            if product == 0:
+                assert logs[j].real == -math.inf
+                continue
+            diff = mp.mpc(logs[j]) - mp.log(product)
+            diff = mp.mpc(diff.real, (diff.imag + mp.pi) % (2 * mp.pi) - mp.pi)
+            assert abs(diff) <= budget
+
+
+def test_log_qpoch_vanishing_root_of_unity_factor_is_exact():
+    # q = e^{2 pi i/5}: the factor 1 - q^{c-l} at l = 2 has exponent 5, so q^5 = 1
+    # exactly, and every entry from j = 2 on is the exact zero
+    logs = log_qpoch(7, 4, (0.0, Fraction(1, 5)))
+    assert list(logs.real[2:]) == [-math.inf] * 3
+    with mp.workdps(30):
+        q = mp.expjpi(mp.mpf(2) / 5)
+        ref = (1 - q ** 8) * (1 - q ** 6)
+        assert abs(mp.expm1(mp.mpc(logs[1]) - mp.log(ref))) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +285,8 @@ def test_product_identity_k_domain():
 # ---------------------------------------------------------------------------
 
 def test_unity_path_matches_generic():
-    for (n, num, den) in ((5, 1, 7), (6, 3, 11), (8, -2, 13)):
+    # the last denominator takes the exact-integer path past int64 products
+    for (n, num, den) in ((5, 1, 7), (6, 3, 11), (8, -2, 13), (7, 3, 2 ** 31 + 11)):
         a = cmath.exp(jones_exp_unity(n, num, den))
         b = cmath.exp(jones_exp(n, 2j * math.pi * num / den))
         assert abs(a - b) <= 1e-11 * abs(b)

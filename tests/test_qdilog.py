@@ -1,6 +1,7 @@
 """Contour-quadrature tests for the quantum dilogarithm and its identities."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,6 +174,37 @@ def test_node_blocks_are_bit_equal(monkeypatch, block):
     monkeypatch.setattr(qdilog, "_BLOCK_NODES", block)
     blocked = t_n(edge, ctx), jones.decomposition_residual(dec)
     assert np.array_equal(blocked[0], whole[0]) and blocked[1] == whole[1]
+
+
+def _strip_points(count):
+    rng = np.random.default_rng(0)
+    return rng.uniform(0.05, 0.95, count) + 1j * rng.uniform(-0.5, 0.5, count)
+
+
+@pytest.mark.parametrize("block", [1, 500])
+def test_semicircle_row_blocks_are_bit_equal(monkeypatch, block):
+    # 41 points of one context share each semicircle; block 1 gives two-row
+    # blocks and a three-row last one, block 500 blocks of five rows and more
+    ctx = EvalContext(u=0.5, p=2, n=40)
+    z = _strip_points(41)
+    monkeypatch.setattr(qdilog, "_BLOCK_NODES", 10 ** 9)
+    whole = t_n(z, ctx, 1e-13)
+    monkeypatch.setattr(qdilog, "_BLOCK_NODES", block)
+    assert np.array_equal(t_n(z, ctx, 1e-13), whole)
+
+
+def test_many_points_of_one_context_keep_memory_bounded():
+    # unblocked semicircle rows peaked at 12.7 MB here (3.2 MB for 500 points)
+    ctx = EvalContext(u=0.5, p=2, n=40)
+    z = _strip_points(2000)
+    t_n(z[:3], ctx, 1e-13)                  # Gauss rules and imports outside the trace
+    tracemalloc.start()
+    try:
+        t_n(z, ctx, 1e-13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
 
 
 def test_unmeetable_tol_in_a_batch_names_the_first_failing_point():
