@@ -4,7 +4,11 @@ Output is machine readable and deterministic: a schema header line followed
 by one record per line (JSON) or CSV rows.  Identical invocations (including
 --seed) produce byte-identical files.  Exit codes: 0 pass, 1 assertion
 failures, 2 bad input (including an --out that cannot be written, or a flag
-that the chosen mode would not read), 3 numeric non-convergence.
+that the chosen mode would not read, such as a --step other than 1 with a
+--N that is not a range lo..hi), 3 numeric non-convergence.
+
+theorem computes the ratio at every N of its sweep: the theorem assumes no
+coprimality of p and N, so N with gcd(p, N) > 1 are not skipped.
 
 The argument parser is built once per process, on the first call of main,
 and reused by every later call in the same process.
@@ -18,7 +22,6 @@ import functools
 import json
 import math
 import sys
-from math import gcd
 
 import numpy as np
 
@@ -31,7 +34,7 @@ from .qdilog import (
     l_k_quadrature,
 )
 from .jones import jones_at_cusp
-from .saddle import asymptotic_ratio, f_zero_value, kappa, saddle_data
+from .saddle import asymptotic_ratio, f_zero_value, saddle_data
 from .region import (
     c_pm,
     c_pm_derivative_bound,
@@ -110,6 +113,8 @@ def _parse_n_range(text: str, step: int) -> list[int]:
         values = list(range(int(lo), int(hi) + 1, step))
         if not values:
             raise DomainError(f"--N range {text} is empty: its end lies below its start")
+    elif step != 1:
+        raise DomainError(f"--step {step} applies only to a range --N lo..hi, got --N {text}")
     else:
         values = _parse_list(text)
     if min(values) < 1:
@@ -137,12 +142,7 @@ def cmd_theorem(args) -> int:
     n_values = _parse_n_range(args.N, args.step)
 
     def one(n):
-        if gcd(args.p, n) != 1 and not args.allow_noncoprime:
-            return {"N": n, "skipped": True, "reason": f"gcd(p,N)={gcd(args.p, n)}"}
-        ratio = asymptotic_ratio(
-            EvalContext(u=args.u, p=args.p, n=n),
-            allow_noncoprime=args.allow_noncoprime,
-        )
+        ratio = asymptotic_ratio(EvalContext(u=args.u, p=args.p, n=n))
         return {"N": n, "u": args.u, "p": args.p,
                 "ratio_re": ratio.real, "ratio_im": ratio.imag,
                 "abs_ratio_minus_1": abs(ratio - 1.0)}
@@ -209,7 +209,7 @@ def _inequality_rows():
                 rows.append({"check": "f_p12", "u": u, "p": p, "m": m,
                              "margin": margin, "pass": margin > 0.0})
     for name, value, expected, tol in (
-        ("kappa", kappa(), 0.962424, 1e-6),
+        ("kappa", KAPPA, 0.962424, 1e-6),
         ("c_10_kappa", c_pm(KAPPA, 1, 0), -14.9942, 5e-3),
         ("c_pm_derivative_bound", c_pm_derivative_bound(), -18.274, 5e-3),
     ):
@@ -264,14 +264,15 @@ def cmd_modularity(args) -> int:
     n_list = _parse_list(args.N_list)
     records = []
     if args.zagier:
+        bd_constant = bettin_drappeau_c(eta)
         for p in p_list:
             for n in n_list:
                 records.append({
                     "eta": str(eta), "p": p, "N": n,
                     "lhs": _log_parts(zagier_lhs(eta, p, n)),
                     "rhs": _log_parts(zagier_rhs(eta, p, n)),
-                    "bd_constant_re": bettin_drappeau_c(eta).real,
-                    "bd_constant_im": bettin_drappeau_c(eta).imag,
+                    "bd_constant_re": bd_constant.real,
+                    "bd_constant_im": bd_constant.imag,
                 })
         header = _header("modularity-zagier", args)
     else:
@@ -315,21 +316,21 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", help="output file (default: stdout)")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
 
+    def n_sweep(sp):
+        sp.add_argument("--u", type=float, required=True)
+        sp.add_argument("--p", type=int, required=True)
+        sp.add_argument("--N", required=True, help="single N, list, or range lo..hi")
+        sp.add_argument("--step", type=int, default=1,
+                        help="stride of a range --N lo..hi; only a range takes one")
+        output(sp)
+
     sp = sub.add_parser("jones", help="evaluate J_N(E;e^{xi/N})")
-    sp.add_argument("--u", type=float, required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--N", required=True, help="single N, list, or range lo..hi")
-    sp.add_argument("--step", type=int, default=1)
-    output(sp)
+    n_sweep(sp)
     sp.set_defaults(func=cmd_jones)
 
-    sp = sub.add_parser("theorem", help="sweep the main-asymptotics ratio")
-    sp.add_argument("--u", type=float, required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--N", required=True)
-    sp.add_argument("--step", type=int, default=1)
-    sp.add_argument("--allow-noncoprime", action="store_true")
-    output(sp)
+    sp = sub.add_parser("theorem", help="sweep the main-asymptotics ratio over N; every N "
+                                        "is computed, gcd(p, N) > 1 included")
+    n_sweep(sp)
     sp.set_defaults(func=cmd_theorem)
 
     sp = sub.add_parser("lemmas", help="identity and inequality residual suite")

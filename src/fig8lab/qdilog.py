@@ -247,11 +247,6 @@ def t_n(z, ctx, tol: float = TOL):
     return complex(values[0]) if zs.ndim == 0 else values.reshape(zs.shape)
 
 
-def e_n(z: complex, ctx: EvalContext) -> complex:
-    """The complex log of E_N(z) = exp(T_N(z)), that is T_N at one point."""
-    return t_n(complex(z), ctx)
-
-
 def e_n_ratio(num: complex, den: complex, ctx: EvalContext, tol: float = TOL) -> complex:
     """The complex log of E_N(num) / E_N(den), both T_N values from one batched call."""
     t_num, t_den = t_n([num, den], ctx, tol)
@@ -354,16 +349,10 @@ def identity_residuals(samples, tol: float = TOL) -> list[float]:
             for r, t_num, t_den in zip(rhs, t[0::2], t[1::2])]
 
 
-def check_shift_identity(z: complex, ctx: EvalContext, tol: float = TOL) -> float:
-    """Residual of E_N(z - gamma/2) / E_N(z + gamma/2) = 1 - e^{2 pi i z}."""
-    return identity_residuals([("shift", z, ctx)], tol)[0]
-
-
-def check_gamma_half(w: complex, ctx: EvalContext, tol: float = TOL) -> float:
-    """Residual of E_N(w+gamma/2)/E_N(w-gamma/2+1) = (1-e^{2 pi i w/gamma})/(1-e^{2 pi i w})."""
-    return identity_residuals([("gamma_half", w, ctx)], tol)[0]
-
-
 def check_unit_shift(z: complex, ctx: EvalContext, tol: float = TOL) -> float:
-    """Residual of E_N(z)/E_N(z+1) = 1 + e^{2 pi i z/gamma}."""
+    """Residual of E_N(z)/E_N(z+1) = 1 + e^{2 pi i z/gamma}.
+
+    One sample of identity_residuals; the benchmark (bench/workloads.py)
+    calls it for its strip-edge sample.
+    """
     return identity_residuals([("unit_shift", z, ctx)], tol)[0]

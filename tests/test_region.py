@@ -11,10 +11,9 @@ from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
 from fig8lab.numkernel import DomainError
-from fig8lab.qdilog import EvalContext
+from fig8lab.qdilog import KAPPA, EvalContext
 from fig8lab.region import (
     _SCAN_BLOCK,
-    band_endpoints_connected,
     c_pm,
     c_pm_derivative_bound,
     check_f_p12,
@@ -26,7 +25,26 @@ from fig8lab.region import (
     write_grid_csv,
     write_grid_header,
 )
-from fig8lab.saddle import f_values, f_zero_value, kappa, phi_m, phi_m_prime, saddle_data
+from fig8lab.saddle import f_prime, f_values, f_zero_value, phi_m, saddle_data
+
+
+def phi_m_prime(z, m, u, p):
+    """Phi_m'(z) = F'(z - 2 m pi i/xi), the elementary formula, valid up to the U_m boundary."""
+    return f_prime(z - 2j * m * math.pi / complex(u, 2.0 * math.pi * p), u, p)
+
+
+def band_endpoints_connected(grid, lower=False):
+    """Whether b_m^- and b_m^+ fall in one component of R-bar (or R-under).
+
+    The ends are the first band cells in the grid's first and last columns,
+    looked for in the row nearest y = 0 and then in the rows on either side.
+    """
+    labels, _ = label_components(grid.in_runder if lower else grid.in_rbar)
+    iy = int(np.argmin(np.abs(grid.ys)))
+    rows = [r for r in (iy, iy - 1, iy + 1) if 0 <= r < labels.shape[0]]
+    left = next((labels[r, 0] for r in rows if labels[r, 0]), 0)
+    right = next((labels[r, -1] for r in rows if labels[r, -1]), 0)
+    return left != 0 and left == right
 
 
 # ---------------------------------------------------------------------------
@@ -237,15 +255,15 @@ def test_check_f_p12():
 
 
 def test_c_pm_constants():
-    assert c_pm(kappa(), 1, 0) == pytest.approx(-14.9942, abs=5e-3)
+    assert c_pm(KAPPA, 1, 0) == pytest.approx(-14.9942, abs=5e-3)
     assert c_pm_derivative_bound() == pytest.approx(-18.274, abs=5e-3)
     # monotone increasing in m at u = kappa, fixed p
-    values = [c_pm(kappa(), 3, m) for m in range(3)]
+    values = [c_pm(KAPPA, 3, m) for m in range(3)]
     assert values[0] < values[1] < values[2] < 0.0
 
 
 def test_c_pm_negative_on_range():
-    for u in (0.1, 0.5, 0.9, kappa()):
+    for u in (0.1, 0.5, 0.9, KAPPA):
         for p in (1, 2, 3):
             assert c_pm(u, p, p - 1) < 0.0
 

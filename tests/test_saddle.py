@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from fig8lab.numkernel import DomainError, reduce_phase
-from fig8lab.qdilog import EvalContext
+from fig8lab.numkernel import DomainError, li2, reduce_phase
+from fig8lab.qdilog import KAPPA, EvalContext
 from fig8lab.jones import jones_at_cusp, jones_dual
 from fig8lab.modularity import cusp_volume
 from fig8lab.saddle import (
@@ -15,15 +15,11 @@ from fig8lab.saddle import (
     asymptotic_rhs,
     discriminant,
     f_eval,
-    f_eval_original,
     f_prime,
-    f_second,
     f_zero_value,
-    kappa,
     phi_m,
     saddle_data,
     saddle_prefactor,
-    saddle_prefactor_closed,
     varphi,
 )
 
@@ -31,15 +27,41 @@ U_GRID = (0.2, 0.5, 0.9)
 P_GRID = (1, 2, 3)
 
 
+# ---------------------------------------------------------------------------
+# reference forms, written out independently of the library's routes
+# ---------------------------------------------------------------------------
+
+def f_eval_original(z, u, p):
+    """F(z) in its defining form, Li2(e^{xi(1-z)})/xi - Li2(e^{xi(1+z)})/xi - u z + 4 p pi^2/xi."""
+    xi = complex(u, 2.0 * math.pi * p)
+    return (
+        (li2(cmath.exp(xi * (1.0 - z))) - li2(cmath.exp(xi * (1.0 + z)))) / xi
+        - u * z
+        + 4.0 * p * math.pi ** 2 / xi
+    )
+
+
+def f_second(z, u, p):
+    """F''(z) = xi (e^{-xi z} - e^{xi z}) / (e^u + e^{-u} - e^{xi z} - e^{-xi z})."""
+    xi = complex(u, 2.0 * math.pi * p)
+    w = xi * z
+    return xi * (-2.0 * cmath.sinh(w)) / (2.0 * math.cosh(u) - 2.0 * cmath.cosh(w))
+
+
+def saddle_prefactor_closed(u):
+    """sqrt(2 pi) e^{i pi/4} / ((1 + 2 cosh u)(3 - 2 cosh u))^{1/4}."""
+    return math.sqrt(2.0 * math.pi) * cmath.exp(0.25j * math.pi) / discriminant(u) ** 0.25
+
+
 def test_kappa_constants():
-    assert kappa() == pytest.approx(0.962424, abs=1e-6)
-    assert math.cosh(kappa()) == pytest.approx(1.5, abs=1e-15)
-    assert 2 * math.cosh(kappa()) - 2 == pytest.approx(1.0, abs=1e-15)
+    assert KAPPA == pytest.approx(0.962424, abs=1e-6)
+    assert math.cosh(KAPPA) == pytest.approx(1.5, abs=1e-15)
+    assert 2 * math.cosh(KAPPA) - 2 == pytest.approx(1.0, abs=1e-15)
 
 
 def test_varphi_limits_and_identity():
     assert varphi(1e-9) == pytest.approx(-1j * math.pi / 3, abs=1e-4)
-    assert abs(varphi(kappa())) <= 1e-7
+    assert abs(varphi(KAPPA)) <= 1e-7
     for u in U_GRID:
         phi = varphi(u)
         assert phi.real == 0.0
@@ -224,7 +246,6 @@ def test_theorem_ratio_desk_scale():
 
 
 def test_theorem_ratio_noncoprime():
-    with pytest.raises(DomainError):
-        asymptotic_ratio(EvalContext(u=0.5, p=2, n=10))
-    value = asymptotic_ratio(EvalContext(u=0.5, p=2, n=10), allow_noncoprime=True)
+    # the theorem assumes no coprimality: gcd(p, N) = 2 here
+    value = asymptotic_ratio(EvalContext(u=0.5, p=2, n=10))
     assert np.isfinite(value.real) and np.isfinite(value.imag)
