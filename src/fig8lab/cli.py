@@ -7,9 +7,6 @@ failures, 2 bad input (including an --out that cannot be written, or a flag
 that the chosen mode would not read, such as a --step other than 1 with a
 --N that is not a range lo..hi), 3 numeric non-convergence.
 
-theorem computes the ratio at every N of its sweep: the theorem assumes no
-coprimality of p and N, so N with gcd(p, N) > 1 are not skipped.
-
 The argument parser is built once per process, on the first call of main,
 and reused by every later call in the same process.
 """
@@ -328,8 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
     n_sweep(sp)
     sp.set_defaults(func=cmd_jones)
 
-    sp = sub.add_parser("theorem", help="sweep the main-asymptotics ratio over N; every N "
-                                        "is computed, gcd(p, N) > 1 included")
+    sp = sub.add_parser("theorem", help="sweep the main-asymptotics ratio over N")
     n_sweep(sp)
     sp.set_defaults(func=cmd_theorem)
 

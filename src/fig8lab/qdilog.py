@@ -247,6 +247,14 @@ def t_n(z, ctx, tol: float = TOL):
     return complex(values[0]) if zs.ndim == 0 else values.reshape(zs.shape)
 
 
+def e_n(z: complex, ctx: EvalContext) -> complex:
+    """The complex log of E_N(z) = exp(T_N(z)), that is T_N at one point.
+
+    No library path calls it; bench/spans.py wraps it as a span.
+    """
+    return t_n(complex(z), ctx)
+
+
 def e_n_ratio(num: complex, den: complex, ctx: EvalContext, tol: float = TOL) -> complex:
     """The complex log of E_N(num) / E_N(den), both T_N values from one batched call."""
     t_num, t_den = t_n([num, den], ctx, tol)

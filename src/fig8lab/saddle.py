@@ -13,9 +13,6 @@ rate S_E(u) and torsion factor T_E(u) all descend from the square root of
 The positive-real-part rule fixes the outer square root of the saddle
 prefactor; with principal roots the assembled constant equals
 sqrt(2 pi) e^{i pi/4} / ((1+2 cosh u)(3-2 cosh u))^{1/4}.
-
-asymptotic_ratio divides J_N(E; e^{xi/N}) by that closed form at any
-positive p and N: the theorem assumes no coprimality of p and N.
 """
 
 from __future__ import annotations
@@ -200,7 +197,6 @@ def asymptotic_rhs(ctx: EvalContext) -> complex:
 def asymptotic_ratio(ctx: EvalContext) -> complex:
     """J_N(E;e^{xi/N}) divided by asymptotic_rhs; approaches 1 as N grows.
 
-    The theorem holds for every positive p and N, so gcd(p, N) > 1 is
-    admitted: the ratio is smooth across such N.
+    The theorem assumes no coprimality of p and N.
     """
     return cmath.exp(jones_at_cusp(ctx) - asymptotic_rhs(ctx))

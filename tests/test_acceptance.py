@@ -17,6 +17,7 @@ from fig8lab.numkernel import l0_closed, l1_closed, l2_closed
 from fig8lab.qdilog import KAPPA, l_k_quadrature
 from fig8lab.region import c_pm, c_pm_derivative_bound, check_f_p12, components_d_cap_e
 from fig8lab.saddle import discriminant, f_eval, f_prime, f_zero_value
+from reference import f_second, naive_jones
 
 U_GRID = (0.2, 0.5, 0.9)
 P_GRID = (1, 2, 3)
@@ -125,8 +126,6 @@ def test_criterion_07_main_theorem_ratio():
 
 def test_criterion_08_oracle_equivalence():
     with criterion(8, "direct-sum oracle match (N <= 8) and amphicheirality"):
-        from test_jones import naive_jones
-
         rng = np.random.default_rng(108)
         for _ in range(30):
             w = 1j * rng.uniform(-math.pi, math.pi)
@@ -157,8 +156,6 @@ def test_criterion_09_region_topology():
 
 def test_criterion_10_saddle_calculus():
     with criterion(10, "saddle calculus: F'(sigma0), F''(sigma0), Taylor exponent"):
-        from test_saddle import f_second
-
         for u in U_GRID:
             for p in P_GRID:
                 sd = f8.saddle_data(u, p)

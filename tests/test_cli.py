@@ -186,8 +186,8 @@ def test_parser_reuse_leaks_no_state(capsys):
 
 
 def test_theorem_computes_every_n(capsys):
-    # the theorem assumes no coprimality: N = 100, 102, 104 share the factor 2
-    # with p, and the ratio is as smooth across them as across odd N
+    # N = 100, 102, 104 share the factor 2 with p; the ratio is as smooth
+    # across them as across odd N
     code, out, _ = run(
         ["theorem", "--u", "0.5", "--p", "2", "--N", "99..104"], capsys
     )

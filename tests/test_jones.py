@@ -27,23 +27,7 @@ from fig8lab.jones import (
     product_identity_residual,
 )
 from fig8lab.saddle import phi_m, saddle_data
-
-
-def naive_jones(n: int, w: complex) -> complex:
-    """Plain-complex evaluation of the defining sum in its sinh-product form.
-
-    Independent oracle: uses the (q^{a/2} - q^{-a/2}) factorization rather
-    than the 1 - q^a products of the implementation under test.
-    """
-    total = 0j
-    for k in range(n):
-        prod = 1 + 0j
-        for l in range(1, k + 1):
-            prod *= (cmath.exp(w * (n + l) / 2) - cmath.exp(-w * (n + l) / 2)) * (
-                cmath.exp(w * (n - l) / 2) - cmath.exp(-w * (n - l) / 2)
-            )
-        total += prod
-    return total
+from reference import naive_jones
 
 
 def mp_jones(n: int, q, factor=None):

@@ -14,6 +14,7 @@ from fig8lab.qdilog import (
     TOL,
     EvalContext,
     check_unit_shift,
+    e_n,
     identity_residuals,
     l_k_quadrature,
     t_n,
@@ -247,9 +248,11 @@ def test_quadrature_config_requires_positive_tol(tol):
         l_k_quadrature(0, 0.4 + 0.3j, tol)
 
 
-def test_t_n_of_a_scalar_is_a_complex():
+def test_e_n_logmag_is_re_t_n():
     ctx = EvalContext(u=0.5, p=1, n=50)
-    assert type(t_n(0.37 + 0.04j, ctx)) is complex
+    value = t_n(0.37 + 0.04j, ctx)
+    log_form = e_n(0.37 + 0.04j, ctx)
+    assert type(log_form) is complex and log_form == value
 
 
 # ---------------------------------------------------------------------------

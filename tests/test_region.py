@@ -25,12 +25,8 @@ from fig8lab.region import (
     write_grid_csv,
     write_grid_header,
 )
-from fig8lab.saddle import f_prime, f_values, f_zero_value, phi_m, saddle_data
-
-
-def phi_m_prime(z, m, u, p):
-    """Phi_m'(z) = F'(z - 2 m pi i/xi), the elementary formula, valid up to the U_m boundary."""
-    return f_prime(z - 2j * m * math.pi / complex(u, 2.0 * math.pi * p), u, p)
+from fig8lab.saddle import f_values, f_zero_value, phi_m, saddle_data
+from reference import phi_m_prime
 
 
 def band_endpoints_connected(grid, lower=False):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from fig8lab.numkernel import DomainError, li2, reduce_phase
+from fig8lab.numkernel import DomainError, reduce_phase
 from fig8lab.qdilog import KAPPA, EvalContext
 from fig8lab.jones import jones_at_cusp, jones_dual
 from fig8lab.modularity import cusp_volume
@@ -22,35 +22,10 @@ from fig8lab.saddle import (
     saddle_prefactor,
     varphi,
 )
+from reference import f_eval_original, f_second, saddle_prefactor_closed
 
 U_GRID = (0.2, 0.5, 0.9)
 P_GRID = (1, 2, 3)
-
-
-# ---------------------------------------------------------------------------
-# reference forms, written out independently of the library's routes
-# ---------------------------------------------------------------------------
-
-def f_eval_original(z, u, p):
-    """F(z) in its defining form, Li2(e^{xi(1-z)})/xi - Li2(e^{xi(1+z)})/xi - u z + 4 p pi^2/xi."""
-    xi = complex(u, 2.0 * math.pi * p)
-    return (
-        (li2(cmath.exp(xi * (1.0 - z))) - li2(cmath.exp(xi * (1.0 + z)))) / xi
-        - u * z
-        + 4.0 * p * math.pi ** 2 / xi
-    )
-
-
-def f_second(z, u, p):
-    """F''(z) = xi (e^{-xi z} - e^{xi z}) / (e^u + e^{-u} - e^{xi z} - e^{-xi z})."""
-    xi = complex(u, 2.0 * math.pi * p)
-    w = xi * z
-    return xi * (-2.0 * cmath.sinh(w)) / (2.0 * math.cosh(u) - 2.0 * cmath.cosh(w))
-
-
-def saddle_prefactor_closed(u):
-    """sqrt(2 pi) e^{i pi/4} / ((1 + 2 cosh u)(3 - 2 cosh u))^{1/4}."""
-    return math.sqrt(2.0 * math.pi) * cmath.exp(0.25j * math.pi) / discriminant(u) ** 0.25
 
 
 def test_kappa_constants():
@@ -246,6 +221,6 @@ def test_theorem_ratio_desk_scale():
 
 
 def test_theorem_ratio_noncoprime():
-    # the theorem assumes no coprimality: gcd(p, N) = 2 here
+    # gcd(p, N) = 2 here
     value = asymptotic_ratio(EvalContext(u=0.5, p=2, n=10))
     assert np.isfinite(value.real) and np.isfinite(value.imag)
