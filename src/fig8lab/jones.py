@@ -41,7 +41,7 @@ from math import gcd
 import numpy as np
 
 from .numkernel import DomainError, lc_one_minus_exp, lc_sum, log1mexp, reduce_phase
-from .qdilog import EvalContext, e_n_ratio, t_n
+from .qdilog import EvalContext, _named, e_n_ratio, t_n
 
 
 def _multiples(e: np.ndarray, w) -> np.ndarray:
@@ -140,14 +140,16 @@ def beta_factor(ctx: EvalContext, m: int) -> complex:
 def f_n(z, ctx: EvalContext):
     """Finite-N phase f_N(z), defined on -1/(2N) < Re z + (u/2 p pi) Im z < 1/p + 1/(2N).
 
-    z may be an array; its 2 z.size T_N values come from one batched t_n call.
+    z may be an array; its 2 z.size T_N values come from one batched t_n call,
+    so they take the Bernoulli series wherever it meets t_n's tol.
     """
     z = np.asarray(z, dtype=complex)
     s = z.real + ctx.u / (2.0 * math.pi * ctx.p) * z.imag
     lo, hi = -0.5 / ctx.n, 1.0 / ctx.p + 0.5 / ctx.n
     outside = ~((lo < s) & (s < hi))
     if outside.any():
-        raise DomainError(f"z outside the f_N strip: skew abscissa {s[outside][0]} not in ({lo}, {hi})")
+        raise DomainError(f"z outside the f_N strip: skew abscissa {s[outside][0]} not in "
+                          f"({lo}, {hi}) at {_named(ctx)}")
     xi, n = ctx.xi, ctx.n
     a, b = t_n(np.stack([xi * (1.0 - z) / (2j * math.pi) - ctx.p + 1.0,
                          xi * (1.0 + z) / (2j * math.pi) - ctx.p]), ctx)
@@ -165,10 +167,18 @@ def k_range(m: int, ctx: EvalContext):
 def decomposition_residual(ctx: EvalContext) -> float:
     """Relative gap between J_N(E;e^{xi/N}) and its beta/f_N decomposition.
 
-    The two sides are computed by fully independent pipelines (direct
-    q-factorial products vs quantum-dilogarithm quadrature); the identity is
-    exact at finite N, so the residual measures quadrature quality only.
-    Requires gcd(p, N) = 1.
+    The identity is exact at finite N.  One side is the direct q-factorial
+    sum; the other is built from f_N, whose T_N values come from t_n: from
+    the Bernoulli series wherever it meets tol (every point at (p, N) =
+    (2, 97) and (3, 101)), from quadrature elsewhere.  So the residual
+    measures the T_N evaluator against the direct product.  An argument of
+    T_N near an end of the strip first takes edge shifts, whose corrections
+    log(1 - e^{2 pi i (z + (k + 1/2) gamma)}) are exactly factors 1 - q^{N+-l}
+    of the direct product; for those terms the residual tests the series at
+    the shifted points only.  At N = 801 the shifted terms are the sector
+    ends, below e^-30 of the largest term; near N = 100 the saddle lies
+    within the shift width of a sector end, and the largest terms take
+    shifts too.  Requires gcd(p, N) = 1.
     """
     if gcd(ctx.p, ctx.n) != 1:
         raise DomainError(f"p={ctx.p} and N={ctx.n} must be coprime")
@@ -193,14 +203,18 @@ def _qfactorial_via_en(k: int, ctx: EvalContext) -> complex:
     xi, n, p = ctx.xi, ctx.n, ctx.p
     gamma = ctx.gamma
     w_dual = 4.0 * n * math.pi ** 2 / xi
-    head = lc_one_minus_exp(w_dual * p) - lc_one_minus_exp(xi)
-
     c = gcd(p, n)
     n_prime, p_prime = n // c, p // c
     nn = k // n_prime
-    if k % n_prime == 0:
+    boundary = k % n_prime == 0
+    # one log1mexp call: 1 - e^{p w_dual}, 1 - e^xi and, on the boundary,
+    # 1 - e^{(c - nn) xi / c} and 1 - e^{(c + nn) xi / c}
+    exponents = [w_dual * p, xi] + ([(c - nn) * xi / c, (c + nn) * xi / c] if boundary else [])
+    logs = log1mexp(np.array(exponents)).tolist()
+    head = logs[0] - logs[1]
+    if boundary:
         # k = n N': the boundary case carries its own explicit unity factors
-        extra = lc_one_minus_exp((c - nn) * xi / c) + lc_one_minus_exp((c + nn) * xi / c)
+        extra = logs[2] + logs[3]
         dual = _qpoch(p, nn * p_prime - 1, w_dual)
         ratio = e_n_ratio((n - nn * n_prime + 0.5) * gamma - p + nn * p_prime,
                           (n + nn * n_prime - 0.5) * gamma - p - nn * p_prime + 1, ctx)

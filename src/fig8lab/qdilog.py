@@ -1,18 +1,39 @@
-"""Quantum dilogarithm by contour quadrature.
+"""Quantum dilogarithm T_N, by its Bernoulli series or by contour quadrature.
 
 T_N(z) is a quarter of the integral of e^{(2z-1)x} / (x sinh(x) sinh(gamma x))
 along the contour Omega = (-oo,-1] + upper unit semicircle + [1,oo), oriented
 left to right, with gamma = xi/(2 N pi i) and xi = u + 2 p pi i.  The integral
 converges on the strip -p/(2N) < Re z < 1 + p/(2N).  E_N(z) = exp(T_N(z)) is
 only ever used through its complex log T_N(z), which is the only
-representation that survives the sizes reached downstream.  The same driver
-evaluates the N-free integrals behind L_0, L_1, L_2, to cross-check the
-closed forms of numkernel.
+representation that survives the sizes reached downstream.
 
-One batched driver serves every z, and one call of it takes points of any
-(u, p, N): t_n accepts one context per point, and identity_residuals checks
-all three functional equations of E_N for a list of samples with one t_n
-call.  Each ray is cut where the analytic tail bound drops below tol and
+Two evaluators serve T_N.  t_n, and so jones.f_n and everything built on it,
+takes the Bernoulli series in gamma (_t_series) for every point whose error
+estimate is below tol, and contour quadrature (_t_quadrature) for the rest:
+small N, where gamma is too large for the series, and any tol the series
+cannot promise.  identity_residuals and l_k_quadrature call the quadrature
+directly: the exact functional equations of E_N, and the closed forms of L_0,
+L_1, L_2 in numkernel, are what test it, and the series' edge shifts use one
+of those equations.
+
+The series expands 1/sinh(gamma x) in the integrand:
+
+    T_N(z) = Li2(e^{2 pi i z}) / (2 pi i gamma)
+             + sum_{j>=1} (2^{2j-1} - 1) B_{2j}/(2j)! h^{2j-1} P_{2j-2}(s),
+
+with h = pi i gamma, s = 1/(1 - e^{-2 pi i z}), P_0 = s and
+P_{n+1} = (s^2 - s) P_n'.  It is asymptotic, valid on 0 < Re z < 1 and
+poor near its ends, so a point closer than _SHIFT_WIDTH |gamma| to an end
+first moves inward by whole steps of gamma, through
+T_N(z) = T_N(z + gamma) + log(1 - e^{2 pi i (z + gamma/2)}) (mirrored at the
+right end).  _SERIES_TERMS terms are summed; the next one, while the terms
+still decrease, plus a rounding allowance, is the error estimate.
+
+One batched quadrature driver serves every z, and one call of it takes points
+of any (u, p, N): t_n accepts one context per point, and identity_residuals
+checks all three functional equations of E_N for a list of samples with one
+quadrature call.  The same driver evaluates the N-free integrals behind L_0,
+L_1, L_2.  Each ray is cut where the analytic tail bound drops below tol and
 covered by Gauss panels graded to the integrand (see _RATE_WIDTH), so a point
 near the strip edge, whose ray is long, needs few of them.  Points with the
 same integrand share the semicircle nodes.  The ray nodes of all points, and
@@ -21,14 +42,13 @@ most _BLOCK_NODES nodes, so memory stays bounded however large the batch.
 Refinement level k splits each graded ray panel into 2^k Gauss panels and
 the semicircle into 8 * 2^k.  Level 0 is followed by levels 1, 2, 3 until a
 point moves by less than tol (at most 3 refinements); only unconverged
-points go on.  tol (default TOL) is the one accuracy setting: it also sets
-where each ray is cut.
+points go on.  tol (default TOL) is the one accuracy setting: an absolute
+bound on the error of each T_N value, which also sets where each ray is cut.
 
 Poles of the T_N integrand sit at k pi i (from sinh x) and at the zeros of
 sinh(gamma x), i.e. x = -2 k N pi^2 / xi; for admissible (u, p, N) both
 families stay far from Omega, so plain panel refinement is sufficient.
 """
-
 from __future__ import annotations
 
 import cmath
@@ -37,8 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkernel import DomainError, QuadratureError, lc_one_minus_exp
-from .numkernel import l0_closed, l1_closed, l2_closed
+from .numkernel import _LI2_COEF, DomainError, QuadratureError, li2, log1mexp
 
 KAPPA = math.acosh(1.5)
 
@@ -222,28 +241,133 @@ def _t_circ(x, gamma):
     return 1.0 / (x * np.sinh(x) * np.sinh(gamma * x))
 
 
+def _t_quadrature(z, gamma, tol: float, where) -> np.ndarray:
+    """T_N at the points z by contour quadrature; gamma and where as in _contour."""
+    return 0.25 * _contour(z, gamma, np.full(z.size, -1.0), gamma, tol, _t_ray, _t_circ, where)
+
+
+# ---------------------------------------------------------------------------
+# Bernoulli series
+# ---------------------------------------------------------------------------
+
+# Terms of the series summed; one more is computed for the error estimate.
+_SERIES_TERMS = 8
+# A point closer than _SHIFT_WIDTH |gamma| to an end of (0, 1) moves inward,
+# which takes up to _SHIFT_WIDTH + 1 steps of gamma.  10 |gamma| is 0.2 at
+# (p, N) = (2, 97); the series needs the moved point inside (0, 1), so it is
+# tried only while this width is below 1/2.
+_SHIFT_WIDTH = 10.0
+# Rounding allowance of the series, relative to the magnitude it sums.
+_ROUNDING = 16.0 * np.finfo(float).eps
+
+
+def _series_coefficients(count: int) -> np.ndarray:
+    """Row j - 1 holds (2^{2j-1} - 1) B_{2j}/(2j)! P_{2j-2}(s), ascending in s, j = 1..count.
+
+    B_{2j}/(2j)! is (2j + 1) times numkernel's Li2 coefficient B_{2j}/(2j+1)!.
+    """
+    rows = np.zeros((count, 2 * count))
+    poly = np.array([0.0, 1.0])                             # P_0 = s
+    for j in range(1, count + 1):
+        rows[j - 1, :poly.size] = (2.0 ** (2 * j - 1) - 1.0) * (2 * j + 1) * _LI2_COEF[2 * j] * poly
+        for _ in range(2):                                  # P_{n+1} = (s^2 - s) P_n'
+            deriv = poly[1:] * np.arange(1, poly.size)
+            poly = np.concatenate(([0.0, 0.0], deriv)) - np.concatenate(([0.0], deriv, [0.0]))
+    return rows
+
+
+_SERIES_COEF = _series_coefficients(_SERIES_TERMS + 1)
+
+
+def _t_series(z, gamma, tol: float):
+    """T_N by its Bernoulli series (see the module docstring), and where it meets tol.
+
+    z and gamma are per-point arrays.  Returns (ok, values): ok marks the
+    points whose error estimate is below tol, and values holds T_N there;
+    elsewhere values is undefined.
+    """
+    width = _SHIFT_WIDTH * np.abs(gamma)
+    ok = np.zeros(z.size, dtype=bool)
+    values = np.empty(z.size, dtype=complex)
+    tried = np.flatnonzero(width < 0.5)
+    if not tried.size:
+        return ok, values
+    z, gamma, width = z[tried], gamma[tried], width[tried]
+    # whole steps of gamma from the nearer end of (0, 1), inward
+    sign = np.where(z.real < 0.5, 1.0, -1.0)
+    steps = np.ceil((width - np.minimum(z.real, 1.0 - z.real)) / gamma.real)
+    steps = np.maximum(steps, 0.0).astype(np.int64)
+    # T_N(z) = T_N(z + sign steps gamma) + sign sum_k log(1 - e^{2 pi i (z + sign (k + 1/2) gamma)})
+    owner = np.repeat(np.arange(z.size), steps)
+    first = np.cumsum(steps) - steps
+    half_steps = np.arange(owner.size) - first[owner] + 0.5
+    logs = log1mexp(2j * math.pi * (z[owner] + sign[owner] * half_steps * gamma[owner]))
+    shifted = np.flatnonzero(steps)
+    correction = np.zeros(z.size, dtype=complex)
+    correction[shifted] = sign[shifted] * np.add.reduceat(logs, first[shifted])
+    z = z + sign * steps * gamma
+
+    # s from e^{+-2 pi i z} of modulus at most 1
+    upper = z.imag >= 0.0
+    q = np.exp(2j * math.pi * np.where(upper, z, -z))
+    s = np.where(upper, q / (q - 1.0), 1.0 / (1.0 - q))
+    lead = li2(np.exp(2j * math.pi * z)) / (2j * math.pi * gamma)
+    h = 1j * math.pi * gamma
+    count = _SERIES_TERMS
+    terms = (np.vander(s, 2 * count + 2, increasing=True) @ _SERIES_COEF.T
+             * h[:, None] * np.vander(h * h, count + 1, increasing=True))
+    values[tried] = lead + terms[:, :count].sum(axis=1) + correction
+    size = np.abs(terms)
+    truncation = np.where(size[:, count] < size[:, count - 1], size[:, count], np.inf)
+    rounding = _ROUNDING * (np.abs(lead) + np.abs(correction) + 1.0)
+    ok[tried] = truncation + rounding < tol
+    return ok, values
+
+
+# ---------------------------------------------------------------------------
+# Public surface
+# ---------------------------------------------------------------------------
+
+def _require_strip(z, gamma, where) -> None:
+    """Raise DomainError, naming the first point, unless -Re gamma/2 < Re z < 1 + Re gamma/2."""
+    half = 0.5 * gamma.real
+    outside = np.flatnonzero(~((-half < z.real) & (z.real < 1.0 + half)))
+    if outside.size:
+        i = outside[0]
+        raise DomainError(f"Re z = {z[i].real} outside convergence strip "
+                          f"(-{half[i]}, {1 + half[i]}) at {where(i)}")
+
+
 def t_n(z, ctx, tol: float = TOL):
     """Quantum dilogarithm T_N(z) on -p/(2N) < Re z < 1 + p/(2N).
 
     z is a complex scalar (a complex is returned) or an array of points,
-    integrated in one batched quadrature (an array of the same shape is
-    returned).  ctx is one EvalContext for every point, or a sequence of
-    them, one per point of z in flattened order.
+    evaluated in one batch (an array of the same shape is returned): by
+    the Bernoulli series where its error estimate is below tol, by one
+    batched quadrature elsewhere.  ctx is one EvalContext for every point,
+    or a sequence of them, one per point of z in flattened order.
     """
     zs = np.asarray(z, dtype=complex)
     flat = zs.ravel()
-    ctxs = [ctx] * flat.size if isinstance(ctx, EvalContext) else list(ctx)
-    if len(ctxs) != flat.size:
-        raise DomainError(f"{len(ctxs)} contexts for {flat.size} points")
-    gamma = np.array([c.gamma for c in ctxs], dtype=complex)
-    half_gamma = 0.5 * gamma.real
-    outside = np.flatnonzero(~((-half_gamma < flat.real) & (flat.real < 1.0 + half_gamma)))
-    if outside.size:
-        i = outside[0]
-        raise DomainError(f"Re z = {flat[i].real} outside convergence strip "
-                          f"(-{half_gamma[i]}, {1 + half_gamma[i]}) at {_named(ctxs[i])}")
-    values = 0.25 * _contour(flat, gamma, np.full(flat.size, -1.0), gamma, tol,
-                             _t_ray, _t_circ, lambda i: _named(ctxs[i]))
+    if isinstance(ctx, EvalContext):
+        gamma = np.full(flat.size, ctx.gamma)
+
+        def where(i):
+            return _named(ctx)
+    else:
+        ctxs = list(ctx)
+        if len(ctxs) != flat.size:
+            raise DomainError(f"{len(ctxs)} contexts for {flat.size} points")
+        gammas = {c: c.gamma for c in dict.fromkeys(ctxs)}
+        gamma = np.array([gammas[c] for c in ctxs], dtype=complex)
+
+        def where(i):
+            return _named(ctxs[i])
+    _require_strip(flat, gamma, where)
+    ok, values = _t_series(flat, gamma, tol)
+    rest = np.flatnonzero(~ok)
+    if rest.size:
+        values[rest] = _t_quadrature(flat[rest], gamma[rest], tol, lambda i: where(rest[i]))
     return complex(values[0]) if zs.ndim == 0 else values.reshape(zs.shape)
 
 
@@ -297,64 +421,93 @@ def l_k_quadrature(k, z, tol: float = TOL):
 # Functional-equation residuals
 # ---------------------------------------------------------------------------
 
-def _shift_terms(z: complex, ctx: EvalContext):
+# Each identity is a pair: the exponents w of the log(1 - e^w) factors its
+# right-hand side needs, from (z, gamma), and a map from (z, gamma, their logs)
+# to (log of the right-hand side, numerator, denominator) that checks the domain.
+
+def _shift_terms(z: complex, gamma: complex, logs):
     """E_N(z - gamma/2) / E_N(z + gamma/2) = 1 - e^{2 pi i z}."""
     if not 0.0 < z.real < 1.0:
         raise DomainError("shift identity requires 0 < Re z < 1")
-    rhs = lc_one_minus_exp(2j * math.pi * z)
+    (rhs,) = logs
     if rhs.real < -7.0:
         raise DomainError("z too close to an integer: identity RHS vanishes")
-    half = 0.5 * ctx.gamma
+    half = 0.5 * gamma
     return rhs, z - half, z + half
 
 
-def _gamma_half_terms(w: complex, ctx: EvalContext):
+def _gamma_half_terms(w: complex, gamma: complex, logs):
     """E_N(w+gamma/2)/E_N(w-gamma/2+1) = (1-e^{2 pi i w/gamma})/(1-e^{2 pi i w})."""
-    gamma = ctx.gamma
     if not abs(w.real) < gamma.real:
         raise DomainError("gamma/2 identity requires |Re w| < Re gamma")
-    denom = lc_one_minus_exp(2j * math.pi * w)
+    denom, numer = logs
     if denom.real < -9.0:
         raise DomainError("identity denominator 1 - e^{2 pi i w} vanishes")
-    rhs = lc_one_minus_exp(2j * math.pi * w / gamma) - denom
     half = 0.5 * gamma
-    return rhs, w + half, w - half + 1.0
+    return numer - denom, w + half, w - half + 1.0
 
 
-def _unit_shift_terms(z: complex, ctx: EvalContext):
+def _unit_shift_terms(z: complex, gamma: complex, logs):
     """E_N(z)/E_N(z+1) = 1 + e^{2 pi i z/gamma}."""
-    gamma = ctx.gamma
     if not abs(z.real) < 0.5 * gamma.real:
         raise DomainError("unit shift identity requires |Re z| < Re gamma / 2")
+    return logs[0], z, z + 1.0
+
+
+_IDENTITIES = {
+    "shift": (lambda z, gamma: (2j * math.pi * z,), _shift_terms),
+    "gamma_half": (lambda w, gamma: (2j * math.pi * w, 2j * math.pi * w / gamma), _gamma_half_terms),
     # 1 + e^v = 1 - e^{v + i pi}
-    return lc_one_minus_exp(2j * math.pi * z / gamma + 1j * math.pi), z, z + 1.0
+    "unit_shift": (lambda z, gamma: (2j * math.pi * z / gamma + 1j * math.pi,), _unit_shift_terms),
+}
 
 
-# each kind maps (z, ctx) to (log of the right-hand side, numerator, denominator)
-_IDENTITIES = {"shift": _shift_terms, "gamma_half": _gamma_half_terms,
-               "unit_shift": _unit_shift_terms}
+def _identity_terms(samples):
+    """(log right-hand sides, E_N points, their gammas) of (kind, z, ctx) samples.
+
+    The points are each sample's numerator and denominator in turn.  One
+    log1mexp call takes the exponents of every sample; then each sample's
+    domain is checked, in order.
+    """
+    gammas = [ctx.gamma for _, _, ctx in samples]
+    exponents, counts = [], []
+    for (kind, z, _), gamma in zip(samples, gammas):
+        own = _IDENTITIES[kind][0](z, gamma) if kind in _IDENTITIES else ()
+        exponents += own
+        counts.append(len(own))
+    logs = log1mexp(np.array(exponents, dtype=complex)).tolist()
+    rhs, points, start = [], [], 0
+    for (kind, z, ctx), gamma, count in zip(samples, gammas, counts):
+        if kind not in _IDENTITIES:
+            raise DomainError(f"unknown identity {kind!r}")
+        try:
+            r, num, den = _IDENTITIES[kind][1](z, gamma, logs[start:start + count])
+        except DomainError as exc:
+            raise DomainError(f"{exc}: z = {z} at {_named(ctx)}") from None
+        start += count
+        rhs.append(r)
+        points += [num, den]
+    return rhs, np.array(points, dtype=complex), np.repeat(np.array(gammas, dtype=complex), 2)
 
 
 def identity_residuals(samples, tol: float = TOL) -> list[float]:
     """Residuals |E_N(num) / E_N(den) / rhs - 1| of (kind, z, ctx) samples.
 
     kind is "shift", "gamma_half" or "unit_shift".  Every sample's domain is
-    checked, in order, before one t_n call integrates all their points.
+    checked, in order, before one quadrature call integrates all their
+    points.  The quadrature is called directly, never the series: the exact
+    identities are its test.
     """
-    rhs, points, ctxs = [], [], []
-    for kind, z, ctx in samples:
-        if kind not in _IDENTITIES:
-            raise DomainError(f"unknown identity {kind!r}")
-        try:
-            r, num, den = _IDENTITIES[kind](complex(z), ctx)
-        except DomainError as exc:
-            raise DomainError(f"{exc}: z = {complex(z)} at {_named(ctx)}") from None
-        rhs.append(r)
-        points += [num, den]
-        ctxs += [ctx, ctx]
-    t = t_n(np.array(points, dtype=complex), ctxs, tol)
+    samples = [(kind, complex(z), ctx) for kind, z, ctx in samples]
+    rhs, points, gamma = _identity_terms(samples)
+
+    def where(i):
+        return _named(samples[i // 2][2])
+
+    _require_strip(points, gamma, where)
+    t = _t_quadrature(points, gamma, tol, where)
     return [abs(cmath.exp(t_num - t_den - r) - 1.0)
-            for r, t_num, t_den in zip(rhs, t[0::2], t[1::2])]
+            for r, t_num, t_den in zip(rhs, t[0::2].tolist(), t[1::2].tolist())]
 
 
 def check_unit_shift(z: complex, ctx: EvalContext, tol: float = TOL) -> float:

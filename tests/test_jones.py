@@ -195,7 +195,7 @@ def test_beta_growth_rate():
 
 def test_f_n_strip_error():
     ctx = EvalContext(u=0.5, p=2, n=50)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"not in .* at \(u, p, N\) = \(0\.5, 2, 50\)"):
         f_n(0.6, ctx)  # skew abscissa beyond 1/p + 1/(2N)
 
 

@@ -1,4 +1,5 @@
-"""Contour-quadrature tests for the quantum dilogarithm and its identities."""
+"""Tests of the quantum dilogarithm T_N: its Bernoulli series, its contour quadrature,
+and the functional equations of E_N."""
 
 import math
 import tracemalloc
@@ -20,6 +21,7 @@ from fig8lab.qdilog import (
     t_n,
 )
 from fig8lab import jones, qdilog
+from reference import exact_t_n
 
 CLOSED = {0: l0_closed, 1: l1_closed, 2: l2_closed}
 
@@ -167,6 +169,9 @@ def test_node_blocks_are_bit_equal(monkeypatch, block):
     ctx = EvalContext(u=0.5, p=3, n=31)
     edge = _edge_points(ctx, 1e-3)
     dec = EvalContext(u=0.5, p=2, n=97)
+    # an infinite shift width turns the series down at every point, so the
+    # 384 T_N points of the 192 decomposition terms all reach the quadrature
+    monkeypatch.setattr(qdilog, "_SHIFT_WIDTH", math.inf)
     monkeypatch.setattr(qdilog, "_BLOCK_NODES", 10 ** 9)
     whole = t_n(edge, ctx), jones.decomposition_residual(dec)
     monkeypatch.setattr(qdilog, "_BLOCK_NODES", block)
@@ -256,6 +261,70 @@ def test_e_n_logmag_is_re_t_n():
 
 
 # ---------------------------------------------------------------------------
+# Bernoulli series
+# ---------------------------------------------------------------------------
+
+def _reduced(d):
+    """d with its imaginary part reduced into [-pi, pi)."""
+    return complex(d.real, (d.imag + math.pi) % (2.0 * math.pi) - math.pi)
+
+
+@pytest.mark.parametrize("u,p,n", [(0.5, 2, 97), (0.3, 3, 101), (0.7, 2, 200)])
+def test_series_matches_quadrature(monkeypatch, u, p, n):
+    ctx = EvalContext(u=u, p=p, n=n)
+    g = ctx.gamma.real
+    rng = np.random.default_rng(n)
+    z = np.concatenate([rng.uniform(-g / 2, 1 + g / 2, 8) + 1j * rng.uniform(-0.5, 0.5, 8),
+                        _edge_points(ctx, 1e-3)])
+    gamma = np.full(z.size, ctx.gamma)
+    ok, series = qdilog._t_series(z, gamma, TOL)
+    assert ok.all()
+    # the rays of the edge points run past the default cap on their length
+    monkeypatch.setattr(qdilog, "_MAX_TAIL", 1e8)
+    quadrature = qdilog._t_quadrature(z, gamma, 1e-12, lambda i: f"point {i}")
+    assert np.abs(series - quadrature).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [801, 3201])
+def test_series_matches_exact_product(n):
+    u, p = 0.5, 2
+    ctx = EvalContext(u=u, p=p, n=n)
+    g = ctx.gamma.real
+    rng = np.random.default_rng(n)
+    z = np.concatenate([rng.uniform(0.0, 1.0, 3) + 1j * rng.uniform(-0.3, 0.3, 3),
+                        _edge_points(ctx, 1e-3)])
+    ok, series = qdilog._t_series(z, np.full(z.size, ctx.gamma), TOL)
+    assert ok.all()
+    for zi, value in zip(z, series):
+        # the product's principal logs are off by multiples of 2 pi i
+        assert abs(_reduced(value - exact_t_n(zi, u, p, n))) <= 1e-11 * abs(value)
+
+
+def test_each_caller_reaches_its_evaluator(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("this evaluator must not be called")
+
+    monkeypatch.setattr(qdilog, "_t_quadrature", refuse)
+    assert jones.decomposition_residual(EvalContext(u=0.5, p=2, n=97)) <= 5e-13
+    jones.f_n(np.linspace(0.0005, 0.4995, 1000) + 0.01j, EvalContext(u=0.5, p=2, n=3201))
+    monkeypatch.undo()
+    monkeypatch.setattr(qdilog, "_t_series", refuse)
+    assert residual("shift", 0.3 + 0.2j, EvalContext(u=0.5, p=2, n=3201)) <= 1e-7
+    assert abs(l_k_quadrature(2, 0.3 + 0.4j) - l2_closed(0.3 + 0.4j)) <= 1e-8
+
+
+def test_series_declines_what_it_cannot_promise():
+    # small N: gamma too large to shift within (0, 1); an unmeetable tol
+    small = EvalContext(u=0.5, p=1, n=7)
+    assert not qdilog._t_series(np.array([0.5]), np.array([small.gamma]), TOL)[0].any()
+    large = EvalContext(u=0.5, p=2, n=3201)
+    z = np.array([0.5, 0.3 + 0.2j])
+    gamma = np.full(2, large.gamma)
+    assert qdilog._t_series(z, gamma, TOL)[0].all()
+    assert not qdilog._t_series(z, gamma, 1e-16)[0].any()
+
+
+# ---------------------------------------------------------------------------
 # functional equations
 # ---------------------------------------------------------------------------
 
@@ -340,11 +409,9 @@ def test_identity_domain_errors_come_before_any_quadrature(monkeypatch):
 
 def test_identity_batch_failure_names_the_first_failing_point():
     samples = _lemma_samples(0, 2)
-    points = []
-    for kind, z, ctx in samples:
-        _, num, den = qdilog._IDENTITIES[kind](z, ctx)
-        points += [(num, ctx), (den, ctx)]
-    z, ctx = next((z, ctx) for z, ctx in points if _fails_alone(t_n, z, ctx))
+    _, points, _ = qdilog._identity_terms(samples)
+    ctxs = [ctx for _, _, ctx in samples for _ in range(2)]
+    z, ctx = next((z, ctx) for z, ctx in zip(points, ctxs) if _fails_alone(t_n, z, ctx))
     with pytest.raises(QuadratureError) as info:
         identity_residuals(samples, 1e-16)
     assert f"z = {np.complex128(z)} at (u, p, N) = ({ctx.u}, {ctx.p}, {ctx.n})," in str(info.value)
