@@ -123,30 +123,29 @@ def _parse_n_range(text: str, step: int) -> list[int]:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_jones(args) -> int:
-    n_values = _parse_n_range(args.N, args.step)
-
-    def one(n):
-        logmag, phase = _log_parts(jones_at_cusp(EvalContext(u=args.u, p=args.p, n=n)))
-        return {"N": n, "u": args.u, "p": args.p, "logmag": logmag, "phase": phase}
-
-    records = sorted((one(n) for n in n_values), key=lambda r: r["N"])
-    _emit(_header("jones", args), records, args)
+def _n_sweep(command: str, args, fields) -> int:
+    """One record per N of --N, in increasing N: N, u, p and the fields(ctx) dict."""
+    records = [{"N": n, "u": args.u, "p": args.p, **fields(EvalContext(u=args.u, p=args.p, n=n))}
+               for n in sorted(_parse_n_range(args.N, args.step))]
+    _emit(_header(command, args), records, args)
     return EXIT_OK
+
+
+def cmd_jones(args) -> int:
+    def fields(ctx):
+        logmag, phase = _log_parts(jones_at_cusp(ctx))
+        return {"logmag": logmag, "phase": phase}
+
+    return _n_sweep("jones", args, fields)
 
 
 def cmd_theorem(args) -> int:
-    n_values = _parse_n_range(args.N, args.step)
-
-    def one(n):
-        ratio = asymptotic_ratio(EvalContext(u=args.u, p=args.p, n=n))
-        return {"N": n, "u": args.u, "p": args.p,
-                "ratio_re": ratio.real, "ratio_im": ratio.imag,
+    def fields(ctx):
+        ratio = asymptotic_ratio(ctx)
+        return {"ratio_re": ratio.real, "ratio_im": ratio.imag,
                 "abs_ratio_minus_1": abs(ratio - 1.0)}
 
-    records = sorted((one(n) for n in n_values), key=lambda r: r["N"])
-    _emit(_header("theorem", args), records, args)
-    return EXIT_OK
+    return _n_sweep("theorem", args, fields)
 
 
 _LEMMA_GRID_U = (0.2, 0.5, 0.9)

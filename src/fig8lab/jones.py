@@ -157,11 +157,15 @@ def f_n(z, ctx: EvalContext):
     return complex(value) if z.ndim == 0 else value
 
 
-def k_range(m: int, ctx: EvalContext):
-    """Integers k with m N/p < k < (m+1) N/p (open interval)."""
-    lo = math.floor(m * ctx.n / ctx.p) + 1
-    hi = math.ceil((m + 1) * ctx.n / ctx.p) - 1
-    return range(lo, hi + 1)
+def sector_points(ctx: EvalContext, m: int):
+    """(k, z_k) of sector m: integers m N/p < k < (m+1) N/p, z_k = (2k+1)/(2N) - 2 m pi i/xi.
+
+    Requires gcd(p, N) = 1: otherwise k = m N/p is an integer on a sector end.
+    """
+    if gcd(ctx.p, ctx.n) != 1:
+        raise DomainError(f"p={ctx.p} and N={ctx.n} must be coprime")
+    k = np.arange(math.floor(m * ctx.n / ctx.p) + 1, math.ceil((m + 1) * ctx.n / ctx.p))
+    return k, (2 * k + 1) / (2.0 * ctx.n) - 2j * m * math.pi / ctx.xi
 
 
 def decomposition_residual(ctx: EvalContext) -> float:
@@ -178,24 +182,18 @@ def decomposition_residual(ctx: EvalContext) -> float:
     the shifted points only.  At N = 801 the shifted terms are the sector
     ends, below e^-30 of the largest term; near N = 100 the saddle lies
     within the shift width of a sector end, and the largest terms take
-    shifts too.  Requires gcd(p, N) = 1.
+    shifts too.  Requires gcd(p, N) = 1 (see sector_points).
     """
-    if gcd(ctx.p, ctx.n) != 1:
-        raise DomainError(f"p={ctx.p} and N={ctx.n} must be coprime")
     xi, n = ctx.xi, ctx.n
     prefactor = (lc_one_minus_exp(-4.0 * ctx.p * n * math.pi ** 2 / xi)
                  - math.log(2.0 * math.sinh(0.5 * ctx.u)))
     z, betas = [], []
     for m in range(ctx.p):
-        k = np.array(k_range(m, ctx))
-        z.append((2 * k + 1) / (2.0 * n) - 2j * m * math.pi / xi)
+        k, z_m = sector_points(ctx, m)
+        z.append(z_m)
         betas += [beta_factor(ctx, m)] * k.size
     rhs = prefactor + lc_sum(np.array(betas) + n * f_n(np.concatenate(z), ctx))
     return abs(cmath.exp(rhs - jones_at_cusp(ctx)) - 1.0)
-
-
-def _qfactorial_direct(k: int, ctx: EvalContext) -> complex:
-    return _qpoch(ctx.n, k, ctx.xi / ctx.n)
 
 
 def _qfactorial_via_en(k: int, ctx: EvalContext) -> complex:
@@ -232,6 +230,5 @@ def product_identity_residual(k: int, ctx: EvalContext) -> float:
     """Relative gap between the direct q-factorial product and its E_N form."""
     if not 1 <= k <= ctx.n - 1:
         raise DomainError(f"k must lie in [1, N-1], got {k}")
-    direct = _qfactorial_direct(k, ctx)
-    via_en = _qfactorial_via_en(k, ctx)
-    return abs(cmath.exp(via_en - direct) - 1.0)
+    direct = _qpoch(ctx.n, k, ctx.xi / ctx.n)
+    return abs(cmath.exp(_qfactorial_via_en(k, ctx) - direct) - 1.0)

@@ -51,20 +51,22 @@ class ModularMatrix:
         return f"{self.a},{self.b},{self.c},{self.d}"
 
 
-def mobius(eta: ModularMatrix, x: complex) -> complex:
-    """eta(x) = (a x + b)/(c x + d)."""
+def _denominator(eta: ModularMatrix, x: complex) -> complex:
+    """c x + d, unless x is the pole of eta."""
     denom = eta.c * x + eta.d
     if denom == 0:
         raise DomainError("x is the pole of the Moebius transformation")
-    return (eta.a * x + eta.b) / denom
+    return denom
+
+
+def mobius(eta: ModularMatrix, x: complex) -> complex:
+    """eta(x) = (a x + b)/(c x + d)."""
+    return (eta.a * x + eta.b) / _denominator(eta, x)
 
 
 def hbar(eta: ModularMatrix, x: complex) -> complex:
     """hbar_eta(x) = 2 pi i/(x - eta^{-1}(oo)) = 2 c pi i/(c x + d)."""
-    denom = eta.c * x + eta.d
-    if denom == 0:
-        raise DomainError("x is the pole of the Moebius transformation")
-    return 2j * math.pi * eta.c / denom
+    return 2j * math.pi * eta.c / _denominator(eta, x)
 
 
 def build_x(ctx: EvalContext) -> complex:
@@ -74,12 +76,13 @@ def build_x(ctx: EvalContext) -> complex:
 
 def build_x0(p: int, n: int) -> float:
     """X_0 = N/p, the u = 0 (root of unity) evaluation parameter."""
-    if p < 1 or n < 1:
-        raise DomainError("p and N must be positive integers")
     return n / p
 
 
 def _require_experiment(eta: ModularMatrix, p: int, n: int) -> int:
+    """cN + dp, once p, N >= 1, c > 0 and cN + dp >= 1 are checked."""
+    if p < 1 or n < 1:
+        raise DomainError("p and N must be positive integers")
     if eta.c <= 0:
         raise DomainError("ratio experiments require c > 0")
     m = eta.c * n + eta.d * p
@@ -107,21 +110,13 @@ def qmccj_rhs(eta: ModularMatrix, ctx: EvalContext) -> complex:
     _require_experiment(eta, ctx.p, ctx.n)
     sd = saddle_data(ctx.u, ctx.p)
     hb = hbar(eta, build_x(ctx))
-    pref = (
-        cmath.sqrt(complex(-math.pi, 0.0))
-        / (2.0 * math.sinh(0.5 * ctx.u))
-        * cmath.sqrt(sd.t_e)
-        * cmath.sqrt(1.0 / hb)
-    )
-    return cmath.log(pref) + sd.s_e / hb
+    return cmath.log(sd.prefactor * cmath.sqrt(1.0 / hb)) + sd.s_e / hb
 
 
 @dataclass(frozen=True)
 class CEstimate:
     """Per-p Richardson estimates of C_{E,eta}(u) with their cross-p spread."""
 
-    eta: ModularMatrix
-    u: float
     estimates: dict        # p -> complex
     spread: float          # max pairwise relative difference across p
     samples: list          # (p, N, log ratio, log rhs, ratio/rhs), logs as complex
@@ -157,7 +152,7 @@ def estimate_c(eta: ModularMatrix, u: float, p_list, n_list) -> CEstimate:
             denom = max(abs(values[i]), abs(values[j]))
             if denom > 0:
                 spread = max(spread, abs(values[i] - values[j]) / denom)
-    return CEstimate(eta=eta, u=u, estimates=estimates, spread=spread, samples=samples)
+    return CEstimate(estimates=estimates, spread=spread, samples=samples)
 
 
 # ---------------------------------------------------------------------------

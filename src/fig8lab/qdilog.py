@@ -30,10 +30,10 @@ right end).  _SERIES_TERMS terms are summed; the next one, while the terms
 still decrease, plus a rounding allowance, is the error estimate.
 
 One batched quadrature driver serves every z, and one call of it takes points
-of any (u, p, N): t_n accepts one context per point, and identity_residuals
-checks all three functional equations of E_N for a list of samples with one
-quadrature call.  The same driver evaluates the N-free integrals behind L_0,
-L_1, L_2.  Each ray is cut where the analytic tail bound drops below tol and
+of any (u, p, N): identity_residuals checks all three functional equations of
+E_N for samples of any contexts with one quadrature call (t_n takes one
+context).  The same driver evaluates the N-free integrals behind L_0, L_1,
+L_2.  Each ray is cut where the analytic tail bound drops below tol and
 covered by Gauss panels graded to the integrand (see _RATE_WIDTH), so a point
 near the strip edge, whose ray is long, needs few of them.  Points with the
 same integrand share the semicircle nodes.  The ray nodes of all points, and
@@ -338,36 +338,25 @@ def _require_strip(z, gamma, where) -> None:
                           f"(-{half[i]}, {1 + half[i]}) at {where(i)}")
 
 
-def t_n(z, ctx, tol: float = TOL):
+def t_n(z, ctx: EvalContext, tol: float = TOL):
     """Quantum dilogarithm T_N(z) on -p/(2N) < Re z < 1 + p/(2N).
 
-    z is a complex scalar (a complex is returned) or an array of points,
-    evaluated in one batch (an array of the same shape is returned): by
-    the Bernoulli series where its error estimate is below tol, by one
-    batched quadrature elsewhere.  ctx is one EvalContext for every point,
-    or a sequence of them, one per point of z in flattened order.
+    z is a complex scalar (a complex is returned) or an array of points of
+    the one context ctx, evaluated in one batch (an array of the same shape
+    is returned): by the Bernoulli series where its error estimate is below
+    tol, by one batched quadrature elsewhere.
     """
     zs = np.asarray(z, dtype=complex)
     flat = zs.ravel()
-    if isinstance(ctx, EvalContext):
-        gamma = np.full(flat.size, ctx.gamma)
+    gamma = np.full(flat.size, ctx.gamma)
 
-        def where(i):
-            return _named(ctx)
-    else:
-        ctxs = list(ctx)
-        if len(ctxs) != flat.size:
-            raise DomainError(f"{len(ctxs)} contexts for {flat.size} points")
-        gammas = {c: c.gamma for c in dict.fromkeys(ctxs)}
-        gamma = np.array([gammas[c] for c in ctxs], dtype=complex)
-
-        def where(i):
-            return _named(ctxs[i])
+    def where(i):
+        return _named(ctx)
     _require_strip(flat, gamma, where)
     ok, values = _t_series(flat, gamma, tol)
     rest = np.flatnonzero(~ok)
     if rest.size:
-        values[rest] = _t_quadrature(flat[rest], gamma[rest], tol, lambda i: where(rest[i]))
+        values[rest] = _t_quadrature(flat[rest], gamma[rest], tol, where)
     return complex(values[0]) if zs.ndim == 0 else values.reshape(zs.shape)
 
 
@@ -379,9 +368,9 @@ def e_n(z: complex, ctx: EvalContext) -> complex:
     return t_n(complex(z), ctx)
 
 
-def e_n_ratio(num: complex, den: complex, ctx: EvalContext, tol: float = TOL) -> complex:
+def e_n_ratio(num: complex, den: complex, ctx: EvalContext) -> complex:
     """The complex log of E_N(num) / E_N(den), both T_N values from one batched call."""
-    t_num, t_den = t_n([num, den], ctx, tol)
+    t_num, t_den = t_n([num, den], ctx)
     return t_num - t_den
 
 
@@ -510,10 +499,10 @@ def identity_residuals(samples, tol: float = TOL) -> list[float]:
             for r, t_num, t_den in zip(rhs, t[0::2].tolist(), t[1::2].tolist())]
 
 
-def check_unit_shift(z: complex, ctx: EvalContext, tol: float = TOL) -> float:
+def check_unit_shift(z: complex, ctx: EvalContext) -> float:
     """Residual of E_N(z)/E_N(z+1) = 1 + e^{2 pi i z/gamma}.
 
     One sample of identity_residuals; the benchmark (bench/workloads.py)
     calls it for its strip-edge sample.
     """
-    return identity_residuals([("unit_shift", z, ctx)], tol)[0]
+    return identity_residuals([("unit_shift", z, ctx)])[0]

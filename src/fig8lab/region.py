@@ -22,7 +22,7 @@ import numpy as np
 
 from .numkernel import DomainError, li2
 from .qdilog import KAPPA, EvalContext
-from .jones import f_n, k_range
+from .jones import f_n, sector_points
 from .saddle import f_values, phi_m, saddle_data, varphi
 
 
@@ -38,8 +38,6 @@ class RegionGrid:
     u: float
     p: int
     nu: float
-    resolution: tuple
-    bounds: tuple            # (x_lo, x_hi, y_lo, y_hi)
     xs: np.ndarray
     ys: np.ndarray
     re_phi: np.ndarray       # shape (ny, nx); NaN outside U_m
@@ -67,8 +65,6 @@ def grid_scan(m: int, u: float, p: int, resolution=400, nu: float = 0.02) -> Reg
         raise DomainError("resolution must be at least 50x50")
     if not 0.0 < nu < 0.5:
         raise DomainError("nu must lie in (0, 0.5)")
-    if not 0 <= m <= p - 1:
-        raise DomainError(f"m must lie in [0, p-1], got {m}")
 
     sd = saddle_data(u, p)
     xi = sd.xi
@@ -98,8 +94,7 @@ def grid_scan(m: int, u: float, p: int, resolution=400, nu: float = 0.02) -> Reg
         in_runder = in_u & (Y <= 0.0) & (re_phi < threshold - 2.0 * math.pi * Y)
 
     return RegionGrid(
-        m=m, u=u, p=p, nu=nu, resolution=(nx, ny),
-        bounds=(x_lo, x_hi, y_lo, y_hi), xs=xs, ys=ys,
+        m=m, u=u, p=p, nu=nu, xs=xs, ys=ys,
         re_phi=re_phi, in_u=in_u, in_d=in_d,
         in_rbar=in_rbar, in_runder=in_runder,
         threshold=threshold, sigma_m=sigma_m,
@@ -201,8 +196,6 @@ def check_f_p12(u: float, p: int, m: int) -> float:
     (m+1)/p, shifted by the same offset; the hexagon exists only when
     Re P1 < Re P45 and Re P12 < min(Re P4, Re sigma_m).
     """
-    if not 0 <= m <= p - 1:
-        raise DomainError(f"m must lie in [0, p-1], got {m}")
     sd = saddle_data(u, p)
     sigma_m = sd.sigma_m(m)
     offset = sd.xi.conjugate() / (p * math.pi) * sigma_m.imag
@@ -226,18 +219,14 @@ def endpoint_decay(ctx: EvalContext, m: int, delta_grid: float) -> list:
     Re F(sigma_0) - Re f_N((2k+1)/2N - 2m pi i/xi), which the endpoint
     estimates require to be positive.
     """
-    if math.gcd(ctx.p, ctx.n) != 1:
-        raise DomainError("endpoint decay requires gcd(p, N) = 1")
-    sd = saddle_data(ctx.u, ctx.p)
-    top = sd.f_sigma0.real
-    shift = 2j * m * math.pi / sd.xi
-    lo_edge, hi_edge = m / ctx.p, (m + 1) / ctx.p
-    ks = [k for k in k_range(m, ctx)
-          if k / ctx.n - lo_edge <= delta_grid or hi_edge - k / ctx.n <= delta_grid]
-    if not ks:
+    ks, z = sector_points(ctx, m)
+    near = (ks / ctx.n - m / ctx.p <= delta_grid) | ((m + 1) / ctx.p - ks / ctx.n <= delta_grid)
+    if not near.any():
         raise DomainError("no summation points within delta_grid of the interval ends")
-    values = f_n((2 * np.array(ks) + 1) / (2.0 * ctx.n) - shift, ctx).real
-    return [(k, k / ctx.n, value, top - value) for k, value in zip(ks, values.tolist())]
+    top = saddle_data(ctx.u, ctx.p).f_sigma0.real
+    values = f_n(z[near], ctx).real
+    return [(k, k / ctx.n, value, top - value)
+            for k, value in zip(ks[near].tolist(), values.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +243,8 @@ def write_grid_header(grid: RegionGrid, path, components: int) -> None:
             "u": grid.u,
             "p": grid.p,
             "nu": grid.nu,
-            "resolution": list(grid.resolution),
-            "bounds": list(grid.bounds),
+            "resolution": [grid.xs.size, grid.ys.size],
+            "bounds": grid.xs[[0, -1]].tolist() + grid.ys[[0, -1]].tolist(),
         },
         "sigma_m": [grid.sigma_m.real, grid.sigma_m.imag],
         "threshold": grid.threshold,

@@ -37,11 +37,6 @@ def discriminant(u: float) -> float:
     return (2.0 * c + 1.0) * (3.0 - 2.0 * c)
 
 
-def inner_root(u: float) -> complex:
-    """sqrt((2 cosh u + 1)(2 cosh u - 3)) as a positive multiple of i."""
-    return 1j * math.sqrt(max(discriminant(u), 0.0))
-
-
 def varphi(u: float) -> complex:
     """log(cosh u - 1/2 - sqrt((2cosh u+1)(2cosh u-3))/2), purely imaginary.
 
@@ -62,18 +57,21 @@ class SaddleData:
     u: float
     p: int
     theta: float          # Im varphi(u), in (-pi/3, 0)
-    varphi: complex       # i * theta
     sigma0: complex       # (theta + 2 pi) i / xi, the critical point in U_0
     a2: complex           # quadratic Taylor coefficient of F at sigma0
     f_sigma0: complex     # F(sigma0)
     s_e: complex          # growth phase: xi (F(sigma0) + 2 pi i)
-    t_e: complex          # torsion factor 2 / inner_root(u)
+    t_e: complex          # torsion factor 2 / sqrt((2 cosh u + 1)(2 cosh u - 3))
+    prefactor: complex    # sqrt(-pi) T_E^{1/2} / (2 sinh(u/2)), principal roots; both rhs use it
 
     @property
     def xi(self) -> complex:
         return complex(self.u, 2.0 * math.pi * self.p)
 
     def sigma_m(self, m: int) -> complex:
+        """The critical point of Phi_m in U_m, for m in [0, p-1]."""
+        if not 0 <= m <= self.p - 1:
+            raise DomainError(f"m must lie in [0, p-1], got {m}")
         return self.sigma0 + 2j * m * math.pi / self.xi
 
 
@@ -91,12 +89,13 @@ def saddle_data(u: float, p: int) -> SaddleData:
     theta = phi.imag
     xi = complex(u, 2.0 * math.pi * p)
     sigma0 = (theta + 2.0 * math.pi) * 1j / xi
-    root = inner_root(u)
+    root = 1j * math.sqrt(max(discriminant(u), 0.0))     # a positive multiple of i
     a2 = 0.5 * xi * root
     f_sigma0 = f_eval(sigma0, u, p)
     s_e = li2(cmath.exp(-u - phi)) - li2(cmath.exp(-u + phi)) + u * (phi + TWO_PI_I)
     t_e = 2.0 / root
-    return SaddleData(u, p, theta, phi, sigma0, a2, f_sigma0, s_e, t_e)
+    prefactor = cmath.sqrt(complex(-math.pi, 0.0)) * cmath.sqrt(t_e) / (2.0 * math.sinh(0.5 * u))
+    return SaddleData(u, p, theta, sigma0, a2, f_sigma0, s_e, t_e, prefactor)
 
 
 # ---------------------------------------------------------------------------
@@ -175,11 +174,6 @@ def phi_m(z: complex, m: int, u: float, p: int) -> complex:
 # Theorem right-hand side and ratio experiment
 # ---------------------------------------------------------------------------
 
-def saddle_prefactor(u: float) -> complex:
-    """sqrt(-pi) * T_E(u)^{1/2} with principal roots."""
-    return cmath.sqrt(complex(-math.pi, 0.0)) * cmath.sqrt(2.0 / inner_root(u))
-
-
 def asymptotic_rhs(ctx: EvalContext) -> complex:
     """Closed-form side of the main asymptotics for J_N(E; e^{xi/N}).
 
@@ -189,9 +183,8 @@ def asymptotic_rhs(ctx: EvalContext) -> complex:
     real part, implementing the stated choice of the outer square root.
     """
     sd = saddle_data(ctx.u, ctx.p)
-    pref = saddle_prefactor(ctx.u) / (2.0 * math.sinh(0.5 * ctx.u))
     scale = cmath.sqrt(ctx.n / sd.xi)
-    return cmath.log(pref * scale) + jones_dual(ctx) + ctx.n / sd.xi * sd.s_e
+    return cmath.log(sd.prefactor * scale) + jones_dual(ctx) + ctx.n / sd.xi * sd.s_e
 
 
 def asymptotic_ratio(ctx: EvalContext) -> complex:

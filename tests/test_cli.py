@@ -77,6 +77,12 @@ def test_empty_or_bad_n_range_exits_2(command, n_args, flag, capsys):
     pytest.param(["lemmas", "--threshold", "-1"], "--threshold", id="lemmas-negative-threshold"),
     pytest.param(["modularity", "--eta", "0,-1,1,0", "--p", "1", "--N-list", "10,10"],
                  "two distinct N", id="modularity-repeated-N"),
+    pytest.param(["modularity", "--eta", "0,-1,1,0", "--zagier", "--p", "0"],
+                 "p and N must be positive", id="modularity-zagier-p-zero"),
+    pytest.param(["modularity", "--eta", "0,-1,1,0", "--p", "0"],
+                 "p and N must be positive", id="modularity-p-zero"),
+    pytest.param(["modularity", "--eta", "0,-1,1,0", "--zagier", "--N-list", "0,5"],
+                 "p and N must be positive", id="modularity-zagier-n-zero"),
     pytest.param(["region", "--u", "0.5", "--p", "2", "--m", "5", "--res", "50"],
                  "m must lie in [0, p-1]", id="region-m-above-strips"),
     pytest.param(["region", "--u", "0.5", "--p", "2", "--m", "-1", "--res", "50"],

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fig8lab import qdilog
 from fig8lab.numkernel import DomainError, lc_sum
 from fig8lab.qdilog import EvalContext
 from fig8lab.jones import (
@@ -22,9 +23,9 @@ from fig8lab.jones import (
     jones_dual,
     jones_exp,
     jones_exp_unity,
-    k_range,
     log_qpoch,
     product_identity_residual,
+    sector_points,
 )
 from fig8lab.saddle import phi_m, saddle_data
 from reference import naive_jones
@@ -231,8 +232,10 @@ def test_f_n_converges_to_phi_m():
 
 def test_k_range_partition():
     ctx = EvalContext(u=0.5, p=3, n=101)
-    ks = sorted(k for m in range(3) for k in k_range(m, ctx))
+    ks = sorted(k for m in range(3) for k in sector_points(ctx, m)[0].tolist())
     assert ks == list(range(1, 101))
+    k, z = sector_points(ctx, 2)
+    assert np.array_equal(z, (2 * k + 1) / 202 - 4j * math.pi / ctx.xi)
 
 
 @pytest.mark.parametrize("u,p,n", [(0.5, 2, 97), (0.5, 3, 101)])
@@ -243,6 +246,27 @@ def test_decomposition_residual(u, p, n):
 def test_decomposition_noncoprime_rejected():
     with pytest.raises(DomainError):
         decomposition_residual(EvalContext(u=0.5, p=2, n=10))
+
+
+@pytest.mark.parametrize("u,p,n", [(0.5, 2, 97), (0.2, 3, 101), (0.9, 2, 97)])
+def test_f_n_at_edge_shifted_sector_points_matches_quadrature(u, p, n):
+    # decomposition_residual cannot test these terms: their T_N arguments lie
+    # within the shift width of an end of (0, 1), so the series moves them inward,
+    # and the shift corrections are factors of the direct product it compares with
+    ctx = EvalContext(u=u, p=p, n=n)
+    z = np.concatenate([sector_points(ctx, m)[1] for m in range(p)])
+    args = np.stack([ctx.xi * (1.0 - z) / (2j * math.pi) - p + 1.0,
+                     ctx.xi * (1.0 + z) / (2j * math.pi) - p])
+    near = (np.minimum(args.real, 1.0 - args.real)
+            < qdilog._SHIFT_WIDTH * abs(ctx.gamma)).any(axis=0)
+    assert near.sum() >= 40
+    # the product form is no reference here: at every sector point one of its
+    # factors 1 - e^{2 pi i (z - gamma (k + 1/2))} vanishes
+    t_a, t_b = qdilog._t_quadrature(args[:, near].ravel(), np.full(2 * near.sum(), ctx.gamma),
+                                    1e-12, lambda i: qdilog._named(ctx)).reshape(2, -1)
+    d = n * (f_n(z[near], ctx) - ((t_a - t_b) / n - u * z[near] + 4.0 * p * math.pi ** 2 / ctx.xi))
+    # modulo 2 pi i
+    assert np.abs(d.real + 1j * ((d.imag + math.pi) % (2.0 * math.pi) - math.pi)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("k", [7, 20, 40])

@@ -143,25 +143,33 @@ _BATCH_CONTEXTS = (EvalContext(u=0.5, p=3, n=31), EvalContext(u=0.3, p=2, n=17),
                    EvalContext(u=0.7, p=5, n=40))
 
 
+def _quadrature(points, tol=TOL):
+    """_t_quadrature of (z, ctx) points in one batch, each point named by its context."""
+    z = np.array([z for z, _ in points], dtype=complex)
+    gamma = np.array([ctx.gamma for _, ctx in points])
+    return qdilog._t_quadrature(z, gamma, tol, lambda i: qdilog._named(points[i][1]))
+
+
 def test_t_n_batch_across_contexts_is_bit_equal():
     per_ctx = {ctx: [0.3 + 0.2j] + _edge_points(ctx, 1e-3) + _edge_points(ctx, 5e-3)
                for ctx in _BATCH_CONTEXTS}
     # interleaved, so that each point's neighbours belong to other contexts
     points = [(zs[i], ctx) for i in range(5) for ctx, zs in per_ctx.items()]
-    batch = t_n([z for z, _ in points], [ctx for _, ctx in points])
-    alone = {ctx: iter(t_n(zs, ctx)) for ctx, zs in per_ctx.items()}
-    assert np.array_equal(batch, [next(alone[ctx]) for _, ctx in points])
-
-
-def test_t_n_needs_one_context_per_point():
-    with pytest.raises(DomainError, match="2 contexts for 3 points"):
-        t_n([0.5, 0.4, 0.3], _BATCH_CONTEXTS[:2])
+    alone = {ctx: iter(_quadrature([(z, ctx) for z in zs])) for ctx, zs in per_ctx.items()}
+    assert np.array_equal(_quadrature(points), [next(alone[ctx]) for _, ctx in points])
+    # 10 |gamma| >= 1/2 in every context, so t_n takes the same quadrature
+    for ctx, zs in per_ctx.items():
+        assert np.array_equal(t_n(zs, ctx), _quadrature([(z, ctx) for z in zs]))
 
 
 def test_t_n_strip_error_names_the_point_context():
+    # Re z is just below Re gamma / 2, so the unit shift admits z, but Re(z + 1)
+    # rounds to the strip end 1 + Re gamma / 2: the second sample's context is named
     ctx = _BATCH_CONTEXTS[1]
-    with pytest.raises(DomainError, match=r"Re z = -0\.5 .* at \(u, p, N\) = \(0\.3, 2, 17\)"):
-        t_n([0.5, -0.5], [_BATCH_CONTEXTS[0], ctx])
+    edge = complex(np.nextafter(ctx.gamma.real / 2, 0.0), 0.1)
+    samples = [("shift", 0.5 + 0.1j, _BATCH_CONTEXTS[0]), ("unit_shift", edge, ctx)]
+    with pytest.raises(DomainError, match=r"Re z = 1\.0588.* at \(u, p, N\) = \(0\.3, 2, 17\)"):
+        identity_residuals(samples)
 
 
 @pytest.mark.parametrize("block", [12, 100])
@@ -214,7 +222,7 @@ def test_unmeetable_tol_in_a_batch_names_the_first_failing_point():
     points = [(z, ctx) for ctx in _BATCH_CONTEXTS for z in (0.5 + 0.1j, 0.2 - 0.3j)]
     z, ctx = next((z, ctx) for z, ctx in points if _fails_alone(t_n, z, ctx))
     with pytest.raises(QuadratureError) as info:
-        t_n(np.array([z for z, _ in points]), [c for _, c in points], 1e-16)
+        _quadrature(points, 1e-16)
     assert f"z = {np.complex128(z)} at (u, p, N) = ({ctx.u}, {ctx.p}, {ctx.n})," in str(info.value)
 
 
@@ -298,6 +306,19 @@ def test_series_matches_exact_product(n):
     for zi, value in zip(z, series):
         # the product's principal logs are off by multiples of 2 pi i
         assert abs(_reduced(value - exact_t_n(zi, u, p, n))) <= 1e-11 * abs(value)
+
+
+@pytest.mark.parametrize("u,p,n", [(0.2, 3, 40), (0.5, 2, 97), (0.9, 1, 97)])
+def test_quadrature_matches_exact_product(u, p, n):
+    # Im z stays above -0.3: below about -0.4 the float product itself errs by
+    # up to 1.5e-11 at these N (against the product in mpmath at 30 digits,
+    # which the quadrature meets to 4e-14)
+    ctx = EvalContext(u=u, p=p, n=n)
+    rng = np.random.default_rng([n, p])
+    z = rng.uniform(0.0, 1.0, 8) + 1j * rng.uniform(-0.3, 0.3, 8)
+    quadrature = qdilog._t_quadrature(z, np.full(z.size, ctx.gamma), 1e-12, lambda i: f"point {i}")
+    for zi, value in zip(z, quadrature):
+        assert abs(_reduced(value - exact_t_n(zi, u, p, n))) <= 1e-11
 
 
 def test_each_caller_reaches_its_evaluator(monkeypatch):

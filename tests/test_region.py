@@ -305,6 +305,8 @@ def test_grid_emission(tmp_path):
     assert header["schema"] == "fig8lab/1"
     assert header["components_d_cap_e"] == 2
     assert header["params"]["resolution"] == [60, 60]
+    x_lo, x_hi, y_lo, y_hi = header["params"]["bounds"]
+    assert [x_lo, x_hi] == [0.02, 0.98] and np.array_equal(np.linspace(y_lo, y_hi, 60), grid.ys)
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "x,y,re_phi,in_u,in_e,in_d,in_rbar,in_runder"
     assert len(lines) == 1 + 60 * 60

@@ -19,7 +19,6 @@ from fig8lab.saddle import (
     f_zero_value,
     phi_m,
     saddle_data,
-    saddle_prefactor,
     varphi,
 )
 from reference import f_eval_original, f_second, saddle_prefactor_closed
@@ -168,7 +167,8 @@ def test_phi_m_examples():
 
 def test_prefactor_routes_agree():
     for u in U_GRID:
-        assert abs(saddle_prefactor(u) - saddle_prefactor_closed(u)) <= 1e-12
+        closed = saddle_prefactor_closed(u) / (2.0 * math.sinh(0.5 * u))
+        assert abs(saddle_data(u, 1).prefactor - closed) <= 1e-12
 
 
 def test_rhs_p1_specialization():
