@@ -41,7 +41,7 @@ from math import gcd
 import numpy as np
 
 from .numkernel import DomainError, lc_one_minus_exp, lc_sum, log1mexp, reduce_phase
-from .qdilog import EvalContext, _named, e_n_ratio, t_n
+from .qdilog import EvalContext, e_n_ratio, t_n
 
 
 def _multiples(e: np.ndarray, w) -> np.ndarray:
@@ -141,7 +141,7 @@ def f_n(z, ctx: EvalContext):
     """Finite-N phase f_N(z), defined on -1/(2N) < Re z + (u/2 p pi) Im z < 1/p + 1/(2N).
 
     z may be an array; its 2 z.size T_N values come from one batched t_n call,
-    so they take the Bernoulli series wherever it meets t_n's tol.
+    so they take the Bernoulli series wherever it meets qdilog.TOL.
     """
     z = np.asarray(z, dtype=complex)
     s = z.real + ctx.u / (2.0 * math.pi * ctx.p) * z.imag
@@ -149,7 +149,7 @@ def f_n(z, ctx: EvalContext):
     outside = ~((lo < s) & (s < hi))
     if outside.any():
         raise DomainError(f"z outside the f_N strip: skew abscissa {s[outside][0]} not in "
-                          f"({lo}, {hi}) at {_named(ctx)}")
+                          f"({lo}, {hi}) at {ctx}")
     xi, n = ctx.xi, ctx.n
     a, b = t_n(np.stack([xi * (1.0 - z) / (2j * math.pi) - ctx.p + 1.0,
                          xi * (1.0 + z) / (2j * math.pi) - ctx.p]), ctx)
@@ -173,7 +173,7 @@ def decomposition_residual(ctx: EvalContext) -> float:
 
     The identity is exact at finite N.  One side is the direct q-factorial
     sum; the other is built from f_N, whose T_N values come from t_n: from
-    the Bernoulli series wherever it meets tol (every point at (p, N) =
+    the Bernoulli series wherever it meets TOL (every point at (p, N) =
     (2, 97) and (3, 101)), from quadrature elsewhere.  So the residual
     measures the T_N evaluator against the direct product.  An argument of
     T_N near an end of the strip first takes edge shifts, whose corrections

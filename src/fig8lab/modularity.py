@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .numkernel import DomainError, li2
+from .numkernel import DomainError, exp_of_log, li2
 from .qdilog import EvalContext
 from .jones import jones_exp, jones_exp_unity
 from .saddle import saddle_data
@@ -139,7 +139,7 @@ def estimate_c(eta: ModularMatrix, u: float, p_list, n_list) -> CEstimate:
             ctx = EvalContext(u=u, p=p, n=n)
             ratio = modularity_ratio(eta, ctx)
             rhs = qmccj_rhs(eta, ctx)
-            r = cmath.exp(ratio - rhs)
+            r = exp_of_log(ratio - rhs, f"modularity ratio / rhs at {ctx}")
             ratios.append(r)
             samples.append((p, n, ratio, rhs, r))
         n1, n2 = n_list[-2], n_list[-1]

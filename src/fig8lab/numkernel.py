@@ -44,7 +44,7 @@ class BranchCutError(DomainError):
 
 
 class QuadratureError(RuntimeError):
-    """Contour quadrature failed to reach the requested tolerance."""
+    """Contour quadrature failed to reach qdilog.TOL."""
 
 
 def reduce_phase(x) -> np.ndarray:
@@ -60,6 +60,14 @@ def reduce_phase(x) -> np.ndarray:
     r[r <= -math.pi] += TWO_PI
     y[out] = r
     return y
+
+
+def exp_of_log(value: complex, what: str) -> complex:
+    """The number whose complex log is value; OverflowError naming what if no float holds it."""
+    try:
+        return cmath.exp(value)
+    except OverflowError:
+        raise OverflowError(f"{what} overflows a float: its log is {value}") from None
 
 
 def lc_sum(logs) -> complex:

@@ -9,12 +9,12 @@ representation that survives the sizes reached downstream.
 
 Two evaluators serve T_N.  t_n, and so jones.f_n and everything built on it,
 takes the Bernoulli series in gamma (_t_series) for every point whose error
-estimate is below tol, and contour quadrature (_t_quadrature) for the rest:
-small N, where gamma is too large for the series, and any tol the series
-cannot promise.  identity_residuals and l_k_quadrature call the quadrature
-directly: the exact functional equations of E_N, and the closed forms of L_0,
-L_1, L_2 in numkernel, are what test it, and the series' edge shifts use one
-of those equations.
+estimate is below TOL, and contour quadrature (_t_quadrature) for the rest:
+small N, where gamma is too large for the series, and any point where the
+series cannot promise TOL.  identity_residuals and l_k_quadrature call the
+quadrature directly: the exact functional equations of E_N, and the closed
+forms of L_0, L_1, L_2 in numkernel, are what test it, and the series' edge
+shifts use one of those equations.
 
 The series expands 1/sinh(gamma x) in the integrand:
 
@@ -33,7 +33,7 @@ One batched quadrature driver serves every z, and one call of it takes points
 of any (u, p, N): identity_residuals checks all three functional equations of
 E_N for samples of any contexts with one quadrature call (t_n takes one
 context).  The same driver evaluates the N-free integrals behind L_0, L_1,
-L_2.  Each ray is cut where the analytic tail bound drops below tol and
+L_2.  Each ray is cut where the analytic tail bound drops below TOL and
 covered by Gauss panels graded to the integrand (see _RATE_WIDTH), so a point
 near the strip edge, whose ray is long, needs few of them.  Points with the
 same integrand share the semicircle nodes.  The ray nodes of all points, and
@@ -41,9 +41,10 @@ the semicircle rows of each group of points, are evaluated in blocks of at
 most _BLOCK_NODES nodes, so memory stays bounded however large the batch.
 Refinement level k splits each graded ray panel into 2^k Gauss panels and
 the semicircle into 8 * 2^k.  Level 0 is followed by levels 1, 2, 3 until a
-point moves by less than tol (at most 3 refinements); only unconverged
-points go on.  tol (default TOL) is the one accuracy setting: an absolute
-bound on the error of each T_N value, which also sets where each ray is cut.
+point moves by less than TOL (at most 3 refinements); only unconverged
+points go on.  The module constant TOL = 1e-10 is the one accuracy target,
+read at call time: an absolute bound on the error of each T_N value, which
+also sets where each ray is cut.  No argument or option changes it.
 
 Poles of the T_N integrand sit at k pi i (from sinh x) and at the zeros of
 sinh(gamma x), i.e. x = -2 k N pi^2 / xi; for admissible (u, p, N) both
@@ -106,6 +107,10 @@ class EvalContext:
         # xi / (2 N pi i) written so that Re gamma is exactly p/N
         return complex(self.p / self.n, -self.u / (2.0 * math.pi * self.n))
 
+    def __str__(self) -> str:
+        """The context as errors name it: (u, p, N) = (...)."""
+        return f"(u, p, N) = ({self.u}, {self.p}, {self.n})"
+
 
 # ---------------------------------------------------------------------------
 # Batched panel quadrature
@@ -115,10 +120,10 @@ class EvalContext:
 _BLOCK_NODES = 16_384
 
 
-def _tail_abscissa(nu: np.ndarray, tol: float) -> np.ndarray:
-    """Truncation points X with integral_X^oo 4 e^{-nu x}/x dx safely < tol."""
-    x = (np.log(40.0 / (tol * nu)) + 4.0) / nu
-    x = (np.log(40.0 / (tol * nu * np.maximum(x, 1.0))) + 4.0) / nu
+def _tail_abscissa(nu: np.ndarray) -> np.ndarray:
+    """Truncation points X with integral_X^oo 4 e^{-nu x}/x dx safely < TOL."""
+    x = (np.log(40.0 / (TOL * nu)) + 4.0) / nu
+    x = (np.log(40.0 / (TOL * nu * np.maximum(x, 1.0))) + 4.0) / nu
     return np.maximum(x, 10.0)
 
 
@@ -164,22 +169,20 @@ def _row_blocks(rows: int, width: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _contour(z, gamma, sign, key, tol: float, ray, circ, where) -> np.ndarray:
-    """Per-point integrals along Omega, with the per-point two-level check.
+def _contour(z, gamma, sign, key, ray, circ, where) -> np.ndarray:
+    """Per-point integrals along Omega, with the per-point two-level check at TOL.
 
-    Every argument but tol, ray, circ and where is a per-point array, so one
+    Every argument but ray, circ and where is a per-point array, so one
     call takes points of any integrand.  The integrand is e^{(2z-1) x}
     circ(x, key) on the semicircle.  On the rays it is rewritten as
     e^{(2z-2-gamma) x} ray(x, key) on [1, oo), and as sign e^{-(2z+gamma) x}
     ray(x, key) on the negative ray mirrored onto [1, oo) (gamma = 0 for the
     L_k integrals).  where(i) names point i in an error.
     """
-    if not tol > 0.0:
-        raise DomainError(f"quadrature tol must be positive, got {tol}")
     if not z.size:
         return np.zeros(0, dtype=complex)
     rates = (2.0 * z - 2.0 - gamma, -(2.0 * z + gamma))
-    ends = [_tail_abscissa(-rate.real, tol) for rate in rates]
+    ends = [_tail_abscissa(-rate.real) for rate in rates]
     far = np.flatnonzero((ends[0] > _MAX_TAIL) | (ends[1] > _MAX_TAIL))
     if far.size:
         raise QuadratureError(f"tail cutoff exceeds {_MAX_TAIL:.3g}: z = {z[far[0]]} "
@@ -214,22 +217,14 @@ def _contour(z, gamma, sign, key, tol: float, ray, circ, where) -> np.ndarray:
         delta = np.abs(refined - value[active])
         best[active] = np.minimum(best[active], delta)
         value[active] = refined
-        active = active[delta >= tol]
+        active = active[delta >= TOL]
         if not active.size:
             return value
     i = active[0]
     raise QuadratureError(
         f"quadrature failed to meet tol at maximum refinement: z = {z[i]} at {where(i)}, "
-        f"level {level}, best |delta| = {best[i]:.3g} >= tol = {tol:.3g}"
+        f"level {level}, best |delta| = {best[i]:.3g} >= tol = {TOL:.3g}"
     )
-
-
-# ---------------------------------------------------------------------------
-# Public surface
-# ---------------------------------------------------------------------------
-
-def _named(ctx: EvalContext) -> str:
-    return f"(u, p, N) = ({ctx.u}, {ctx.p}, {ctx.n})"
 
 
 def _t_ray(x, gamma):
@@ -241,9 +236,9 @@ def _t_circ(x, gamma):
     return 1.0 / (x * np.sinh(x) * np.sinh(gamma * x))
 
 
-def _t_quadrature(z, gamma, tol: float, where) -> np.ndarray:
+def _t_quadrature(z, gamma, where) -> np.ndarray:
     """T_N at the points z by contour quadrature; gamma and where as in _contour."""
-    return 0.25 * _contour(z, gamma, np.full(z.size, -1.0), gamma, tol, _t_ray, _t_circ, where)
+    return 0.25 * _contour(z, gamma, np.full(z.size, -1.0), gamma, _t_ray, _t_circ, where)
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +274,11 @@ def _series_coefficients(count: int) -> np.ndarray:
 _SERIES_COEF = _series_coefficients(_SERIES_TERMS + 1)
 
 
-def _t_series(z, gamma, tol: float):
-    """T_N by its Bernoulli series (see the module docstring), and where it meets tol.
+def _t_series(z, gamma):
+    """T_N by its Bernoulli series (see the module docstring), and where it meets TOL.
 
     z and gamma are per-point arrays.  Returns (ok, values): ok marks the
-    points whose error estimate is below tol, and values holds T_N there;
+    points whose error estimate is below TOL, and values holds T_N there;
     elsewhere values is undefined.
     """
     width = _SHIFT_WIDTH * np.abs(gamma)
@@ -320,7 +315,7 @@ def _t_series(z, gamma, tol: float):
     size = np.abs(terms)
     truncation = np.where(size[:, count] < size[:, count - 1], size[:, count], np.inf)
     rounding = _ROUNDING * (np.abs(lead) + np.abs(correction) + 1.0)
-    ok[tried] = truncation + rounding < tol
+    ok[tried] = truncation + rounding < TOL
     return ok, values
 
 
@@ -338,25 +333,25 @@ def _require_strip(z, gamma, where) -> None:
                           f"(-{half[i]}, {1 + half[i]}) at {where(i)}")
 
 
-def t_n(z, ctx: EvalContext, tol: float = TOL):
+def t_n(z, ctx: EvalContext):
     """Quantum dilogarithm T_N(z) on -p/(2N) < Re z < 1 + p/(2N).
 
     z is a complex scalar (a complex is returned) or an array of points of
     the one context ctx, evaluated in one batch (an array of the same shape
     is returned): by the Bernoulli series where its error estimate is below
-    tol, by one batched quadrature elsewhere.
+    TOL, the one accuracy target, and by one batched quadrature elsewhere.
     """
     zs = np.asarray(z, dtype=complex)
     flat = zs.ravel()
     gamma = np.full(flat.size, ctx.gamma)
 
     def where(i):
-        return _named(ctx)
+        return str(ctx)
     _require_strip(flat, gamma, where)
-    ok, values = _t_series(flat, gamma, tol)
+    ok, values = _t_series(flat, gamma)
     rest = np.flatnonzero(~ok)
     if rest.size:
-        values[rest] = _t_quadrature(flat[rest], gamma[rest], tol, where)
+        values[rest] = _t_quadrature(flat[rest], gamma[rest], where)
     return complex(values[0]) if zs.ndim == 0 else values.reshape(zs.shape)
 
 
@@ -377,7 +372,7 @@ def e_n_ratio(num: complex, den: complex, ctx: EvalContext) -> complex:
 _LK_PREFACTOR = np.array([1.0, -0.5, 0.5j * math.pi])
 
 
-def l_k_quadrature(k, z, tol: float = TOL):
+def l_k_quadrature(k, z):
     """L_k(z) by direct contour quadrature, k in {0, 1, 2}, 0 < Re z < 1.
 
     k and z are scalars (a complex is returned) or broadcastable arrays,
@@ -401,7 +396,7 @@ def l_k_quadrature(k, z, tol: float = TOL):
 
     # on the negative ray x^k flips sign for odd k
     values = _LK_PREFACTOR[ks] * _contour(flat, np.zeros(flat.size, dtype=complex),
-                                           -(-1.0) ** ks, np.arange(flat.size), tol,
+                                           -(-1.0) ** ks, np.arange(flat.size),
                                            ray, circ, lambda i: f"L_{ks[i]}")
     return complex(values[0]) if zs.ndim == 0 else values.reshape(zs.shape)
 
@@ -472,14 +467,14 @@ def _identity_terms(samples):
         try:
             r, num, den = _IDENTITIES[kind][1](z, gamma, logs[start:start + count])
         except DomainError as exc:
-            raise DomainError(f"{exc}: z = {z} at {_named(ctx)}") from None
+            raise DomainError(f"{exc}: z = {z} at {ctx}") from None
         start += count
         rhs.append(r)
         points += [num, den]
     return rhs, np.array(points, dtype=complex), np.repeat(np.array(gammas, dtype=complex), 2)
 
 
-def identity_residuals(samples, tol: float = TOL) -> list[float]:
+def identity_residuals(samples) -> list[float]:
     """Residuals |E_N(num) / E_N(den) / rhs - 1| of (kind, z, ctx) samples.
 
     kind is "shift", "gamma_half" or "unit_shift".  Every sample's domain is
@@ -491,10 +486,10 @@ def identity_residuals(samples, tol: float = TOL) -> list[float]:
     rhs, points, gamma = _identity_terms(samples)
 
     def where(i):
-        return _named(samples[i // 2][2])
+        return str(samples[i // 2][2])
 
     _require_strip(points, gamma, where)
-    t = _t_quadrature(points, gamma, tol, where)
+    t = _t_quadrature(points, gamma, where)
     return [abs(cmath.exp(t_num - t_den - r) - 1.0)
             for r, t_num, t_den in zip(rhs, t[0::2].tolist(), t[1::2].tolist())]
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkernel import DomainError, li2
+from .numkernel import DomainError, exp_of_log, li2
 from .jones import jones_at_cusp, jones_dual
 from .qdilog import EvalContext, require_u
 
@@ -135,18 +135,6 @@ def f_values(z, u: float, p: int):
     )
 
 
-def f_prime(z: complex, u: float, p: int) -> complex:
-    """F'(z) = log(e^u + e^{-u} - e^{xi z} - e^{-xi z}), principal branch.
-
-    The elementary formula extends continuously to the closure of U_0, which
-    the boundary-segment checks rely on; no strip validation here.
-    """
-    require_u(u)
-    xi = complex(u, 2.0 * math.pi * p)
-    w = xi * z
-    return cmath.log(2.0 * math.cosh(u) - 2.0 * cmath.cosh(w))
-
-
 def f_zero_value(u: float, p: int) -> complex:
     """The designated value F(0) = 4 p pi^2 / xi.
 
@@ -190,6 +178,7 @@ def asymptotic_rhs(ctx: EvalContext) -> complex:
 def asymptotic_ratio(ctx: EvalContext) -> complex:
     """J_N(E;e^{xi/N}) divided by asymptotic_rhs; approaches 1 as N grows.
 
-    The theorem assumes no coprimality of p and N.
+    The theorem assumes no coprimality of p and N.  A ratio that overflows a
+    float raises OverflowError naming ctx.
     """
-    return cmath.exp(jones_at_cusp(ctx) - asymptotic_rhs(ctx))
+    return exp_of_log(jones_at_cusp(ctx) - asymptotic_rhs(ctx), f"theorem ratio at {ctx}")

@@ -16,8 +16,8 @@ from fig8lab.jones import decomposition_residual, product_identity_residual
 from fig8lab.numkernel import l0_closed, l1_closed, l2_closed
 from fig8lab.qdilog import KAPPA, l_k_quadrature
 from fig8lab.region import c_pm, c_pm_derivative_bound, check_f_p12, components_d_cap_e
-from fig8lab.saddle import discriminant, f_eval, f_prime, f_zero_value
-from reference import f_second, naive_jones
+from fig8lab.saddle import discriminant, f_eval, f_zero_value
+from reference import f_prime, f_second, naive_jones
 
 U_GRID = (0.2, 0.5, 0.9)
 P_GRID = (1, 2, 3)

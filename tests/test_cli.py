@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import fig8lab
-from fig8lab import cli
+from fig8lab import cli, qdilog
 from fig8lab.cli import main
 
 
@@ -70,11 +70,11 @@ def test_empty_or_bad_n_range_exits_2(command, n_args, flag, capsys):
 
 
 @pytest.mark.parametrize("argv, text", [
-    pytest.param(["lemmas", "--tol", "0"], "--tol", id="lemmas-zero-tol"),
-    pytest.param(["lemmas", "--tol", "-1e-3"], "--tol", id="lemmas-negative-tol"),
     pytest.param(["lemmas", "--samples", "-3"], "--samples", id="lemmas-negative-samples"),
-    pytest.param(["lemmas", "--threshold", "nan"], "--threshold", id="lemmas-nan-threshold"),
-    pytest.param(["lemmas", "--threshold", "-1"], "--threshold", id="lemmas-negative-threshold"),
+    # the accuracy target is qdilog.TOL and the pass bounds are cli constants
+    pytest.param(["lemmas", "--tol", "1e-3"], "unrecognized arguments: --tol", id="lemmas-no-tol"),
+    pytest.param(["lemmas", "--threshold", "1"], "unrecognized arguments: --threshold",
+                 id="lemmas-no-threshold"),
     pytest.param(["modularity", "--eta", "0,-1,1,0", "--p", "1", "--N-list", "10,10"],
                  "two distinct N", id="modularity-repeated-N"),
     pytest.param(["modularity", "--eta", "0,-1,1,0", "--zagier", "--p", "0"],
@@ -123,7 +123,7 @@ def test_unknown_flag_exits_2(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["jones", "--u", "0.5", "--p", "2", "--N", "101", "--tol", "1e-3"],
+    ["jones", "--u", "0.5", "--p", "2", "--N", "101", "--samples", "3"],
     ["theorem", "--u", "0.5", "--p", "2", "--N", "101", "--seed", "1"],
     ["region", "--u", "0.5", "--p", "3", "--m", "2", "--format", "csv"],
 ])
@@ -214,12 +214,19 @@ def test_lemmas_pass_and_deterministic(tmp_path, capsys):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
-def test_lemmas_tight_threshold_fails(capsys):
-    code, _, err = run(
-        ["lemmas", "--samples", "3", "--threshold", "1e-20"], capsys
-    )
+def test_lemmas_tight_threshold_fails(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "IDENTITY_BOUND", 1e-20)
+    code, _, err = run(["lemmas", "--samples", "3"], capsys)
     assert code == 1
     assert "FAIL" in err
+
+
+def test_lemmas_reads_no_accuracy_flags(capsys):
+    code, out, _ = run(["lemmas", "--samples", "1"], capsys)
+    assert code == 0
+    assert parse_jsonl(out)[0]["params"] == {"samples": 1, "seed": 0}
+    _, out, _ = run(["lemmas", "--help"], capsys)
+    assert "--samples" in out and "--tol" not in out and "--threshold" not in out
 
 
 def test_lemmas_seed_with_strip_edge_sample_passes(capsys):
@@ -228,23 +235,39 @@ def test_lemmas_seed_with_strip_edge_sample_passes(capsys):
     assert code == 0, err
 
 
-def test_lemmas_unmeetable_tol_exits_3(capsys):
-    code, _, err = run(["lemmas", "--samples", "5", "--tol", "1e-16"], capsys)
+def test_lemmas_unmeetable_tol_exits_3(monkeypatch, capsys):
+    _, out, _ = run(["lemmas", "--samples", "5"], capsys)
+    first = json.loads(out.splitlines()[1])
+    monkeypatch.setattr(qdilog, "TOL", 1e-16)
+    code, _, err = run(["lemmas", "--samples", "5"], capsys)
     assert code == 3
     assert "failed to meet tol" in err
     for field in ("z = ", "(u, p, N) = ", "level 3", "best |delta| = "):
         assert field in err
     # the first identity row already misses 1e-16, so the error names its context
-    _, out, _ = run(["lemmas", "--samples", "5"], capsys)
-    first = json.loads(out.splitlines()[1])
     assert f"(u, p, N) = ({first['u']}, {first['p']}, {first['N']})" in err
 
 
-def test_lemmas_tol_reaches_the_l_k_rows(capsys):
-    # with no identity samples only the L_k quadratures see --tol
-    code, _, err = run(["lemmas", "--samples", "0", "--tol", "1e-16"], capsys)
+def test_lemmas_tol_reaches_the_l_k_rows(monkeypatch, capsys):
+    # with no identity samples only the L_k quadratures see qdilog.TOL
+    monkeypatch.setattr(qdilog, "TOL", 1e-16)
+    code, _, err = run(["lemmas", "--samples", "0"], capsys)
     assert code == 3
     assert "failed to meet tol" in err and " at L_" in err
+
+
+@pytest.mark.parametrize("argv, stage", [
+    (["theorem", "--u", "0.9", "--p", "1", "--N", "12801"], "theorem ratio"),
+    (["modularity", "--eta", "0,-1,1,0", "--u", "0.9", "--p", "1", "--N-list", "6401,12801"],
+     "modularity ratio / rhs"),
+], ids=["theorem", "modularity"])
+def test_overflowing_ratio_exits_3(argv, stage, capsys):
+    # the float Jones sum at N = 12801 puts the ratio's log above 709
+    code, out, err = run(argv, capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"error: {stage} at (u, p, N) = (0.9, 1, 12801) overflows a float")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_region_emits_grid_files(tmp_path, capsys):

@@ -249,7 +249,7 @@ def test_decomposition_noncoprime_rejected():
 
 
 @pytest.mark.parametrize("u,p,n", [(0.5, 2, 97), (0.2, 3, 101), (0.9, 2, 97)])
-def test_f_n_at_edge_shifted_sector_points_matches_quadrature(u, p, n):
+def test_f_n_at_edge_shifted_sector_points_matches_quadrature(monkeypatch, u, p, n):
     # decomposition_residual cannot test these terms: their T_N arguments lie
     # within the shift width of an end of (0, 1), so the series moves them inward,
     # and the shift corrections are factors of the direct product it compares with
@@ -262,9 +262,11 @@ def test_f_n_at_edge_shifted_sector_points_matches_quadrature(u, p, n):
     assert near.sum() >= 40
     # the product form is no reference here: at every sector point one of its
     # factors 1 - e^{2 pi i (z - gamma (k + 1/2))} vanishes
+    f_near = f_n(z[near], ctx)
+    monkeypatch.setattr(qdilog, "TOL", 1e-12)
     t_a, t_b = qdilog._t_quadrature(args[:, near].ravel(), np.full(2 * near.sum(), ctx.gamma),
-                                    1e-12, lambda i: qdilog._named(ctx)).reshape(2, -1)
-    d = n * (f_n(z[near], ctx) - ((t_a - t_b) / n - u * z[near] + 4.0 * p * math.pi ** 2 / ctx.xi))
+                                    lambda i: str(ctx)).reshape(2, -1)
+    d = n * (f_near - ((t_a - t_b) / n - u * z[near] + 4.0 * p * math.pi ** 2 / ctx.xi))
     # modulo 2 pi i
     assert np.abs(d.real + 1j * ((d.imag + math.pi) % (2.0 * math.pi) - math.pi)).max() <= 1e-12
 

@@ -21,7 +21,7 @@ from fig8lab.qdilog import (
     t_n,
 )
 from fig8lab import jones, qdilog
-from reference import exact_t_n
+from reference import exact_t_n, exact_t_n_mp
 
 CLOSED = {0: l0_closed, 1: l1_closed, 2: l2_closed}
 
@@ -102,10 +102,11 @@ def test_t_n_convergence_rate_sequence():
         assert 1.6 <= a / b <= 2.4
 
 
-def test_self_consistency_under_refinement():
+def test_self_consistency_under_refinement(monkeypatch):
     ctx = EvalContext(u=0.5, p=2, n=40)
     v1 = t_n(0.3 + 0.2j, ctx)
-    v2 = t_n(0.3 + 0.2j, ctx, tol=1e-13)
+    monkeypatch.setattr(qdilog, "TOL", 1e-13)
+    v2 = t_n(0.3 + 0.2j, ctx)
     assert abs(v1 - v2) < TOL
 
 
@@ -125,9 +126,9 @@ def test_batched_t_n_matches_scalar():
 
 
 def _fails_alone(quadrature, *args):
-    """Whether a single-point call misses tol = 1e-16."""
+    """Whether a single-point call misses qdilog.TOL, which callers set to 1e-16."""
     try:
-        quadrature(*args, 1e-16)
+        quadrature(*args)
     except QuadratureError:
         return True
     return False
@@ -143,11 +144,11 @@ _BATCH_CONTEXTS = (EvalContext(u=0.5, p=3, n=31), EvalContext(u=0.3, p=2, n=17),
                    EvalContext(u=0.7, p=5, n=40))
 
 
-def _quadrature(points, tol=TOL):
+def _quadrature(points):
     """_t_quadrature of (z, ctx) points in one batch, each point named by its context."""
     z = np.array([z for z, _ in points], dtype=complex)
     gamma = np.array([ctx.gamma for _, ctx in points])
-    return qdilog._t_quadrature(z, gamma, tol, lambda i: qdilog._named(points[i][1]))
+    return qdilog._t_quadrature(z, gamma, lambda i: str(points[i][1]))
 
 
 def test_t_n_batch_across_contexts_is_bit_equal():
@@ -198,67 +199,64 @@ def test_semicircle_row_blocks_are_bit_equal(monkeypatch, block):
     # blocks and a three-row last one, block 500 blocks of five rows and more
     ctx = EvalContext(u=0.5, p=2, n=40)
     z = _strip_points(41)
+    monkeypatch.setattr(qdilog, "TOL", 1e-13)
     monkeypatch.setattr(qdilog, "_BLOCK_NODES", 10 ** 9)
-    whole = t_n(z, ctx, 1e-13)
+    whole = t_n(z, ctx)
     monkeypatch.setattr(qdilog, "_BLOCK_NODES", block)
-    assert np.array_equal(t_n(z, ctx, 1e-13), whole)
+    assert np.array_equal(t_n(z, ctx), whole)
 
 
-def test_many_points_of_one_context_keep_memory_bounded():
+def test_many_points_of_one_context_keep_memory_bounded(monkeypatch):
     # unblocked semicircle rows peaked at 12.7 MB here (3.2 MB for 500 points)
     ctx = EvalContext(u=0.5, p=2, n=40)
     z = _strip_points(2000)
-    t_n(z[:3], ctx, 1e-13)                  # Gauss rules and imports outside the trace
+    monkeypatch.setattr(qdilog, "TOL", 1e-13)
+    t_n(z[:3], ctx)                         # Gauss rules and imports outside the trace
     tracemalloc.start()
     try:
-        t_n(z, ctx, 1e-13)
+        t_n(z, ctx)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 5e6
 
 
-def test_unmeetable_tol_in_a_batch_names_the_first_failing_point():
+def test_unmeetable_tol_in_a_batch_names_the_first_failing_point(monkeypatch):
+    monkeypatch.setattr(qdilog, "TOL", 1e-16)
     points = [(z, ctx) for ctx in _BATCH_CONTEXTS for z in (0.5 + 0.1j, 0.2 - 0.3j)]
     z, ctx = next((z, ctx) for z, ctx in points if _fails_alone(t_n, z, ctx))
     with pytest.raises(QuadratureError) as info:
-        _quadrature(points, 1e-16)
+        _quadrature(points)
     assert f"z = {np.complex128(z)} at (u, p, N) = ({ctx.u}, {ctx.p}, {ctx.n})," in str(info.value)
 
 
-def test_l_k_batch_is_bit_equal_and_names_the_first_failing_row():
+def test_l_k_batch_is_bit_equal_and_names_the_first_failing_row(monkeypatch):
     k = np.array([2, 0, 1, 1, 2, 0])
     z = np.array([0.3 + 0.4j, 0.5, 0.06 - 0.9j, 0.94 + 0.99j, 0.7 - 0.2j, 0.2 + 0.8j])
     alone = [l_k_quadrature(int(k_i), z_i) for k_i, z_i in zip(k, z)]
     assert np.array_equal(l_k_quadrature(k, z), alone)
     assert l_k_quadrature(k.reshape(2, 3), z.reshape(2, 3)).shape == (2, 3)
+    monkeypatch.setattr(qdilog, "TOL", 1e-16)
     first = next(i for i in range(k.size) if _fails_alone(l_k_quadrature, int(k[i]), z[i]))
     with pytest.raises(QuadratureError) as info:
-        l_k_quadrature(k, z, 1e-16)
+        l_k_quadrature(k, z)
     assert f"z = {z[first]} at L_{k[first]}, level 3" in str(info.value)
     with pytest.raises(DomainError, match="k must be 0, 1 or 2, got 3"):
         l_k_quadrature([0, 3], [0.5, 0.5])
 
 
-def test_unmeetable_tol_names_the_failure():
+def test_unmeetable_tol_names_the_failure(monkeypatch):
+    monkeypatch.setattr(qdilog, "TOL", 1e-16)
     ctx = EvalContext(u=0.5, p=2, n=40)
     with pytest.raises(QuadratureError) as info:
-        t_n([0.5, 0.3 + 0.2j], ctx, 1e-16)
+        t_n([0.5, 0.3 + 0.2j], ctx)
     message = str(info.value)
     assert "z = (0.5+0j)" in message
     assert "(u, p, N) = (0.5, 2, 40)" in message
     assert "level 3" in message
     assert "best |delta| = " in message
     with pytest.raises(QuadratureError, match=r"z = \(0\.4\+0\.3j\) at L_0, level 3"):
-        l_k_quadrature(0, 0.4 + 0.3j, 1e-16)
-
-
-@pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan])
-def test_quadrature_config_requires_positive_tol(tol):
-    with pytest.raises(DomainError, match="tol must be positive"):
-        t_n(0.5, EvalContext(u=0.5, p=2, n=40), tol)
-    with pytest.raises(DomainError, match="tol must be positive"):
-        l_k_quadrature(0, 0.4 + 0.3j, tol)
+        l_k_quadrature(0, 0.4 + 0.3j)
 
 
 def test_e_n_logmag_is_re_t_n():
@@ -285,11 +283,12 @@ def test_series_matches_quadrature(monkeypatch, u, p, n):
     z = np.concatenate([rng.uniform(-g / 2, 1 + g / 2, 8) + 1j * rng.uniform(-0.5, 0.5, 8),
                         _edge_points(ctx, 1e-3)])
     gamma = np.full(z.size, ctx.gamma)
-    ok, series = qdilog._t_series(z, gamma, TOL)
+    ok, series = qdilog._t_series(z, gamma)
     assert ok.all()
     # the rays of the edge points run past the default cap on their length
     monkeypatch.setattr(qdilog, "_MAX_TAIL", 1e8)
-    quadrature = qdilog._t_quadrature(z, gamma, 1e-12, lambda i: f"point {i}")
+    monkeypatch.setattr(qdilog, "TOL", 1e-12)
+    quadrature = qdilog._t_quadrature(z, gamma, lambda i: f"point {i}")
     assert np.abs(series - quadrature).max() <= 1e-12
 
 
@@ -301,7 +300,7 @@ def test_series_matches_exact_product(n):
     rng = np.random.default_rng(n)
     z = np.concatenate([rng.uniform(0.0, 1.0, 3) + 1j * rng.uniform(-0.3, 0.3, 3),
                         _edge_points(ctx, 1e-3)])
-    ok, series = qdilog._t_series(z, np.full(z.size, ctx.gamma), TOL)
+    ok, series = qdilog._t_series(z, np.full(z.size, ctx.gamma))
     assert ok.all()
     for zi, value in zip(z, series):
         # the product's principal logs are off by multiples of 2 pi i
@@ -309,16 +308,21 @@ def test_series_matches_exact_product(n):
 
 
 @pytest.mark.parametrize("u,p,n", [(0.2, 3, 40), (0.5, 2, 97), (0.9, 1, 97)])
-def test_quadrature_matches_exact_product(u, p, n):
-    # Im z stays above -0.3: below about -0.4 the float product itself errs by
-    # up to 1.5e-11 at these N (against the product in mpmath at 30 digits,
-    # which the quadrature meets to 4e-14)
+def test_quadrature_matches_exact_product(monkeypatch, u, p, n):
+    # the float product serves for |Im z| <= 0.3; below about -0.3 it errs by
+    # up to 1.5e-11 at these N, so points with -0.5 < Im z < -0.3 take the
+    # product in mpmath, which the quadrature meets to 4e-14
     ctx = EvalContext(u=u, p=p, n=n)
     rng = np.random.default_rng([n, p])
     z = rng.uniform(0.0, 1.0, 8) + 1j * rng.uniform(-0.3, 0.3, 8)
-    quadrature = qdilog._t_quadrature(z, np.full(z.size, ctx.gamma), 1e-12, lambda i: f"point {i}")
+    low = rng.uniform(0.0, 1.0, 3) + 1j * rng.uniform(-0.5, -0.3, 3)
+    monkeypatch.setattr(qdilog, "TOL", 1e-12)
+    points = np.concatenate([z, low])
+    quadrature = qdilog._t_quadrature(points, np.full(points.size, ctx.gamma), lambda i: f"point {i}")
     for zi, value in zip(z, quadrature):
         assert abs(_reduced(value - exact_t_n(zi, u, p, n))) <= 1e-11
+    for zi, value in zip(low, quadrature[z.size:]):
+        assert abs(_reduced(value - exact_t_n_mp(zi, u, p, n))) <= 1e-13
 
 
 def test_each_caller_reaches_its_evaluator(monkeypatch):
@@ -334,15 +338,16 @@ def test_each_caller_reaches_its_evaluator(monkeypatch):
     assert abs(l_k_quadrature(2, 0.3 + 0.4j) - l2_closed(0.3 + 0.4j)) <= 1e-8
 
 
-def test_series_declines_what_it_cannot_promise():
-    # small N: gamma too large to shift within (0, 1); an unmeetable tol
+def test_series_declines_what_it_cannot_promise(monkeypatch):
+    # small N: gamma too large to shift within (0, 1); an unmeetable TOL
     small = EvalContext(u=0.5, p=1, n=7)
-    assert not qdilog._t_series(np.array([0.5]), np.array([small.gamma]), TOL)[0].any()
+    assert not qdilog._t_series(np.array([0.5]), np.array([small.gamma]))[0].any()
     large = EvalContext(u=0.5, p=2, n=3201)
     z = np.array([0.5, 0.3 + 0.2j])
     gamma = np.full(2, large.gamma)
-    assert qdilog._t_series(z, gamma, TOL)[0].all()
-    assert not qdilog._t_series(z, gamma, 1e-16)[0].any()
+    assert qdilog._t_series(z, gamma)[0].all()
+    monkeypatch.setattr(qdilog, "TOL", 1e-16)
+    assert not qdilog._t_series(z, gamma)[0].any()
 
 
 # ---------------------------------------------------------------------------
@@ -428,13 +433,14 @@ def test_identity_domain_errors_come_before_any_quadrature(monkeypatch):
         identity_residuals([("swap", 0.5, ctx)])
 
 
-def test_identity_batch_failure_names_the_first_failing_point():
+def test_identity_batch_failure_names_the_first_failing_point(monkeypatch):
+    monkeypatch.setattr(qdilog, "TOL", 1e-16)
     samples = _lemma_samples(0, 2)
     _, points, _ = qdilog._identity_terms(samples)
     ctxs = [ctx for _, _, ctx in samples for _ in range(2)]
     z, ctx = next((z, ctx) for z, ctx in zip(points, ctxs) if _fails_alone(t_n, z, ctx))
     with pytest.raises(QuadratureError) as info:
-        identity_residuals(samples, 1e-16)
+        identity_residuals(samples)
     assert f"z = {np.complex128(z)} at (u, p, N) = ({ctx.u}, {ctx.p}, {ctx.n})," in str(info.value)
 
 

@@ -15,13 +15,12 @@ from fig8lab.saddle import (
     asymptotic_rhs,
     discriminant,
     f_eval,
-    f_prime,
     f_zero_value,
     phi_m,
     saddle_data,
     varphi,
 )
-from reference import f_eval_original, f_second, saddle_prefactor_closed
+from reference import f_eval_original, f_prime, f_second, saddle_prefactor_closed
 
 U_GRID = (0.2, 0.5, 0.9)
 P_GRID = (1, 2, 3)
