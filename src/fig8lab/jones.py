@@ -27,8 +27,10 @@ u = 0.2, N = 6401: a small u is not safe either.
 
 Also provided: the splitting of J_N(E; e^{xi/N}) into beta-prefactors and
 the finite-N phase function f_N built from the quantum dilogarithm, the
-q-factorial product identity in both its coprime and gcd(p,N)=c>1 forms,
-and residual checks that confront independent pipelines with each other.
+q-factorial product identity, and residual checks that confront independent
+pipelines with each other.  Both identities put each summation index k in
+one sector, m = floor(k p / N), for every N: an index k = m N/p on a sector
+end is an ordinary member of sector m.
 """
 
 from __future__ import annotations
@@ -36,12 +38,11 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from math import gcd
 
 import numpy as np
 
 from .numkernel import DomainError, lc_one_minus_exp, lc_sum, log1mexp, reduce_phase
-from .qdilog import EvalContext, e_n_ratio, t_n
+from .qdilog import EvalContext, t_n
 
 
 def _multiples(e: np.ndarray, w) -> np.ndarray:
@@ -157,21 +158,22 @@ def f_n(z, ctx: EvalContext):
     return complex(value) if z.ndim == 0 else value
 
 
-def sector_points(ctx: EvalContext, m: int):
-    """(k, z_k) of sector m: integers m N/p < k < (m+1) N/p, z_k = (2k+1)/(2N) - 2 m pi i/xi.
+def sector_points(ctx: EvalContext):
+    """(k, m, z_k) for every k in 1..N-1: its sector m = floor(k p/N), and
+    z_k = (2k+1)/(2N) - 2 m pi i/xi.
 
-    Requires gcd(p, N) = 1: otherwise k = m N/p is an integer on a sector end.
+    Each sector's shift 2 m pi i/xi is one complex scalar, shared by its points.
     """
-    if gcd(ctx.p, ctx.n) != 1:
-        raise DomainError(f"p={ctx.p} and N={ctx.n} must be coprime")
-    k = np.arange(math.floor(m * ctx.n / ctx.p) + 1, math.ceil((m + 1) * ctx.n / ctx.p))
-    return k, (2 * k + 1) / (2.0 * ctx.n) - 2j * m * math.pi / ctx.xi
+    k = np.arange(1, ctx.n)
+    m = k * ctx.p // ctx.n
+    shifts = np.array([2j * j * math.pi / ctx.xi for j in range(ctx.p)])
+    return k, m, (2 * k + 1) / (2.0 * ctx.n) - shifts[m]
 
 
 def decomposition_residual(ctx: EvalContext) -> float:
     """Relative gap between J_N(E;e^{xi/N}) and its beta/f_N decomposition.
 
-    The identity is exact at finite N.  One side is the direct q-factorial
+    The identity is exact at every N.  One side is the direct q-factorial
     sum; the other is built from f_N, whose T_N values come from t_n: from
     the Bernoulli series wherever it meets TOL (every point at (p, N) =
     (2, 97) and (3, 101)), from quadrature elsewhere.  So the residual
@@ -182,48 +184,29 @@ def decomposition_residual(ctx: EvalContext) -> float:
     the shifted points only.  At N = 801 the shifted terms are the sector
     ends, below e^-30 of the largest term; near N = 100 the saddle lies
     within the shift width of a sector end, and the largest terms take
-    shifts too.  Requires gcd(p, N) = 1 (see sector_points).
+    shifts too.  The k = 0 term, 1, is left out, so the residual reads
+    1/|J_N| where that is larger: 1.3e-3 at (u, p, N) = (0.5, 2, 10).
     """
     xi, n = ctx.xi, ctx.n
     prefactor = (lc_one_minus_exp(-4.0 * ctx.p * n * math.pi ** 2 / xi)
                  - math.log(2.0 * math.sinh(0.5 * ctx.u)))
-    z, betas = [], []
-    for m in range(ctx.p):
-        k, z_m = sector_points(ctx, m)
-        z.append(z_m)
-        betas += [beta_factor(ctx, m)] * k.size
-    rhs = prefactor + lc_sum(np.array(betas) + n * f_n(np.concatenate(z), ctx))
+    _, m, z = sector_points(ctx)
+    betas = np.array([beta_factor(ctx, j) for j in range(ctx.p)])[m]
+    rhs = prefactor + lc_sum(betas + n * f_n(z, ctx))
     return abs(cmath.exp(rhs - jones_at_cusp(ctx)) - 1.0)
 
 
 def _qfactorial_via_en(k: int, ctx: EvalContext) -> complex:
-    """The same product expressed through E_N ratios and dual-side factors."""
+    """The same product through dual-side factors and an E_N ratio, k in sector m = floor(k p/N)."""
     xi, n, p = ctx.xi, ctx.n, ctx.p
-    gamma = ctx.gamma
     w_dual = 4.0 * n * math.pi ** 2 / xi
-    c = gcd(p, n)
-    n_prime, p_prime = n // c, p // c
-    nn = k // n_prime
-    boundary = k % n_prime == 0
-    # one log1mexp call: 1 - e^{p w_dual}, 1 - e^xi and, on the boundary,
-    # 1 - e^{(c - nn) xi / c} and 1 - e^{(c + nn) xi / c}
-    exponents = [w_dual * p, xi] + ([(c - nn) * xi / c, (c + nn) * xi / c] if boundary else [])
-    logs = log1mexp(np.array(exponents)).tolist()
-    head = logs[0] - logs[1]
-    if boundary:
-        # k = n N': the boundary case carries its own explicit unity factors
-        extra = logs[2] + logs[3]
-        dual = _qpoch(p, nn * p_prime - 1, w_dual)
-        ratio = e_n_ratio((n - nn * n_prime + 0.5) * gamma - p + nn * p_prime,
-                          (n + nn * n_prime - 0.5) * gamma - p - nn * p_prime + 1, ctx)
-        return extra + head + dual + ratio
-
-    # for coprime p, N (c = 1, N' = N) this is nn = 0 and m = kp // N
-    m = nn * p_prime + (k - nn * n_prime) * p_prime // n_prime
-    dual = _qpoch(p, m, w_dual)
-    ratio = e_n_ratio((n - k - 0.5) * gamma - p + m + 1,
-                      (n + k + 0.5) * gamma - p - m, ctx)
-    return head + dual + ratio
+    m = k * p // n
+    # one log1mexp call: 1 - e^{p w_dual} and 1 - e^xi
+    one_minus = log1mexp(np.array([w_dual * p, xi])).tolist()
+    head = one_minus[0] - one_minus[1]
+    t_num, t_den = t_n([(n - k - 0.5) * ctx.gamma - p + m + 1,
+                        (n + k + 0.5) * ctx.gamma - p - m], ctx)
+    return head + _qpoch(p, m, w_dual) + (t_num - t_den)
 
 
 def product_identity_residual(k: int, ctx: EvalContext) -> float:

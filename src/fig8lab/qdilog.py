@@ -363,12 +363,6 @@ def e_n(z: complex, ctx: EvalContext) -> complex:
     return t_n(complex(z), ctx)
 
 
-def e_n_ratio(num: complex, den: complex, ctx: EvalContext) -> complex:
-    """The complex log of E_N(num) / E_N(den), both T_N values from one batched call."""
-    t_num, t_den = t_n([num, den], ctx)
-    return t_num - t_den
-
-
 _LK_PREFACTOR = np.array([1.0, -0.5, 0.5j * math.pi])
 
 

@@ -213,14 +213,19 @@ def check_f_p12(u: float, p: int, m: int) -> float:
 # ---------------------------------------------------------------------------
 
 def endpoint_decay(ctx: EvalContext, m: int, delta_grid: float) -> list:
-    """Re f_N at summation points near the ends of (m/p, (m+1)/p).
+    """Re f_N at the summation points of sector m near the ends of [m/p, (m+1)/p).
 
-    Returns the rows (k, k/N, Re f_N, margin) with the margin
+    The points are those of sector_points with floor(k p/N) = m, so a
+    k = m N/p on the sector's start is one of them.  Returns the rows
+    (k, k/N, Re f_N, margin) with the margin
     Re F(sigma_0) - Re f_N((2k+1)/2N - 2m pi i/xi), which the endpoint
     estimates require to be positive.
     """
-    ks, z = sector_points(ctx, m)
-    near = (ks / ctx.n - m / ctx.p <= delta_grid) | ((m + 1) / ctx.p - ks / ctx.n <= delta_grid)
+    if not 0 <= m <= ctx.p - 1:
+        raise DomainError(f"m must lie in [0, p-1], got {m}")
+    ks, ms, z = sector_points(ctx)
+    near = (ms == m) & ((ks / ctx.n - m / ctx.p <= delta_grid)
+                        | ((m + 1) / ctx.p - ks / ctx.n <= delta_grid))
     if not near.any():
         raise DomainError("no summation points within delta_grid of the interval ends")
     top = saddle_data(ctx.u, ctx.p).f_sigma0.real

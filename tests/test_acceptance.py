@@ -97,9 +97,10 @@ def test_criterion_05_decomposition_identity():
 
 
 def test_criterion_06_product_identity_gcd_paths():
-    with criterion(6, "q-factorial product identity, gcd > 1 paths incl. k = N'"):
+    with criterion(6, "q-factorial product identity at gcd > 1, incl. the sector ends k = N'"):
         checked = 0
-        for (p, n) in ((4, 12), (6, 9)):
+        # p >= N: sectors that hold no k, and at (4, 4) every k on a sector end
+        for (p, n) in ((4, 12), (6, 9), (4, 4), (6, 4), (10, 4)):
             ctx = f8.EvalContext(u=0.5, p=p, n=n)
             n_prime = n // math.gcd(p, n)
             saw_multiple = False

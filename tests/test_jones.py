@@ -231,21 +231,21 @@ def test_f_n_converges_to_phi_m():
 # ---------------------------------------------------------------------------
 
 def test_k_range_partition():
-    ctx = EvalContext(u=0.5, p=3, n=101)
-    ks = sorted(k for m in range(3) for k in sector_points(ctx, m)[0].tolist())
-    assert ks == list(range(1, 101))
-    k, z = sector_points(ctx, 2)
-    assert np.array_equal(z, (2 * k + 1) / 202 - 4j * math.pi / ctx.xi)
+    # (3, 101) is coprime; at (2, 100) k = 50 lies on the end of sectors 0 and 1
+    for ctx in (EvalContext(u=0.5, p=3, n=101), EvalContext(u=0.5, p=2, n=100)):
+        k, m, z = sector_points(ctx)
+        assert k.tolist() == list(range(1, ctx.n))
+        # m/p <= k/N < (m+1)/p
+        assert np.all((m * ctx.n <= k * ctx.p) & (k * ctx.p < (m + 1) * ctx.n))
+        for j in range(ctx.p):
+            assert np.array_equal(z[m == j], (2 * k[m == j] + 1) / (2 * ctx.n)
+                                  - 2j * j * math.pi / ctx.xi)
+    assert m[k == 50].tolist() == [1]
 
 
-@pytest.mark.parametrize("u,p,n", [(0.5, 2, 97), (0.5, 3, 101)])
+@pytest.mark.parametrize("u,p,n", [(0.5, 2, 97), (0.5, 3, 101), (0.5, 2, 100), (0.5, 3, 99)])
 def test_decomposition_residual(u, p, n):
     assert decomposition_residual(EvalContext(u=u, p=p, n=n)) <= 1e-9
-
-
-def test_decomposition_noncoprime_rejected():
-    with pytest.raises(DomainError):
-        decomposition_residual(EvalContext(u=0.5, p=2, n=10))
 
 
 @pytest.mark.parametrize("u,p,n", [(0.5, 2, 97), (0.2, 3, 101), (0.9, 2, 97)])
@@ -254,7 +254,7 @@ def test_f_n_at_edge_shifted_sector_points_matches_quadrature(monkeypatch, u, p,
     # within the shift width of an end of (0, 1), so the series moves them inward,
     # and the shift corrections are factors of the direct product it compares with
     ctx = EvalContext(u=u, p=p, n=n)
-    z = np.concatenate([sector_points(ctx, m)[1] for m in range(p)])
+    z = sector_points(ctx)[2]
     args = np.stack([ctx.xi * (1.0 - z) / (2j * math.pi) - p + 1.0,
                      ctx.xi * (1.0 + z) / (2j * math.pi) - p])
     near = (np.minimum(args.real, 1.0 - args.real)
@@ -278,7 +278,7 @@ def test_product_identity_coprime(k):
 
 @pytest.mark.parametrize("k", [1, 3, 6, 7, 9, 11])
 def test_product_identity_gcd4(k):
-    # (p, N) = (4, 12): N' = 3, so k in {3, 6, 9} exercises the k = nN' branch
+    # (p, N) = (4, 12): k in {3, 6, 9} lies on a sector end, k p/N an integer
     assert product_identity_residual(k, EvalContext(u=0.5, p=4, n=12)) <= 1e-7
 
 

@@ -269,10 +269,13 @@ def test_c_pm_negative_on_range():
 # ---------------------------------------------------------------------------
 
 def test_endpoint_decay_positive_margins():
-    ctx = EvalContext(u=0.5, p=2, n=201)
-    for m in (0, 1):
-        rows = endpoint_decay(ctx, m, 0.02)
-        assert rows and all(margin > 0.0 for *_, margin in rows)
+    # at N = 200 the sector end k = 100 is a row of sector 1
+    for n in (201, 200):
+        ctx = EvalContext(u=0.5, p=2, n=n)
+        for m in (0, 1):
+            rows = endpoint_decay(ctx, m, 0.02)
+            assert rows and all(margin > 0.0 for *_, margin in rows)
+    assert rows[0][0] == 100
 
 
 def test_endpoint_decay_near_zero_is_small():
@@ -284,10 +287,14 @@ def test_endpoint_decay_near_zero_is_small():
 
 
 def test_endpoint_decay_errors():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="no summation points"):
         endpoint_decay(EvalContext(u=0.5, p=2, n=10), 0, 0.02)
     with pytest.raises(DomainError):
         endpoint_decay(EvalContext(u=0.5, p=2, n=201), 0, 1e-9)
+    # sectors outside [0, p-1] hold no term of the Jones sum
+    for m in (2, 5, -1):
+        with pytest.raises(DomainError, match=r"m must lie in \[0, p-1\]"):
+            endpoint_decay(EvalContext(u=0.5, p=2, n=201), m, 0.02)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -74,6 +75,27 @@ def test_saddle_data_is_cached_and_errors_are_not():
 def test_s_e_small_u_is_volume():
     sd = saddle_data(1e-8, 1)
     assert abs(sd.s_e - 1j * cusp_volume()) <= 1e-6
+
+
+def _s_e_slope(u):
+    """dS_E/du from the A-polynomial of the figure-eight knot, no Li2:
+    i (2 pi - arccos(cosh 2u - cosh u - 1))."""
+    return 1j * (2 * mp.pi - mp.acos(mp.cosh(2 * u) - mp.cosh(u) - 1))
+
+
+def test_s_e_slope_is_on_the_a_polynomial():
+    # with L = e^{S_E'} and M = e^{u/2}: L + 1/L = M^4 + M^-4 - M^2 - M^-2 - 2
+    with mp.workdps(30):
+        for u in (0.05, 0.2, 0.5, 0.9):
+            big_l, big_m = mp.exp(_s_e_slope(mp.mpf(u))), mp.exp(mp.mpf(u) / 2)
+            lhs = big_l + 1 / big_l
+            assert abs(lhs - (big_m ** 4 + big_m ** -4 - big_m ** 2 - big_m ** -2 - 2)) <= 1e-25
+    # S_E is the same at every p; its central difference matches the slope
+    h = 1e-5
+    for u in (0.05, 0.2, 0.5, 0.9):
+        assert saddle_data(u, 2).s_e == saddle_data(u, 3).s_e == saddle_data(u, 1).s_e
+        slope = (saddle_data(u + h, 1).s_e - saddle_data(u - h, 1).s_e) / (2 * h)
+        assert abs(slope - complex(_s_e_slope(u))) <= 1e-8
 
 
 def test_f_forms_agree_in_u0():
