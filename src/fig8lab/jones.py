@@ -184,15 +184,16 @@ def decomposition_residual(ctx: EvalContext) -> float:
     the shifted points only.  At N = 801 the shifted terms are the sector
     ends, below e^-30 of the largest term; near N = 100 the saddle lies
     within the shift width of a sector end, and the largest terms take
-    shifts too.  The k = 0 term, 1, is left out, so the residual reads
-    1/|J_N| where that is larger: 1.3e-3 at (u, p, N) = (0.5, 2, 10).
+    shifts too.  The k = 0 term, 1, is summed with the rest,
+    J = 1 + e^{pref} sum_k beta_m e^{N f_N(z_k)}, so the residual holds at
+    small N too: 5.0e-15 at (u, p, N) = (0.5, 2, 10).
     """
     xi, n = ctx.xi, ctx.n
     prefactor = (lc_one_minus_exp(-4.0 * ctx.p * n * math.pi ** 2 / xi)
                  - math.log(2.0 * math.sinh(0.5 * ctx.u)))
     _, m, z = sector_points(ctx)
     betas = np.array([beta_factor(ctx, j) for j in range(ctx.p)])[m]
-    rhs = prefactor + lc_sum(betas + n * f_n(z, ctx))
+    rhs = lc_sum([0.0, prefactor + lc_sum(betas + n * f_n(z, ctx))])
     return abs(cmath.exp(rhs - jones_at_cusp(ctx)) - 1.0)
 
 

@@ -33,22 +33,46 @@ One batched quadrature driver serves every z, and one call of it takes points
 of any (u, p, N): identity_residuals checks all three functional equations of
 E_N for samples of any contexts with one quadrature call (t_n takes one
 context).  The same driver evaluates the N-free integrals behind L_0, L_1,
-L_2.  Each ray is cut where the analytic tail bound drops below TOL and
-covered by Gauss panels graded to the integrand (see _RATE_WIDTH), so a point
-near the strip edge, whose ray is long, needs few of them.  Points with the
-same integrand share the semicircle nodes.  The ray nodes of all points, and
-the semicircle rows of each group of points, are evaluated in blocks of at
-most _BLOCK_NODES nodes, so memory stays bounded however large the batch.
-Refinement level k splits each graded ray panel into 2^k Gauss panels and
-the semicircle into 8 * 2^k.  Level 0 is followed by levels 1, 2, 3 until a
-point moves by less than TOL (at most 3 refinements); only unconverged
-points go on.  The module constant TOL = 1e-10 is the one accuracy target,
-read at call time: an absolute bound on the error of each T_N value, which
-also sets where each ray is cut.  No argument or option changes it.
+L_2.  Points with the same integrand share the semicircle nodes.  The ray
+nodes of all points, and the semicircle rows of each group of points, are
+evaluated in blocks of at most _BLOCK_NODES nodes, so memory stays bounded
+however large the batch.  Refinement level l splits each ray panel into 2^l
+Gauss panels and the semicircle into 8 * 2^l.  Level 0 is followed by levels
+1, 2, 3 until a point moves by less than TOL (at most 3 refinements); only
+unconverged points go on.  The module constant TOL = 1e-10 is the one accuracy
+target, read at call time: an absolute bound on the error of each T_N value,
+which also sets where each ray is cut.  No argument or option changes it.
 
-Poles of the T_N integrand sit at k pi i (from sinh x) and at the zeros of
-sinh(gamma x), i.e. x = -2 k N pi^2 / xi; for admissible (u, p, N) both
-families stay far from Omega, so plain panel refinement is sufficient.
+Each ray is bent.  With a its exponential rate (2z - 2 - gamma on [1, oo),
+-(2z + gamma) on the negative ray mirrored onto it), Gauss panels double in
+width along the real axis from 1 to x_k = 2^k, the first power of two at least
+the panel cap (see _RATE_WIDTH).  An evenly spaced tail then leaves x_k in the
+direction d = e^{i theta}, theta = clip(arg(-conj a), -pi/4, pi/4)
+(_MAX_TURN), along which e^{a x} does not oscillate but decays monotonically
+at nu = -Re(a d) >= |a|/sqrt 2.  Near the strip edge -Re a tends to 0 while
+|a| need not, so the tail stays short.  When Im a = 0, theta = 0 and the ray
+is straight.  The tail is cut at the length s where a bound on the whole
+integrand left past it falls below 1e-5 TOL.  Along d, |x|, Re x and
+Re(gamma x) only grow (Re(gamma d) > 0), so |ray| there is at most its value
+at the real x_k with the key made real, the factor
+1/|1 - e^{-2 gamma x}| <= 1/(1 - e^{-2 Re(gamma) x_k}) included, and the
+tail left out is below |ray(x_k, Re key)| e^{Re(a) x_k - nu s} / nu.  Every
+level cuts at the same s, so the refinement check cannot see the cut; 1e-5
+TOL keeps it near the rounding of the sums at the default TOL.  A point whose
+path x_k + s exceeds _MAX_TAIL is refused.
+
+Bending changes no integral.  The ray integrands have poles only at
+x = i k pi (from sinh x) and at x = i k pi / gamma = -2 k N pi^2 / xi (from
+sinh(gamma x)).  For k > 0 the second family lies in the left half-plane; for
+k < 0 at argument -pi/2 + atan(u / (2 p pi)), at most -81.3 degrees since
+u < kappa; the L_k rays have only the poles i k pi.  So a tail turned at a
+real x_k >= 1 by |theta| <= pi/4 sweeps no pole.  On the closing arc at
+infinity, Re(a e^{i phi}) < 0 for every phi between 0 and theta (it is
+negative at both ends, and the arc is shorter than pi), and
+|1 - e^{-2 gamma x}| tends to 1 there since Re(gamma e^{i phi}) > 0, so the
+arc adds nothing.  The negative ray, mirrored, uses the same ray(x, gamma),
+so the same argument covers it.  Both pole families stay far from Omega
+itself, so plain panel refinement is sufficient.
 """
 from __future__ import annotations
 
@@ -75,10 +99,17 @@ _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(12)
 TOL = 1.0e-10
 _MAX_REFINEMENTS = 3
 _MAX_TAIL = 5.0e5
-# Ray panels double in width from [1, 2] up to _RATE_WIDTH / (|a| + |Im gamma|), a
-# the ray's exponential rate.  12-point Gauss then errs near 5.8^-24 = 5e-19 on
-# [x, 2x] (the pole of 1/x at 0) and 3e-15 on e^{a x} over a width of 8/|a|.
+# Ray panels double in width along the real axis from [1, 2] up to the cap
+# _RATE_WIDTH / (|a| + |Im gamma|), a the ray's exponential rate; the turned
+# tail's panels are at most the cap wide.  12-point Gauss then errs near
+# 5.8^-24 = 5e-19 on [x, 2x] (the pole of 1/x at 0) and 3e-15 on e^{a x} over
+# a width of 8/|a|.
 _RATE_WIDTH = 8.0
+# The tail of each ray turns by at most pi/4 off the real axis.  The poles of
+# the ray integrands, x = i k pi and x = i k pi / gamma, lie on the imaginary
+# axis, in the left half-plane, or at argument -pi/2 + atan(u / (2 p pi)) <=
+# -81.3 degrees (u < kappa): a tail turned by pi/4 at a real x_k >= 1 sweeps none.
+_MAX_TURN = 0.25 * math.pi
 
 
 @dataclass(frozen=True)
@@ -120,41 +151,51 @@ class EvalContext:
 _BLOCK_NODES = 16_384
 
 
-def _tail_abscissa(nu: np.ndarray) -> np.ndarray:
-    """Truncation points X with integral_X^oo 4 e^{-nu x}/x dx safely < TOL."""
-    x = (np.log(40.0 / (TOL * nu)) + 4.0) / nu
-    x = (np.log(40.0 / (TOL * nu * np.maximum(x, 1.0))) + 4.0) / nu
-    return np.maximum(x, 10.0)
+def _bend(rate, gamma, key, ray):
+    """Each point's bent ray (see the module docstring) for the given rate.
 
-
-def _ray_sums(x_end, cap, rate, key, split: int, ray) -> np.ndarray:
-    """Per-point Gauss sums of e^{rate x} ray(x, key) over graded panels of [1, x_end].
-
-    The panel edges are 2^j until a panel would be wider than the point's
-    cap, then evenly spaced by cap.  Each panel is split into `split` equal
-    Gauss panels.  The panels are evaluated in blocks (see _row_blocks).
+    Returns k, the turn d, the tail's panel count and width, and the path's
+    end x_k + s, which _MAX_TAIL bounds.  The tail's length s is where the
+    bound on the whole integrand left past it, |ray(x_k, Re key)|
+    e^{Re(rate) x_k - nu s} / nu with nu = -Re(rate d), falls below 1e-5 TOL;
+    s is at least one panel width.
     """
+    cap = _RATE_WIDTH / (np.abs(rate) + np.abs(gamma.imag))
     k = np.maximum(np.ceil(np.log2(cap)), 0.0)
     x_k = 2.0 ** k
-    count = np.where(x_k >= x_end, np.ceil(np.log2(x_end)),
-                     k + np.ceil((x_end - x_k) / cap)).astype(np.int64)
-    owner = np.repeat(np.arange(count.size), count)
-    j = np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
-    k, cap, x_end, rate, key = k[owner], cap[owner], x_end[owner], rate[owner], key[owner]
+    turn = np.exp(1j * np.clip(np.angle(-rate.conjugate()), -_MAX_TURN, _MAX_TURN))
+    nu = -(rate * turn).real
+    bound = np.abs(ray(x_k, key.real))
+    length = np.maximum((np.log(1e5 * bound / (TOL * nu)) + rate.real * x_k) / nu, cap)
+    count = np.ceil(length / cap)
+    return k.astype(np.int64), turn, count.astype(np.int64), length / count, x_k + length
 
-    def edge(i):
-        return np.minimum(2.0 ** np.minimum(i, k) + np.maximum(i - k, 0.0) * cap, x_end)
 
-    left = edge(j)
-    half = (edge(j + 1) - left) / (2 * split)
+def _ray_sums(k, turn, count, width, rate, key, split: int, ray) -> np.ndarray:
+    """Per-point Gauss sums of e^{rate x} ray(x, key) along each point's bent ray.
+
+    The ray runs along the real axis from 1 to x_k = 2^k in the panels
+    [2^j, 2^{j+1}], then leaves x_k in the direction turn in count evenly
+    spaced panels of the given width.  Each panel is split into `split`
+    equal Gauss panels.  The panels are evaluated in blocks (see _row_blocks).
+    """
+    per = k + count
+    first = np.cumsum(per) - per
+    owner = np.repeat(np.arange(per.size), per)
+    j = np.arange(owner.size) - first[owner]
+    k, rate, key = k[owner], rate[owner], key[owner]
+    x_j = 2.0 ** np.minimum(j, k)
+    step = np.where(j < k, x_j, (width * turn)[owner])
+    left = x_j + np.maximum(j - k, 0) * step
+    half = step / (2 * split)
+    offsets = (np.arange(1, 2 * split, 2)[:, None] + _GAUSS_X).ravel()
     weights = np.tile(_GAUSS_W, split)
     panels = np.empty(left.size, dtype=complex)
     for b in _row_blocks(left.size, weights.size):
-        mid = left[b, None] + half[b, None] * np.arange(1, 2 * split, 2)
-        nodes = mid[:, :, None] + half[b, None, None] * _GAUSS_X
-        values = np.exp(rate[b, None, None] * nodes) * ray(nodes, key[b, None, None])
-        panels[b] = half[b] * np.dot(values.reshape(nodes.shape[0], -1), weights)
-    return np.add.reduceat(panels, np.cumsum(count) - count)
+        nodes = left[b, None] + half[b, None] * offsets
+        values = np.exp(rate[b, None] * nodes) * ray(nodes, key[b, None])
+        panels[b] = half[b] * np.dot(values, weights)
+    return np.add.reduceat(panels, first)
 
 
 def _row_blocks(rows: int, width: int) -> list[slice]:
@@ -177,23 +218,25 @@ def _contour(z, gamma, sign, key, ray, circ, where) -> np.ndarray:
     circ(x, key) on the semicircle.  On the rays it is rewritten as
     e^{(2z-2-gamma) x} ray(x, key) on [1, oo), and as sign e^{-(2z+gamma) x}
     ray(x, key) on the negative ray mirrored onto [1, oo) (gamma = 0 for the
-    L_k integrals).  where(i) names point i in an error.
+    L_k integrals); each ray is bent as the module docstring says, and
+    ray(x_k, key.real) at the real x_k bounds |ray| along its tail.  where(i)
+    names point i in an error.
     """
     if not z.size:
         return np.zeros(0, dtype=complex)
     rates = (2.0 * z - 2.0 - gamma, -(2.0 * z + gamma))
-    ends = [_tail_abscissa(-rate.real) for rate in rates]
-    far = np.flatnonzero((ends[0] > _MAX_TAIL) | (ends[1] > _MAX_TAIL))
+    bends = [_bend(rate, gamma, key, ray) for rate in rates]
+    far = np.flatnonzero((bends[0][-1] > _MAX_TAIL) | (bends[1][-1] > _MAX_TAIL))
     if far.size:
-        raise QuadratureError(f"tail cutoff exceeds {_MAX_TAIL:.3g}: z = {z[far[0]]} "
+        raise QuadratureError(f"ray path exceeds {_MAX_TAIL:.3g}: z = {z[far[0]]} "
                               f"too close to the strip edge at {where(far[0])}")
-    caps = [_RATE_WIDTH / (np.abs(rate) + np.abs(gamma.imag)) for rate in rates]
     signs = (np.ones(z.size), sign)
 
     def evaluate(level: int, idx: np.ndarray) -> np.ndarray:
         total = np.zeros(idx.size, dtype=complex)
-        for s, rate, end, cap in zip(signs, rates, ends, caps):
-            total += s[idx] * _ray_sums(end[idx], cap[idx], rate[idx], key[idx], 1 << level, ray)
+        for s, rate, bend in zip(signs, rates, bends):
+            k, turn, count, width, _ = (part[idx] for part in bend)
+            total += s[idx] * _ray_sums(k, turn, count, width, rate[idx], key[idx], 1 << level, ray)
         n_circ = np.maximum(np.ceil(np.abs(2.0 * z[idx] - 1.0)).astype(int), 8 << level)
         keys = key[idx]
         # points with the same panel count and key share the semicircle nodes

@@ -243,7 +243,8 @@ def test_k_range_partition():
     assert m[k == 50].tolist() == [1]
 
 
-@pytest.mark.parametrize("u,p,n", [(0.5, 2, 97), (0.5, 3, 101), (0.5, 2, 100), (0.5, 3, 99)])
+@pytest.mark.parametrize("u,p,n", [(0.5, 2, 97), (0.5, 3, 101), (0.5, 2, 100), (0.5, 3, 99),
+                                   (0.5, 2, 10), (0.5, 4, 12), (0.5, 4, 4)])
 def test_decomposition_residual(u, p, n):
     assert decomposition_residual(EvalContext(u=u, p=p, n=n)) <= 1e-9
 
