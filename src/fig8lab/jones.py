@@ -129,13 +129,15 @@ def jones_dual(ctx: EvalContext) -> complex:
     return jones_exp(ctx.p, 4.0 * ctx.n * math.pi ** 2 / ctx.xi)
 
 
-def beta_factor(ctx: EvalContext, m: int) -> complex:
-    """The complex log of beta_{p,m} =
-    e^{-4 m p N pi^2/xi} prod_{j=1}^m (1-e^{4(p-j)N pi^2/xi})(1-e^{4(p+j)N pi^2/xi})."""
-    if not 0 <= m <= ctx.p - 1:
-        raise DomainError(f"m must lie in [0, p-1], got {m}")
+def beta_factors(ctx: EvalContext) -> np.ndarray:
+    """The complex logs of beta_{p,m} for m = 0..p-1, where beta_{p,m} =
+    e^{-4 m p N pi^2/xi} prod_{j=1}^m (1-e^{4(p-j)N pi^2/xi})(1-e^{4(p+j)N pi^2/xi}).
+
+    The products are the prefixes of one log_qpoch; the weights keep their
+    unreduced phases, which sum closer to J_N than reduced ones.
+    """
     w = 4.0 * ctx.n * math.pi ** 2 / ctx.xi
-    return -m * ctx.p * w + _qpoch(ctx.p, m, w)
+    return -np.arange(ctx.p) * ctx.p * w + log_qpoch(ctx.p, ctx.p - 1, w)
 
 
 def f_n(z, ctx: EvalContext):
@@ -192,8 +194,7 @@ def decomposition_residual(ctx: EvalContext) -> float:
     prefactor = (lc_one_minus_exp(-4.0 * ctx.p * n * math.pi ** 2 / xi)
                  - math.log(2.0 * math.sinh(0.5 * ctx.u)))
     _, m, z = sector_points(ctx)
-    betas = np.array([beta_factor(ctx, j) for j in range(ctx.p)])[m]
-    rhs = lc_sum([0.0, prefactor + lc_sum(betas + n * f_n(z, ctx))])
+    rhs = lc_sum([0.0, prefactor + lc_sum(beta_factors(ctx)[m] + n * f_n(z, ctx))])
     return abs(cmath.exp(rhs - jones_at_cusp(ctx)) - 1.0)
 
 

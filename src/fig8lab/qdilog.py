@@ -79,6 +79,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -126,7 +127,11 @@ class EvalContext:
 
     def __post_init__(self):
         require_u(self.u)
-        if self.p < 1 or self.n < 1:
+        # int is tried first: the Integral ABC check alone takes longer than the rest
+        # of this method, and lemmas makes one context per sample
+        p, n = self.p, self.n
+        if not (isinstance(p, (int, Integral)) and isinstance(n, (int, Integral))
+                and p >= 1 and n >= 1):
             raise DomainError("p and N must be positive integers")
 
     @property
@@ -442,73 +447,62 @@ def l_k_quadrature(k, z):
 # Functional-equation residuals
 # ---------------------------------------------------------------------------
 
-# Each identity is a pair: the exponents w of the log(1 - e^w) factors its
-# right-hand side needs, from (z, gamma), and a map from (z, gamma, their logs)
-# to (log of the right-hand side, numerator, denominator) that checks the domain.
+def _identity_form(kind: str, z: complex, gamma: complex) -> list:
+    """[num, den, w1, w2] of the identity E_N(num) / E_N(den) = (1 - e^{w1}) / (1 - e^{w2}).
 
-def _shift_terms(z: complex, gamma: complex, logs):
-    """E_N(z - gamma/2) / E_N(z + gamma/2) = 1 - e^{2 pi i z}."""
-    if not 0.0 < z.real < 1.0:
-        raise DomainError("shift identity requires 0 < Re z < 1")
-    (rhs,) = logs
-    if rhs.real < -7.0:
-        raise DomainError("z too close to an integer: identity RHS vanishes")
-    half = 0.5 * gamma
-    return rhs, z - half, z + half
-
-
-def _gamma_half_terms(w: complex, gamma: complex, logs):
-    """E_N(w+gamma/2)/E_N(w-gamma/2+1) = (1-e^{2 pi i w/gamma})/(1-e^{2 pi i w})."""
-    if not abs(w.real) < gamma.real:
-        raise DomainError("gamma/2 identity requires |Re w| < Re gamma")
-    denom, numer = logs
-    if denom.real < -9.0:
-        raise DomainError("identity denominator 1 - e^{2 pi i w} vanishes")
-    half = 0.5 * gamma
-    return numer - denom, w + half, w - half + 1.0
+    w2 = -inf stands for no factor, since log1mexp(-inf) is exactly 0.  An
+    unknown kind gets NaN points; _identity_points refuses it.  A list, not
+    a tuple: freed tuples of four stay on CPython's free list, which the
+    benchmark's tracemalloc peak would count.
+    """
+    v = 2j * math.pi * z
+    if kind == "shift":             # 1 - e^{2 pi i z}
+        return [z - 0.5 * gamma, z + 0.5 * gamma, v, -math.inf]
+    if kind == "gamma_half":        # (1 - e^{2 pi i z/gamma}) / (1 - e^{2 pi i z})
+        return [z + 0.5 * gamma, z - 0.5 * gamma + 1.0, v / gamma, v]
+    if kind == "unit_shift":        # 1 + e^{2 pi i z/gamma} = 1 - e^{2 pi i z/gamma + i pi}
+        return [z, z + 1.0, v / gamma + 1j * math.pi, -math.inf]
+    return [math.nan, math.nan, -math.inf, -math.inf]
 
 
-def _unit_shift_terms(z: complex, gamma: complex, logs):
-    """E_N(z)/E_N(z+1) = 1 + e^{2 pi i z/gamma}."""
-    if not abs(z.real) < 0.5 * gamma.real:
-        raise DomainError("unit shift identity requires |Re z| < Re gamma / 2")
-    return logs[0], z, z + 1.0
+def _identity_fault(kind: str, z: complex, gamma: complex, top: complex, bottom: complex):
+    """Why z lies outside the domain of its identity, or None.
+
+    top and bottom are the logs of 1 - e^{w1} and 1 - e^{w2} (see _identity_form).
+    """
+    if kind == "shift":
+        if not 0.0 < z.real < 1.0:
+            return "shift identity requires 0 < Re z < 1"
+        if top.real < -7.0:
+            return "z too close to an integer: identity RHS vanishes"
+    elif kind == "gamma_half":
+        if not abs(z.real) < gamma.real:
+            return "gamma/2 identity requires |Re w| < Re gamma"
+        if bottom.real < -9.0:
+            return "identity denominator 1 - e^{2 pi i w} vanishes"
+    elif not abs(z.real) < 0.5 * gamma.real:
+        return "unit shift identity requires |Re z| < Re gamma / 2"
+    return None
 
 
-_IDENTITIES = {
-    "shift": (lambda z, gamma: (2j * math.pi * z,), _shift_terms),
-    "gamma_half": (lambda w, gamma: (2j * math.pi * w, 2j * math.pi * w / gamma), _gamma_half_terms),
-    # 1 + e^v = 1 - e^{v + i pi}
-    "unit_shift": (lambda z, gamma: (2j * math.pi * z / gamma + 1j * math.pi,), _unit_shift_terms),
-}
-
-
-def _identity_terms(samples):
+def _identity_points(samples):
     """(log right-hand sides, E_N points, their gammas) of (kind, z, ctx) samples.
 
-    The points are each sample's numerator and denominator in turn.  One
-    log1mexp call takes the exponents of every sample; then each sample's
-    domain is checked, in order.
+    The points are each sample's numerator and denominator in turn (see
+    _identity_form).  One log1mexp call takes the (M, 2) exponents of every
+    sample; then each sample's kind and domain are checked, in order.
     """
     gammas = [ctx.gamma for _, _, ctx in samples]
-    exponents, counts = [], []
-    for (kind, z, _), gamma in zip(samples, gammas):
-        own = _IDENTITIES[kind][0](z, gamma) if kind in _IDENTITIES else ()
-        exponents += own
-        counts.append(len(own))
-    logs = log1mexp(np.array(exponents, dtype=complex)).tolist()
-    rhs, points, start = [], [], 0
-    for (kind, z, ctx), gamma, count in zip(samples, gammas, counts):
-        if kind not in _IDENTITIES:
+    forms = np.array([_identity_form(kind, z, gamma) for (kind, z, _), gamma in zip(samples, gammas)],
+                     dtype=complex).reshape(-1, 4)
+    logs = log1mexp(forms[:, 2:])
+    for (kind, z, ctx), gamma, (top, bottom) in zip(samples, gammas, logs.tolist()):
+        if kind not in ("shift", "gamma_half", "unit_shift"):
             raise DomainError(f"unknown identity {kind!r}")
-        try:
-            r, num, den = _IDENTITIES[kind][1](z, gamma, logs[start:start + count])
-        except DomainError as exc:
-            raise DomainError(f"{exc}: z = {z} at {ctx}") from None
-        start += count
-        rhs.append(r)
-        points += [num, den]
-    return rhs, np.array(points, dtype=complex), np.repeat(np.array(gammas, dtype=complex), 2)
+        fault = _identity_fault(kind, z, gamma, top, bottom)
+        if fault:
+            raise DomainError(f"{fault}: z = {z} at {ctx}")
+    return logs[:, 0] - logs[:, 1], forms[:, :2].ravel(), np.repeat(np.array(gammas, dtype=complex), 2)
 
 
 def identity_residuals(samples) -> list[float]:
@@ -520,7 +514,7 @@ def identity_residuals(samples) -> list[float]:
     identities are its test.
     """
     samples = [(kind, complex(z), ctx) for kind, z, ctx in samples]
-    rhs, points, gamma = _identity_terms(samples)
+    rhs, points, gamma = _identity_points(samples)
 
     def where(i):
         return str(samples[i // 2][2])
@@ -528,7 +522,7 @@ def identity_residuals(samples) -> list[float]:
     _require_strip(points, gamma, where)
     t = _t_quadrature(points, gamma, where)
     return [abs(cmath.exp(t_num - t_den - r) - 1.0)
-            for r, t_num, t_den in zip(rhs, t[0::2].tolist(), t[1::2].tolist())]
+            for r, t_num, t_den in zip(rhs.tolist(), t[0::2].tolist(), t[1::2].tolist())]
 
 
 def check_unit_shift(z: complex, ctx: EvalContext) -> float:

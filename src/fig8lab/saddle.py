@@ -21,6 +21,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -70,8 +71,7 @@ class SaddleData:
 
     def sigma_m(self, m: int) -> complex:
         """The critical point of Phi_m in U_m, for m in [0, p-1]."""
-        if not 0 <= m <= self.p - 1:
-            raise DomainError(f"m must lie in [0, p-1], got {m}")
+        _require_sector(m, self.p)
         return self.sigma0 + 2j * m * math.pi / self.xi
 
 
@@ -83,7 +83,7 @@ def saddle_data(u: float, p: int) -> SaddleData:
     DomainError on every call, since exceptions are not cached.
     """
     require_u(u)
-    if p < 1:
+    if not isinstance(p, Integral) or p < 1:
         raise DomainError("p must be a positive integer")
     phi = varphi(u)
     theta = phi.imag
@@ -91,7 +91,7 @@ def saddle_data(u: float, p: int) -> SaddleData:
     sigma0 = (theta + 2.0 * math.pi) * 1j / xi
     root = 1j * math.sqrt(max(discriminant(u), 0.0))     # a positive multiple of i
     a2 = 0.5 * xi * root
-    f_sigma0 = f_eval(sigma0, u, p)
+    f_sigma0 = complex(f_values(sigma0, u, p))
     s_e = li2(cmath.exp(-u - phi)) - li2(cmath.exp(-u + phi)) + u * (phi + TWO_PI_I)
     t_e = 2.0 / root
     prefactor = cmath.sqrt(complex(-math.pi, 0.0)) * cmath.sqrt(t_e) / (2.0 * math.sinh(0.5 * u))
@@ -102,22 +102,10 @@ def saddle_data(u: float, p: int) -> SaddleData:
 # The potential F and its shifts
 # ---------------------------------------------------------------------------
 
-def _skew(z: complex, u: float, p: int) -> float:
-    return z.real + u / (2.0 * math.pi * p) * z.imag
-
-
-def _require_u0(z: complex, u: float, p: int) -> complex:
-    z = complex(z)
-    s = _skew(z, u, p)
-    if not 0.0 < s < 1.0 / p:
-        raise DomainError(f"z outside U_0: skew abscissa {s} not in (0, {1.0 / p})")
-    return z
-
-
-def f_eval(z: complex, u: float, p: int) -> complex:
-    """F(z) on U_0: f_values at one point, with u and z checked."""
-    require_u(u)
-    return complex(f_values(_require_u0(z, u, p), u, p))
+def _require_sector(m: int, p: int) -> None:
+    """Raise DomainError unless m is an integer in [0, p-1]."""
+    if not (isinstance(m, Integral) and 0 <= m <= p - 1):
+        raise DomainError(f"m must lie in [0, p-1], got {m}")
 
 
 def f_values(z, u: float, p: int):
@@ -149,13 +137,18 @@ def f_zero_value(u: float, p: int) -> complex:
 
 
 def phi_m(z: complex, m: int, u: float, p: int) -> complex:
-    """Phi_m(z) = F(z - 2 m pi i / xi) on U_m."""
+    """Phi_m(z) = F(z - 2 m pi i / xi) on U_m, with u, m and z checked.
+
+    m = 0 gives F itself on U_0; every scalar value of F or Phi_m comes from here.
+    """
+    require_u(u)
+    _require_sector(m, p)
     z = complex(z)
-    s = _skew(z, u, p)
+    s = z.real + u / (2.0 * math.pi * p) * z.imag
     if not m / p < s < (m + 1) / p:
-        raise DomainError(f"z outside U_{m}: skew abscissa {s}")
+        raise DomainError(f"z outside U_{m}: skew abscissa {s} not in ({m / p}, {(m + 1) / p})")
     xi = complex(u, 2.0 * math.pi * p)
-    return f_eval(z - 2j * m * math.pi / xi, u, p)
+    return complex(f_values(z - 2j * m * math.pi / xi, u, p))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from fig8lab.jones import decomposition_residual, product_identity_residual
 from fig8lab.numkernel import l0_closed, l1_closed, l2_closed
 from fig8lab.qdilog import KAPPA, l_k_quadrature
 from fig8lab.region import c_pm, c_pm_derivative_bound, check_f_p12, components_d_cap_e
-from fig8lab.saddle import discriminant, f_eval, f_zero_value
+from fig8lab.saddle import discriminant, f_zero_value, phi_m
 from reference import f_prime, f_second, naive_jones
 
 U_GRID = (0.2, 0.5, 0.9)
@@ -164,7 +164,7 @@ def test_criterion_10_saddle_calculus():
                 target = sd.xi * 1j * math.sqrt(discriminant(u))
                 assert abs(f_second(sd.sigma0, u, p) - target) <= 1e-10
                 remainders = [
-                    abs(f_eval(sd.sigma0 + h, u, p) - sd.f_sigma0 - sd.a2 * h * h)
+                    abs(phi_m(sd.sigma0 + h, 0, u, p) - sd.f_sigma0 - sd.a2 * h * h)
                     for h in (1e-2, 5e-3, 2.5e-3)
                 ]
                 for r1, r2 in zip(remainders, remainders[1:]):

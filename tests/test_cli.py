@@ -87,6 +87,8 @@ def test_empty_or_bad_n_range_exits_2(command, n_args, flag, capsys):
                  "m must lie in [0, p-1]", id="region-m-above-strips"),
     pytest.param(["region", "--u", "0.5", "--p", "2", "--m", "-1", "--res", "50"],
                  "m must lie in [0, p-1]", id="region-negative-m"),
+    *(pytest.param(["region", "--u", "0.5", "--p", "2", "--m", "1", "--res", "50", "--nu", nu],
+                   "nu must lie in (0, 0.5)", id=f"region-nu-{nu}") for nu in ("0", "0.5", "nan")),
 ])
 def test_bad_value_exits_2(argv, text, capsys):
     code, out, err = run(argv, capsys)
@@ -286,6 +288,17 @@ def test_region_emits_grid_files(tmp_path, capsys):
     assert len(csv_lines) == 1 + 200 * 200
 
 
+def test_region_nu_sets_the_x_bounds(tmp_path, capsys):
+    # the grid spans (m + nu)/p to (m + 1 - nu)/p: 0.55 to 0.95 at p = 2, m = 1
+    prefix = tmp_path / "grid"
+    code, _, _ = run(["region", "--u", "0.5", "--p", "2", "--m", "1", "--res", "50",
+                      "--nu", "0.1", "--out", str(prefix)], capsys)
+    assert code == 0
+    header = json.loads((tmp_path / "grid.json").read_text())
+    assert header["params"]["nu"] == 0.1
+    assert header["params"]["bounds"][:2] == [0.55, 0.95]
+
+
 def test_modularity_records(capsys):
     code, out, _ = run(
         ["modularity", "--eta", "0,-1,1,0", "--u", "0.5", "--p", "1,2",
@@ -342,31 +355,31 @@ def test_csv_format(tmp_path, argv, keys, n_rows):
     assert all(len(row) == len(rows[0]) for row in rows)
 
 
-def _scipy_modules_loaded_by(argv):
-    """Exit code of main(argv) in a fresh interpreter and the scipy modules it loaded."""
+@pytest.mark.parametrize("argv", [
+    ["jones", "--u", "0.5", "--p", "2", "--N", "101"],
+    ["theorem", "--u", "0.5", "--p", "2", "--N", "101"],
+    # a scipy.integrate quadrature would add about 0.9 s of start-up
+    ["lemmas", "--samples", "5"],
+    # scipy would add about 0.4 s of start-up and 16 MB of traced allocations
+    ["region", "--u", "0.5", "--p", "1", "--m", "0", "--res", "50"],
+    ["modularity", "--eta", "0,-1,1,0", "--p", "1", "--N-list", "5,7"],
+    ["modularity", "--eta", "0,-1,1,0", "--p", "1", "--N-list", "5,7", "--zagier"],
+], ids=["jones", "theorem", "lemmas", "region", "modularity", "modularity-zagier"])
+def test_subcommand_imports_no_test_only_package(argv):
+    # numpy is the one runtime dependency; the test extra must not leak into main
     script = (
         "import sys\n"
         "from fig8lab.cli import main\n"
         f"code = main({argv!r})\n"
-        "print(code, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+        "print(code, sorted(m for m in sys.modules\n"
+        "                   if m.partition('.')[0] in ('scipy', 'mpmath', 'hypothesis', 'sympy')))\n"
     )
     path = [str(Path(fig8lab.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1]
-
-
-def test_region_imports_no_scipy():
-    # scipy would add about 0.4 s of start-up and 16 MB of traced allocations
-    argv = ["region", "--u", "0.5", "--p", "1", "--m", "0", "--res", "50"]
-    assert _scipy_modules_loaded_by(argv) == "0 []"
-
-
-def test_lemmas_imports_no_scipy():
-    # a scipy.integrate quadrature would add about 0.9 s of start-up
-    assert _scipy_modules_loaded_by(["lemmas", "--samples", "5"]) == "0 []"
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 def test_package_surface_is_exact():

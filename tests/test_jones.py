@@ -16,7 +16,7 @@ from fig8lab import qdilog
 from fig8lab.numkernel import DomainError, lc_sum
 from fig8lab.qdilog import EvalContext
 from fig8lab.jones import (
-    beta_factor,
+    beta_factors,
     decomposition_residual,
     f_n,
     jones_at_cusp,
@@ -112,7 +112,7 @@ def test_cusp_trivial():
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 40), st.integers(0, 40), st.floats(-3.0, 3.0), st.floats(-7.0, 7.0))
 @example(61, 60, 0.5 / 61, 4 * math.pi / 61)            # jones_exp at the cusp (0.5, 2, 61)
-@example(3, 2, 4.0, -9.0 / 4)                            # beta_factor's c = p > k = m
+@example(3, 2, 4.0, -9.0 / 4)                            # beta_factors' c = p > k = p - 1
 @example(5, 9, -0.3, 1.1)                                # c <= k: factor l = c vanishes
 @example(7, 7, 0.0, 0.0)
 @example(20, 19, 0.0, 3.5443109969266384)                # e w = 39 w lies near 44 pi i
@@ -163,19 +163,18 @@ def test_dual_p1_is_one():
 @pytest.mark.parametrize("u,p,n", [(0.5, 2, 101), (0.3, 3, 100), (0.9, 3, 97)])
 def test_dual_equals_beta_sum(u, p, n):
     ctx = EvalContext(u=u, p=p, n=n)
-    total = lc_sum([beta_factor(ctx, m) for m in range(p)])
+    total = lc_sum(beta_factors(ctx))
     dual = jones_dual(ctx)
     assert abs(cmath.exp(total - dual) - 1.0) <= 1e-9
 
 
 def test_beta_examples():
     ctx = EvalContext(u=0.5, p=2, n=11)
-    assert beta_factor(ctx, 0) == 0j
+    betas = beta_factors(ctx)
+    assert betas.shape == (2,) and betas[0] == 0j
     w = 4.0 * ctx.n * math.pi ** 2 / ctx.xi
     brute = cmath.exp(-2 * w) * (1 - cmath.exp(w)) * (1 - cmath.exp(3 * w))
-    assert abs(cmath.exp(beta_factor(ctx, 1)) - brute) <= 1e-12 * abs(brute)
-    with pytest.raises(DomainError):
-        beta_factor(ctx, 2)
+    assert abs(cmath.exp(betas[1]) - brute) <= 1e-12 * abs(brute)
 
 
 def test_beta_growth_rate():
@@ -185,7 +184,8 @@ def test_beta_growth_rate():
     logs = {}
     for n in (400, 800):
         ctx = EvalContext(u=u, p=p, n=n)
-        logs[n] = (beta_factor(ctx, 1) - beta_factor(ctx, 0)).real
+        betas = beta_factors(ctx)
+        logs[n] = (betas[1] - betas[0]).real
     slope = (logs[800] - logs[400]) / 400.0
     assert abs(slope - theory) / theory <= 0.10
 

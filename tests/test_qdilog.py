@@ -37,6 +37,10 @@ def test_context_validation():
         EvalContext(u=KAPPA, p=1, n=10)
     with pytest.raises(DomainError):
         EvalContext(u=0.5, p=0, n=10)
+    for p, n in ((2.5, 10), (2, 10.0), (2.0, 10)):
+        with pytest.raises(DomainError, match="p and N must be positive integers"):
+            EvalContext(u=0.5, p=p, n=n)
+    assert EvalContext(u=0.5, p=np.int64(2), n=np.int32(10)).gamma.real == 0.2
 
 
 def test_gamma_real_part_exact():
@@ -449,7 +453,7 @@ def test_identity_domain_errors_come_before_any_quadrature(monkeypatch):
 def test_identity_batch_failure_names_the_first_failing_point(monkeypatch):
     monkeypatch.setattr(qdilog, "TOL", 1e-16)
     samples = _lemma_samples(0, 2)
-    _, points, _ = qdilog._identity_terms(samples)
+    _, points, _ = qdilog._identity_points(samples)
     ctxs = [ctx for _, _, ctx in samples for _ in range(2)]
     z, ctx = next((z, ctx) for z, ctx in zip(points, ctxs) if _fails_alone(t_n, z, ctx))
     with pytest.raises(QuadratureError) as info:

@@ -91,7 +91,7 @@ def test_grid_resolution_guard():
         grid_scan(0, 0.5, 1, resolution=30)
 
 
-@pytest.mark.parametrize("m", [-1, 2, 5])
+@pytest.mark.parametrize("m", [-1, 2, 5, 0.5])
 def test_grid_scan_requires_strip_index(m):
     with pytest.raises(DomainError, match="m must lie"):
         grid_scan(m, 0.5, 2, resolution=50)

@@ -15,7 +15,6 @@ from fig8lab.saddle import (
     asymptotic_ratio,
     asymptotic_rhs,
     discriminant,
-    f_eval,
     f_zero_value,
     phi_m,
     saddle_data,
@@ -66,10 +65,14 @@ def test_saddle_data_invariants():
 def test_saddle_data_is_cached_and_errors_are_not():
     assert saddle_data(0.5, 2) is saddle_data(0.5, 2)
     assert saddle_data(0.5, 2) is not saddle_data(0.5, 3)
-    for u, p in [(1.5, 2), (-0.1, 2), (0.5, 0)]:
+    # a p or m that is not an integer names no sector: refused, not evaluated
+    for u, p in [(1.5, 2), (-0.1, 2), (0.5, 0), (0.5, 2.5)]:
         for _ in range(2):
             with pytest.raises(DomainError):
                 saddle_data(u, p)
+    assert saddle_data(0.5, np.int64(3)).p == 3
+    with pytest.raises(DomainError, match="m must lie"):
+        saddle_data(0.5, 3).sigma_m(0.5)
 
 
 def test_s_e_small_u_is_volume():
@@ -108,15 +111,15 @@ def test_f_forms_agree_in_u0():
                 skew = z.real + u / (2 * math.pi * p) * z.imag
                 if not 0.02 / p < skew < 0.98 / p:
                     continue
-                assert abs(f_eval(z, u, p) - f_eval_original(z, u, p)) <= 1e-10
-            assert abs(f_eval(sd.sigma0, u, p) - f_eval_original(sd.sigma0, u, p)) <= 1e-10
+                assert abs(phi_m(z, 0, u, p) - f_eval_original(z, u, p)) <= 1e-10
+            assert abs(phi_m(sd.sigma0, 0, u, p) - f_eval_original(sd.sigma0, u, p)) <= 1e-10
 
 
 def test_f_domain_error():
     with pytest.raises(DomainError):
-        f_eval(0.0, 0.5, 2)
+        phi_m(0.0, 0, 0.5, 2)
     with pytest.raises(DomainError):
-        f_eval(0.6, 0.5, 2)
+        phi_m(0.6, 0, 0.5, 2)
 
 
 def test_f_prime_vanishes_at_sigma0():
@@ -146,7 +149,7 @@ def test_f_prime_against_finite_differences():
                 skew = z.real + u / (2 * math.pi * p) * z.imag
                 if not (h < skew and skew < 1.0 / p - h):
                     continue
-                fd = (f_eval(z + h, u, p) - f_eval(z - h, u, p)) / (2 * h)
+                fd = (phi_m(z + h, 0, u, p) - phi_m(z - h, 0, u, p)) / (2 * h)
                 exact = f_prime(z, u, p)
                 assert abs(fd - exact) <= 1e-6 * (1.0 + abs(exact))
                 count += 1
@@ -159,7 +162,7 @@ def test_taylor_remainder_exponent():
             sd = saddle_data(u, p)
             hs = (1e-2, 5e-3, 2.5e-3)
             rem = [
-                abs(f_eval(sd.sigma0 + h, u, p) - sd.f_sigma0 - sd.a2 * h * h)
+                abs(phi_m(sd.sigma0 + h, 0, u, p) - sd.f_sigma0 - sd.a2 * h * h)
                 for h in hs
             ]
             for r1, r2 in zip(rem, rem[1:]):
@@ -181,9 +184,11 @@ def test_phi_m_examples():
     sd = saddle_data(u, p)
     for m in range(p):
         assert abs(phi_m(sd.sigma_m(m), m, u, p) - sd.f_sigma0) <= 1e-12
-    assert phi_m(sd.sigma0, 0, u, p) == f_eval(sd.sigma0, u, p)
     with pytest.raises(DomainError):
         phi_m(sd.sigma0, 1, u, p)
+    for m in (0.5, -1, p):
+        with pytest.raises(DomainError, match="m must lie"):
+            phi_m(sd.sigma_m(1), m, u, p)
 
 
 def test_prefactor_routes_agree():
