@@ -36,17 +36,20 @@ context).  The same driver evaluates the N-free integrals behind L_0, L_1,
 L_2.  Points with the same integrand share the semicircle nodes.  The ray
 nodes of all points, and the semicircle rows of each group of points, are
 evaluated in blocks of at most _BLOCK_NODES nodes, so memory stays bounded
-however large the batch.  Refinement level l splits each ray panel into 2^l
-Gauss panels and the semicircle into 8 * 2^l.  Level 0 is followed by levels
-1, 2, 3 until a point moves by less than TOL (at most 3 refinements); only
-unconverged points go on.  The module constant TOL = 1e-10 is the one accuracy
-target, read at call time: an absolute bound on the error of each T_N value,
-which also sets where each ray is cut.  No argument or option changes it.
+however large the batch.  Every panel takes the 25-point Gauss-Kronrod rule
+K25, and its 12 embedded Gauss nodes give G12 at no extra evaluation; a
+point's value is its K25 sum and its error estimate |K25 - G12|.  Refinement
+level l splits each ray panel into 2^l panels and the semicircle into 4 * 2^l
+(at least ceil|2z - 1|).  Only the points whose estimate is TOL or more go on
+to the next level, up to level 3.  The module constant TOL = 1e-10 is the
+one accuracy target, read at call time: an absolute bound on the error of
+each T_N value, which also sets where each ray is cut.  No argument or option
+changes it.
 
 Each ray is bent.  With a its exponential rate (2z - 2 - gamma on [1, oo),
--(2z + gamma) on the negative ray mirrored onto it), Gauss panels double in
-width along the real axis from 1 to x_k = 2^k, the first power of two at least
-the panel cap (see _RATE_WIDTH).  An evenly spaced tail then leaves x_k in the
+-(2z + gamma) on the negative ray mirrored onto it), panels double in width
+along the real axis from 1 to x_k = 2^k, the first power of two at least the
+panel cap (see _RATE_WIDTH).  An evenly spaced tail then leaves x_k in the
 direction d = e^{i theta}, theta = clip(arg(-conj a), -pi/4, pi/4)
 (_MAX_TURN), along which e^{a x} does not oscillate but decays monotonically
 at nu = -Re(a d) >= |a|/sqrt 2.  Near the strip edge -Re a tends to 0 while
@@ -56,10 +59,10 @@ integrand left past it falls below 1e-5 TOL.  Along d, |x|, Re x and
 Re(gamma x) only grow (Re(gamma d) > 0), so |ray| there is at most its value
 at the real x_k with the key made real, the factor
 1/|1 - e^{-2 gamma x}| <= 1/(1 - e^{-2 Re(gamma) x_k}) included, and the
-tail left out is below |ray(x_k, Re key)| e^{Re(a) x_k - nu s} / nu.  Every
-level cuts at the same s, so the refinement check cannot see the cut; 1e-5
-TOL keeps it near the rounding of the sums at the default TOL.  A point whose
-path x_k + s exceeds _MAX_TAIL is refused.
+tail left out is below |ray(x_k, Re key)| e^{Re(a) x_k - nu s} / nu.  K25,
+G12 and every level cut at the same s, so the error estimate cannot see the
+cut; 1e-5 TOL keeps it near the rounding of the sums at the default TOL.  A
+point whose path x_k + s exceeds _MAX_TAIL is refused.
 
 Bending changes no integral.  The ray integrands have poles only at
 x = i k pi (from sinh x) and at x = i k pi / gamma = -2 k N pi^2 / xi (from
@@ -96,15 +99,34 @@ def require_u(u: float, closed_end: bool = False) -> None:
         raise DomainError(f"u must lie in (0, {KAPPA:.6f}{end}, got {u}")
 
 
+# The 25-point Gauss-Kronrod rule on [-1, 1] (Laurie, Math. Comp. 66, 1997):
+# the 12 Gauss nodes at the odd positions, bit-equal to leggauss(12)'s, and the
+# 13 Kronrod nodes at the even ones.  The Kronrod nodes and weights, symmetric
+# about 0, were computed in mpmath at 60 digits and rounded to float64.
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(12)
+_KRONROD_HALF_X = np.array([
+    0.0, 0.2485057483204693, 0.48133945047815707, 0.6840598954700559,
+    0.8435581241611533, 0.9505377959431213, 0.9969339225295955])
+_KRONROD_HALF_W = np.array([
+    0.12555689390547434, 0.12458416453615608, 0.12162630352394839, 0.11671205350175683,
+    0.11002260497764407, 0.10164973227906028, 0.09154946829504922, 0.0799202753336017,
+    0.06725090705083993, 0.05369701760775625, 0.038915230469299476, 0.023036084038982232,
+    0.008257711433168396])
+_NODES = np.empty(25)
+_NODES[0::2] = np.concatenate((-_KRONROD_HALF_X[:0:-1], _KRONROD_HALF_X))
+_NODES[1::2] = _GAUSS_X
+_K_W = np.concatenate((_KRONROD_HALF_W[:0:-1], _KRONROD_HALF_W))
+_G_W = np.zeros(25)
+_G_W[1::2] = _GAUSS_W
 TOL = 1.0e-10
 _MAX_REFINEMENTS = 3
 _MAX_TAIL = 5.0e5
 # Ray panels double in width along the real axis from [1, 2] up to the cap
 # _RATE_WIDTH / (|a| + |Im gamma|), a the ray's exponential rate; the turned
-# tail's panels are at most the cap wide.  12-point Gauss then errs near
-# 5.8^-24 = 5e-19 on [x, 2x] (the pole of 1/x at 0) and 3e-15 on e^{a x} over
-# a width of 8/|a|.
+# tail's panels are at most the cap wide.  The embedded 12-point Gauss rule,
+# whose distance from K25 is the error estimate, then errs near 5.8^-24 = 5e-19
+# on [x, 2x] (the pole of 1/x at 0) and 3e-15 on e^{a x} over a width of 8/|a|,
+# so level 0 meets TOL; K25 itself is exact to degree 37 instead of 23.
 _RATE_WIDTH = 8.0
 # The tail of each ray turns by at most pi/4 off the real axis.  The poles of
 # the ray integrands, x = i k pi and x = i k pi / gamma, lie on the imaginary
@@ -177,12 +199,13 @@ def _bend(rate, gamma, key, ray):
 
 
 def _ray_sums(k, turn, count, width, rate, key, split: int, ray) -> np.ndarray:
-    """Per-point Gauss sums of e^{rate x} ray(x, key) along each point's bent ray.
+    """Per-point K25 and G12 sums of e^{rate x} ray(x, key) along each point's bent ray.
 
     The ray runs along the real axis from 1 to x_k = 2^k in the panels
     [2^j, 2^{j+1}], then leaves x_k in the direction turn in count evenly
     spaced panels of the given width.  Each panel is split into `split`
-    equal Gauss panels.  The panels are evaluated in blocks (see _row_blocks).
+    equal panels of 25 nodes.  The panels are evaluated in blocks (see
+    _row_blocks).  Returns the Kronrod sums in row 0 and the Gauss sums in row 1.
     """
     per = k + count
     first = np.cumsum(per) - per
@@ -193,14 +216,17 @@ def _ray_sums(k, turn, count, width, rate, key, split: int, ray) -> np.ndarray:
     step = np.where(j < k, x_j, (width * turn)[owner])
     left = x_j + np.maximum(j - k, 0) * step
     half = step / (2 * split)
-    offsets = (np.arange(1, 2 * split, 2)[:, None] + _GAUSS_X).ravel()
-    weights = np.tile(_GAUSS_W, split)
-    panels = np.empty(left.size, dtype=complex)
-    for b in _row_blocks(left.size, weights.size):
+    offsets = (np.arange(1, 2 * split, 2)[:, None] + _NODES).ravel()
+    weights = np.tile(_K_W, split), np.tile(_G_W, split)
+    panels = np.empty((2, left.size), dtype=complex)
+    for b in _row_blocks(left.size, offsets.size):
         nodes = left[b, None] + half[b, None] * offsets
-        values = np.exp(rate[b, None] * nodes) * ray(nodes, key[b, None])
-        panels[b] = half[b] * np.dot(values, weights)
-    return np.add.reduceat(panels, first)
+        values = rate[b, None] * nodes
+        np.exp(values, out=values)
+        values *= ray(nodes, key[b, None])
+        for row, w in zip(panels, weights):
+            row[b] = half[b] * np.dot(values, w)
+    return np.add.reduceat(panels, first, axis=1)
 
 
 def _row_blocks(rows: int, width: int) -> list[slice]:
@@ -216,7 +242,7 @@ def _row_blocks(rows: int, width: int) -> list[slice]:
 
 
 def _contour(z, gamma, sign, key, ray, circ, where) -> np.ndarray:
-    """Per-point integrals along Omega, with the per-point two-level check at TOL.
+    """Per-point K25 integrals along Omega, each refined until |K25 - G12| < TOL.
 
     Every argument but ray, circ and where is a per-point array, so one
     call takes points of any integrand.  The integrand is e^{(2z-1) x}
@@ -238,33 +264,39 @@ def _contour(z, gamma, sign, key, ray, circ, where) -> np.ndarray:
     signs = (np.ones(z.size), sign)
 
     def evaluate(level: int, idx: np.ndarray) -> np.ndarray:
-        total = np.zeros(idx.size, dtype=complex)
+        """The K25 sums (row 0) and G12 sums (row 1) of the points idx at level."""
+        total = np.zeros((2, idx.size), dtype=complex)
         for s, rate, bend in zip(signs, rates, bends):
             k, turn, count, width, _ = (part[idx] for part in bend)
             total += s[idx] * _ray_sums(k, turn, count, width, rate[idx], key[idx], 1 << level, ray)
-        n_circ = np.maximum(np.ceil(np.abs(2.0 * z[idx] - 1.0)).astype(int), 8 << level)
+        # the arc integrand's nearest singularity, sinh x = 0 at x = i pi, sits at
+        # t = pi/2 - i log pi, 1.14 off the arc, so G12 on arcs of pi/4 errs near 2e-19
+        n_circ = np.maximum(np.ceil(np.abs(2.0 * z[idx] - 1.0)).astype(int), 4 << level)
         keys = key[idx]
         # points with the same panel count and key share the semicircle nodes
         # x = e^{it} and one matrix product (np.unique would import numpy.ma, 10-20 ms)
         for n, g in set(zip(n_circ.tolist(), keys.tolist())):
             half = 0.5 * math.pi / n
-            x = np.exp(1j * half * (2 * np.arange(n)[:, None] + 1 + _GAUSS_X).ravel())
+            x = np.exp(1j * half * (2 * np.arange(n)[:, None] + 1 + _NODES).ravel())
             # the semicircle runs t: pi -> 0, and dx = i x dt
-            weights = 1j * x * np.tile(half * _GAUSS_W, n) * circ(x, g)
+            arc = 1j * half * x * circ(x, g)
+            weights = arc * np.tile(_K_W, n), arc * np.tile(_G_W, n)
             rows = np.flatnonzero((n_circ == n) & (keys == g))
             for b in _row_blocks(rows.size, x.size):
                 sel = rows[b]
-                total[sel] -= np.dot(np.exp(np.outer(2.0 * z[idx[sel]] - 1.0, x)), weights)
+                values = np.exp(np.outer(2.0 * z[idx[sel]] - 1.0, x))
+                for row, w in zip(total, weights):
+                    row[sel] -= np.dot(values, w)
         return total
 
     active = np.arange(z.size)
-    value = evaluate(0, active)
+    value = np.empty(z.size, dtype=complex)
     best = np.full(z.size, np.inf)
-    for level in range(1, _MAX_REFINEMENTS + 1):
-        refined = evaluate(level, active)
-        delta = np.abs(refined - value[active])
+    for level in range(_MAX_REFINEMENTS + 1):
+        kronrod, gauss = evaluate(level, active)
+        delta = np.abs(kronrod - gauss)
         best[active] = np.minimum(best[active], delta)
-        value[active] = refined
+        value[active] = kronrod
         active = active[delta >= TOL]
         if not active.size:
             return value

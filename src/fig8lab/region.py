@@ -23,7 +23,7 @@ import numpy as np
 from .numkernel import DomainError, li2
 from .qdilog import KAPPA, EvalContext
 from .jones import f_n, sector_points
-from .saddle import f_values, phi_m, saddle_data, varphi
+from .saddle import f_values, phi_m, require_p, saddle_data, varphi
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +168,7 @@ def components_d_cap_e(grid: RegionGrid) -> int:
 def c_pm(u: float, p: int, m: int) -> float:
     """c_{p,m}(u) = Li2(-e^{-u-q}) - Li2(-e^{-u+q}) + u q - 2 p pi^2,
     with q = u((6m+5) pi + 2 theta)/(2 p pi); negative throughout (0, kappa]."""
+    require_p(p)
     theta = varphi(u).imag
     q = u * ((6 * m + 5) * math.pi + 2.0 * theta) / (2.0 * p * math.pi)
     value = (

@@ -32,6 +32,12 @@ from .qdilog import EvalContext, require_u
 TWO_PI_I = 2j * math.pi
 
 
+def require_p(p: int) -> None:
+    """Raise DomainError unless p is a positive integer (numpy integers included)."""
+    if not (isinstance(p, (int, Integral)) and p >= 1):
+        raise DomainError("p must be a positive integer")
+
+
 def discriminant(u: float) -> float:
     """(2 cosh u + 1)(3 - 2 cosh u), positive on (0, kappa)."""
     c = math.cosh(u)
@@ -83,8 +89,7 @@ def saddle_data(u: float, p: int) -> SaddleData:
     DomainError on every call, since exceptions are not cached.
     """
     require_u(u)
-    if not isinstance(p, Integral) or p < 1:
-        raise DomainError("p must be a positive integer")
+    require_p(p)
     phi = varphi(u)
     theta = phi.imag
     xi = complex(u, 2.0 * math.pi * p)
@@ -132,6 +137,7 @@ def f_zero_value(u: float, p: int) -> complex:
     the inequalities 0 < Re F(0) < Re F(sigma_0) refer to this value.)
     """
     require_u(u)
+    require_p(p)
     xi = complex(u, 2.0 * math.pi * p)
     return 4.0 * p * math.pi ** 2 / xi
 
@@ -142,6 +148,7 @@ def phi_m(z: complex, m: int, u: float, p: int) -> complex:
     m = 0 gives F itself on U_0; every scalar value of F or Phi_m comes from here.
     """
     require_u(u)
+    require_p(p)
     _require_sector(m, p)
     z = complex(z)
     s = z.real + u / (2.0 * math.pi * p) * z.imag

@@ -6,6 +6,7 @@ and these are the second routes its tests compare against.
 
 import cmath
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -127,3 +128,45 @@ def exact_t_n_mp(z, u, p, n):
         first = _log_qpoch_mp(mpmath.exp(two_pi_i * (z - gamma / 2)), mpmath.exp(-two_pi_i * gamma))
         second = _log_qpoch_mp(-mpmath.exp(two_pi_i * z / gamma), mpmath.exp(two_pi_i / gamma))
         return complex(second - first)
+
+
+def _legendre_even_part(n):
+    """Exact coefficients of P_n (n even) in y = x^2, ascending, as Fractions."""
+    prev, cur = [Fraction(1)], [Fraction(0), Fraction(1)]
+    for k in range(1, n):
+        nxt = [Fraction(0)] + [(2 * k + 1) * c for c in cur]
+        for i, c in enumerate(prev):
+            nxt[i] -= k * c
+        prev, cur = cur, [c / (k + 1) for c in nxt]
+    return cur[0::2]
+
+
+def kronrod_rule(n=12, dps=60):
+    """The (2n+1)-point Gauss-Kronrod rule on [-1, 1], n even, in mpmath at dps digits.
+
+    The n + 1 Kronrod nodes are the roots of the Stieltjes polynomial
+    E_{n+1}, monic and odd, orthogonal to x^k P_n for k <= n; the weights
+    make the rule exact on P_0 .. P_{2n}.  Returns the Kronrod nodes >= 0 and
+    the weights of all 2n + 1 nodes, each ascending in its node.
+    """
+    with mpmath.workdps(dps):
+        pn = _legendre_even_part(n)                  # P_n(x) = sum_i pn[i] x^{2i}
+
+        def moment(j):                               # int_{-1}^{1} x^{2j} P_n(x) dx
+            return sum(mpmath.mpf(c.numerator) / c.denominator * mpmath.mpf(2) / (2 * (i + j) + 1)
+                       for i, c in enumerate(pn))
+
+        # E_{n+1} = x (y^{n/2} + sum_{i < n/2} a_i y^i), y = x^2; only odd k give conditions
+        half = n // 2
+        a = mpmath.lu_solve(mpmath.matrix([[moment(i + k + 1) for i in range(half)] for k in range(half)]),
+                            mpmath.matrix([-moment(half + k + 1) for k in range(half)]))
+        e_roots = mpmath.polyroots([1] + [a[i] for i in reversed(range(half))], maxsteps=200, extraprec=dps)
+        g_roots = mpmath.polyroots([mpmath.mpf(c.numerator) / c.denominator for c in reversed(pn)],
+                                   maxsteps=200, extraprec=dps)
+        kronrod = sorted([mpmath.mpf(0)] + [mpmath.sqrt(mpmath.re(y)) for y in e_roots])
+        gauss = sorted(mpmath.sqrt(mpmath.re(y)) for y in g_roots)
+        nodes = sorted([-x for x in kronrod[1:]] + kronrod + [-x for x in gauss] + gauss)
+        weights = mpmath.lu_solve(
+            mpmath.matrix([[mpmath.legendre(j, x) for x in nodes] for j in range(2 * n + 1)]),
+            mpmath.matrix([2] + [0] * (2 * n)))
+        return kronrod, [weights[i] for i in range(2 * n + 1)]

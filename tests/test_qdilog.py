@@ -20,8 +20,8 @@ from fig8lab.qdilog import (
     l_k_quadrature,
     t_n,
 )
-from fig8lab import jones, qdilog
-from reference import exact_t_n, exact_t_n_mp
+from fig8lab import cli, jones, qdilog
+from reference import exact_t_n, exact_t_n_mp, kronrod_rule
 
 CLOSED = {0: l0_closed, 1: l1_closed, 2: l2_closed}
 
@@ -71,6 +71,48 @@ def test_l_k_quadrature_domain():
         l_k_quadrature(1, 1.2 + 0.3j)
     with pytest.raises(DomainError):
         l_k_quadrature(3, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# The Gauss-Kronrod rule
+# ---------------------------------------------------------------------------
+
+def test_kronrod_rule_matches_mpmath():
+    kronrod, weights = kronrod_rule(12, 60)
+    reference = np.array([float(x) for x in [-x for x in kronrod[:0:-1]] + kronrod + weights])
+    literals = np.concatenate((qdilog._NODES[0::2], qdilog._K_W))
+    assert np.all(np.abs(literals - reference) <= 2 * np.spacing(np.abs(reference)))
+    gauss_x, gauss_w = np.polynomial.legendre.leggauss(12)
+    assert np.array_equal(qdilog._NODES[1::2], gauss_x)
+    assert np.array_equal(qdilog._G_W[1::2], gauss_w) and not qdilog._G_W[0::2].any()
+    assert (qdilog._K_W > 0.0).all()
+
+
+def test_kronrod_rule_is_exact_to_degree_37():
+    for d in range(39):
+        error = abs(np.dot(qdilog._K_W, qdilog._NODES ** d) - (2.0 / (d + 1) if d % 2 == 0 else 0.0))
+        assert error <= 1e-15 if d <= 37 else error > 1e-15, d
+
+
+def test_lemmas_and_product_identity_points_meet_tol_at_level_0(monkeypatch, capsys):
+    # each quadrature call sums each of its two rays once: the K25 - G12 estimate
+    # clears TOL at level 0 for every point, so no point refines
+    splits = []
+    ray_sums = qdilog._ray_sums
+
+    def counted(*args):
+        splits.append(args[6])
+        return ray_sums(*args)
+
+    monkeypatch.setattr(qdilog, "_ray_sums", counted)
+    # one identity_residuals call for the 150 identity samples, one l_k_quadrature call
+    assert cli.main(["lemmas", "--samples", "50", "--seed", "0"]) == 0
+    assert splits == [1, 1, 1, 1]
+    ctx = EvalContext(u=0.5, p=4, n=12)
+    for k in range(1, 12):
+        splits.clear()
+        assert jones.product_identity_residual(k, ctx) <= 1e-12
+        assert splits == [1, 1], k
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +301,7 @@ def test_unmeetable_tol_names_the_failure(monkeypatch):
     assert "(u, p, N) = (0.5, 2, 40)" in message
     assert "level 3" in message
     assert "best |delta| = " in message
-    # level 3 stalls near 1.3e-15 here, at the rounding of the sum
+    # the K25 - G12 estimate stalls near 1.1e-16 here, one rounding unit of the sum
     with pytest.raises(QuadratureError, match=r"z = \(0\.95-1j\) at L_0, level 3"):
         l_k_quadrature(0, 0.95 - 1j)
 

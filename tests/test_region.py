@@ -256,6 +256,9 @@ def test_c_pm_constants():
     # monotone increasing in m at u = kappa, fixed p
     values = [c_pm(KAPPA, 3, m) for m in range(3)]
     assert values[0] < values[1] < values[2] < 0.0
+    with pytest.raises(DomainError, match="p must be a positive integer"):
+        c_pm(0.5, 2.5, 0)
+    assert c_pm(KAPPA, np.int64(3), 1) == values[1]
 
 
 def test_c_pm_negative_on_range():

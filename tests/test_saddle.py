@@ -189,6 +189,13 @@ def test_phi_m_examples():
     for m in (0.5, -1, p):
         with pytest.raises(DomainError, match="m must lie"):
             phi_m(sd.sigma_m(1), m, u, p)
+    # a p that is not an integer names no sector count: refused, as by saddle_data
+    with pytest.raises(DomainError, match="p must be a positive integer"):
+        phi_m(0.1, 0, 0.5, 2.5)
+    with pytest.raises(DomainError, match="p must be a positive integer"):
+        f_zero_value(0.5, 2.5)
+    assert phi_m(sd.sigma_m(1), 1, u, np.int64(p)) == phi_m(sd.sigma_m(1), 1, u, p)
+    assert f_zero_value(u, np.int64(p)) == f_zero_value(u, p)
 
 
 def test_prefactor_routes_agree():
