@@ -95,23 +95,29 @@ def _header(command: str, args, **extra) -> dict:
     return {"schema": "fig8lab/1", "command": command, "params": params, **extra}
 
 
-def _parse_list(text: str) -> list[int]:
+def _parse_list(text: str, flag: str) -> list[int]:
     """A comma-separated list of integers, repeats dropped, first occurrences in order."""
-    return list(dict.fromkeys(int(t) for t in text.split(",")))
+    try:
+        return list(dict.fromkeys(int(t) for t in text.split(",")))
+    except ValueError:
+        raise DomainError(f"{flag} must be comma-separated integers, got {text!r}") from None
 
 
 def _parse_n_range(text: str, step: int) -> list[int]:
     if step < 1:
         raise DomainError(f"--step must be a positive integer, got {step}")
     if ".." in text:
-        lo, hi = text.split("..")
-        values = list(range(int(lo), int(hi) + 1, step))
+        try:
+            lo, hi = (int(t) for t in text.split(".."))
+        except ValueError:
+            raise DomainError(f"--N range must be lo..hi with integer ends, got {text!r}") from None
+        values = list(range(lo, hi + 1, step))
         if not values:
             raise DomainError(f"--N range {text} is empty: its end lies below its start")
     elif step != 1:
         raise DomainError(f"--step {step} applies only to a range --N lo..hi, got --N {text}")
     else:
-        values = _parse_list(text)
+        values = _parse_list(text, "--N")
     if min(values) < 1:
         raise DomainError(f"--N values must be positive integers, got {text}")
     return values
@@ -253,9 +259,12 @@ def cmd_modularity(args) -> int:
         raise DomainError("--u does not apply with --zagier, the u = 0 experiment")
     if not args.zagier and args.u is None:
         args.u = _MODULARITY_U
-    eta = ModularMatrix.from_string(args.eta)
-    p_list = _parse_list(args.p)
-    n_list = _parse_list(args.N_list)
+    try:
+        eta = ModularMatrix.from_string(args.eta)
+    except ValueError as exc:          # DomainError included
+        raise DomainError(f"--eta {args.eta!r}: {exc}") from None
+    p_list = _parse_list(args.p, "--p")
+    n_list = _parse_list(args.N_list, "--N-list")
     records = []
     if args.zagier:
         bd_constant = bettin_drappeau_c(eta)

@@ -8,18 +8,19 @@ is evaluated in log-domain arithmetic (q is always passed as its exponent
 w): individual terms routinely exceed native floating-point range at the
 evaluation points used here (w = 4 N pi^2 / xi has large positive real part).
 
-Its inner products, the dual value, the beta_{p,m} prefactors and the
-q-factorial identity all use one product, prod_{l=1}^{k} (1-e^{(c-l)w})
-(1-e^{(c+l)w}), from one numpy kernel, log_qpoch: numkernel.log1mexp of
-every factor (principal logs from real ufuncs, in blocks of bounded
-scratch), then one cumulative sum over the 2k factors.  The outer sum is
-one numkernel.lc_sum, and every value is returned as a complex log (see
-numkernel).  Invariant: the phase of every factor (the principal value
-log1mexp returns) and of every weight e^{-kNw} (through reduce_phase) lies
-in (-pi, pi] before it is summed; unreduced phases, or pairwise sums of the
-two factors of each l, cost digits at large N.  At the cusp and at roots of
-unity the imaginary part of w is a rational multiple of 2 pi, and the
-phases of the exponents are reduced in exact integers (see _multiples).
+Its inner products, the beta_{p,m} prefactors and the q-factorial identity
+all use one product, prod_{l=1}^{k} (1-e^{(c-l)w}) (1-e^{(c+l)w}), from one
+numpy kernel, log_qpoch: numkernel.log1mexp of every factor (principal logs
+from real ufuncs, in blocks of bounded scratch), then one cumulative sum over
+the 2k factors.  The outer sum is one numkernel.lc_sum, and every value is
+returned as a complex log (see numkernel).  Phases: every factor has the
+principal phase log1mexp returns, and every weight e^{-kNw} of J_N is reduced
+(through reduce_phase), so both lie in (-pi, pi] before they are summed;
+unreduced phases, or pairwise sums of the two factors of each l, cost digits
+at large N.  At the cusp and at roots of unity the imaginary part of w is a
+rational multiple of 2 pi, and the phases of the exponents are reduced in
+exact integers (see _multiples).  The dual J_p(E; e^{4 N pi^2/xi}) is
+lc_sum(beta_factors(ctx)), whose weights keep their unreduced phases.
 
 The float64 sum cancels.  The benchmark (bench/README.md) measures about
 4.5 digits lost per 1000 N at u = 0.5, p = 2, and 8.9 digits lost at
@@ -77,11 +78,6 @@ def log_qpoch(c: int, k: int, w) -> np.ndarray:
     return np.concatenate(([0j], np.cumsum(logs)[1::2]))
 
 
-def _qpoch(c: int, k: int, w) -> complex:
-    """The complex log of prod_{l=1}^{k} (1 - e^{(c+l)w})(1 - e^{(c-l)w})."""
-    return complex(log_qpoch(c, k, w)[-1])
-
-
 def _jones_sum(n: int, w) -> complex:
     terms = log_qpoch(n, n - 1, w)
     weights = _multiples(-n * np.arange(n), w)
@@ -123,18 +119,14 @@ def jones_at_cusp(ctx: EvalContext) -> complex:
     return jones_exp(ctx.n, (ctx.u / ctx.n, Fraction(ctx.p, ctx.n)))
 
 
-def jones_dual(ctx: EvalContext) -> complex:
-    """The complex log of J_p(E; e^{4 N pi^2 / xi}), the low-color factor of
-    the main asymptotics."""
-    return jones_exp(ctx.p, 4.0 * ctx.n * math.pi ** 2 / ctx.xi)
-
-
 def beta_factors(ctx: EvalContext) -> np.ndarray:
     """The complex logs of beta_{p,m} for m = 0..p-1, where beta_{p,m} =
     e^{-4 m p N pi^2/xi} prod_{j=1}^m (1-e^{4(p-j)N pi^2/xi})(1-e^{4(p+j)N pi^2/xi}).
 
-    The products are the prefixes of one log_qpoch; the weights keep their
-    unreduced phases, which sum closer to J_N than reduced ones.
+    Their lc_sum, term by term the defining sum, is the one evaluator of the
+    dual factor J_p(E; e^{4 N pi^2/xi}) = J_p(E; e^{-4 N pi^2/xi}) (the knot is
+    amphichiral).  The products are the prefixes of one log_qpoch; the weights
+    keep their unreduced phases, which sum closer to J_N than reduced ones.
     """
     w = 4.0 * ctx.n * math.pi ** 2 / ctx.xi
     return -np.arange(ctx.p) * ctx.p * w + log_qpoch(ctx.p, ctx.p - 1, w)
@@ -208,12 +200,12 @@ def _qfactorial_via_en(k: int, ctx: EvalContext) -> complex:
     head = one_minus[0] - one_minus[1]
     t_num, t_den = t_n([(n - k - 0.5) * ctx.gamma - p + m + 1,
                         (n + k + 0.5) * ctx.gamma - p - m], ctx)
-    return head + _qpoch(p, m, w_dual) + (t_num - t_den)
+    return head + log_qpoch(p, m, w_dual)[-1] + (t_num - t_den)
 
 
 def product_identity_residual(k: int, ctx: EvalContext) -> float:
     """Relative gap between the direct q-factorial product and its E_N form."""
     if not 1 <= k <= ctx.n - 1:
         raise DomainError(f"k must lie in [1, N-1], got {k}")
-    direct = _qpoch(ctx.n, k, ctx.xi / ctx.n)
+    direct = log_qpoch(ctx.n, k, ctx.xi / ctx.n)[-1]
     return abs(cmath.exp(_qfactorial_via_en(k, ctx) - direct) - 1.0)

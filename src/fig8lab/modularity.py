@@ -7,7 +7,9 @@ computes the ratio J_{cN+dp}(E;e^{2 pi i eta(X)}) / J_p(E;e^{2 pi i X}),
 the conjectural right-hand side taken at C = 1 (qmccj_rhs), and the
 undetermined constant C as the Richardson-extrapolated ratio of the two per
 p (estimate_c; the interesting question being whether the estimates agree
-across p).
+across p).  Since 2 pi i X = -4 N pi^2/xi and the knot is amphichiral, the
+denominator is the theorem's dual factor, lc_sum(jones.beta_factors(ctx)),
+and at eta = S the right-hand side is the theorem's SaddleData.rhs(N/xi).
 
 For u = 0 the evaluation points are roots of unity and the comparison
 target is the weight-3/2 law with the Bettin-Drappeau constant; those runs
@@ -21,9 +23,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .numkernel import DomainError, exp_of_log, li2
+from .numkernel import DomainError, exp_of_log, lc_sum, li2
 from .qdilog import EvalContext
-from .jones import jones_exp, jones_exp_unity
+from .jones import beta_factors, jones_exp, jones_exp_unity
 from .saddle import saddle_data
 
 
@@ -74,11 +76,6 @@ def build_x(ctx: EvalContext) -> complex:
     return 2j * ctx.n * math.pi / ctx.xi
 
 
-def build_x0(p: int, n: int) -> float:
-    """X_0 = N/p, the u = 0 (root of unity) evaluation parameter."""
-    return n / p
-
-
 def _require_experiment(eta: ModularMatrix, p: int, n: int) -> int:
     """cN + dp, once p, N >= 1, c > 0 and cN + dp >= 1 are checked."""
     if p < 1 or n < 1:
@@ -92,25 +89,20 @@ def _require_experiment(eta: ModularMatrix, p: int, n: int) -> int:
 
 
 def modularity_ratio(eta: ModularMatrix, ctx: EvalContext) -> complex:
-    """The complex log of J_{cN+dp}(E; e^{2 pi i eta(X)}) / J_p(E; e^{2 pi i X})."""
+    """The complex log of J_{cN+dp}(E; e^{2 pi i eta(X)}) / J_p(E; e^{2 pi i X}),
+    the denominator the dual factor (see the module docstring)."""
     m = _require_experiment(eta, ctx.p, ctx.n)
-    x = build_x(ctx)
-    return jones_exp(m, 2j * math.pi * mobius(eta, x)) - jones_exp(ctx.p, 2j * math.pi * x)
+    return jones_exp(m, 2j * math.pi * mobius(eta, build_x(ctx))) - lc_sum(beta_factors(ctx))
 
 
 def qmccj_rhs(eta: ModularMatrix, ctx: EvalContext) -> complex:
     """(sqrt(-pi)/(2 sinh(u/2))) (T_E(u)/hbar)^{1/2} exp(S_E(u)/hbar), as a complex log.
 
-    This is the conjectural right-hand side at C = 1; estimate_c extrapolates C.
-
-    Square-root branches as in the saddle module: the torsion root is the
-    principal root of T_E (fixed by the positive-i inner root), and the
-    1/hbar root is principal, positive real part for admissible X.
+    This is the conjectural right-hand side at C = 1, SaddleData.rhs at
+    h = 1/hbar (square-root branches there); estimate_c extrapolates C.
     """
     _require_experiment(eta, ctx.p, ctx.n)
-    sd = saddle_data(ctx.u, ctx.p)
-    hb = hbar(eta, build_x(ctx))
-    return cmath.log(sd.prefactor * cmath.sqrt(1.0 / hb)) + sd.s_e / hb
+    return saddle_data(ctx.u, ctx.p).rhs(1.0 / hbar(eta, build_x(ctx)))
 
 
 @dataclass(frozen=True)
@@ -192,9 +184,9 @@ def bettin_drappeau_c(eta: ModularMatrix) -> complex:
 
 def zagier_rhs(eta: ModularMatrix, p: int, n: int) -> complex:
     """C_{E,eta} (2 pi / hbar(X_0))^{3/2} exp(i Vol / hbar(X_0)) at X_0 = N/p,
-    as a complex log."""
+    the u = 0 (root of unity) evaluation parameter, as a complex log."""
     _require_experiment(eta, p, n)
-    hb = hbar(eta, build_x0(p, n))
+    hb = hbar(eta, n / p)
     pref = bettin_drappeau_c(eta) * (2.0 * math.pi / hb) ** 1.5
     # log|pref| as math.log(abs(pref)): cmath.log rounds it differently near
     # |pref| = 1, and the emitted zagier records are kept bit-for-bit stable

@@ -10,8 +10,7 @@ Its unique critical point in U_0 is sigma_0 = (theta + 2 pi) i / xi with
 theta = Im varphi(u), and the quadratic coefficient, exponential growth
 rate S_E(u) and torsion factor T_E(u) all descend from the square root of
 (2 cosh u + 1)(2 cosh u - 3), taken as a positive multiple of i throughout.
-The positive-real-part rule fixes the outer square root of the saddle
-prefactor; with principal roots the assembled constant equals
+With principal roots the assembled constant equals
 sqrt(2 pi) e^{i pi/4} / ((1+2 cosh u)(3-2 cosh u))^{1/4}.
 """
 
@@ -25,8 +24,8 @@ from numbers import Integral
 
 import numpy as np
 
-from .numkernel import DomainError, exp_of_log, li2
-from .jones import jones_at_cusp, jones_dual
+from .numkernel import DomainError, exp_of_log, lc_sum, li2
+from .jones import beta_factors, jones_at_cusp
 from .qdilog import EvalContext, require_u
 
 TWO_PI_I = 2j * math.pi
@@ -69,11 +68,17 @@ class SaddleData:
     f_sigma0: complex     # F(sigma0)
     s_e: complex          # growth phase: xi (F(sigma0) + 2 pi i)
     t_e: complex          # torsion factor 2 / sqrt((2 cosh u + 1)(2 cosh u - 3))
-    prefactor: complex    # sqrt(-pi) T_E^{1/2} / (2 sinh(u/2)), principal roots; both rhs use it
+    prefactor: complex    # sqrt(-pi) T_E^{1/2} / (2 sinh(u/2)), principal roots
 
     @property
     def xi(self) -> complex:
         return complex(self.u, 2.0 * math.pi * self.p)
+
+    def rhs(self, h: complex) -> complex:
+        """log(prefactor h^{1/2}) + h S_E(u): the one saddle side, at h = 1/hbar
+        (N/xi for the theorem).  The principal h^{1/2} has positive real part,
+        the stated choice of the outer square root."""
+        return cmath.log(self.prefactor * cmath.sqrt(h)) + h * self.s_e
 
     def sigma_m(self, m: int) -> complex:
         """The critical point of Phi_m in U_m, for m in [0, p-1]."""
@@ -167,12 +172,10 @@ def asymptotic_rhs(ctx: EvalContext) -> complex:
 
     (sqrt(-pi)/(2 sinh(u/2))) T_E^{1/2} J_p(E;e^{4 N pi^2/xi})
         (N/xi)^{1/2} exp((N/xi) S_E(u)),
-    returned as its complex log; the principal (N/xi)^{1/2} has positive
-    real part, implementing the stated choice of the outer square root.
+    returned as its complex log: SaddleData.rhs(N/xi) plus lc_sum(beta_factors).
     """
     sd = saddle_data(ctx.u, ctx.p)
-    scale = cmath.sqrt(ctx.n / sd.xi)
-    return cmath.log(sd.prefactor * scale) + jones_dual(ctx) + ctx.n / sd.xi * sd.s_e
+    return sd.rhs(ctx.n / sd.xi) + lc_sum(beta_factors(ctx))
 
 
 def asymptotic_ratio(ctx: EvalContext) -> complex:

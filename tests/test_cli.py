@@ -61,6 +61,9 @@ def test_bad_u_exits_2(capsys):
     (["--N", "3,-1"], "--N"),
     (["--N", "0..5"], "--N"),
     (["--N", "7,9", "--step", "5"], "--step"),
+    (["--N", "5.."], "--N"),
+    (["--N", "1..2..3"], "--N"),
+    (["--N", "5,x"], "--N"),
 ])
 def test_empty_or_bad_n_range_exits_2(command, n_args, flag, capsys):
     code, out, err = run([command, "--u", "0.5", "--p", "2", *n_args], capsys)
@@ -83,6 +86,11 @@ def test_empty_or_bad_n_range_exits_2(command, n_args, flag, capsys):
                  "p and N must be positive", id="modularity-p-zero"),
     pytest.param(["modularity", "--eta", "0,-1,1,0", "--zagier", "--N-list", "0,5"],
                  "p and N must be positive", id="modularity-zagier-n-zero"),
+    pytest.param(["modularity", "--eta", "0,-1,1,0", "--p", "1,x"], "--p",
+                 id="modularity-p-not-integer"),
+    pytest.param(["modularity", "--eta", "0,-1,1,0", "--N-list", "5,,7"], "--N-list",
+                 id="modularity-N-list-empty-entry"),
+    pytest.param(["modularity", "--eta", "0,-1,1,x"], "--eta", id="modularity-eta-not-integer"),
     pytest.param(["region", "--u", "0.5", "--p", "2", "--m", "5", "--res", "50"],
                  "m must lie in [0, p-1]", id="region-m-above-strips"),
     pytest.param(["region", "--u", "0.5", "--p", "2", "--m", "-1", "--res", "50"],

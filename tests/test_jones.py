@@ -20,7 +20,6 @@ from fig8lab.jones import (
     decomposition_residual,
     f_n,
     jones_at_cusp,
-    jones_dual,
     jones_exp,
     jones_exp_unity,
     log_qpoch,
@@ -157,15 +156,18 @@ def test_log_qpoch_vanishing_root_of_unity_factor_is_exact():
 # ---------------------------------------------------------------------------
 
 def test_dual_p1_is_one():
-    assert jones_dual(EvalContext(u=0.5, p=1, n=101)) == 0j
+    assert lc_sum(beta_factors(EvalContext(u=0.5, p=1, n=101))) == 0j
 
 
 @pytest.mark.parametrize("u,p,n", [(0.5, 2, 101), (0.3, 3, 100), (0.9, 3, 97)])
 def test_dual_equals_beta_sum(u, p, n):
+    # the beta sum is the defining sum J_p at q = e^{4 N pi^2/xi}, and by
+    # amphichirality at 1/q, the denominator of the modularity ratio
     ctx = EvalContext(u=u, p=p, n=n)
     total = lc_sum(beta_factors(ctx))
-    dual = jones_dual(ctx)
-    assert abs(cmath.exp(total - dual) - 1.0) <= 1e-9
+    w = 4.0 * n * math.pi ** 2 / ctx.xi
+    for dual in (jones_exp(p, w), jones_exp(p, -w)):
+        assert abs(cmath.exp(total - dual) - 1.0) <= 1e-9
 
 
 def test_beta_examples():

@@ -6,15 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from fig8lab.numkernel import DomainError
+from fig8lab.numkernel import DomainError, lc_sum
 from fig8lab.qdilog import EvalContext
-from fig8lab.jones import jones_at_cusp
+from fig8lab.jones import beta_factors, jones_at_cusp
 from fig8lab.saddle import asymptotic_rhs
 from fig8lab.modularity import (
     ModularMatrix,
     bettin_drappeau_c,
     build_x,
-    build_x0,
     cusp_volume,
     estimate_c,
     hbar,
@@ -24,7 +23,6 @@ from fig8lab.modularity import (
     zagier_lhs,
     zagier_rhs,
 )
-from fig8lab.jones import jones_dual
 
 S = ModularMatrix(0, -1, 1, 0)
 
@@ -83,7 +81,6 @@ def test_build_x():
     assert abs(2j * math.pi * x - (-4 * ctx.n * math.pi ** 2 / ctx.xi)) <= 1e-12
     assert abs(hbar(S, x) - ctx.xi / ctx.n) <= 1e-15
     assert x.real > 0
-    assert build_x0(2, 100) == 50.0
     # u -> 0: X approaches the real value N/p
     small = build_x(EvalContext(u=1e-9, p=2, n=100))
     assert small == pytest.approx(50.0, abs=1e-6)
@@ -104,7 +101,7 @@ def test_qmccj_rhs_reconciles_with_main_asymptotics():
     for (u, p, n) in ((0.5, 2, 101), (0.3, 1, 150), (0.9, 3, 80)):
         ctx = EvalContext(u=u, p=p, n=n)
         lhs = qmccj_rhs(S, ctx)
-        rhs = asymptotic_rhs(ctx) - jones_dual(ctx)
+        rhs = asymptotic_rhs(ctx) - lc_sum(beta_factors(ctx))
         assert abs(cmath.exp(lhs - rhs) - 1.0) <= 1e-12
 
 

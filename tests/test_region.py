@@ -124,7 +124,7 @@ def test_label_components_matches_ndimage(mask):
     assert np.array_equal(labels, ref_labels)
 
 
-@pytest.mark.parametrize("p,m,u", [(3, 2, 0.5), (1, 0, 0.5), (2, 1, 0.2)])
+@pytest.mark.parametrize("p,m,u", [(3, 2, 0.5), (1, 0, 0.5), (2, 1, 0.2), (1, 0, 0.9)])
 def test_two_components(p, m, u):
     grid = grid_scan(m, u, p, resolution=400)
     assert components_d_cap_e(grid) == 2
