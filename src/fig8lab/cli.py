@@ -87,12 +87,12 @@ def _log_parts(value: complex) -> list[float]:
     return [value.real, float(reduce_phase(value.imag))]
 
 
-def _header(command: str, args, **extra) -> dict:
+def _header(command: str, args) -> dict:
     params = {
         k: v for k, v in sorted(vars(args).items())
         if k not in ("func", "out", "format", "command") and v is not None
     }
-    return {"schema": "fig8lab/1", "command": command, "params": params, **extra}
+    return {"schema": "fig8lab/1", "command": command, "params": params}
 
 
 def _parse_list(text: str, flag: str) -> list[int]:

@@ -43,7 +43,7 @@ from fractions import Fraction
 import numpy as np
 
 from .numkernel import DomainError, lc_one_minus_exp, lc_sum, log1mexp, reduce_phase
-from .qdilog import EvalContext, t_n
+from .qdilog import EvalContext, require_counts, require_sector, t_n
 
 
 def _multiples(e: np.ndarray, w) -> np.ndarray:
@@ -92,8 +92,7 @@ def jones_exp(n: int, w) -> complex:
     w is a complex, or a pair (a, r) for a + 2 pi i r with r a Fraction,
     whose phases are exact (see _multiples).
     """
-    if n < 1:
-        raise DomainError("n must be a positive integer")
+    require_counts("n", n)
     return _jones_sum(n, w)
 
 
@@ -104,8 +103,7 @@ def jones_exp_unity(n: int, num: int, den: int) -> complex:
     vanishes exactly when den divides the exponent; the first vanishing
     factor kills every later term.
     """
-    if n < 1 or den < 1:
-        raise DomainError("n and den must be positive integers")
+    require_counts("n and den", n, den)
     return _jones_sum(n, (0.0, Fraction(num, den)))
 
 
@@ -205,7 +203,6 @@ def _qfactorial_via_en(k: int, ctx: EvalContext) -> complex:
 
 def product_identity_residual(k: int, ctx: EvalContext) -> float:
     """Relative gap between the direct q-factorial product and its E_N form."""
-    if not 1 <= k <= ctx.n - 1:
-        raise DomainError(f"k must lie in [1, N-1], got {k}")
+    require_sector(k, ctx.n, "k must lie in [1, N-1]", 1)
     direct = log_qpoch(ctx.n, k, ctx.xi / ctx.n)[-1]
     return abs(cmath.exp(_qfactorial_via_en(k, ctx) - direct) - 1.0)

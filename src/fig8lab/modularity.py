@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .numkernel import DomainError, exp_of_log, lc_sum, li2
-from .qdilog import EvalContext
+from .qdilog import EvalContext, require_counts
 from .jones import beta_factors, jones_exp, jones_exp_unity
 from .saddle import saddle_data
 
@@ -78,8 +78,7 @@ def build_x(ctx: EvalContext) -> complex:
 
 def _require_experiment(eta: ModularMatrix, p: int, n: int) -> int:
     """cN + dp, once p, N >= 1, c > 0 and cN + dp >= 1 are checked."""
-    if p < 1 or n < 1:
-        raise DomainError("p and N must be positive integers")
+    require_counts("p and N", p, n)
     if eta.c <= 0:
         raise DomainError("ratio experiments require c > 0")
     m = eta.c * n + eta.d * p
@@ -195,9 +194,8 @@ def zagier_rhs(eta: ModularMatrix, p: int, n: int) -> complex:
 
 def zagier_lhs(eta: ModularMatrix, p: int, n: int) -> complex:
     """The complex log of J_{cN+dp}(E;e^{2 pi i eta(X_0)}) / J_p(E;e^{2 pi i X_0}),
-    exactly at roots of unity (integer exponent arithmetic, exact zero detection)."""
+    exactly at roots of unity (integer exponent arithmetic, exact zero detection).
+    The denominator never vanishes: q = e^{2 pi i N/p} has q^p = 1, so
+    J_p(E; q) = sum_k prod_{l<=k} |1 - q^l|^2 >= 1 (its k = 0 term is 1)."""
     m = _require_experiment(eta, p, n)
-    denominator = jones_exp_unity(p, n, p)
-    if denominator.real == -math.inf:
-        raise DomainError("denominator colored Jones value vanishes")
-    return jones_exp_unity(m, eta.a * n + eta.b * p, m) - denominator
+    return jones_exp_unity(m, eta.a * n + eta.b * p, m) - jones_exp_unity(p, n, p)

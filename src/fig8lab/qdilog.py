@@ -7,6 +7,10 @@ converges on the strip -p/(2N) < Re z < 1 + p/(2N).  E_N(z) = exp(T_N(z)) is
 only ever used through its complex log T_N(z), which is the only
 representation that survives the sizes reached downstream.
 
+The package's parameter checks live here, one per parameter: require_u,
+require_counts (p, N and every other positive-integer count) and
+require_sector (a sector m in [0, p-1], or the q-factorial index k).
+
 Two evaluators serve T_N.  t_n, and so jones.f_n and everything built on it,
 takes the Bernoulli series in gamma (_t_series) for every point whose error
 estimate is below TOL, and contour quadrature (_t_quadrature) for the rest:
@@ -99,6 +103,23 @@ def require_u(u: float, closed_end: bool = False) -> None:
         raise DomainError(f"u must lie in (0, {KAPPA:.6f}{end}, got {u}")
 
 
+def require_counts(names: str, *counts) -> None:
+    """Raise DomainError "<names> must be positive integers" unless every count is one.
+
+    int is tried first: the Integral ABC check (numpy integers) alone takes longer
+    than the rest of an EvalContext, and lemmas makes one per sample."""
+    for count in counts:
+        if not (isinstance(count, (int, Integral)) and count >= 1):
+            kind = "positive integers" if len(counts) > 1 else "a positive integer"
+            raise DomainError(f"{names} must be {kind}")
+
+
+def require_sector(m, p: int, rule: str = "m must lie in [0, p-1]", first: int = 0) -> None:
+    """Raise DomainError "<rule>, got m" unless m is an integer in [first, p-1]."""
+    if not (isinstance(m, (int, Integral)) and first <= m <= p - 1):
+        raise DomainError(f"{rule}, got {m}")
+
+
 # The 25-point Gauss-Kronrod rule on [-1, 1] (Laurie, Math. Comp. 66, 1997):
 # the 12 Gauss nodes at the odd positions, bit-equal to leggauss(12)'s, and the
 # 13 Kronrod nodes at the even ones.  The Kronrod nodes and weights, symmetric
@@ -149,12 +170,7 @@ class EvalContext:
 
     def __post_init__(self):
         require_u(self.u)
-        # int is tried first: the Integral ABC check alone takes longer than the rest
-        # of this method, and lemmas makes one context per sample
-        p, n = self.p, self.n
-        if not (isinstance(p, (int, Integral)) and isinstance(n, (int, Integral))
-                and p >= 1 and n >= 1):
-            raise DomainError("p and N must be positive integers")
+        require_counts("p and N", self.p, self.n)
 
     @property
     def xi(self) -> complex:

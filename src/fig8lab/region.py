@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numkernel import DomainError, li2
-from .qdilog import KAPPA, EvalContext
+from .qdilog import KAPPA, EvalContext, require_counts, require_sector
 from .jones import f_n, sector_points
-from .saddle import f_values, phi_m, require_p, saddle_data, varphi
+from .saddle import f_values, phi_m, saddle_data, varphi
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +168,8 @@ def components_d_cap_e(grid: RegionGrid) -> int:
 def c_pm(u: float, p: int, m: int) -> float:
     """c_{p,m}(u) = Li2(-e^{-u-q}) - Li2(-e^{-u+q}) + u q - 2 p pi^2,
     with q = u((6m+5) pi + 2 theta)/(2 p pi); negative throughout (0, kappa]."""
-    require_p(p)
+    require_counts("p", p)
+    require_sector(m, p)
     theta = varphi(u).imag
     q = u * ((6 * m + 5) * math.pi + 2.0 * theta) / (2.0 * p * math.pi)
     value = (
@@ -222,8 +223,7 @@ def endpoint_decay(ctx: EvalContext, m: int, delta_grid: float) -> list:
     Re F(sigma_0) - Re f_N((2k+1)/2N - 2m pi i/xi), which the endpoint
     estimates require to be positive.
     """
-    if not 0 <= m <= ctx.p - 1:
-        raise DomainError(f"m must lie in [0, p-1], got {m}")
+    require_sector(m, ctx.p)
     ks, ms, z = sector_points(ctx)
     near = (ms == m) & ((ks / ctx.n - m / ctx.p <= delta_grid)
                         | ((m + 1) / ctx.p - ks / ctx.n <= delta_grid))

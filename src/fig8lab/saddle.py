@@ -20,21 +20,14 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from .numkernel import DomainError, exp_of_log, lc_sum, li2
 from .jones import beta_factors, jones_at_cusp
-from .qdilog import EvalContext, require_u
+from .qdilog import EvalContext, require_counts, require_sector, require_u
 
 TWO_PI_I = 2j * math.pi
-
-
-def require_p(p: int) -> None:
-    """Raise DomainError unless p is a positive integer (numpy integers included)."""
-    if not (isinstance(p, (int, Integral)) and p >= 1):
-        raise DomainError("p must be a positive integer")
 
 
 def discriminant(u: float) -> float:
@@ -82,7 +75,7 @@ class SaddleData:
 
     def sigma_m(self, m: int) -> complex:
         """The critical point of Phi_m in U_m, for m in [0, p-1]."""
-        _require_sector(m, self.p)
+        require_sector(m, self.p)
         return self.sigma0 + 2j * m * math.pi / self.xi
 
 
@@ -94,7 +87,7 @@ def saddle_data(u: float, p: int) -> SaddleData:
     DomainError on every call, since exceptions are not cached.
     """
     require_u(u)
-    require_p(p)
+    require_counts("p", p)
     phi = varphi(u)
     theta = phi.imag
     xi = complex(u, 2.0 * math.pi * p)
@@ -112,17 +105,12 @@ def saddle_data(u: float, p: int) -> SaddleData:
 # The potential F and its shifts
 # ---------------------------------------------------------------------------
 
-def _require_sector(m: int, p: int) -> None:
-    """Raise DomainError unless m is an integer in [0, p-1]."""
-    if not (isinstance(m, Integral) and 0 <= m <= p - 1):
-        raise DomainError(f"m must lie in [0, p-1], got {m}")
-
-
 def f_values(z, u: float, p: int):
     """Vectorized rewritten-form F over an array of points (no domain check).
 
-    The caller is responsible for masking to U_0 / U_m; used by the region
-    grids where membership is decided cell by cell.
+    The caller is responsible for masking to U_0 / U_m.  Its callers are
+    saddle_data (F at sigma_0), phi_m (one checked point) and region.grid_scan
+    (the grid cells inside U_m, decided cell by cell).
     """
     z = np.asarray(z, dtype=np.complex128)
     xi = complex(u, 2.0 * math.pi * p)
@@ -140,26 +128,23 @@ def f_zero_value(u: float, p: int) -> complex:
     leaving only the constant.  (The limit of F along the interior of U_0
     differs, because the Li2 arguments reach the cut from opposite sides;
     the inequalities 0 < Re F(0) < Re F(sigma_0) refer to this value.)
+    u and p are checked, and xi taken, by the cached saddle_data(u, p).
     """
-    require_u(u)
-    require_p(p)
-    xi = complex(u, 2.0 * math.pi * p)
-    return 4.0 * p * math.pi ** 2 / xi
+    return 4.0 * p * math.pi ** 2 / saddle_data(u, p).xi
 
 
 def phi_m(z: complex, m: int, u: float, p: int) -> complex:
     """Phi_m(z) = F(z - 2 m pi i / xi) on U_m, with u, m and z checked.
 
     m = 0 gives F itself on U_0; every scalar value of F or Phi_m comes from here.
+    u and p are checked, and xi taken, by the cached saddle_data(u, p).
     """
-    require_u(u)
-    require_p(p)
-    _require_sector(m, p)
+    xi = saddle_data(u, p).xi
+    require_sector(m, p)
     z = complex(z)
     s = z.real + u / (2.0 * math.pi * p) * z.imag
     if not m / p < s < (m + 1) / p:
         raise DomainError(f"z outside U_{m}: skew abscissa {s} not in ({m / p}, {(m + 1) / p})")
-    xi = complex(u, 2.0 * math.pi * p)
     return complex(f_values(z - 2j * m * math.pi / xi, u, p))
 
 

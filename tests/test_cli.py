@@ -350,6 +350,10 @@ def test_modularity_zagier_mode(capsys):
     pytest.param(["modularity", "--eta", "0,-1,1,0", "--p", "1", "--N-list", "99,199"],
                  ["eta", "u", "p", "N", "ratio", "rhs", "C_estimate", "C_extrapolated",
                   "spread"], 4, id="modularity"),
+    # no identity rows: the 10 L_k rows and the 39 inequality rows
+    pytest.param(["lemmas", "--samples", "0"],
+                 ["check", "expected", "m", "margin", "p", "pass", "re_f0", "re_f_sigma0",
+                  "residual", "u", "value", "z_im", "z_re"], 49, id="lemmas"),
 ])
 def test_csv_format(tmp_path, argv, keys, n_rows):
     # list cells and eta contain commas and must come back whole
@@ -361,6 +365,10 @@ def test_csv_format(tmp_path, argv, keys, n_rows):
     assert rows[0] == sorted(keys)
     assert len(rows) == 1 + n_rows
     assert all(len(row) == len(rows[0]) for row in rows)
+    # a bool cell is written as 1 or 0
+    if "pass" in keys:
+        column = rows[0].index("pass")
+        assert all(row[column] in ("1", "0") for row in rows[1:])
 
 
 @pytest.mark.parametrize("argv", [

@@ -64,6 +64,17 @@ def test_n1_is_one():
     assert jones_exp(1, 0.37 + 1.1j) == 0j
 
 
+def test_counts_must_be_positive_integers():
+    # a float count names no sum, even an integral one
+    for n in (0, 2.5, 3.0):
+        with pytest.raises(DomainError, match="n must be a positive integer"):
+            jones_exp(n, 0.1j)
+    for n, den in ((0, 5), (3.5, 5), (3, 5.5), (3, 0)):
+        with pytest.raises(DomainError, match="n and den must be positive integers"):
+            jones_exp_unity(n, 1, den)
+    assert jones_exp(np.int64(2), 0.3j) == jones_exp(2, 0.3j)
+
+
 def test_n2_polynomial():
     q = cmath.exp(0.3j)
     expected = q ** 2 - q + 1 - 1 / q + 1 / q ** 2
@@ -291,6 +302,9 @@ def test_product_identity_k_domain():
         product_identity_residual(0, ctx)
     with pytest.raises(DomainError):
         product_identity_residual(41, ctx)
+    # a k that is not an integer names no q-factorial
+    with pytest.raises(DomainError, match=r"k must lie in \[1, N-1\], got 2\.5"):
+        product_identity_residual(2.5, EvalContext(u=0.5, p=4, n=12))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 from fig8lab.numkernel import DomainError, lc_sum
 from fig8lab.qdilog import EvalContext
-from fig8lab.jones import beta_factors, jones_at_cusp
+from fig8lab.jones import beta_factors, jones_at_cusp, jones_exp_unity
 from fig8lab.saddle import asymptotic_rhs
 from fig8lab.modularity import (
     ModularMatrix,
@@ -46,6 +46,8 @@ def test_mobius_examples():
     assert mobius(translation, x) == x + 5
     assert mobius(S, x) == -1.0 / x
     assert hbar(S, x) == 2j * math.pi / x
+    with pytest.raises(DomainError, match="pole"):
+        mobius(S, 0)
 
 
 def test_mobius_composition():
@@ -142,6 +144,17 @@ def test_experiment_requires_positive_c():
     ctx = EvalContext(u=0.5, p=1, n=50)
     with pytest.raises(DomainError):
         modularity_ratio(ModularMatrix(1, 0, 0, 1), ctx)
+    with pytest.raises(DomainError, match="constant defined for c > 0"):
+        bettin_drappeau_c(ModularMatrix(1, 0, 0, 1))
+    with pytest.raises(DomainError, match="ratio experiments require c > 0"):
+        zagier_lhs(ModularMatrix(1, 0, -1, 1), 1, 10)
+    with pytest.raises(DomainError, match=r"cN \+ dp = 0 must be a positive integer"):
+        zagier_lhs(ModularMatrix(1, -3, 1, -2), 1, 2)
+    # a p or N that is not an integer names no root of unity
+    with pytest.raises(DomainError, match="p and N must be positive integers"):
+        zagier_lhs(S, 2.5, 10)
+    with pytest.raises(DomainError, match="p and N must be positive integers"):
+        zagier_rhs(S, 2, 10.5)
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +199,13 @@ def test_zagier_lhs_finite_and_trending():
         assert math.isfinite(lhs.real) and math.isfinite(rhs.real)
         gaps.append(abs((lhs - rhs).real))
     assert gaps[1] < gaps[0]
+
+
+def test_zagier_denominator_never_vanishes():
+    # J_p(E; e^{2 pi i N/p}) = sum_k prod_{l<=k} |1 - q^l|^2 >= 1, so its log is
+    # never -inf; over this grid the smallest log|J_p| reads exactly 0.0
+    smallest = min(jones_exp_unity(p, n, p).real for p in range(1, 13) for n in range(1, 120))
+    assert smallest >= -1e-12
 
 
 def test_zagier_lhs_non_coprime_zero_detection():

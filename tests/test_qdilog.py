@@ -123,6 +123,12 @@ def test_t_n_strip_error():
     ctx = EvalContext(u=0.5, p=1, n=50)
     with pytest.raises(DomainError):
         t_n(-ctx.p / (2 * ctx.n) - 0.01, ctx)
+    # just inside the strip end, a ray's tail would run past _MAX_TAIL: refused
+    edge = EvalContext(u=0.5, p=2, n=97)
+    z = np.array([1.0 + edge.gamma / 2 - 1e-5 * (1 + 1j)])
+    with pytest.raises(QuadratureError,
+                       match=r"ray path exceeds 5e\+05: .* at \(u, p, N\) = \(0\.5, 2, 97\)"):
+        qdilog._t_quadrature(z, np.full(1, edge.gamma), lambda i: str(edge))
 
 
 def test_t_n_approaches_li2():
@@ -490,6 +496,11 @@ def test_identity_domain_errors_come_before_any_quadrature(monkeypatch):
         identity_residuals(samples)
     with pytest.raises(DomainError, match="unknown identity 'swap'"):
         identity_residuals([("swap", 0.5, ctx)])
+    ctx = EvalContext(u=0.5, p=2, n=97)
+    with pytest.raises(DomainError, match=r"shift identity requires 0 < Re z < 1: z = \(1\.2\+0\.1j\)"):
+        identity_residuals([("shift", 1.2 + 0.1j, ctx)])
+    with pytest.raises(DomainError, match=r"identity denominator 1 - e\^\{2 pi i w\} vanishes"):
+        identity_residuals([("gamma_half", 1e-6, ctx)])
 
 
 def test_identity_batch_failure_names_the_first_failing_point(monkeypatch):

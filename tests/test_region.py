@@ -258,6 +258,9 @@ def test_c_pm_constants():
     assert values[0] < values[1] < values[2] < 0.0
     with pytest.raises(DomainError, match="p must be a positive integer"):
         c_pm(0.5, 2.5, 0)
+    for m in (5, 0.5, -1):
+        with pytest.raises(DomainError, match=r"m must lie in \[0, p-1\]"):
+            c_pm(0.5, 2, m)
     assert c_pm(KAPPA, np.int64(3), 1) == values[1]
 
 
@@ -297,6 +300,10 @@ def test_endpoint_decay_errors():
     # sectors outside [0, p-1] hold no term of the Jones sum
     for m in (2, 5, -1):
         with pytest.raises(DomainError, match=r"m must lie in \[0, p-1\]"):
+            endpoint_decay(EvalContext(u=0.5, p=2, n=201), m, 0.02)
+    # nor do sectors that are not integers, 1.0 included
+    for m in (1.0, 0.5):
+        with pytest.raises(DomainError, match=r"m must lie in \[0, p-1\], got"):
             endpoint_decay(EvalContext(u=0.5, p=2, n=201), m, 0.02)
 
 
