@@ -26,8 +26,8 @@ import sys
 
 import numpy as np
 
-from .numkernel import DomainError, QuadratureError, l0_closed, l1_closed, l2_closed, reduce_phase
-from .qdilog import KAPPA, EvalContext, identity_residuals, l_k_quadrature
+from .numkernel import DomainError, QuadratureError, reduce_phase
+from .qdilog import KAPPA, EvalContext, identity_residuals, l_k_closed, l_k_quadrature
 from .jones import jones_at_cusp
 from .saddle import asymptotic_ratio, f_zero_value, saddle_data
 from .region import (
@@ -185,14 +185,13 @@ def _sample_identity_rows(rng, samples):
 
 
 def _lk_rows(rng, samples):
-    closed = {0: l0_closed, 1: l1_closed, 2: l2_closed}
     drawn = [(int(rng.integers(0, 3)), complex(rng.uniform(0.05, 0.95), rng.uniform(-1.0, 1.0)))
              for _ in range(samples)]
     ks, zs = zip(*drawn)
     values = l_k_quadrature(np.array(ks), np.array(zs))
     rows = []
     for (k, z), value in zip(drawn, values):
-        err = abs(complex(value) - closed[k](z))
+        err = abs(complex(value) - l_k_closed(k, z))
         rows.append({"check": f"l{k}_quadrature", "z_re": z.real, "z_im": z.imag,
                      "residual": err, "pass": err <= LK_BOUND})
     return rows

@@ -43,7 +43,7 @@ from fractions import Fraction
 import numpy as np
 
 from .numkernel import DomainError, lc_one_minus_exp, lc_sum, log1mexp, reduce_phase
-from .qdilog import EvalContext, require_counts, require_sector, t_n
+from .qdilog import EvalContext, require_counts, require_integers, require_sector, t_n
 
 
 def _multiples(e: np.ndarray, w) -> np.ndarray:
@@ -90,9 +90,13 @@ def jones_exp(n: int, w) -> complex:
     """The complex log of J_n(E; e^w); w is the exponent of the variable q.
 
     w is a complex, or a pair (a, r) for a + 2 pi i r with r a Fraction,
-    whose phases are exact (see _multiples).
+    whose phases are exact (see _multiples).  q depends on w only modulo
+    2 pi i, so a complex w has Im w reduced into (-pi, pi] first: its
+    multiples, up to 2n w, then lose no digits to a dropped multiple of 2 pi.
     """
     require_counts("n", n)
+    if not isinstance(w, tuple):
+        w = complex(w.real, float(reduce_phase(w.imag)))
     return _jones_sum(n, w)
 
 
@@ -104,6 +108,7 @@ def jones_exp_unity(n: int, num: int, den: int) -> complex:
     factor kills every later term.
     """
     require_counts("n and den", n, den)
+    require_integers("num", num)
     return _jones_sum(n, (0.0, Fraction(num, den)))
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .numkernel import DomainError, exp_of_log, lc_sum, li2
-from .qdilog import EvalContext, require_counts
+from .qdilog import EvalContext, require_counts, require_integers
 from .jones import beta_factors, jones_exp, jones_exp_unity
 from .saddle import saddle_data
 
@@ -39,6 +39,7 @@ class ModularMatrix:
     d: int
 
     def __post_init__(self):
+        require_integers("a, b, c and d", self.a, self.b, self.c, self.d)
         if self.a * self.d - self.b * self.c != 1:
             raise DomainError(f"determinant must be 1, got {self.a * self.d - self.b * self.c}")
 

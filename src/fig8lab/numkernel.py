@@ -1,9 +1,8 @@
 """Branch-disciplined complex kernels.
 
-Log-domain complex arithmetic (the vectorised log1mexp and lc_sum), the
-principal dilogarithm Li2, and the closed forms of the three contour
-integrals L_0, L_1, L_2 on the strip 0 < Re z < 1.  Every other module
-builds on these primitives, so the conventions are fixed once, here:
+Log-domain complex arithmetic (the vectorised log1mexp and lc_sum) and the
+principal dilogarithm Li2.  Every other module builds on these primitives,
+so the conventions are fixed once, here:
 
 * a value v too large or too small for a float is kept as its complex log,
   a plain Python complex: the real part is log|v|, the imaginary part a
@@ -242,31 +241,3 @@ def li2(w):
     out[z == 1.0] = PI_SQ_6
     return complex(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
-
-# ---------------------------------------------------------------------------
-# Closed forms of the strip integrals L_0, L_1, L_2
-# ---------------------------------------------------------------------------
-
-def _require_strip(z: complex) -> complex:
-    z = complex(z)
-    if not 0.0 < z.real < 1.0:
-        raise DomainError(f"Re z must lie in (0, 1), got {z.real}")
-    return z
-
-
-def l0_closed(z: complex) -> complex:
-    """L_0(z) = -2 pi i / (1 - e^{-2 pi i z}) for 0 < Re z < 1."""
-    z = _require_strip(z)
-    return -2j * math.pi / (1.0 - cmath.exp(-2j * math.pi * z))
-
-
-def l1_closed(z: complex) -> complex:
-    """L_1(z) = log(1 - e^{2 pi i z}), principal branch."""
-    z = _require_strip(z)
-    return cmath.log(1.0 - cmath.exp(2j * math.pi * z))
-
-
-def l2_closed(z: complex) -> complex:
-    """L_2(z) = Li2(e^{2 pi i z})."""
-    z = _require_strip(z)
-    return li2(cmath.exp(2j * math.pi * z))

@@ -8,17 +8,19 @@ only ever used through its complex log T_N(z), which is the only
 representation that survives the sizes reached downstream.
 
 The package's parameter checks live here, one per parameter: require_u,
-require_counts (p, N and every other positive-integer count) and
-require_sector (a sector m in [0, p-1], or the q-factorial index k).
+require_counts (p, N and every other positive-integer count),
+require_integers (any other integer) and require_sector (a sector m in
+[0, p-1], or the q-factorial index k).
 
 Two evaluators serve T_N.  t_n, and so jones.f_n and everything built on it,
-takes the Bernoulli series in gamma (_t_series) for every point whose error
-estimate is below TOL, and contour quadrature (_t_quadrature) for the rest:
-small N, where gamma is too large for the series, and any point where the
-series cannot promise TOL.  identity_residuals and l_k_quadrature call the
-quadrature directly: the exact functional equations of E_N, and the closed
-forms of L_0, L_1, L_2 in numkernel, are what test it, and the series' edge
-shifts use one of those equations.
+takes the Bernoulli series in its one gamma (_t_series) for every point
+whose error estimate is below TOL, and contour quadrature (_t_quadrature)
+for the rest: small N, where gamma is too large for the series, and any
+point where the series cannot promise TOL.  identity_residuals and
+l_k_quadrature call the quadrature directly: the exact functional equations
+of E_N, and the closed forms of L_0, L_1, L_2 (l_k_closed, which shares
+l_k_quadrature's one check of k and z), are what test it, and the series'
+edge shifts use one of those equations.
 
 The series expands 1/sinh(gamma x) in the integrand:
 
@@ -112,6 +114,12 @@ def require_counts(names: str, *counts) -> None:
         if not (isinstance(count, (int, Integral)) and count >= 1):
             kind = "positive integers" if len(counts) > 1 else "a positive integer"
             raise DomainError(f"{names} must be {kind}")
+
+
+def require_integers(names: str, *values) -> None:
+    """Raise DomainError "<names> must be integers" unless every value is one (see require_counts)."""
+    if not all(isinstance(value, (int, Integral)) for value in values):
+        raise DomainError(f"{names} must be {'integers' if len(values) > 1 else 'an integer'}")
 
 
 def require_sector(m, p: int, rule: str = "m must lie in [0, p-1]", first: int = 0) -> None:
@@ -373,17 +381,13 @@ _SERIES_COEF = _series_coefficients(_SERIES_TERMS + 1)
 def _t_series(z, gamma):
     """T_N by its Bernoulli series (see the module docstring), and where it meets TOL.
 
-    z and gamma are per-point arrays.  Returns (ok, values): ok marks the
-    points whose error estimate is below TOL, and values holds T_N there;
-    elsewhere values is undefined.
+    z is an array of points of one context, gamma its complex gamma.  Returns
+    (ok, values): ok marks the points whose error estimate is below TOL, and
+    values holds T_N there; elsewhere values is undefined.
     """
-    width = _SHIFT_WIDTH * np.abs(gamma)
-    ok = np.zeros(z.size, dtype=bool)
-    values = np.empty(z.size, dtype=complex)
-    tried = np.flatnonzero(width < 0.5)
-    if not tried.size:
-        return ok, values
-    z, gamma, width = z[tried], gamma[tried], width[tried]
+    width = _SHIFT_WIDTH * abs(gamma)
+    if width >= 0.5:
+        return np.zeros(z.size, dtype=bool), np.empty(z.size, dtype=complex)
     # whole steps of gamma from the nearer end of (0, 1), inward
     sign = np.where(z.real < 0.5, 1.0, -1.0)
     steps = np.ceil((width - np.minimum(z.real, 1.0 - z.real)) / gamma.real)
@@ -392,7 +396,7 @@ def _t_series(z, gamma):
     owner = np.repeat(np.arange(z.size), steps)
     first = np.cumsum(steps) - steps
     half_steps = np.arange(owner.size) - first[owner] + 0.5
-    logs = log1mexp(2j * math.pi * (z[owner] + sign[owner] * half_steps * gamma[owner]))
+    logs = log1mexp(2j * math.pi * (z[owner] + sign[owner] * half_steps * gamma))
     shifted = np.flatnonzero(steps)
     correction = np.zeros(z.size, dtype=complex)
     correction[shifted] = sign[shifted] * np.add.reduceat(logs, first[shifted])
@@ -406,13 +410,12 @@ def _t_series(z, gamma):
     h = 1j * math.pi * gamma
     count = _SERIES_TERMS
     terms = (np.vander(s, 2 * count + 2, increasing=True) @ _SERIES_COEF.T
-             * h[:, None] * np.vander(h * h, count + 1, increasing=True))
-    values[tried] = lead + terms[:, :count].sum(axis=1) + correction
+             * h * np.vander([h * h], count + 1, increasing=True))
+    values = lead + terms[:, :count].sum(axis=1) + correction
     size = np.abs(terms)
     truncation = np.where(size[:, count] < size[:, count - 1], size[:, count], np.inf)
     rounding = _ROUNDING * (np.abs(lead) + np.abs(correction) + 1.0)
-    ok[tried] = truncation + rounding < TOL
-    return ok, values
+    return truncation + rounding < TOL, values
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +447,7 @@ def t_n(z, ctx: EvalContext):
     def where(i):
         return str(ctx)
     _require_strip(flat, gamma, where)
-    ok, values = _t_series(flat, gamma)
+    ok, values = _t_series(flat, ctx.gamma)
     rest = np.flatnonzero(~ok)
     if rest.size:
         values[rest] = _t_quadrature(flat[rest], gamma[rest], where)
@@ -459,6 +462,26 @@ def e_n(z: complex, ctx: EvalContext) -> complex:
     return t_n(complex(z), ctx)
 
 
+def _require_lk(k, z) -> None:
+    """Raise DomainError unless k is 0, 1 or 2 and z lies on the strip 0 < Re z < 1."""
+    if k not in (0, 1, 2):
+        raise DomainError(f"k must be 0, 1 or 2, got {k}")
+    if not 0.0 < z.real < 1.0:
+        raise DomainError(f"Re z must lie in (0, 1), got {z.real}")
+
+
+def l_k_closed(k, z: complex) -> complex:
+    """L_k(z) in closed form, k and z as in l_k_quadrature: -2 pi i / (1 - e^{-2 pi i z}),
+    the principal log(1 - e^{2 pi i z}) and Li2(e^{2 pi i z}) for k = 0, 1, 2."""
+    z = complex(z)
+    _require_lk(k, z)
+    if k == 0:
+        return -2j * math.pi / (1.0 - cmath.exp(-2j * math.pi * z))
+    if k == 1:
+        return cmath.log(1.0 - cmath.exp(2j * math.pi * z))
+    return li2(cmath.exp(2j * math.pi * z))
+
+
 _LK_PREFACTOR = np.array([1.0, -0.5, 0.5j * math.pi])
 
 
@@ -470,10 +493,7 @@ def l_k_quadrature(k, z):
     """
     ks, zs = np.broadcast_arrays(np.asarray(k), np.asarray(z, dtype=complex))
     for k_i, z_i in zip(ks.flat, zs.flat):
-        if k_i not in (0, 1, 2):
-            raise DomainError(f"k must be 0, 1 or 2, got {k_i}")
-        if not 0.0 < z_i.real < 1.0:
-            raise DomainError(f"Re z = {z_i.real} outside (0, 1)")
+        _require_lk(k_i, z_i)
     ks, flat = ks.ravel().astype(int), zs.ravel()
 
     # the integrands take a point's index: each point is its own semicircle

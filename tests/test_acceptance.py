@@ -13,8 +13,7 @@ import numpy as np
 
 import fig8lab as f8
 from fig8lab.jones import decomposition_residual, product_identity_residual
-from fig8lab.numkernel import l0_closed, l1_closed, l2_closed
-from fig8lab.qdilog import KAPPA, l_k_quadrature
+from fig8lab.qdilog import KAPPA, l_k_closed, l_k_quadrature
 from fig8lab.region import c_pm, c_pm_derivative_bound, check_f_p12, components_d_cap_e
 from fig8lab.saddle import discriminant, f_zero_value, phi_m
 from reference import f_prime, f_second, naive_jones
@@ -43,12 +42,11 @@ def test_criterion_01_constants():
 
 def test_criterion_02_l_k_closed_vs_quadrature():
     with criterion(2, "L_0, L_1, L_2 quadrature vs closed forms on 100 points"):
-        closed = {0: l0_closed, 1: l1_closed, 2: l2_closed}
         rng = np.random.default_rng(101)
         for i in range(100):
             k = i % 3
             z = complex(rng.uniform(0.05, 0.95), rng.uniform(-1.0, 1.0))
-            err = abs(l_k_quadrature(k, z) - closed[k](z))
+            err = abs(l_k_quadrature(k, z) - l_k_closed(k, z))
             assert err <= 1e-8, (k, z, err)
 
 

@@ -26,6 +26,7 @@ from fig8lab.jones import (
     product_identity_residual,
     sector_points,
 )
+from fig8lab.modularity import ModularMatrix, build_x, mobius
 from fig8lab.saddle import phi_m, saddle_data
 from reference import naive_jones
 
@@ -72,6 +73,8 @@ def test_counts_must_be_positive_integers():
     for n, den in ((0, 5), (3.5, 5), (3, 5.5), (3, 0)):
         with pytest.raises(DomainError, match="n and den must be positive integers"):
             jones_exp_unity(n, 1, den)
+    with pytest.raises(DomainError, match="num must be an integer"):
+        jones_exp_unity(3, 1.5, 5)
     assert jones_exp(np.int64(2), 0.3j) == jones_exp(2, 0.3j)
 
 
@@ -79,6 +82,19 @@ def test_n2_polynomial():
     q = cmath.exp(0.3j)
     expected = q ** 2 - q + 1 - 1 / q + 1 / q ** 2
     assert abs(cmath.exp(jones_exp(2, 0.3j)) - expected) <= 1e-14
+
+
+def test_exponent_is_reduced_modulo_2_pi_i():
+    # q = e^w depends on w only modulo 2 pi i.  modularity_ratio's exponent for
+    # eta = (2,1,1,1) at (u, p, N) = (0.5, 1, 299) has Im w near 4 pi, and M = cN + dp = 300
+    w = 2j * math.pi * mobius(ModularMatrix(2, 1, 1, 1), build_x(EvalContext(u=0.5, p=1, n=299)))
+    w0 = w - 4j * math.pi
+    assert -math.pi < w0.imag <= math.pi
+    base = jones_exp(300, w0)
+    for k in (-2, -1, 1, 2, 3):
+        assert abs(cmath.exp(jones_exp(300, w0 + 2j * math.pi * k) - base) - 1.0) <= 1e-12
+    with mp.workdps(50):
+        assert log_relative_error(jones_exp(300, w), mp_jones(300, mp.exp(mp.mpc(w)))) <= 1e-10
 
 
 def test_amphicheirality():

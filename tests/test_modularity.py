@@ -34,6 +34,9 @@ S = ModularMatrix(0, -1, 1, 0)
 def test_matrix_validation():
     with pytest.raises(DomainError):
         ModularMatrix(1, 1, 1, 1)
+    # ad - bc = 1 with entries that are not integers names no element of SL(2,Z)
+    with pytest.raises(DomainError, match="a, b, c and d must be integers"):
+        ModularMatrix(1.5, 0.5, 1, 1)
     eta = ModularMatrix.from_string("1,0,1,1")
     assert (eta.a, eta.b, eta.c, eta.d) == (1, 0, 1, 1)
     with pytest.raises(DomainError):

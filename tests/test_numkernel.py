@@ -18,15 +18,13 @@ from hypothesis import strategies as st
 from fig8lab.numkernel import (
     BranchCutError,
     DomainError,
-    l0_closed,
-    l1_closed,
-    l2_closed,
     lc_one_minus_exp,
     lc_sum,
     li2,
     log1mexp,
     reduce_phase,
 )
+from fig8lab.qdilog import l_k_closed, l_k_quadrature
 
 TWO_PI = 2.0 * math.pi
 
@@ -336,14 +334,14 @@ def test_li2_array_matches_scalar():
 # ---------------------------------------------------------------------------
 
 def test_l_closed_examples():
-    assert l1_closed(0.5) == pytest.approx(math.log(2.0), abs=1e-14)
-    assert l0_closed(0.5) == pytest.approx(-1j * math.pi, abs=1e-14)
+    assert l_k_closed(1, 0.5) == pytest.approx(math.log(2.0), abs=1e-14)
+    assert l_k_closed(0, 0.5) == pytest.approx(-1j * math.pi, abs=1e-14)
     # oracle for Li2(-1): alternating series, pairwise-summed tail bound
     n = 200_000
     terms = (-1.0) ** np.arange(1, n + 1) / np.arange(1, n + 1, dtype=float) ** 2
     partial = float(np.sum(terms))
-    assert l2_closed(0.5).real == pytest.approx(partial, abs=1e-10)
-    assert l2_closed(0.5) == pytest.approx(-math.pi ** 2 / 12.0, abs=1e-13)
+    assert l_k_closed(2, 0.5).real == pytest.approx(partial, abs=1e-10)
+    assert l_k_closed(2, 0.5) == pytest.approx(-math.pi ** 2 / 12.0, abs=1e-13)
 
 
 def test_l_derivative_relations():
@@ -354,16 +352,20 @@ def test_l_derivative_relations():
         z = complex(rng.uniform(0.05, 0.95), rng.uniform(-2.0, 2.0))
         if not 0.05 < z.real - h and z.real + h < 0.95:
             continue
-        d2 = (l2_closed(z + h) - l2_closed(z - h)) / (2 * h)
-        target = -2j * math.pi * l1_closed(z)
+        d2 = (l_k_closed(2, z + h) - l_k_closed(2, z - h)) / (2 * h)
+        target = -2j * math.pi * l_k_closed(1, z)
         assert abs(d2 - target) / abs(target) <= 1e-6
-        d1 = (l1_closed(z + h) - l1_closed(z - h)) / (2 * h)
-        target = -l0_closed(z)
+        d1 = (l_k_closed(1, z + h) - l_k_closed(1, z - h)) / (2 * h)
+        target = -l_k_closed(0, z)
         assert abs(d1 - target) / abs(target) <= 1e-6
 
 
 @pytest.mark.parametrize("z", [0.0, 1.0, -0.2 + 1j, 1.4 - 2j])
 def test_l_closed_domain(z):
-    for fn in (l0_closed, l1_closed, l2_closed):
-        with pytest.raises(DomainError):
-            fn(z)
+    # both routes to L_k take one check: each refuses a bad z, and a bad k, alike
+    for k in (0, 1, 2, 3):
+        with pytest.raises(DomainError) as closed:
+            l_k_closed(k, z)
+        with pytest.raises(DomainError) as quadrature:
+            l_k_quadrature(k, z)
+        assert str(quadrature.value) == str(closed.value)

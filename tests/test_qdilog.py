@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fig8lab.numkernel import DomainError, QuadratureError, l0_closed, l1_closed, l2_closed, li2
+from fig8lab.numkernel import DomainError, QuadratureError, li2
 from fig8lab.qdilog import (
     KAPPA,
     TOL,
@@ -17,13 +17,12 @@ from fig8lab.qdilog import (
     check_unit_shift,
     e_n,
     identity_residuals,
+    l_k_closed,
     l_k_quadrature,
     t_n,
 )
 from fig8lab import cli, jones, qdilog
 from reference import exact_t_n, exact_t_n_mp, kronrod_rule
-
-CLOSED = {0: l0_closed, 1: l1_closed, 2: l2_closed}
 
 
 # ---------------------------------------------------------------------------
@@ -57,13 +56,13 @@ def test_gamma_real_part_exact():
 @pytest.mark.parametrize("k", [0, 1, 2])
 @pytest.mark.parametrize("z", [0.5 + 0j, 0.3 + 0.4j, 0.7 - 0.6j, 0.05 + 1j, 0.95 - 1j])
 def test_l_k_quadrature_matches_closed(k, z):
-    assert abs(l_k_quadrature(k, z) - CLOSED[k](z)) <= 1e-12
+    assert abs(l_k_quadrature(k, z) - l_k_closed(k, z)) <= 1e-12
 
 
 def test_l_k_quadrature_examples():
     assert abs(l_k_quadrature(1, 0.5) - math.log(2.0)) <= 1e-8
     assert abs(l_k_quadrature(0, 0.5) - (-1j * math.pi)) <= 1e-8
-    assert abs(l_k_quadrature(2, 0.3 + 0.4j) - l2_closed(0.3 + 0.4j)) <= 1e-8
+    assert abs(l_k_quadrature(2, 0.3 + 0.4j) - l_k_closed(2, 0.3 + 0.4j)) <= 1e-8
 
 
 def test_l_k_quadrature_domain():
@@ -71,6 +70,11 @@ def test_l_k_quadrature_domain():
         l_k_quadrature(1, 1.2 + 0.3j)
     with pytest.raises(DomainError):
         l_k_quadrature(3, 0.5)
+    for k, z, message in ((1, 1.2 + 0.3j, r"Re z must lie in \(0, 1\), got 1\.2"),
+                          (3, 0.5, "k must be 0, 1 or 2, got 3")):
+        for route in (l_k_quadrature, l_k_closed):
+            with pytest.raises(DomainError, match=message):
+                route(k, z)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +340,7 @@ def test_series_matches_quadrature(monkeypatch, u, p, n):
     z = np.concatenate([rng.uniform(-g / 2, 1 + g / 2, 8) + 1j * rng.uniform(-0.5, 0.5, 8),
                         _edge_points(ctx, 1e-3)])
     gamma = np.full(z.size, ctx.gamma)
-    ok, series = qdilog._t_series(z, gamma)
+    ok, series = qdilog._t_series(z, ctx.gamma)
     assert ok.all()
     monkeypatch.setattr(qdilog, "TOL", 1e-12)
     quadrature = qdilog._t_quadrature(z, gamma, lambda i: f"point {i}")
@@ -351,7 +355,7 @@ def test_series_matches_exact_product(n):
     rng = np.random.default_rng(n)
     z = np.concatenate([rng.uniform(0.0, 1.0, 3) + 1j * rng.uniform(-0.3, 0.3, 3),
                         _edge_points(ctx, 1e-3)])
-    ok, series = qdilog._t_series(z, np.full(z.size, ctx.gamma))
+    ok, series = qdilog._t_series(z, ctx.gamma)
     assert ok.all()
     for zi, value in zip(z, series):
         # the product's principal logs are off by multiples of 2 pi i
@@ -400,19 +404,18 @@ def test_each_caller_reaches_its_evaluator(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(qdilog, "_t_series", refuse)
     assert residual("shift", 0.3 + 0.2j, EvalContext(u=0.5, p=2, n=3201)) <= 1e-7
-    assert abs(l_k_quadrature(2, 0.3 + 0.4j) - l2_closed(0.3 + 0.4j)) <= 1e-8
+    assert abs(l_k_quadrature(2, 0.3 + 0.4j) - l_k_closed(2, 0.3 + 0.4j)) <= 1e-8
 
 
 def test_series_declines_what_it_cannot_promise(monkeypatch):
     # small N: gamma too large to shift within (0, 1); an unmeetable TOL
     small = EvalContext(u=0.5, p=1, n=7)
-    assert not qdilog._t_series(np.array([0.5]), np.array([small.gamma]))[0].any()
+    assert not qdilog._t_series(np.array([0.5]), small.gamma)[0].any()
     large = EvalContext(u=0.5, p=2, n=3201)
     z = np.array([0.5, 0.3 + 0.2j])
-    gamma = np.full(2, large.gamma)
-    assert qdilog._t_series(z, gamma)[0].all()
+    assert qdilog._t_series(z, large.gamma)[0].all()
     monkeypatch.setattr(qdilog, "TOL", 1e-16)
-    assert not qdilog._t_series(z, gamma)[0].any()
+    assert not qdilog._t_series(z, large.gamma)[0].any()
 
 
 # ---------------------------------------------------------------------------
