@@ -8,11 +8,11 @@ is evaluated in log-domain arithmetic (q is always passed as its exponent
 w): individual terms routinely exceed native floating-point range at the
 evaluation points used here (w = 4 N pi^2 / xi has large positive real part).
 
-Its inner products, the beta_{p,m} prefactors and the q-factorial identity
-all use one product, prod_{l=1}^{k} (1-e^{(c-l)w}) (1-e^{(c+l)w}), from one
-numpy kernel, log_qpoch: numkernel.log1mexp of every factor (principal logs
-from real ufuncs, in blocks of bounded scratch), then one cumulative sum over
-the 2k factors.  The outer sum is one numkernel.lc_sum, and every value is
+Its inner products and the beta_{p,m} prefactors use one product,
+prod_{l=1}^{k} (1-e^{(c-l)w}) (1-e^{(c+l)w}), from one numpy kernel,
+log_qpoch: numkernel.log1mexp of every factor (principal logs from real
+ufuncs, in blocks of bounded scratch), then one cumulative sum over the 2k
+factors.  The outer sum is one numkernel.lc_sum, and every value is
 returned as a complex log (see numkernel).  Phases: every factor has the
 principal phase log1mexp returns, and every weight e^{-kNw} of J_N is reduced
 (through reduce_phase), so both lie in (-pi, pi] before they are summed;
@@ -26,12 +26,13 @@ The float64 sum cancels.  The benchmark (bench/README.md) measures about
 4.5 digits lost per 1000 N at u = 0.5, p = 2, and 8.9 digits lost at
 u = 0.2, N = 6401: a small u is not safe either.
 
-Also provided: the splitting of J_N(E; e^{xi/N}) into beta-prefactors and
-the finite-N phase function f_N built from the quantum dilogarithm, the
-q-factorial product identity, and residual checks that confront independent
-pipelines with each other.  Both identities put each summation index k in
-one sector, m = floor(k p / N), for every N: an index k = m N/p on a sector
-end is an ordinary member of sector m.
+Also provided: the splitting J_N(E; e^{xi/N}) = 1 + sum_{k=1}^{N-1} e^{pref +
+beta_m + N f_N(z_k)} into beta-prefactors and the finite-N phase function
+f_N built from the quantum dilogarithm, with one function for its terms
+(_term_logs), and two residuals against the direct sum: decomposition_residual
+checks the sum, product_identity_residual term k alone.  sector_points puts
+each k in one sector, m = floor(k p / N), for every N: an index k = m N/p on
+a sector end is an ordinary member of sector m.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numkernel import DomainError, lc_one_minus_exp, lc_sum, log1mexp, reduce_phase
-from .qdilog import EvalContext, require_counts, require_integers, require_sector, t_n
+from .numkernel import lc_one_minus_exp, lc_sum, log1mexp, reduce_phase
+from .qdilog import EvalContext, require_counts, require_integers, require_sector, require_strip, t_n
 
 
 def _multiples(e: np.ndarray, w) -> np.ndarray:
@@ -142,13 +143,9 @@ def f_n(z, ctx: EvalContext):
     so they take the Bernoulli series wherever it meets qdilog.TOL.
     """
     z = np.asarray(z, dtype=complex)
-    s = z.real + ctx.u / (2.0 * math.pi * ctx.p) * z.imag
-    lo, hi = -0.5 / ctx.n, 1.0 / ctx.p + 0.5 / ctx.n
-    outside = ~((lo < s) & (s < hi))
-    if outside.any():
-        raise DomainError(f"z outside the f_N strip: skew abscissa {s[outside][0]} not in "
-                          f"({lo}, {hi}) at {ctx}")
     xi, n = ctx.xi, ctx.n
+    require_strip(z, -0.5 / n, 1.0 / ctx.p + 0.5 / n, "the f_N strip", lambda i: str(ctx),
+                  ctx.u / (2.0 * math.pi * ctx.p))
     a, b = t_n(np.stack([xi * (1.0 - z) / (2j * math.pi) - ctx.p + 1.0,
                          xi * (1.0 + z) / (2j * math.pi) - ctx.p]), ctx)
     value = (a - b) / n - ctx.u * z + 4.0 * ctx.p * math.pi ** 2 / xi
@@ -167,8 +164,17 @@ def sector_points(ctx: EvalContext):
     return k, m, (2 * k + 1) / (2.0 * ctx.n) - shifts[m]
 
 
+def _term_logs(m, z, ctx: EvalContext):
+    """The logs pref + beta_m + N f_N(z_k) of J_N's terms k >= 1 at sector points (m, z_k),
+    pref = log(1 - e^{-4 p N pi^2/xi}) - log(2 sinh(u/2)); m and z are arrays or scalars."""
+    n = ctx.n
+    prefactor = (lc_one_minus_exp(-4.0 * ctx.p * n * math.pi ** 2 / ctx.xi)
+                 - math.log(2.0 * math.sinh(0.5 * ctx.u)))
+    return prefactor + beta_factors(ctx)[m] + n * f_n(z, ctx)
+
+
 def decomposition_residual(ctx: EvalContext) -> float:
-    """Relative gap between J_N(E;e^{xi/N}) and its beta/f_N decomposition.
+    """Relative gap between J_N(E;e^{xi/N}) and the sum of its beta/f_N decomposition.
 
     The identity is exact at every N.  One side is the direct q-factorial
     sum; the other is built from f_N, whose T_N values come from t_n: from
@@ -181,33 +187,18 @@ def decomposition_residual(ctx: EvalContext) -> float:
     the shifted points only.  At N = 801 the shifted terms are the sector
     ends, below e^-30 of the largest term; near N = 100 the saddle lies
     within the shift width of a sector end, and the largest terms take
-    shifts too.  The k = 0 term, 1, is summed with the rest,
-    J = 1 + e^{pref} sum_k beta_m e^{N f_N(z_k)}, so the residual holds at
-    small N too: 5.0e-15 at (u, p, N) = (0.5, 2, 10).
+    shifts too.  The k = 0 term, 1, is summed with the rest in one lc_sum, so
+    the residual holds at small N too: 4.8e-15 at (u, p, N) = (0.5, 2, 10), 0 at N = 1.
     """
-    xi, n = ctx.xi, ctx.n
-    prefactor = (lc_one_minus_exp(-4.0 * ctx.p * n * math.pi ** 2 / xi)
-                 - math.log(2.0 * math.sinh(0.5 * ctx.u)))
     _, m, z = sector_points(ctx)
-    rhs = lc_sum([0.0, prefactor + lc_sum(beta_factors(ctx)[m] + n * f_n(z, ctx))])
+    rhs = lc_sum(np.concatenate(([0j], _term_logs(m, z, ctx))))
     return abs(cmath.exp(rhs - jones_at_cusp(ctx)) - 1.0)
 
 
-def _qfactorial_via_en(k: int, ctx: EvalContext) -> complex:
-    """The same product through dual-side factors and an E_N ratio, k in sector m = floor(k p/N)."""
-    xi, n, p = ctx.xi, ctx.n, ctx.p
-    w_dual = 4.0 * n * math.pi ** 2 / xi
-    m = k * p // n
-    # one log1mexp call: 1 - e^{p w_dual} and 1 - e^xi
-    one_minus = log1mexp(np.array([w_dual * p, xi])).tolist()
-    head = one_minus[0] - one_minus[1]
-    t_num, t_den = t_n([(n - k - 0.5) * ctx.gamma - p + m + 1,
-                        (n + k + 0.5) * ctx.gamma - p - m], ctx)
-    return head + log_qpoch(p, m, w_dual)[-1] + (t_num - t_den)
-
-
 def product_identity_residual(k: int, ctx: EvalContext) -> float:
-    """Relative gap between the direct q-factorial product and its E_N form."""
+    """Relative gap between prod_{l=1}^{k} (1 - q^{N+l})(1 - q^{N-l}), q = e^{xi/N}, and term k
+    of the decomposition alone over its weight e^{-k xi} (modulus e^{-k u}, phase 0 mod 2 pi)."""
     require_sector(k, ctx.n, "k must lie in [1, N-1]", 1)
-    direct = log_qpoch(ctx.n, k, ctx.xi / ctx.n)[-1]
-    return abs(cmath.exp(_qfactorial_via_en(k, ctx) - direct) - 1.0)
+    _, m, z = sector_points(ctx)
+    term = _term_logs(m[k - 1], z[k - 1], ctx) + k * ctx.u
+    return abs(cmath.exp(term - log_qpoch(ctx.n, k, ctx.xi / ctx.n)[-1]) - 1.0)

@@ -9,8 +9,9 @@ representation that survives the sizes reached downstream.
 
 The package's parameter checks live here, one per parameter: require_u,
 require_counts (p, N and every other positive-integer count),
-require_integers (any other integer) and require_sector (a sector m in
-[0, p-1], or the q-factorial index k).
+require_integers (any other integer), require_sector (a sector m in
+[0, p-1], or the q-factorial index k) and require_strip (a finite z on the
+T_N, L_k or f_N strip or U_m, each lo < Re z + c Im z < hi).
 
 Two evaluators serve T_N.  t_n, and so jones.f_n and everything built on it,
 takes the Bernoulli series in its one gamma (_t_series) for every point
@@ -126,6 +127,22 @@ def require_sector(m, p: int, rule: str = "m must lie in [0, p-1]", first: int =
     """Raise DomainError "<rule>, got m" unless m is an integer in [first, p-1]."""
     if not (isinstance(m, (int, Integral)) and first <= m <= p - 1):
         raise DomainError(f"{rule}, got {m}")
+
+
+def require_strip(z, lo, hi, name: str, where, skew=0.0) -> None:
+    """Raise DomainError naming the first z that is not finite or not on lo < Re z + skew Im z < hi.
+
+    lo and hi are scalars or arrays of z's size; where(i) names point i's context."""
+    z = np.asarray(z, dtype=complex).ravel()
+    finite = np.isfinite(z)
+    s = np.where(finite, z, np.nan)
+    s = s.real + skew * s.imag
+    inside = (lo < s) & (s < hi)
+    if not inside.all():
+        i = int(inside.argmin())
+        detail = f"{'skew abscissa' if skew else 'Re z'} = {s[i]}" if finite[i] else "not finite"
+        lo, hi = np.broadcast_to(lo, z.shape)[i], np.broadcast_to(hi, z.shape)[i]
+        raise DomainError(f"z = {z[i]} outside {name}: {detail}, not in ({lo}, {hi}) at {where(i)}")
 
 
 # The 25-point Gauss-Kronrod rule on [-1, 1] (Laurie, Math. Comp. 66, 1997):
@@ -422,16 +439,6 @@ def _t_series(z, gamma):
 # Public surface
 # ---------------------------------------------------------------------------
 
-def _require_strip(z, gamma, where) -> None:
-    """Raise DomainError, naming the first point, unless -Re gamma/2 < Re z < 1 + Re gamma/2."""
-    half = 0.5 * gamma.real
-    outside = np.flatnonzero(~((-half < z.real) & (z.real < 1.0 + half)))
-    if outside.size:
-        i = outside[0]
-        raise DomainError(f"Re z = {z[i].real} outside convergence strip "
-                          f"(-{half[i]}, {1 + half[i]}) at {where(i)}")
-
-
 def t_n(z, ctx: EvalContext):
     """Quantum dilogarithm T_N(z) on -p/(2N) < Re z < 1 + p/(2N).
 
@@ -446,7 +453,7 @@ def t_n(z, ctx: EvalContext):
 
     def where(i):
         return str(ctx)
-    _require_strip(flat, gamma, where)
+    require_strip(flat, -0.5 * ctx.gamma.real, 1.0 + 0.5 * ctx.gamma.real, "the T_N strip", where)
     ok, values = _t_series(flat, ctx.gamma)
     rest = np.flatnonzero(~ok)
     if rest.size:
@@ -463,11 +470,12 @@ def e_n(z: complex, ctx: EvalContext) -> complex:
 
 
 def _require_lk(k, z) -> None:
-    """Raise DomainError unless k is 0, 1 or 2 and z lies on the strip 0 < Re z < 1."""
-    if k not in (0, 1, 2):
-        raise DomainError(f"k must be 0, 1 or 2, got {k}")
-    if not 0.0 < z.real < 1.0:
-        raise DomainError(f"Re z must lie in (0, 1), got {z.real}")
+    """Raise DomainError unless each k is 0, 1 or 2 (in turn) and every z lies on 0 < Re z < 1."""
+    ks = np.ravel(k)
+    for k_i in ks:
+        if k_i not in (0, 1, 2):
+            raise DomainError(f"k must be 0, 1 or 2, got {k_i}")
+    require_strip(z, 0, 1, "the L_k strip", lambda i: f"L_{ks[i]}")
 
 
 def l_k_closed(k, z: complex) -> complex:
@@ -492,8 +500,7 @@ def l_k_quadrature(k, z):
     integrated in one batched quadrature (an array is returned).
     """
     ks, zs = np.broadcast_arrays(np.asarray(k), np.asarray(z, dtype=complex))
-    for k_i, z_i in zip(ks.flat, zs.flat):
-        _require_lk(k_i, z_i)
+    _require_lk(ks, zs)
     ks, flat = ks.ravel().astype(int), zs.ravel()
 
     # the integrands take a point's index: each point is its own semicircle
@@ -587,7 +594,7 @@ def identity_residuals(samples) -> list[float]:
     def where(i):
         return str(samples[i // 2][2])
 
-    _require_strip(points, gamma, where)
+    require_strip(points, -0.5 * gamma.real, 1.0 + 0.5 * gamma.real, "the T_N strip", where)
     t = _t_quadrature(points, gamma, where)
     return [abs(cmath.exp(t_num - t_den - r) - 1.0)
             for r, t_num, t_den in zip(rhs.tolist(), t[0::2].tolist(), t[1::2].tolist())]

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkernel import DomainError, exp_of_log, lc_sum, li2
+from .numkernel import exp_of_log, lc_sum, li2
 from .jones import beta_factors, jones_at_cusp
-from .qdilog import EvalContext, require_counts, require_sector, require_u
+from .qdilog import EvalContext, require_counts, require_sector, require_strip, require_u
 
 TWO_PI_I = 2j * math.pi
 
@@ -142,9 +142,8 @@ def phi_m(z: complex, m: int, u: float, p: int) -> complex:
     xi = saddle_data(u, p).xi
     require_sector(m, p)
     z = complex(z)
-    s = z.real + u / (2.0 * math.pi * p) * z.imag
-    if not m / p < s < (m + 1) / p:
-        raise DomainError(f"z outside U_{m}: skew abscissa {s} not in ({m / p}, {(m + 1) / p})")
+    require_strip(z, m / p, (m + 1) / p, f"U_{m}", lambda i: f"(u, p) = ({u}, {p})",
+                  u / (2.0 * math.pi * p))
     return complex(f_values(z - 2j * m * math.pi / xi, u, p))
 
 

@@ -273,7 +273,8 @@ def test_k_range_partition():
 
 
 @pytest.mark.parametrize("u,p,n", [(0.5, 2, 97), (0.5, 3, 101), (0.5, 2, 100), (0.5, 3, 99),
-                                   (0.5, 2, 10), (0.5, 4, 12), (0.5, 4, 4)])
+                                   (0.5, 2, 10), (0.5, 4, 12), (0.5, 4, 4),
+                                   (0.5, 1, 1), (0.5, 2, 1)])
 def test_decomposition_residual(u, p, n):
     assert decomposition_residual(EvalContext(u=u, p=p, n=n)) <= 1e-9
 

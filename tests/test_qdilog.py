@@ -2,6 +2,7 @@
 and the functional equations of E_N."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,7 @@ from fig8lab.qdilog import (
     t_n,
 )
 from fig8lab import cli, jones, qdilog
+from fig8lab.saddle import phi_m
 from reference import exact_t_n, exact_t_n_mp, kronrod_rule
 
 
@@ -70,11 +72,15 @@ def test_l_k_quadrature_domain():
         l_k_quadrature(1, 1.2 + 0.3j)
     with pytest.raises(DomainError):
         l_k_quadrature(3, 0.5)
-    for k, z, message in ((1, 1.2 + 0.3j, r"Re z must lie in \(0, 1\), got 1\.2"),
+    for k, z, message in ((1, 1.2 + 0.3j, r"Re z = 1\.2, not in \(0, 1\)"),
                           (3, 0.5, "k must be 0, 1 or 2, got 3")):
         for route in (l_k_quadrature, l_k_closed):
             with pytest.raises(DomainError, match=message):
                 route(k, z)
+    # a batch checks every k, then every z at once, naming the first bad point and its k
+    with pytest.raises(DomainError, match=r"z = \(1\.5\+0j\) outside the L_k strip: Re z = 1\.5, "
+                                          r"not in \(0, 1\) at L_2"):
+        l_k_quadrature([1, 2, 0], [0.5, 1.5, -0.5])
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +123,22 @@ def test_lemmas_and_product_identity_points_meet_tol_at_level_0(monkeypatch, cap
         splits.clear()
         assert jones.product_identity_residual(k, ctx) <= 1e-12
         assert splits == [1, 1], k
+
+
+@pytest.mark.parametrize("z", [complex(0.5, math.nan), complex(0.5, math.inf)])
+def test_non_finite_z_is_refused_by_the_one_strip_check(z):
+    # each strip of z goes through qdilog.require_strip, which refuses a z whose
+    # Re z lies inside the strip but which is not finite, naming strip and context
+    ctx = EvalContext(u=0.5, p=2, n=97)
+    at = re.escape(f"at {ctx}")
+    for strip, where, call in (("the T_N strip", at, lambda: t_n(z, ctx)),
+                               ("the T_N strip", at, lambda: identity_residuals([("shift", z, ctx)])),
+                               ("the L_k strip", "at L_1", lambda: l_k_quadrature(1, z)),
+                               ("the L_k strip", "at L_1", lambda: l_k_closed(1, z)),
+                               ("the f_N strip", at, lambda: jones.f_n(z, ctx)),
+                               ("U_0", r"at \(u, p\) = \(0\.5, 2\)", lambda: phi_m(z, 0, ctx.u, ctx.p))):
+        with pytest.raises(DomainError, match=rf"outside {strip}: not finite, not in \(.*\) {where}$"):
+            call()
 
 
 # ---------------------------------------------------------------------------
