@@ -39,7 +39,7 @@ from .region import (
     write_grid_csv,
     write_grid_header,
 )
-from .modularity import ModularMatrix, estimate_c, zagier_lhs, zagier_rhs, bettin_drappeau_c
+from .modularity import ModularMatrix, estimate_c, zagier_sample, bettin_drappeau_c
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -223,6 +223,8 @@ def _inequality_rows():
 def cmd_lemmas(args) -> int:
     if args.samples < 0:
         raise DomainError(f"--samples must be a non-negative integer, got {args.samples}")
+    if args.seed < 0:
+        raise DomainError(f"--seed must be a non-negative integer, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     rows = _sample_identity_rows(rng, args.samples)
     rows += _lk_rows(rng, max(args.samples // 2, 10))
@@ -269,10 +271,11 @@ def cmd_modularity(args) -> int:
         bd_constant = bettin_drappeau_c(eta)
         for p in p_list:
             for n in n_list:
+                lhs, rhs = zagier_sample(eta, p, n)
                 records.append({
                     "eta": str(eta), "p": p, "N": n,
-                    "lhs": _log_parts(zagier_lhs(eta, p, n)),
-                    "rhs": _log_parts(zagier_rhs(eta, p, n)),
+                    "lhs": _log_parts(lhs),
+                    "rhs": _log_parts(rhs),
                     "bd_constant_re": bd_constant.real,
                     "bd_constant_im": bd_constant.imag,
                 })

@@ -43,7 +43,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numkernel import lc_one_minus_exp, lc_sum, log1mexp, reduce_phase
+from .numkernel import DomainError, lc_one_minus_exp, lc_sum, log1mexp, reduce_phase
 from .qdilog import EvalContext, require_counts, require_integers, require_sector, require_strip, t_n
 
 
@@ -97,6 +97,8 @@ def jones_exp(n: int, w) -> complex:
     """
     require_counts("n", n)
     if not isinstance(w, tuple):
+        if not cmath.isfinite(w):
+            raise DomainError(f"w = {w} is not finite at J_{n}")
         w = complex(w.real, float(reduce_phase(w.imag)))
     return _jones_sum(n, w)
 

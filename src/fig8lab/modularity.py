@@ -2,18 +2,18 @@
 
 With X = 2 N pi i / xi, the proved asymptotics of J_N(E;e^{xi/N}) can be
 read as a transformation law under eta = (a b; c d) acting by Moebius maps,
-with weight carried by hbar_eta(X) = 2 c pi i/(c X + d).  This module
-computes the ratio J_{cN+dp}(E;e^{2 pi i eta(X)}) / J_p(E;e^{2 pi i X}),
-the conjectural right-hand side taken at C = 1 (qmccj_rhs), and the
-undetermined constant C as the Richardson-extrapolated ratio of the two per
-p (estimate_c; the interesting question being whether the estimates agree
-across p).  Since 2 pi i X = -4 N pi^2/xi and the knot is amphichiral, the
-denominator is the theorem's dual factor, lc_sum(jones.beta_factors(ctx)),
-and at eta = S the right-hand side is the theorem's SaddleData.rhs(N/xi).
+with weight carried by hbar_eta(X) = 2 c pi i/(c X + d).  modularity_sample
+gives the ratio J_{cN+dp}(E;e^{2 pi i eta(X)}) / J_p(E;e^{2 pi i X}) with the
+conjectural right-hand side at C = 1, and estimate_c the undetermined
+constant C as their Richardson-extrapolated quotient per p (the interesting
+question being whether the estimates agree across p).  Since 2 pi i X =
+-4 N pi^2/xi and the knot is amphichiral, the denominator is the theorem's
+dual factor, lc_sum(jones.beta_factors(ctx)), and at eta = S the right-hand
+side is the theorem's SaddleData.rhs(N/xi).
 
-For u = 0 the evaluation points are roots of unity and the comparison
-target is the weight-3/2 law with the Bettin-Drappeau constant; those runs
-are exploratory output, never assertions.
+For u = 0 the evaluation points are roots of unity, and zagier_sample pairs
+the ratio with the weight-3/2 law with the Bettin-Drappeau constant; those
+runs are exploratory output, never assertions.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 from .numkernel import DomainError, exp_of_log, lc_sum, li2
 from .qdilog import EvalContext, require_counts, require_integers
@@ -88,21 +89,18 @@ def _require_experiment(eta: ModularMatrix, p: int, n: int) -> int:
     return m
 
 
-def modularity_ratio(eta: ModularMatrix, ctx: EvalContext) -> complex:
-    """The complex log of J_{cN+dp}(E; e^{2 pi i eta(X)}) / J_p(E; e^{2 pi i X}),
-    the denominator the dual factor (see the module docstring)."""
-    m = _require_experiment(eta, ctx.p, ctx.n)
-    return jones_exp(m, 2j * math.pi * mobius(eta, build_x(ctx))) - lc_sum(beta_factors(ctx))
+def modularity_sample(eta: ModularMatrix, ctx: EvalContext) -> tuple[complex, complex]:
+    """(log ratio, log rhs) at X = 2 N pi i / xi, as complex logs.
 
-
-def qmccj_rhs(eta: ModularMatrix, ctx: EvalContext) -> complex:
-    """(sqrt(-pi)/(2 sinh(u/2))) (T_E(u)/hbar)^{1/2} exp(S_E(u)/hbar), as a complex log.
-
-    This is the conjectural right-hand side at C = 1, SaddleData.rhs at
-    h = 1/hbar (square-root branches there); estimate_c extrapolates C.
+    The ratio is J_{cN+dp}(E; e^{2 pi i eta(X)}) / J_p(E; e^{2 pi i X}), its
+    denominator the dual factor (see the module docstring); the rhs is the
+    conjectural (sqrt(-pi)/(2 sinh(u/2))) (T_E(u)/hbar)^{1/2} exp(S_E(u)/hbar)
+    at C = 1, SaddleData.rhs at h = 1/hbar (square-root branches there).
     """
-    _require_experiment(eta, ctx.p, ctx.n)
-    return saddle_data(ctx.u, ctx.p).rhs(1.0 / hbar(eta, build_x(ctx)))
+    m = _require_experiment(eta, ctx.p, ctx.n)
+    x = build_x(ctx)
+    ratio = jones_exp(m, 2j * math.pi * mobius(eta, x)) - lc_sum(beta_factors(ctx))
+    return ratio, saddle_data(ctx.u, ctx.p).rhs(1.0 / hbar(eta, x))
 
 
 @dataclass(frozen=True)
@@ -118,32 +116,29 @@ def estimate_c(eta: ModularMatrix, u: float, p_list, n_list) -> CEstimate:
     """Extrapolate ratio/rhs(C=1) in 1/N, separately for each p.
 
     Richardson on the last two N values removes the proven O(1/N) term:
-    C ~= (N2 R(N2) - N1 R(N1)) / (N2 - N1).
+    C ~= (N2 R(N2) - N1 R(N1)) / (N2 - N1).  A repeated p or N counts once.
     """
     n_list = sorted(set(n_list))
     if len(n_list) < 2:
         raise DomainError("need at least two distinct N values to extrapolate")
+    p_list = list(dict.fromkeys(p_list))
+    if not p_list:
+        raise DomainError("need at least one p value")
     estimates = {}
     samples = []
     for p in p_list:
         ratios = []
         for n in n_list:
             ctx = EvalContext(u=u, p=p, n=n)
-            ratio = modularity_ratio(eta, ctx)
-            rhs = qmccj_rhs(eta, ctx)
+            ratio, rhs = modularity_sample(eta, ctx)
             r = exp_of_log(ratio - rhs, f"modularity ratio / rhs at {ctx}")
             ratios.append(r)
             samples.append((p, n, ratio, rhs, r))
         n1, n2 = n_list[-2], n_list[-1]
         r1, r2 = ratios[-2], ratios[-1]
         estimates[p] = (n2 * r2 - n1 * r1) / (n2 - n1)
-    values = list(estimates.values())
-    spread = 0.0
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            denom = max(abs(values[i]), abs(values[j]))
-            if denom > 0:
-                spread = max(spread, abs(values[i] - values[j]) / denom)
+    pairs = [(abs(a - b), max(abs(a), abs(b))) for a, b in combinations(estimates.values(), 2)]
+    spread = max([0.0] + [diff / denom for diff, denom in pairs if denom > 0])
     return CEstimate(estimates=estimates, spread=spread, samples=samples)
 
 
@@ -182,21 +177,19 @@ def bettin_drappeau_c(eta: ModularMatrix) -> complex:
     return c * cmath.exp(0.75j * math.pi) / 3.0 ** 0.25 * product * tail
 
 
-def zagier_rhs(eta: ModularMatrix, p: int, n: int) -> complex:
-    """C_{E,eta} (2 pi / hbar(X_0))^{3/2} exp(i Vol / hbar(X_0)) at X_0 = N/p,
-    the u = 0 (root of unity) evaluation parameter, as a complex log."""
-    _require_experiment(eta, p, n)
+def zagier_sample(eta: ModularMatrix, p: int, n: int) -> tuple[complex, complex]:
+    """(log lhs, log rhs) at X_0 = N/p, the u = 0 (root of unity) parameter.
+
+    The lhs J_{cN+dp}(E;e^{2 pi i eta(X_0)}) / J_p(E;e^{2 pi i X_0}) is exact
+    (integer exponent arithmetic, exact zero detection), and its denominator
+    never vanishes: q = e^{2 pi i N/p} has q^p = 1, so J_p(E; q) =
+    sum_k prod_{l<=k} |1 - q^l|^2 >= 1 (its k = 0 term is 1).  The rhs is
+    C_{E,eta} (2 pi / hbar(X_0))^{3/2} exp(i Vol / hbar(X_0)).
+    """
+    m = _require_experiment(eta, p, n)
+    lhs = jones_exp_unity(m, eta.a * n + eta.b * p, m) - jones_exp_unity(p, n, p)
     hb = hbar(eta, n / p)
     pref = bettin_drappeau_c(eta) * (2.0 * math.pi / hb) ** 1.5
     # log|pref| as math.log(abs(pref)): cmath.log rounds it differently near
     # |pref| = 1, and the emitted zagier records are kept bit-for-bit stable
-    return complex(math.log(abs(pref)), cmath.phase(pref)) + 1j * cusp_volume() / hb
-
-
-def zagier_lhs(eta: ModularMatrix, p: int, n: int) -> complex:
-    """The complex log of J_{cN+dp}(E;e^{2 pi i eta(X_0)}) / J_p(E;e^{2 pi i X_0}),
-    exactly at roots of unity (integer exponent arithmetic, exact zero detection).
-    The denominator never vanishes: q = e^{2 pi i N/p} has q^p = 1, so
-    J_p(E; q) = sum_k prod_{l<=k} |1 - q^l|^2 >= 1 (its k = 0 term is 1)."""
-    m = _require_experiment(eta, p, n)
-    return jones_exp_unity(m, eta.a * n + eta.b * p, m) - jones_exp_unity(p, n, p)
+    return lhs, complex(math.log(abs(pref)), cmath.phase(pref)) + 1j * cusp_volume() / hb

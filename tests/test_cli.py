@@ -74,6 +74,7 @@ def test_empty_or_bad_n_range_exits_2(command, n_args, flag, capsys):
 
 @pytest.mark.parametrize("argv, text", [
     pytest.param(["lemmas", "--samples", "-3"], "--samples", id="lemmas-negative-samples"),
+    pytest.param(["lemmas", "--seed", "-1"], "--seed", id="lemmas-negative-seed"),
     # the accuracy target is qdilog.TOL and the pass bounds are cli constants
     pytest.param(["lemmas", "--tol", "1e-3"], "unrecognized arguments: --tol", id="lemmas-no-tol"),
     pytest.param(["lemmas", "--threshold", "1"], "unrecognized arguments: --threshold",

@@ -78,6 +78,13 @@ def test_counts_must_be_positive_integers():
     assert jones_exp(np.int64(2), 0.3j) == jones_exp(2, 0.3j)
 
 
+@pytest.mark.parametrize("w", [complex(0, math.inf), complex(math.inf, 0)], ids=["im-inf", "re-inf"])
+def test_non_finite_exponent_is_refused(w):
+    # refused before reduce_phase or _multiples turns it into NaN terms
+    with pytest.raises(DomainError, match=r"w = .*inf.* is not finite at J_3"):
+        jones_exp(3, w)
+
+
 def test_n2_polynomial():
     q = cmath.exp(0.3j)
     expected = q ** 2 - q + 1 - 1 / q + 1 / q ** 2
@@ -85,7 +92,7 @@ def test_n2_polynomial():
 
 
 def test_exponent_is_reduced_modulo_2_pi_i():
-    # q = e^w depends on w only modulo 2 pi i.  modularity_ratio's exponent for
+    # q = e^w depends on w only modulo 2 pi i.  modularity_sample's exponent for
     # eta = (2,1,1,1) at (u, p, N) = (0.5, 1, 299) has Im w near 4 pi, and M = cN + dp = 300
     w = 2j * math.pi * mobius(ModularMatrix(2, 1, 1, 1), build_x(EvalContext(u=0.5, p=1, n=299)))
     w0 = w - 4j * math.pi

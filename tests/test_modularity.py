@@ -9,7 +9,7 @@ import pytest
 from fig8lab.numkernel import DomainError, lc_sum
 from fig8lab.qdilog import EvalContext
 from fig8lab.jones import beta_factors, jones_at_cusp, jones_exp_unity
-from fig8lab.saddle import asymptotic_rhs
+from fig8lab.saddle import asymptotic_ratio, asymptotic_rhs
 from fig8lab.modularity import (
     ModularMatrix,
     bettin_drappeau_c,
@@ -18,10 +18,8 @@ from fig8lab.modularity import (
     estimate_c,
     hbar,
     mobius,
-    modularity_ratio,
-    qmccj_rhs,
-    zagier_lhs,
-    zagier_rhs,
+    modularity_sample,
+    zagier_sample,
 )
 
 S = ModularMatrix(0, -1, 1, 0)
@@ -97,7 +95,7 @@ def test_build_x():
 
 def test_ratio_p1_is_mirrored_cusp_value():
     ctx = EvalContext(u=0.5, p=1, n=60)
-    ratio = modularity_ratio(S, ctx)           # denominator J_1 = 1
+    ratio = modularity_sample(S, ctx)[0]       # denominator J_1 = 1
     cusp = jones_at_cusp(ctx)                  # amphicheiral partner
     assert abs(cmath.exp(ratio - cusp) - 1.0) <= 1e-10
 
@@ -105,15 +103,25 @@ def test_ratio_p1_is_mirrored_cusp_value():
 def test_qmccj_rhs_reconciles_with_main_asymptotics():
     for (u, p, n) in ((0.5, 2, 101), (0.3, 1, 150), (0.9, 3, 80)):
         ctx = EvalContext(u=u, p=p, n=n)
-        lhs = qmccj_rhs(S, ctx)
+        lhs = modularity_sample(S, ctx)[1]
         rhs = asymptotic_rhs(ctx) - lc_sum(beta_factors(ctx))
         assert abs(cmath.exp(lhs - rhs) - 1.0) <= 1e-12
 
 
 def test_ratio_close_to_rhs_at_desk_scale():
     ctx = EvalContext(u=0.5, p=2, n=101)
-    r = cmath.exp(modularity_ratio(S, ctx) - qmccj_rhs(S, ctx))
+    ratio, rhs = modularity_sample(S, ctx)
+    r = cmath.exp(ratio - rhs)
     assert abs(r - 1.0) < 0.1
+
+
+@pytest.mark.parametrize("u, p, n", [(0.5, 2, 101), (0.5, 2, 201), (0.5, 3, 299)])
+def test_s_sample_is_the_theorem_ratio(u, p, n):
+    # at eta = S the ratio's dual J_p and the rhs's saddle side are the
+    # theorem's, so ratio / rhs is asymptotic_ratio
+    ctx = EvalContext(u=u, p=p, n=n)
+    ratio, rhs = modularity_sample(S, ctx)
+    assert abs(cmath.exp(ratio - rhs) - asymptotic_ratio(ctx)) <= 1e-9
 
 
 def test_estimate_c_proved_case_quick():
@@ -129,8 +137,13 @@ def test_estimate_c_needs_two_points():
         estimate_c(S, 0.5, [1], [101])
     with pytest.raises(DomainError, match="distinct"):
         estimate_c(S, 0.5, [1], [101, 101])
-    # repeated values count once
+    with pytest.raises(DomainError, match="at least one p"):
+        estimate_c(S, 0.5, [], [49, 101])
+    # repeated values count once, p as well as N
     assert len(estimate_c(S, 0.5, [1], [49, 101, 101]).samples) == 2
+    assert len(estimate_c(S, 0.5, [1, 1], [49, 101]).samples) == 2
+    assert [(p, n) for p, n, *_ in estimate_c(S, 0.5, [2, 1, 2], [49, 101]).samples] == [
+        (2, 49), (2, 101), (1, 49), (1, 101)]
 
 
 def test_exploratory_etas_emit_finite_records():
@@ -146,18 +159,18 @@ def test_exploratory_etas_emit_finite_records():
 def test_experiment_requires_positive_c():
     ctx = EvalContext(u=0.5, p=1, n=50)
     with pytest.raises(DomainError):
-        modularity_ratio(ModularMatrix(1, 0, 0, 1), ctx)
+        modularity_sample(ModularMatrix(1, 0, 0, 1), ctx)
     with pytest.raises(DomainError, match="constant defined for c > 0"):
         bettin_drappeau_c(ModularMatrix(1, 0, 0, 1))
     with pytest.raises(DomainError, match="ratio experiments require c > 0"):
-        zagier_lhs(ModularMatrix(1, 0, -1, 1), 1, 10)
+        zagier_sample(ModularMatrix(1, 0, -1, 1), 1, 10)
     with pytest.raises(DomainError, match=r"cN \+ dp = 0 must be a positive integer"):
-        zagier_lhs(ModularMatrix(1, -3, 1, -2), 1, 2)
+        zagier_sample(ModularMatrix(1, -3, 1, -2), 1, 2)
     # a p or N that is not an integer names no root of unity
     with pytest.raises(DomainError, match="p and N must be positive integers"):
-        zagier_lhs(S, 2.5, 10)
+        zagier_sample(S, 2.5, 10)
     with pytest.raises(DomainError, match="p and N must be positive integers"):
-        zagier_rhs(S, 2, 10.5)
+        zagier_sample(S, 2, 10.5)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +198,7 @@ def test_zagier_rhs_matches_amphicheiral_restatement():
     for (p, n) in ((1, 200), (2, 151), (3, 100)):
         scale = n / (2j * p * math.pi)
         direct = -2 * math.pi ** 1.5 * cmath.sqrt(t_e0) * scale ** 1.5
-        value = zagier_rhs(S, p, n)
+        value = zagier_sample(S, p, n)[1]
         expected_logmag = math.log(abs(direct)) + (n * s_e0 / (2j * p * math.pi)).real
         assert value.real == pytest.approx(expected_logmag, rel=1e-12)
         phase_diff = value.imag - cmath.phase(direct) - (n * s_e0 / (2j * p * math.pi)).imag
@@ -197,8 +210,7 @@ def test_zagier_lhs_finite_and_trending():
     # the log-ratio shrinking with N is observed, not asserted as a bound
     gaps = []
     for n in (200, 400):
-        lhs = zagier_lhs(S, 1, n)
-        rhs = zagier_rhs(S, 1, n)
+        lhs, rhs = zagier_sample(S, 1, n)
         assert math.isfinite(lhs.real) and math.isfinite(rhs.real)
         gaps.append(abs((lhs - rhs).real))
     assert gaps[1] < gaps[0]
@@ -213,5 +225,5 @@ def test_zagier_denominator_never_vanishes():
 
 def test_zagier_lhs_non_coprime_zero_detection():
     # gcd(p, N) > 1 can kill numerator factors exactly; result stays defined
-    value = zagier_lhs(S, 2, 10)
+    value = zagier_sample(S, 2, 10)[0]
     assert value.real == -math.inf or math.isfinite(value.real)
