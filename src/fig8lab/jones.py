@@ -168,9 +168,10 @@ def sector_points(ctx: EvalContext):
 
 def _term_logs(m, z, ctx: EvalContext):
     """The logs pref + beta_m + N f_N(z_k) of J_N's terms k >= 1 at sector points (m, z_k),
-    pref = log(1 - e^{-4 p N pi^2/xi}) - log(2 sinh(u/2)); m and z are arrays or scalars."""
+    pref = log(1 - e^{-2 pi i N u/xi}) - log(2 sinh(u/2)); m and z are arrays or scalars.
+    The exponent is -4 p N pi^2/xi modulo 2 pi i, without that form's rounding of 2 pi N."""
     n = ctx.n
-    prefactor = (lc_one_minus_exp(-4.0 * ctx.p * n * math.pi ** 2 / ctx.xi)
+    prefactor = (lc_one_minus_exp(-2j * math.pi * n * ctx.u / ctx.xi)
                  - math.log(2.0 * math.sinh(0.5 * ctx.u)))
     return prefactor + beta_factors(ctx)[m] + n * f_n(z, ctx)
 

@@ -89,7 +89,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -99,7 +99,9 @@ KAPPA = math.acosh(1.5)
 
 
 def require_u(u: float, closed_end: bool = False) -> None:
-    """Raise DomainError unless 0 < u < kappa (0 < u <= kappa with closed_end)."""
+    """Raise DomainError unless u is real (float tried first) and 0 < u < kappa (<= with closed_end)."""
+    if not isinstance(u, (float, Real)):
+        raise DomainError(f"u must be a real number, got {u!r}")
     hi_ok = u <= KAPPA if closed_end else u < KAPPA
     if not (0.0 < u and hi_ok):
         end = "]" if closed_end else ")"

@@ -58,9 +58,8 @@ def grid_scan(m: int, u: float, p: int, resolution=400, nu: float = 0.02) -> Reg
     F is evaluated in blocks of _SCAN_BLOCK points, so that the temporaries
     (256 KB an array) stay in cache; a 400x400 scan peaks at 12 MB, not 28.
     """
-    if isinstance(resolution, int):
-        resolution = (resolution, resolution)
-    nx, ny = resolution
+    nx, ny = (resolution, resolution) if np.ndim(resolution) == 0 else resolution
+    require_counts("resolution", nx, ny)
     if nx < 50 or ny < 50:
         raise DomainError("resolution must be at least 50x50")
     if not 0.0 < nu < 0.5:
@@ -167,11 +166,10 @@ def components_d_cap_e(grid: RegionGrid) -> int:
 
 def c_pm(u: float, p: int, m: int) -> float:
     """c_{p,m}(u) = Li2(-e^{-u-q}) - Li2(-e^{-u+q}) + u q - 2 p pi^2,
-    with q = u((6m+5) pi + 2 theta)/(2 p pi); negative throughout (0, kappa]."""
+    with q = u((6m+5) pi + 2 Im varphi(u))/(2 p pi); negative throughout (0, kappa]."""
     require_counts("p", p)
     require_sector(m, p)
-    theta = varphi(u).imag
-    q = u * ((6 * m + 5) * math.pi + 2.0 * theta) / (2.0 * p * math.pi)
+    q = u * ((6 * m + 5) * math.pi + 2.0 * varphi(u).imag) / (2.0 * p * math.pi)
     value = (
         li2(-math.exp(-u - q))
         - li2(-math.exp(-u + q))

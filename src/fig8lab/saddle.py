@@ -6,10 +6,13 @@ The limiting potential
 
 is implemented inside U_0 = {0 < Re z + (u/2 p pi) Im z < 1/p} through its
 rewritten small-argument form, whose Li2 arguments never touch the cut.
-Its unique critical point in U_0 is sigma_0 = (theta + 2 pi) i / xi with
-theta = Im varphi(u), and the quadratic coefficient, exponential growth
-rate S_E(u) and torsion factor T_E(u) all descend from the square root of
-(2 cosh u + 1)(2 cosh u - 3), taken as a positive multiple of i throughout.
+Its unique critical point in U_0 is sigma_0 = (varphi(u) + 2 pi i)/xi, and
+the quadratic coefficient, growth rate S_E(u) and torsion factor T_E(u)
+descend from varphi = -i acos(cosh u - 1/2) and root = i sqrt((2 cosh u + 1)
+(3 - 2 cosh u)).  Both are principal-branch complex formulas, analytic in u
+near (0, kappa), where neither argument meets its cut: there varphi is
+purely imaginary and root a positive multiple of i.  SaddleData holds no
+theta = Im varphi apart from sigma_0.
 With principal roots the assembled constant equals
 sqrt(2 pi) e^{i pi/4} / ((1+2 cosh u)(3-2 cosh u))^{1/4}.
 """
@@ -30,23 +33,17 @@ from .qdilog import EvalContext, require_counts, require_sector, require_strip, 
 TWO_PI_I = 2j * math.pi
 
 
-def discriminant(u: float) -> float:
-    """(2 cosh u + 1)(3 - 2 cosh u), positive on (0, kappa)."""
-    c = math.cosh(u)
-    return (2.0 * c + 1.0) * (3.0 - 2.0 * c)
-
-
 def varphi(u: float) -> complex:
-    """log(cosh u - 1/2 - sqrt((2cosh u+1)(2cosh u-3))/2), purely imaginary.
+    """-i acos(cosh u - 1/2) with the principal acos: on (0, kappa] it equals
+    log(cosh u - 1/2 - sqrt((2cosh u+1)(2cosh u-3))/2), purely imaginary.
 
     e^{varphi} solves x^2 - (2 cosh u - 1) x + 1 = 0 on the unit circle, so
-    varphi = i theta with 2 cos theta = 2 cosh u - 1 and theta in (-pi/3, 0).
+    varphi = i theta with 2 cos theta = 2 cosh u - 1 and theta in (-pi/3, 0].
     The closed end u = kappa (theta = 0) is admitted for the boundary
     constants c_{p,m}(kappa).
     """
     require_u(u, closed_end=True)
-    theta = -math.acos(min(math.cosh(u) - 0.5, 1.0))
-    return 1j * theta
+    return -1j * cmath.acos(cmath.cosh(u) - 0.5)
 
 
 @dataclass(frozen=True)
@@ -55,12 +52,11 @@ class SaddleData:
 
     u: float
     p: int
-    theta: float          # Im varphi(u), in (-pi/3, 0)
-    sigma0: complex       # (theta + 2 pi) i / xi, the critical point in U_0
-    a2: complex           # quadratic Taylor coefficient of F at sigma0
+    sigma0: complex       # (varphi(u) + 2 pi i) / xi, the critical point in U_0
+    a2: complex           # quadratic Taylor coefficient xi root / 2 of F at sigma0
     f_sigma0: complex     # F(sigma0)
     s_e: complex          # growth phase: xi (F(sigma0) + 2 pi i)
-    t_e: complex          # torsion factor 2 / sqrt((2 cosh u + 1)(2 cosh u - 3))
+    t_e: complex          # torsion factor 2 / root, root = i sqrt((2cosh u+1)(3-2cosh u)) principal
     prefactor: complex    # sqrt(-pi) T_E^{1/2} / (2 sinh(u/2)), principal roots
 
     @property
@@ -89,16 +85,16 @@ def saddle_data(u: float, p: int) -> SaddleData:
     require_u(u)
     require_counts("p", p)
     phi = varphi(u)
-    theta = phi.imag
     xi = complex(u, 2.0 * math.pi * p)
-    sigma0 = (theta + 2.0 * math.pi) * 1j / xi
-    root = 1j * math.sqrt(max(discriminant(u), 0.0))     # a positive multiple of i
+    sigma0 = (phi + TWO_PI_I) / xi
+    c = cmath.cosh(u)
+    root = 1j * cmath.sqrt((2.0 * c + 1.0) * (3.0 - 2.0 * c))
     a2 = 0.5 * xi * root
     f_sigma0 = complex(f_values(sigma0, u, p))
     s_e = li2(cmath.exp(-u - phi)) - li2(cmath.exp(-u + phi)) + u * (phi + TWO_PI_I)
     t_e = 2.0 / root
-    prefactor = cmath.sqrt(complex(-math.pi, 0.0)) * cmath.sqrt(t_e) / (2.0 * math.sinh(0.5 * u))
-    return SaddleData(u, p, theta, sigma0, a2, f_sigma0, s_e, t_e, prefactor)
+    prefactor = cmath.sqrt(complex(-math.pi, 0.0)) * cmath.sqrt(t_e) / (2.0 * cmath.sinh(0.5 * u))
+    return SaddleData(u, p, sigma0, a2, f_sigma0, s_e, t_e, prefactor)
 
 
 # ---------------------------------------------------------------------------

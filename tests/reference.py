@@ -12,7 +12,6 @@ import mpmath
 import numpy as np
 
 from fig8lab.numkernel import li2
-from fig8lab.saddle import discriminant
 
 
 def naive_jones(n: int, w: complex) -> complex:
@@ -61,7 +60,21 @@ def f_second(z, u, p):
 
 def saddle_prefactor_closed(u):
     """sqrt(2 pi) e^{i pi/4} / ((1 + 2 cosh u)(3 - 2 cosh u))^{1/4}."""
-    return math.sqrt(2.0 * math.pi) * cmath.exp(0.25j * math.pi) / discriminant(u) ** 0.25
+    c = math.cosh(u)
+    return math.sqrt(2.0 * math.pi) * cmath.exp(0.25j * math.pi) / ((2.0 * c + 1.0) * (3.0 - 2.0 * c)) ** 0.25
+
+
+def saddle_constants_mp(u, p):
+    """(sigma_0, S_E, T_E, a_2) at (u, p) in mpmath at 40 digits, from theta =
+    -acos(cosh u - 1/2) and the root i sqrt((2 cosh u + 1)(3 - 2 cosh u))."""
+    with mpmath.workdps(40):
+        u = mpmath.mpf(u)
+        xi = mpmath.mpc(u, 2 * mpmath.pi * p)
+        phi = mpmath.mpc(0, -mpmath.acos(mpmath.cosh(u) - mpmath.mpf(1) / 2))
+        root = 1j * mpmath.sqrt((2 * mpmath.cosh(u) + 1) * (3 - 2 * mpmath.cosh(u)))
+        s_e = (mpmath.polylog(2, mpmath.exp(-u - phi)) - mpmath.polylog(2, mpmath.exp(-u + phi))
+               + u * (phi + 2j * mpmath.pi))
+        return (phi + 2j * mpmath.pi) / xi, s_e, 2 / root, xi * root / 2
 
 
 def phi_m_prime(z, m, u, p):

@@ -15,7 +15,7 @@ import fig8lab as f8
 from fig8lab.jones import decomposition_residual, product_identity_residual
 from fig8lab.qdilog import KAPPA, l_k_closed, l_k_quadrature
 from fig8lab.region import c_pm, c_pm_derivative_bound, check_f_p12, components_d_cap_e
-from fig8lab.saddle import discriminant, f_zero_value, phi_m
+from fig8lab.saddle import f_zero_value, phi_m
 from reference import f_prime, f_second, naive_jones
 
 U_GRID = (0.2, 0.5, 0.9)
@@ -159,7 +159,7 @@ def test_criterion_10_saddle_calculus():
             for p in P_GRID:
                 sd = f8.saddle_data(u, p)
                 assert abs(f_prime(sd.sigma0, u, p)) <= 1e-10
-                target = sd.xi * 1j * math.sqrt(discriminant(u))
+                target = sd.xi * 1j * math.sqrt((2 * math.cosh(u) + 1) * (3 - 2 * math.cosh(u)))
                 assert abs(f_second(sd.sigma0, u, p) - target) <= 1e-10
                 remainders = [
                     abs(phi_m(sd.sigma0 + h, 0, u, p) - sd.f_sigma0 - sd.a2 * h * h)

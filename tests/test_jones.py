@@ -286,6 +286,13 @@ def test_decomposition_residual(u, p, n):
     assert decomposition_residual(EvalContext(u=u, p=p, n=n)) <= 1e-9
 
 
+@pytest.mark.parametrize("u,p,n", [(1e-6, 1, 101), (1e-6, 2, 97), (1e-6, 3, 301), (1e-4, 2, 97)])
+def test_decomposition_residual_at_small_u(u, p, n):
+    # the prefactor's exponent -2 pi i N u/xi is small here; written as
+    # -4 p N pi^2/xi its imaginary part, about 2 pi N, rounds to 1e-9 of the sum
+    assert decomposition_residual(EvalContext(u=u, p=p, n=n)) <= 1e-12
+
+
 @pytest.mark.parametrize("u,p,n", [(0.5, 2, 97), (0.2, 3, 101), (0.9, 2, 97)])
 def test_f_n_at_edge_shifted_sector_points_matches_quadrature(monkeypatch, u, p, n):
     # decomposition_residual cannot test these terms: their T_N arguments lie

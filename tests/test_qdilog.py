@@ -23,7 +23,7 @@ from fig8lab.qdilog import (
     t_n,
 )
 from fig8lab import cli, jones, qdilog
-from fig8lab.saddle import phi_m
+from fig8lab.saddle import phi_m, saddle_data
 from reference import exact_t_n, exact_t_n_mp, kronrod_rule
 
 
@@ -42,6 +42,13 @@ def test_context_validation():
         with pytest.raises(DomainError, match="p and N must be positive integers"):
             EvalContext(u=0.5, p=p, n=n)
     assert EvalContext(u=0.5, p=np.int64(2), n=np.int32(10)).gamma.real == 0.2
+    # a u that is not real is refused by name, not by a failed comparison
+    for u in (0.5 + 0.1j, 0.5 + 0j, "0.5", None):
+        with pytest.raises(DomainError, match="u must be a real number"):
+            EvalContext(u=u, p=1, n=10)
+    with pytest.raises(DomainError, match="u must be a real number"):
+        saddle_data(0.5 + 0j, 1)
+    assert EvalContext(u=np.float64(0.5), p=1, n=10).u == 0.5
 
 
 def test_gamma_real_part_exact():

@@ -25,7 +25,7 @@ from fig8lab.region import (
     write_grid_csv,
     write_grid_header,
 )
-from fig8lab.saddle import f_values, f_zero_value, phi_m, saddle_data
+from fig8lab.saddle import f_values, f_zero_value, phi_m, saddle_data, varphi
 from reference import phi_m_prime
 
 
@@ -89,6 +89,12 @@ def test_grid_scan_blocks_match_one_call(u):
 def test_grid_resolution_guard():
     with pytest.raises(DomainError):
         grid_scan(0, 0.5, 1, resolution=30)
+    # a count that is not an integer is refused as one, in either form
+    for resolution in (60.0, (60.5, 60)):
+        with pytest.raises(DomainError, match="resolution must be positive integers"):
+            grid_scan(0, 0.5, 1, resolution=resolution)
+    # a numpy integer is a count: one side of a square grid
+    assert grid_scan(0, 0.5, 1, resolution=np.int64(60)).re_phi.shape == (60, 60)
 
 
 @pytest.mark.parametrize("m", [-1, 2, 5, 0.5])
@@ -163,7 +169,7 @@ def test_l_sigma_segment_in_d():
     u, p, m = 0.5, 3, 2
     sd = saddle_data(u, p)
     sm = sd.sigma_m(m)
-    theta = sd.theta
+    theta = varphi(u).imag
     t_lo = 2 * m * math.pi / (2 * (m + 1) * math.pi + theta)
     t_hi = 2 * (m + 1) * math.pi / (2 * (m + 1) * math.pi + theta)
     for t in np.linspace(t_lo + 0.01, t_hi - 0.01, 25):

@@ -14,13 +14,12 @@ from fig8lab.modularity import cusp_volume
 from fig8lab.saddle import (
     asymptotic_ratio,
     asymptotic_rhs,
-    discriminant,
     f_zero_value,
     phi_m,
     saddle_data,
     varphi,
 )
-from reference import f_eval_original, f_prime, f_second, saddle_prefactor_closed
+from reference import f_eval_original, f_prime, f_second, saddle_constants_mp, saddle_prefactor_closed
 
 U_GRID = (0.2, 0.5, 0.9)
 P_GRID = (1, 2, 3)
@@ -54,7 +53,7 @@ def test_saddle_data_invariants():
             sd = saddle_data(u, p)
             # sigma0 sits on the mid-level of U_0
             skew = sd.sigma0.real + u / (2 * math.pi * p) * sd.sigma0.imag
-            assert skew == pytest.approx((sd.theta + 2 * math.pi) / (2 * math.pi * p), abs=1e-12)
+            assert skew == pytest.approx((varphi(u).imag + 2 * math.pi) / (2 * math.pi * p), abs=1e-12)
             assert sd.a2.real < 0.0
             assert abs(sd.s_e - sd.xi * (sd.f_sigma0 + 2j * math.pi)) <= 1e-10
             # torsion factor is negative imaginary under the positive-i root
@@ -78,6 +77,20 @@ def test_saddle_data_is_cached_and_errors_are_not():
 def test_s_e_small_u_is_volume():
     sd = saddle_data(1e-8, 1)
     assert abs(sd.s_e - 1j * cusp_volume()) <= 1e-6
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_saddle_data_matches_mpmath(p):
+    # in units of eps = 2^-52: sigma_0 and S_E to 2 eps; T_E and a_2 to 16 eps,
+    # the conditioning of 3 - 2 cosh u near kappa (9.8 eps at u = 0.95)
+    eps = 2.0 ** -52
+    for u in (0.02, 0.05, 0.1, 0.3, 0.5, 0.77, 0.9, 0.95):
+        sd = saddle_data(u, p)
+        refs = saddle_constants_mp(u, p)
+        for name, value, ref, bound in zip(("sigma0", "s_e", "t_e", "a2"),
+                                           (sd.sigma0, sd.s_e, sd.t_e, sd.a2), refs, (2, 2, 16, 16)):
+            err = float(abs(mp.mpc(value) - ref) / abs(ref)) / eps
+            assert err < bound, (name, u, p, err)
 
 
 def _s_e_slope(u):
@@ -133,7 +146,7 @@ def test_f_second_matches_closed_form():
     for u in U_GRID:
         for p in P_GRID:
             sd = saddle_data(u, p)
-            target = sd.xi * 1j * math.sqrt(discriminant(u))
+            target = sd.xi * 1j * math.sqrt((2 * math.cosh(u) + 1) * (3 - 2 * math.cosh(u)))
             assert abs(f_second(sd.sigma0, u, p) - target) <= 1e-10
             assert abs(f_second(sd.sigma0, u, p) - 2 * sd.a2) <= 1e-10
 
