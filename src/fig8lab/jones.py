@@ -8,19 +8,19 @@ is evaluated in log-domain arithmetic (q is always passed as its exponent
 w): individual terms routinely exceed native floating-point range at the
 evaluation points used here (w = 4 N pi^2 / xi has large positive real part).
 
-Its inner products and the beta_{p,m} prefactors use one product,
-prod_{l=1}^{k} (1-e^{(c-l)w}) (1-e^{(c+l)w}), from one numpy kernel,
-log_qpoch: numkernel.log1mexp of every factor (principal logs from real
-ufuncs, in blocks of bounded scratch), then one cumulative sum over the 2k
-factors.  The outer sum is one numkernel.lc_sum, and every value is
-returned as a complex log (see numkernel).  Phases: every factor has the
-principal phase log1mexp returns, and every weight e^{-kNw} of J_N is reduced
-(through reduce_phase), so both lie in (-pi, pi] before they are summed;
-unreduced phases, or pairwise sums of the two factors of each l, cost digits
-at large N.  At the cusp and at roots of unity the imaginary part of w is a
-rational multiple of 2 pi, and the phases of the exponents are reduced in
-exact integers (see _multiples).  The dual J_p(E; e^{4 N pi^2/xi}) is
-lc_sum(beta_factors(ctx)), whose weights keep their unreduced phases.
+The n terms of J_n, the dual's included, come from one builder, _jones_terms,
+whose products come from one numpy kernel, log_qpoch: numkernel.log1mexp of
+every factor (principal logs from real ufuncs, in blocks of bounded scratch),
+then one cumulative sum over the 2k factors.  The outer sum is one
+numkernel.lc_sum, and every value is returned as a complex log (see
+numkernel).  Phases: every factor has the principal phase log1mexp returns,
+and every weight e^{-kNw} is reduced (through reduce_phase), so both lie in
+(-pi, pi] before they are summed; unreduced phases, or pairwise sums of the
+two factors of each l, cost digits at large N.  Every exponent is a pair
+(a, r) for w = a + 2 pi i r with r rational, whose multiples have their
+phases 2 pi e r reduced in exact integers (see _multiples): r = p/N at the
+cusp, num/den at a root of unity, and -N/p for the dual J_p(E; e^{4 N pi^2/xi}),
+whose terms are beta_factors(ctx).
 
 The float64 sum cancels.  The benchmark (bench/README.md) measures about
 4.5 digits lost per 1000 N at u = 0.5, p = 2, and 8.9 digits lost at
@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from fractions import Fraction
 
 import numpy as np
@@ -50,20 +51,20 @@ from .qdilog import EvalContext, require_counts, require_integers, require_secto
 def _multiples(e: np.ndarray, w) -> np.ndarray:
     """The exponents e * w for an integer array e.
 
-    w is a complex, or a pair (a, r) of a float a and a Fraction r standing
-    for w = a + 2 pi i r.  For a pair, e * r is reduced modulo 1 in exact
-    integers, so each phase is rounded once however large e is, and e * w
-    is exactly 0 when a = 0 and e * r is an integer.
+    w is a pair (a, r) of a complex a and a rational r standing for
+    w = a + 2 pi i r; a complex w is the pair (w, 0).  e * r is reduced
+    modulo 1 in exact integers, so each phase is rounded once however large
+    e is, and e * w is exactly 0 when a = 0 and e * r is an integer.
     """
-    if not isinstance(w, tuple):
-        return e * complex(w)
-    a, r = w
+    a, r = w if isinstance(w, tuple) else (w, 0)
     num, den = r.numerator % r.denominator, r.denominator
     if den > 2 ** 31:                  # keep (e mod den) * num within int64
         e = e.astype(object)
     out = np.empty(e.shape, dtype=complex)
-    out.real = e * a
+    out.real = e * a.real
     out.imag = 2.0 * math.pi / den * (e % den * num % den)
+    if a.imag:
+        out.imag += e * a.imag
     return out
 
 
@@ -79,28 +80,30 @@ def log_qpoch(c: int, k: int, w) -> np.ndarray:
     return np.concatenate(([0j], np.cumsum(logs)[1::2]))
 
 
-def _jones_sum(n: int, w) -> complex:
+def _jones_terms(n: int, w) -> np.ndarray:
+    """The complex logs of the n terms of J_n(E; e^w), each weight's phase in (-pi, pi]."""
     terms = log_qpoch(n, n - 1, w)
     weights = _multiples(-n * np.arange(n), w)
     terms.real += weights.real
     terms.imag += reduce_phase(weights.imag)
-    return lc_sum(terms)
+    return terms
 
 
 def jones_exp(n: int, w) -> complex:
     """The complex log of J_n(E; e^w); w is the exponent of the variable q.
 
-    w is a complex, or a pair (a, r) for a + 2 pi i r with r a Fraction,
-    whose phases are exact (see _multiples).  q depends on w only modulo
-    2 pi i, so a complex w has Im w reduced into (-pi, pi] first: its
-    multiples, up to 2n w, then lose no digits to a dropped multiple of 2 pi.
+    w is a complex, or a pair (a, r) for a + 2 pi i r with a finite complex a and a
+    rational r, whose phases are exact (see _multiples).  q depends on w only modulo
+    2 pi i, so a complex w has Im w reduced into (-pi, pi] first: its multiples, up
+    to 2n w, then lose no digits to a dropped multiple of 2 pi.
     """
     require_counts("n", n)
+    a, r = w if isinstance(w, tuple) else (w, 0)
+    if not (cmath.isfinite(a) and isinstance(r, numbers.Rational)):
+        raise DomainError(f"w = {w} is not finite at J_{n}")
     if not isinstance(w, tuple):
-        if not cmath.isfinite(w):
-            raise DomainError(f"w = {w} is not finite at J_{n}")
         w = complex(w.real, float(reduce_phase(w.imag)))
-    return _jones_sum(n, w)
+    return lc_sum(_jones_terms(n, w))
 
 
 def jones_exp_unity(n: int, num: int, den: int) -> complex:
@@ -112,30 +115,25 @@ def jones_exp_unity(n: int, num: int, den: int) -> complex:
     """
     require_counts("n and den", n, den)
     require_integers("num", num)
-    return _jones_sum(n, (0.0, Fraction(num, den)))
+    return lc_sum(_jones_terms(n, (0.0, Fraction(num, den))))
 
 
 def jones_at_cusp(ctx: EvalContext) -> complex:
-    """The complex log of J_N(E; e^{xi/N}) for xi = u + 2 p pi i.
-
-    xi/N goes in as the pair (u/N, p/N), so that every phase of the sum is
-    reduced modulo 2 pi in exact integers: the weights e^{-kN xi/N} have
-    phase exactly 0, and no phase carries the rounding of 2 p pi/N times k.
-    """
+    """The complex log of J_N(E; e^{xi/N}) for xi = u + 2 p pi i, at the exact pair
+    (u/N, p/N): the weights e^{-kN xi/N} have phase exactly 0, and no phase
+    carries the rounding of 2 p pi/N times k."""
     return jones_exp(ctx.n, (ctx.u / ctx.n, Fraction(ctx.p, ctx.n)))
 
 
 def beta_factors(ctx: EvalContext) -> np.ndarray:
     """The complex logs of beta_{p,m} for m = 0..p-1, where beta_{p,m} =
-    e^{-4 m p N pi^2/xi} prod_{j=1}^m (1-e^{4(p-j)N pi^2/xi})(1-e^{4(p+j)N pi^2/xi}).
-
-    Their lc_sum, term by term the defining sum, is the one evaluator of the
-    dual factor J_p(E; e^{4 N pi^2/xi}) = J_p(E; e^{-4 N pi^2/xi}) (the knot is
-    amphichiral).  The products are the prefixes of one log_qpoch; the weights
-    keep their unreduced phases, which sum closer to J_N than reduced ones.
+    e^{-4 m p N pi^2/xi} prod_{j=1}^m (1-e^{4(p-j)N pi^2/xi})(1-e^{4(p+j)N pi^2/xi}):
+    the terms of the dual J_p(E; e^{4 N pi^2/xi}) = J_p(E; e^{-4 N pi^2/xi}) (the
+    knot is amphichiral), whose one evaluator is their lc_sum.  Their exponent
+    4 N pi^2/xi = 2 pi i N u/(p xi) - 2 pi i N/p is the exact pair (2 pi i N u/(p xi), -N/p).
     """
-    w = 4.0 * ctx.n * math.pi ** 2 / ctx.xi
-    return -np.arange(ctx.p) * ctx.p * w + log_qpoch(ctx.p, ctx.p - 1, w)
+    return _jones_terms(ctx.p, (2j * math.pi * ctx.n * ctx.u / (ctx.p * ctx.xi),
+                                Fraction(-ctx.n, ctx.p)))
 
 
 def f_n(z, ctx: EvalContext):
@@ -204,4 +202,5 @@ def product_identity_residual(k: int, ctx: EvalContext) -> float:
     require_sector(k, ctx.n, "k must lie in [1, N-1]", 1)
     _, m, z = sector_points(ctx)
     term = _term_logs(m[k - 1], z[k - 1], ctx) + k * ctx.u
-    return abs(cmath.exp(term - log_qpoch(ctx.n, k, ctx.xi / ctx.n)[-1]) - 1.0)
+    cusp = log_qpoch(ctx.n, k, (ctx.u / ctx.n, Fraction(ctx.p, ctx.n)))[-1]
+    return abs(cmath.exp(term - cusp) - 1.0)

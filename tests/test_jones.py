@@ -3,6 +3,7 @@ finite-N decomposition / product identities."""
 
 import cmath
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -78,11 +79,25 @@ def test_counts_must_be_positive_integers():
     assert jones_exp(np.int64(2), 0.3j) == jones_exp(2, 0.3j)
 
 
-@pytest.mark.parametrize("w", [complex(0, math.inf), complex(math.inf, 0)], ids=["im-inf", "re-inf"])
+@pytest.mark.parametrize("w", [complex(0, math.inf), complex(math.inf, 0), (math.inf, Fraction(1, 3)),
+                               (complex(0.1, math.nan), Fraction(1, 3)), (0.1, 0.5)],
+                         ids=["im-inf", "re-inf", "pair-inf", "pair-nan", "pair-float-r"])
 def test_non_finite_exponent_is_refused(w):
-    # refused before reduce_phase or _multiples turns it into NaN terms
-    with pytest.raises(DomainError, match=r"w = .*inf.* is not finite at J_3"):
+    # refused before reduce_phase or _multiples turns it into NaN terms; a
+    # float r has no exact phase and is refused too
+    with pytest.raises(DomainError, match=rf"w = {re.escape(str(w))} is not finite at J_3"):
         jones_exp(3, w)
+
+
+@pytest.mark.parametrize("n,a,r", [(7, 0.1 + 0.2j, Fraction(1, 3)), (20, 0.03 - 0.02j, Fraction(-3, 7)),
+                                   (25, -0.02 + 0.05j, Fraction(1, 4))])
+def test_pair_with_complex_a_matches_complex_exponent(n, a, r):
+    # a pair's a may be complex: its imaginary part is kept, not dropped
+    pair = jones_exp(n, (a, r))
+    assert abs(cmath.exp(pair - jones_exp(n, a + 2j * math.pi * r)) - 1.0) <= 1e-13
+    with mp.workdps(50):
+        q = mp.exp(mp.mpc(a) + 2j * mp.pi * mp.mpf(r.numerator) / r.denominator)
+        assert log_relative_error(pair, mp_jones(n, q)) <= 2e-14
 
 
 def test_n2_polynomial():
@@ -202,6 +217,19 @@ def test_dual_equals_beta_sum(u, p, n):
     w = 4.0 * n * math.pi ** 2 / ctx.xi
     for dual in (jones_exp(p, w), jones_exp(p, -w)):
         assert abs(cmath.exp(total - dual) - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("u,p,n,tol", [(0.5, 2, 101, 1e-14), (1e-6, 3, 6401, 1e-14), (0.5, 2, 6401, 2e-13)])
+def test_dual_against_mpmath(u, p, n, tol):
+    # the dual is J_p's own terms at the exact pair (2 pi i N u/(p xi), -N/p);
+    # the complex exponent 4 N pi^2/xi, whose phase rounds 2 pi N/p, misses
+    # each bound (4.9e-14, 2.9e-12 and 3.7e-13 here)
+    ctx = EvalContext(u=u, p=p, n=n)
+    total = lc_sum(beta_factors(ctx))
+    assert total == jones_exp(p, (2j * math.pi * n * u / (p * ctx.xi), Fraction(-n, p)))
+    with mp.workdps(50):
+        xi = mp.mpc(u, 2 * p * mp.pi)
+        assert log_relative_error(total, mp_jones(p, mp.exp(4 * n * mp.pi ** 2 / xi))) <= tol
 
 
 def test_beta_examples():
@@ -325,6 +353,14 @@ def test_product_identity_coprime(k):
 def test_product_identity_gcd4(k):
     # (p, N) = (4, 12): k in {3, 6, 9} lies on a sector end, k p/N an integer
     assert product_identity_residual(k, EvalContext(u=0.5, p=4, n=12)) <= 1e-7
+
+
+@pytest.mark.parametrize("p,n", [(4, 12), (6, 9)])
+def test_product_identity_is_tight(p, n):
+    # both sides at the cusp pair (u/N, p/N) read 1.8e-14 and 1.0e-14; a
+    # product at the complex xi/N misses the bound (9.5e-14 and 1.3e-13)
+    ctx = EvalContext(u=0.5, p=p, n=n)
+    assert max(product_identity_residual(k, ctx) for k in range(1, n)) <= 4e-14
 
 
 def test_product_identity_k_domain():
