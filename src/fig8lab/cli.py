@@ -160,19 +160,25 @@ IDENTITY_BOUND = 1e-7
 LK_BOUND = 1e-8
 
 
+def _draw(rng, values: tuple):
+    """One of values, drawn as rng.choice(values) draws it, without its conversion to an array."""
+    return values[rng.integers(len(values))]
+
+
 def _sample_identity_rows(rng, samples):
     drawn = []
+    contexts = {}
     for name in ("shift", "gamma_half", "unit_shift"):
         for _ in range(samples):
-            u = float(rng.choice(_LEMMA_GRID_U))
-            p = int(rng.choice(_LEMMA_GRID_P))
-            n = int(rng.choice(_LEMMA_GRID_N))
-            ctx = EvalContext(u=u, p=p, n=n)
+            key = (_draw(rng, _LEMMA_GRID_U), _draw(rng, _LEMMA_GRID_P), _draw(rng, _LEMMA_GRID_N))
+            ctx = contexts.get(key)
+            if ctx is None:
+                ctx = contexts[key] = EvalContext(*key)
             g = ctx.gamma.real
             if name == "shift":
                 z = complex(rng.uniform(0.1, 0.9), rng.uniform(-0.5, 0.5))
             elif name == "gamma_half":
-                z = complex(rng.uniform(0.1, 0.9) * g * rng.choice((-1, 1)),
+                z = complex(rng.uniform(0.1, 0.9) * g * _draw(rng, (-1, 1)),
                             rng.uniform(-0.3, 0.3))
             else:
                 z = complex(rng.uniform(-0.45, 0.45) * g, rng.uniform(-0.3, 0.3))
@@ -187,29 +193,32 @@ def _sample_identity_rows(rng, samples):
 def _lk_rows(rng, samples):
     drawn = [(int(rng.integers(0, 3)), complex(rng.uniform(0.05, 0.95), rng.uniform(-1.0, 1.0)))
              for _ in range(samples)]
-    ks, zs = zip(*drawn)
-    values = l_k_quadrature(np.array(ks), np.array(zs))
+    ks, zs = (np.array(column) for column in zip(*drawn))
+    values = l_k_quadrature(ks, zs).tolist()
+    closed = l_k_closed(ks, zs).tolist()
     rows = []
-    for (k, z), value in zip(drawn, values):
-        err = abs(complex(value) - l_k_closed(k, z))
+    for (k, z), value, exact in zip(drawn, values, closed):
+        err = abs(value - exact)
         rows.append({"check": f"l{k}_quadrature", "z_re": z.real, "z_im": z.imag,
                      "residual": err, "pass": err <= LK_BOUND})
     return rows
 
 
 def _inequality_rows():
+    grid = [(u, p) for u in (0.05, 0.2, 0.5, 0.9) for p in (1, 2, 3)]
+    triples = [(u, p, m) for u, p in grid for m in range(p)]
+    margins = iter(check_f_p12(*(np.array(column) for column in zip(*triples))).tolist())
     rows = []
-    for u in (0.05, 0.2, 0.5, 0.9):
-        for p in (1, 2, 3):
-            re_f0 = f_zero_value(u, p).real
-            re_f_sigma0 = saddle_data(u, p).f_sigma0.real
-            rows.append({"check": "f_sigma", "u": u, "p": p,
-                         "re_f0": re_f0, "re_f_sigma0": re_f_sigma0,
-                         "pass": 0.0 < re_f0 < re_f_sigma0})
-            for m in range(p):
-                margin = check_f_p12(u, p, m)
-                rows.append({"check": "f_p12", "u": u, "p": p, "m": m,
-                             "margin": margin, "pass": margin > 0.0})
+    for u, p in grid:
+        re_f0 = f_zero_value(u, p).real
+        re_f_sigma0 = saddle_data(u, p).f_sigma0.real
+        rows.append({"check": "f_sigma", "u": u, "p": p,
+                     "re_f0": re_f0, "re_f_sigma0": re_f_sigma0,
+                     "pass": 0.0 < re_f0 < re_f_sigma0})
+        for m in range(p):
+            margin = next(margins)
+            rows.append({"check": "f_p12", "u": u, "p": p, "m": m,
+                         "margin": margin, "pass": margin > 0.0})
     for name, value, expected, bound in (
         ("kappa", KAPPA, 0.962424, 1e-6),
         ("c_10_kappa", c_pm(KAPPA, 1, 0), -14.9942, 5e-3),

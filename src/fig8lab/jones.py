@@ -164,6 +164,12 @@ def sector_points(ctx: EvalContext):
     return k, m, (2 * k + 1) / (2.0 * ctx.n) - shifts[m]
 
 
+def sector_point(k: int, ctx: EvalContext):
+    """(m, z_k) of the one index k, by sector_points' expressions: bit-equal to its entries."""
+    m = k * ctx.p // ctx.n
+    return m, (2 * k + 1) / (2.0 * ctx.n) - 2j * m * math.pi / ctx.xi
+
+
 def _term_logs(m, z, ctx: EvalContext):
     """The logs pref + beta_m + N f_N(z_k) of J_N's terms k >= 1 at sector points (m, z_k),
     pref = log(1 - e^{-2 pi i N u/xi}) - log(2 sinh(u/2)); m and z are arrays or scalars.
@@ -200,7 +206,6 @@ def product_identity_residual(k: int, ctx: EvalContext) -> float:
     """Relative gap between prod_{l=1}^{k} (1 - q^{N+l})(1 - q^{N-l}), q = e^{xi/N}, and term k
     of the decomposition alone over its weight e^{-k xi} (modulus e^{-k u}, phase 0 mod 2 pi)."""
     require_sector(k, ctx.n, "k must lie in [1, N-1]", 1)
-    _, m, z = sector_points(ctx)
-    term = _term_logs(m[k - 1], z[k - 1], ctx) + k * ctx.u
+    term = _term_logs(*sector_point(int(k), ctx), ctx) + k * ctx.u
     cusp = log_qpoch(ctx.n, k, (ctx.u / ctx.n, Fraction(ctx.p, ctx.n)))[-1]
     return abs(cmath.exp(term - cusp) - 1.0)

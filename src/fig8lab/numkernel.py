@@ -195,11 +195,17 @@ def _clog(w):
 
 
 def _log_series(v):
-    """Li2(t) = v (c_0 + c_1 v + v^2 P(v^2)) for v = -log(1 - t), P in place."""
+    """Li2(t) = v (c_0 + c_1 v + v^2 P(v^2)) for v = -log(1 - t), P in place.
+
+    numpy takes a one-element in-place product for a reduction, whose loop
+    rounds apart from the array loop (which may fuse multiply and add), so
+    one point's Horner steps multiply into a new array: a point's Li2 does
+    not depend on the length of its array.
+    """
     v2 = v * v
     p = np.full_like(v, _EVEN_COEF[0])
     for c in _EVEN_COEF[1:]:
-        p *= v2
+        p = np.multiply(p, v2, out=p if p.size > 1 else None)
         p += c
     return (p * v2 + (_LI2_COEF[0] + _LI2_COEF[1] * v)) * v
 

@@ -87,6 +87,7 @@ itself, so plain panel refinement is sufficient.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from numbers import Integral, Real
@@ -259,8 +260,7 @@ def _ray_sums(k, turn, count, width, rate, key, split: int, ray) -> np.ndarray:
     step = np.where(j < k, x_j, (width * turn)[owner])
     left = x_j + np.maximum(j - k, 0) * step
     half = step / (2 * split)
-    offsets = (np.arange(1, 2 * split, 2)[:, None] + _NODES).ravel()
-    weights = np.tile(_K_W, split), np.tile(_G_W, split)
+    offsets, *weights = _panel_rule(split)
     panels = np.empty((2, left.size), dtype=complex)
     for b in _row_blocks(left.size, offsets.size):
         nodes = left[b, None] + half[b, None] * offsets
@@ -270,6 +270,18 @@ def _ray_sums(k, turn, count, width, rate, key, split: int, ray) -> np.ndarray:
         for row, w in zip(panels, weights):
             row[b] = half[b] * np.dot(values, w)
     return np.add.reduceat(panels, first, axis=1)
+
+
+@functools.lru_cache(maxsize=64)
+def _panel_rule(count: int):
+    """K25 on count equal panels of width 2: the node offsets 2 j + 1 + x from
+    the left end, and the K25 and G12 weights tiled to match.  A constant
+    table per count, read-only since every later call shares it."""
+    offsets = (2 * np.arange(count)[:, None] + 1 + _NODES).ravel()
+    rule = offsets, np.tile(_K_W, count), np.tile(_G_W, count)
+    for table in rule:
+        table.flags.writeable = False
+    return rule
 
 
 def _row_blocks(rows: int, width: int) -> list[slice]:
@@ -320,10 +332,11 @@ def _contour(z, gamma, sign, key, ray, circ, where) -> np.ndarray:
         # x = e^{it} and one matrix product (np.unique would import numpy.ma, 10-20 ms)
         for n, g in set(zip(n_circ.tolist(), keys.tolist())):
             half = 0.5 * math.pi / n
-            x = np.exp(1j * half * (2 * np.arange(n)[:, None] + 1 + _NODES).ravel())
+            offsets, k_w, g_w = _panel_rule(n)
+            x = np.exp(1j * half * offsets)
             # the semicircle runs t: pi -> 0, and dx = i x dt
             arc = 1j * half * x * circ(x, g)
-            weights = arc * np.tile(_K_W, n), arc * np.tile(_G_W, n)
+            weights = arc * k_w, arc * g_w
             rows = np.flatnonzero((n_circ == n) & (keys == g))
             for b in _row_blocks(rows.size, x.size):
                 sel = rows[b]
@@ -480,16 +493,26 @@ def _require_lk(k, z) -> None:
     require_strip(z, 0, 1, "the L_k strip", lambda i: f"L_{ks[i]}")
 
 
-def l_k_closed(k, z: complex) -> complex:
+def l_k_closed(k, z):
     """L_k(z) in closed form, k and z as in l_k_quadrature: -2 pi i / (1 - e^{-2 pi i z}),
-    the principal log(1 - e^{2 pi i z}) and Li2(e^{2 pi i z}) for k = 0, 1, 2."""
-    z = complex(z)
-    _require_lk(k, z)
-    if k == 0:
-        return -2j * math.pi / (1.0 - cmath.exp(-2j * math.pi * z))
-    if k == 1:
-        return cmath.log(1.0 - cmath.exp(2j * math.pi * z))
-    return li2(cmath.exp(2j * math.pi * z))
+    the principal log(1 - e^{2 pi i z}) and Li2(e^{2 pi i z}) for k = 0, 1, 2.
+
+    k and z are scalars (a complex is returned) or broadcastable arrays (an
+    array is returned).  The exponentials and the k = 0, 1 forms are taken
+    point by point with cmath, and every k = 2 point goes through one li2
+    call, which is elementwise: a point's value is the same in any batch.
+    """
+    ks, zs = np.broadcast_arrays(np.asarray(k), np.asarray(z, dtype=complex))
+    _require_lk(ks, zs)
+    ks = ks.ravel()
+    values = np.array([
+        -2j * math.pi / (1.0 - cmath.exp(-2j * math.pi * z_i)) if k_i == 0
+        else cmath.log(1.0 - cmath.exp(2j * math.pi * z_i)) if k_i == 1
+        else cmath.exp(2j * math.pi * z_i)
+        for k_i, z_i in zip(ks.tolist(), zs.ravel().tolist())], dtype=complex)
+    two = ks == 2
+    values[two] = li2(values[two])
+    return complex(values[0]) if zs.ndim == 0 else values.reshape(zs.shape)
 
 
 _LK_PREFACTOR = np.array([1.0, -0.5, 0.5j * math.pi])

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numkernel import DomainError, li2
-from .qdilog import KAPPA, EvalContext, require_counts, require_sector
+from .qdilog import KAPPA, EvalContext, require_counts, require_sector, require_strip
 from .jones import f_n, sector_points
-from .saddle import f_values, phi_m, saddle_data, varphi
+from .saddle import f_values, saddle_data, varphi
 
 
 # ---------------------------------------------------------------------------
@@ -188,24 +188,42 @@ def c_pm_derivative_bound() -> float:
     return 0.5 * KAPPA * math.log(3.0 + 2.0 * math.cosh(3.0 * KAPPA)) - 2.0 * math.pi ** 2
 
 
-def check_f_p12(u: float, p: int, m: int) -> float:
+def check_f_p12(u, p, m):
     """Margin Re Phi_m(sigma_m) - Re Phi_m(P12) of the lemma Re Phi_m(P12) < Re Phi_m(sigma_m).
 
     P12 = (2m+1)/(2p) + conj(xi) Im sigma_m / (p pi) is the hexagon vertex on
     the midline L_M.  The vertices P1, P45 and P4 sit at m/p, (2m+1)/(2p) and
     (m+1)/p, shifted by the same offset; the hexagon exists only when
     Re P1 < Re P45 and Re P12 < min(Re P4, Re sigma_m).
+
+    u, p and m are scalars (a float is returned) or broadcastable arrays (an
+    array of margins is returned).  The triples' u, p, m and vertex order
+    are checked in turn, then every P12 against its U_m at once, as
+    saddle.phi_m checks one point; one f_values call evaluates every shifted
+    vertex P12 - 2 m pi i/xi.  F is elementwise, so a triple's margin is
+    the same in any batch.
     """
-    sd = saddle_data(u, p)
-    sigma_m = sd.sigma_m(m)
-    offset = sd.xi.conjugate() / (p * math.pi) * sigma_m.imag
-    mid = (2 * m + 1) / (2 * p)
-    p12 = mid + offset
-    if not ((m / p + offset).real < (mid - offset).real
-            and p12.real < ((m + 1) / p - offset).real
-            and p12.real < sigma_m.real):
-        raise DomainError("hexagon vertex ordering violated; parameters out of range")
-    return sd.f_sigma0.real - phi_m(p12, m, u, p).real
+    shape = np.broadcast_shapes(np.shape(u), np.shape(p), np.shape(m))
+    us, ps, ms = (np.broadcast_to(a, shape).ravel() for a in (u, p, m))
+    triples = list(zip(us.tolist(), ps.tolist(), ms.tolist()))
+    tops, p12s, zs = [], [], []
+    for u_i, p_i, m_i in triples:
+        sd = saddle_data(u_i, p_i)
+        sigma_m = sd.sigma_m(m_i)
+        offset = sd.xi.conjugate() / (p_i * math.pi) * sigma_m.imag
+        mid = (2 * m_i + 1) / (2 * p_i)
+        p12 = mid + offset
+        if not ((m_i / p_i + offset).real < (mid - offset).real
+                and p12.real < ((m_i + 1) / p_i - offset).real
+                and p12.real < sigma_m.real):
+            raise DomainError("hexagon vertex ordering violated; parameters out of range")
+        tops.append(sd.f_sigma0.real)
+        p12s.append(p12)
+        zs.append(p12 - 2j * m_i * math.pi / sd.xi)
+    require_strip(p12s, ms / ps, (ms + 1) / ps, "U_m",
+                  lambda i: "(u, p, m) = (%r, %r, %r)" % triples[i], us / (2.0 * math.pi * ps))
+    margins = np.array(tops) - f_values(np.array(zs), us, ps).real
+    return float(margins[0]) if shape == () else margins.reshape(shape)
 
 
 # ---------------------------------------------------------------------------

@@ -101,15 +101,24 @@ def saddle_data(u: float, p: int) -> SaddleData:
 # The potential F and its shifts
 # ---------------------------------------------------------------------------
 
-def f_values(z, u: float, p: int):
+def f_values(z, u, p):
     """Vectorized rewritten-form F over an array of points (no domain check).
 
+    u and p are scalars or arrays broadcast against z, so each point may
+    carry its own (u, p); xi = u + 2 p pi i is formed elementwise (a Python
+    complex for scalar u and p).  The value at a point of an array z does not
+    depend on the other points, nor on whether its u and p are scalars.  A
+    0-d z is computed in numpy's scalar arithmetic, whose complex products
+    round apart from the array loops' where those fuse multiply and add, so
+    it may differ from the same point in an array in the last bit.
+
     The caller is responsible for masking to U_0 / U_m.  Its callers are
-    saddle_data (F at sigma_0), phi_m (one checked point) and region.grid_scan
-    (the grid cells inside U_m, decided cell by cell).
+    saddle_data (F at sigma_0), phi_m (one checked point), region.check_f_p12
+    (the hexagon vertices P12 of every (u, p, m) in one call) and
+    region.grid_scan (the grid cells inside U_m, decided cell by cell).
     """
     z = np.asarray(z, dtype=np.complex128)
-    xi = complex(u, 2.0 * math.pi * p)
+    xi = u + 2j * math.pi * p
     return (
         (li2(np.exp(-xi * (1.0 + z))) - li2(np.exp(-xi * (1.0 - z)))) / xi
         + u * z
@@ -132,8 +141,9 @@ def f_zero_value(u: float, p: int) -> complex:
 def phi_m(z: complex, m: int, u: float, p: int) -> complex:
     """Phi_m(z) = F(z - 2 m pi i / xi) on U_m, with u, m and z checked.
 
-    m = 0 gives F itself on U_0; every scalar value of F or Phi_m comes from here.
-    u and p are checked, and xi taken, by the cached saddle_data(u, p).
+    m = 0 gives F itself on U_0; region.check_f_p12 makes the same checks
+    for a batch of vertices.  u and p are checked, and xi taken, by the
+    cached saddle_data(u, p).
     """
     xi = saddle_data(u, p).xi
     require_sector(m, p)

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fig8lab
@@ -223,6 +224,34 @@ def test_lemmas_pass_and_deterministic(tmp_path, capsys):
     assert main(argv + ["--out", str(out_b)]) == 0
     capsys.readouterr()
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lemmas_identity_draws_are_the_rng_choice_stream(seed, monkeypatch):
+    # an index draw T[rng.integers(len(T))] takes what rng.choice(T) takes from the stream
+    drawn = []
+    monkeypatch.setattr(cli, "identity_residuals",
+                        lambda samples: drawn.extend(samples) or [0.0] * len(samples))
+    rng = np.random.default_rng(seed)
+    cli._sample_identity_rows(rng, 50)
+    ref = np.random.default_rng(seed)
+    expected = []
+    for name in ("shift", "gamma_half", "unit_shift"):
+        for _ in range(50):
+            u = float(ref.choice(cli._LEMMA_GRID_U))
+            p = int(ref.choice(cli._LEMMA_GRID_P))
+            n = int(ref.choice(cli._LEMMA_GRID_N))
+            g = p / n
+            if name == "shift":
+                z = complex(ref.uniform(0.1, 0.9), ref.uniform(-0.5, 0.5))
+            elif name == "gamma_half":
+                z = complex(ref.uniform(0.1, 0.9) * g * ref.choice((-1, 1)), ref.uniform(-0.3, 0.3))
+            else:
+                z = complex(ref.uniform(-0.45, 0.45) * g, ref.uniform(-0.3, 0.3))
+            expected.append((name, u, p, n, z))
+    assert [(name, ctx.u, ctx.p, ctx.n, z) for name, z, ctx in drawn] == expected
+    # the L_k rows draw on from the same state
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_lemmas_tight_threshold_fails(monkeypatch, capsys):

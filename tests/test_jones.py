@@ -25,6 +25,7 @@ from fig8lab.jones import (
     jones_exp_unity,
     log_qpoch,
     product_identity_residual,
+    sector_point,
     sector_points,
 )
 from fig8lab.modularity import ModularMatrix, build_x, mobius
@@ -305,6 +306,16 @@ def test_k_range_partition():
             assert np.array_equal(z[m == j], (2 * k[m == j] + 1) / (2 * ctx.n)
                                   - 2j * j * math.pi / ctx.xi)
     assert m[k == 50].tolist() == [1]
+
+
+@pytest.mark.parametrize("p,n", [(4, 12), (6, 9), (2, 41), (2, 100)])
+def test_sector_point_is_sector_points_entry(p, n):
+    # product_identity_residual places its one k by sector_point; gcd(p, N) is
+    # 4, 3, 1 and 2, so the sector ends k = m N/p are among the k of three of them
+    ctx = EvalContext(u=0.5, p=p, n=n)
+    ks, ms, zs = sector_points(ctx)
+    for k, m, z in zip(ks.tolist(), ms.tolist(), zs.tolist()):
+        assert sector_point(k, ctx) == (m, z)
 
 
 @pytest.mark.parametrize("u,p,n", [(0.5, 2, 97), (0.5, 3, 101), (0.5, 2, 100), (0.5, 3, 99),

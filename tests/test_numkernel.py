@@ -329,9 +329,50 @@ def test_li2_array_matches_scalar():
         assert abs(v - li2(complex(z))) < 1e-14
 
 
+# one point of each branch: the inversion |w| >= 2, the reflection
+# |1 - w| <= 1/2, the plain series (|w| < 2 includes reflection points too) and w = 1
+_LI2_BRANCH_POINTS = st.one_of(
+    st.builds(cmath.rect, st.floats(2.0, 1e6), st.floats(-math.pi, math.pi)),
+    st.builds(lambda r, a: 1.0 + cmath.rect(r, a), st.floats(0.0, 0.5), st.floats(-math.pi, math.pi)),
+    st.builds(cmath.rect, st.floats(0.0, 2.0), st.floats(-math.pi, math.pi)),
+    st.just(1.0 + 0j),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_LI2_BRANCH_POINTS, min_size=1, max_size=24))
+# a plain-series point that in-place Horner steps rounded differently when it
+# was alone in its array: numpy's one-element in-place product is a reduction,
+# without the array loop's fused multiply-add
+@example([0.8350477318402406 - 0.5859781602498267j, 1.0 + 0j])
+def test_li2_is_elementwise(points):
+    # the batched callers rely on it: a point's value is the same in any array
+    a = np.array([w for w in points if not (w.imag == 0.0 and w.real > 1.0)] or [1.0 + 0j])
+    values = li2(a)
+    for i in range(a.size):
+        assert values[i] == li2(a[i])
+        assert values[i] == li2(a[i:i + 1])[0]
+
+
 # ---------------------------------------------------------------------------
 # closed-form strip integrals
 # ---------------------------------------------------------------------------
+
+def test_l_closed_array_is_elementwise():
+    # lemmas takes every L_k row in one call: each value equals the scalar call's
+    rng = np.random.default_rng(9)
+    z = rng.uniform(0.05, 0.95, 30) + 1j * rng.uniform(-1.0, 1.0, 30)
+    k = np.arange(30) % 3
+    values = l_k_closed(k, z)
+    assert values.shape == (30,)
+    assert values.tolist() == [l_k_closed(k_i, z_i) for k_i, z_i in zip(k.tolist(), z.tolist())]
+    grid = l_k_closed(2, z.reshape(5, 6))
+    assert grid.shape == (5, 6)
+    assert grid.ravel().tolist() == [l_k_closed(2, z_i) for z_i in z.tolist()]
+    assert isinstance(l_k_closed(2, 0.5), complex)
+    with pytest.raises(DomainError, match="k must be 0, 1 or 2, got 3"):
+        l_k_closed(np.array([0, 3]), 0.5)
+
 
 def test_l_closed_examples():
     assert l_k_closed(1, 0.5) == pytest.approx(math.log(2.0), abs=1e-14)

@@ -256,6 +256,33 @@ def test_check_f_p12():
         check_f_p12(0.5, 3, 3)
 
 
+# the triples of lemmas' f_p12 rows
+_P12_TRIPLES = [(u, p, m) for u in (0.05, 0.2, 0.5, 0.9) for p in (1, 2, 3) for m in range(p)]
+
+
+def test_check_f_p12_batch_is_elementwise():
+    # one f_values call takes every vertex; each margin equals the scalar call's
+    us, ps, ms = (np.array(column) for column in zip(*_P12_TRIPLES))
+    margins = check_f_p12(us, ps, ms)
+    assert margins.shape == (24,)
+    assert margins.tolist() == [check_f_p12(u, p, m) for u, p, m in _P12_TRIPLES]
+    assert isinstance(check_f_p12(0.5, 3, 2), float)
+    # u, p and m broadcast: a column of u against a row of m
+    grid = check_f_p12(np.array([[0.2], [0.9]]), 3, np.arange(3))
+    assert grid.shape == (2, 3)
+    assert grid.tolist() == [[check_f_p12(u, 3, m) for m in range(3)] for u in (0.2, 0.9)]
+
+
+def test_check_f_p12_batch_refuses_any_bad_triple():
+    # a bad triple anywhere in the batch is refused, as its scalar call is
+    with pytest.raises(DomainError, match="m must lie in"):
+        check_f_p12(np.array([0.5, 0.5]), np.array([3, 3]), np.array([2, 3]))
+    with pytest.raises(DomainError, match="u must lie in"):
+        check_f_p12(np.array([0.5, 1.2]), 1, 0)
+    with pytest.raises(DomainError, match="p must be"):
+        check_f_p12(0.5, np.array([1.0, 2.0]), 0)
+
+
 def test_c_pm_constants():
     assert c_pm(KAPPA, 1, 0) == pytest.approx(-14.9942, abs=5e-3)
     assert c_pm_derivative_bound() == pytest.approx(-18.274, abs=5e-3)

@@ -14,6 +14,7 @@ from fig8lab.modularity import cusp_volume
 from fig8lab.saddle import (
     asymptotic_ratio,
     asymptotic_rhs,
+    f_values,
     f_zero_value,
     phi_m,
     saddle_data,
@@ -126,6 +127,22 @@ def test_f_forms_agree_in_u0():
                     continue
                 assert abs(phi_m(z, 0, u, p) - f_eval_original(z, u, p)) <= 1e-10
             assert abs(phi_m(sd.sigma0, 0, u, p) - f_eval_original(sd.sigma0, u, p)) <= 1e-10
+
+
+def test_f_values_takes_per_point_u_and_p():
+    # each point's own (u, p) gives it the value that point takes in a call with
+    # that scalar (u, p); check_f_p12 evaluates all its vertices so
+    rng = np.random.default_rng(3)
+    u = rng.choice(U_GRID, 60)
+    p = rng.choice(P_GRID, 60)
+    z = rng.uniform(0.05, 0.3, 60) / p + 1j * rng.uniform(-0.05, 0.05, 60)
+    values = f_values(z, u, p)
+    for i, (u_i, p_i) in enumerate(zip(u.tolist(), p.tolist())):
+        assert values[i] == f_values(z, u_i, p_i)[i] == f_values(z[i:i + 1], u_i, p_i)[0]
+        # a 0-d z is numpy scalar arithmetic, whose complex products round
+        # without the fused multiply-add of the array loops on some hosts
+        assert abs(values[i] - f_values(z[i], u_i, p_i)) <= 1e-15 * abs(values[i])
+    assert f_values(z.reshape(6, 10), u.reshape(6, 10), 2).shape == (6, 10)
 
 
 def test_f_domain_error():
