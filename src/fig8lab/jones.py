@@ -32,7 +32,8 @@ f_N built from the quantum dilogarithm, with one function for its terms
 (_term_logs), and two residuals against the direct sum: decomposition_residual
 checks the sum, product_identity_residual term k alone.  sector_points puts
 each k in one sector, m = floor(k p / N), for every N: an index k = m N/p on
-a sector end is an ordinary member of sector m.
+a sector end is an ordinary member of sector m.  sector_points and f_N take
+a scalar as the 0-d case of an array, so term k is the same alone as in the sum.
 """
 
 from __future__ import annotations
@@ -140,34 +141,30 @@ def f_n(z, ctx: EvalContext):
     """Finite-N phase f_N(z), defined on -1/(2N) < Re z + (u/2 p pi) Im z < 1/p + 1/(2N).
 
     z may be an array; its 2 z.size T_N values come from one batched t_n call,
-    so they take the Bernoulli series wherever it meets qdilog.TOL.
+    so they take the Bernoulli series wherever it meets qdilog.TOL.  A 0-d z is
+    a one-point batch, so its value equals its entry in any array.
     """
-    z = np.asarray(z, dtype=complex)
+    arr = np.asarray(z, dtype=complex)
+    z = arr.ravel()
     xi, n = ctx.xi, ctx.n
     require_strip(z, -0.5 / n, 1.0 / ctx.p + 0.5 / n, "the f_N strip", lambda i: str(ctx),
                   ctx.u / (2.0 * math.pi * ctx.p))
     a, b = t_n(np.stack([xi * (1.0 - z) / (2j * math.pi) - ctx.p + 1.0,
                          xi * (1.0 + z) / (2j * math.pi) - ctx.p]), ctx)
     value = (a - b) / n - ctx.u * z + 4.0 * ctx.p * math.pi ** 2 / xi
-    return complex(value) if z.ndim == 0 else value
+    return complex(value[0]) if arr.ndim == 0 else value.reshape(arr.shape)
 
 
-def sector_points(ctx: EvalContext):
-    """(k, m, z_k) for every k in 1..N-1: its sector m = floor(k p/N), and
-    z_k = (2k+1)/(2N) - 2 m pi i/xi.
+def sector_points(k, ctx: EvalContext):
+    """(m, z_k) for a scalar or an array k in 1..N-1: its sector m = floor(k p/N),
+    and z_k = (2k+1)/(2N) - 2 m pi i/xi.
 
-    Each sector's shift 2 m pi i/xi is one complex scalar, shared by its points.
+    The shift 2 m pi i/xi comes from one p-entry table, so a point's z_k is the
+    same whether its k is placed alone or among others.
     """
-    k = np.arange(1, ctx.n)
     m = k * ctx.p // ctx.n
     shifts = np.array([2j * j * math.pi / ctx.xi for j in range(ctx.p)])
-    return k, m, (2 * k + 1) / (2.0 * ctx.n) - shifts[m]
-
-
-def sector_point(k: int, ctx: EvalContext):
-    """(m, z_k) of the one index k, by sector_points' expressions: bit-equal to its entries."""
-    m = k * ctx.p // ctx.n
-    return m, (2 * k + 1) / (2.0 * ctx.n) - 2j * m * math.pi / ctx.xi
+    return m, (2 * k + 1) / (2.0 * ctx.n) - shifts[m]
 
 
 def _term_logs(m, z, ctx: EvalContext):
@@ -197,7 +194,7 @@ def decomposition_residual(ctx: EvalContext) -> float:
     shifts too.  The k = 0 term, 1, is summed with the rest in one lc_sum, so
     the residual holds at small N too: 4.8e-15 at (u, p, N) = (0.5, 2, 10), 0 at N = 1.
     """
-    _, m, z = sector_points(ctx)
+    m, z = sector_points(np.arange(1, ctx.n), ctx)
     rhs = lc_sum(np.concatenate(([0j], _term_logs(m, z, ctx))))
     return abs(cmath.exp(rhs - jones_at_cusp(ctx)) - 1.0)
 
@@ -206,6 +203,6 @@ def product_identity_residual(k: int, ctx: EvalContext) -> float:
     """Relative gap between prod_{l=1}^{k} (1 - q^{N+l})(1 - q^{N-l}), q = e^{xi/N}, and term k
     of the decomposition alone over its weight e^{-k xi} (modulus e^{-k u}, phase 0 mod 2 pi)."""
     require_sector(k, ctx.n, "k must lie in [1, N-1]", 1)
-    term = _term_logs(*sector_point(int(k), ctx), ctx) + k * ctx.u
+    term = _term_logs(*sector_points(k, ctx), ctx) + k * ctx.u
     cusp = log_qpoch(ctx.n, k, (ctx.u / ctx.n, Fraction(ctx.p, ctx.n)))[-1]
     return abs(cmath.exp(term - cusp) - 1.0)

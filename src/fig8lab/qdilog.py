@@ -135,7 +135,7 @@ def require_sector(m, p: int, rule: str = "m must lie in [0, p-1]", first: int =
 def require_strip(z, lo, hi, name: str, where, skew=0.0) -> None:
     """Raise DomainError naming the first z that is not finite or not on lo < Re z + skew Im z < hi.
 
-    lo and hi are scalars or arrays of z's size; where(i) names point i's context."""
+    lo, hi and skew are scalars or arrays of z's size; where(i) names point i's context."""
     z = np.asarray(z, dtype=complex).ravel()
     finite = np.isfinite(z)
     s = np.where(finite, z, np.nan)
@@ -143,7 +143,7 @@ def require_strip(z, lo, hi, name: str, where, skew=0.0) -> None:
     inside = (lo < s) & (s < hi)
     if not inside.all():
         i = int(inside.argmin())
-        detail = f"{'skew abscissa' if skew else 'Re z'} = {s[i]}" if finite[i] else "not finite"
+        detail = f"{'skew abscissa' if np.any(skew) else 'Re z'} = {s[i]}" if finite[i] else "not finite"
         lo, hi = np.broadcast_to(lo, z.shape)[i], np.broadcast_to(hi, z.shape)[i]
         raise DomainError(f"z = {z[i]} outside {name}: {detail}, not in ({lo}, {hi}) at {where(i)}")
 

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numkernel import DomainError, li2
-from .qdilog import KAPPA, EvalContext, require_counts, require_sector, require_strip
+from .qdilog import KAPPA, EvalContext, require_counts, require_sector
 from .jones import f_n, sector_points
-from .saddle import f_values, saddle_data, varphi
+from .saddle import f_values, phi_m, saddle_data, varphi
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +72,9 @@ def grid_scan(m: int, u: float, p: int, resolution=400, nu: float = 0.02) -> Reg
     threshold = sd.f_sigma0.real
 
     x_lo, x_hi = (m + nu) / p, (m + 1 - nu) / p
+    if not x_lo < sigma_m.real < x_hi:
+        raise DomainError(f"nu = {nu} leaves sigma_{m} outside the grid box: "
+                          f"Re sigma_{m} = {sigma_m.real} not in ({x_lo}, {x_hi})")
     y_lo, y_hi = -2.0 * ims, 2.0 * ims
     xs = np.linspace(x_lo, x_hi, nx)
     ys = np.linspace(y_lo, y_hi, ny)
@@ -198,16 +201,14 @@ def check_f_p12(u, p, m):
 
     u, p and m are scalars (a float is returned) or broadcastable arrays (an
     array of margins is returned).  The triples' u, p, m and vertex order
-    are checked in turn, then every P12 against its U_m at once, as
-    saddle.phi_m checks one point; one f_values call evaluates every shifted
-    vertex P12 - 2 m pi i/xi.  F is elementwise, so a triple's margin is
-    the same in any batch.
+    are checked in turn; saddle.phi_m then checks every P12 against its U_m
+    and evaluates them all in one call.  F is elementwise, so a triple's
+    margin is the same in any batch.
     """
     shape = np.broadcast_shapes(np.shape(u), np.shape(p), np.shape(m))
     us, ps, ms = (np.broadcast_to(a, shape).ravel() for a in (u, p, m))
-    triples = list(zip(us.tolist(), ps.tolist(), ms.tolist()))
-    tops, p12s, zs = [], [], []
-    for u_i, p_i, m_i in triples:
+    tops, p12s = [], []
+    for u_i, p_i, m_i in zip(us.tolist(), ps.tolist(), ms.tolist()):
         sd = saddle_data(u_i, p_i)
         sigma_m = sd.sigma_m(m_i)
         offset = sd.xi.conjugate() / (p_i * math.pi) * sigma_m.imag
@@ -219,10 +220,7 @@ def check_f_p12(u, p, m):
             raise DomainError("hexagon vertex ordering violated; parameters out of range")
         tops.append(sd.f_sigma0.real)
         p12s.append(p12)
-        zs.append(p12 - 2j * m_i * math.pi / sd.xi)
-    require_strip(p12s, ms / ps, (ms + 1) / ps, "U_m",
-                  lambda i: "(u, p, m) = (%r, %r, %r)" % triples[i], us / (2.0 * math.pi * ps))
-    margins = np.array(tops) - f_values(np.array(zs), us, ps).real
+    margins = np.array(tops) - phi_m(np.array(p12s), ms, us, ps).real
     return float(margins[0]) if shape == () else margins.reshape(shape)
 
 
@@ -240,7 +238,8 @@ def endpoint_decay(ctx: EvalContext, m: int, delta_grid: float) -> list:
     estimates require to be positive.
     """
     require_sector(m, ctx.p)
-    ks, ms, z = sector_points(ctx)
+    ks = np.arange(1, ctx.n)
+    ms, z = sector_points(ks, ctx)
     near = (ms == m) & ((ks / ctx.n - m / ctx.p <= delta_grid)
                         | ((m + 1) / ctx.p - ks / ctx.n <= delta_grid))
     if not near.any():

@@ -90,7 +90,7 @@ def saddle_data(u: float, p: int) -> SaddleData:
     c = cmath.cosh(u)
     root = 1j * cmath.sqrt((2.0 * c + 1.0) * (3.0 - 2.0 * c))
     a2 = 0.5 * xi * root
-    f_sigma0 = complex(f_values(sigma0, u, p))
+    f_sigma0 = f_values(sigma0, u, p)
     s_e = li2(cmath.exp(-u - phi)) - li2(cmath.exp(-u + phi)) + u * (phi + TWO_PI_I)
     t_e = 2.0 / root
     prefactor = cmath.sqrt(complex(-math.pi, 0.0)) * cmath.sqrt(t_e) / (2.0 * cmath.sinh(0.5 * u))
@@ -106,24 +106,21 @@ def f_values(z, u, p):
 
     u and p are scalars or arrays broadcast against z, so each point may
     carry its own (u, p); xi = u + 2 p pi i is formed elementwise (a Python
-    complex for scalar u and p).  The value at a point of an array z does not
-    depend on the other points, nor on whether its u and p are scalars.  A
-    0-d z is computed in numpy's scalar arithmetic, whose complex products
-    round apart from the array loops' where those fuse multiply and add, so
-    it may differ from the same point in an array in the last bit.
+    complex for scalar u and p).  As in li2, the points are computed as one
+    flat array and a 0-d z gives a complex, so a point's value does not
+    depend on the other points, on whether it was evaluated alone, nor on
+    whether its u and p are scalars.
 
     The caller is responsible for masking to U_0 / U_m.  Its callers are
-    saddle_data (F at sigma_0), phi_m (one checked point), region.check_f_p12
-    (the hexagon vertices P12 of every (u, p, m) in one call) and
-    region.grid_scan (the grid cells inside U_m, decided cell by cell).
+    saddle_data (F at sigma_0), phi_m (every checked point of a batch in one
+    call) and region.grid_scan (the grid cells inside U_m, decided cell by cell).
     """
-    z = np.asarray(z, dtype=np.complex128)
+    shape = np.broadcast_shapes(np.shape(z), np.shape(u), np.shape(p))
+    z = np.broadcast_to(np.asarray(z, dtype=np.complex128), shape).ravel()
+    u, p = (np.broadcast_to(a, shape).ravel() if np.ndim(a) else a for a in (u, p))
     xi = u + 2j * math.pi * p
-    return (
-        (li2(np.exp(-xi * (1.0 + z))) - li2(np.exp(-xi * (1.0 - z)))) / xi
-        + u * z
-        - TWO_PI_I
-    )
+    out = (li2(np.exp(-xi * (1.0 + z))) - li2(np.exp(-xi * (1.0 - z)))) / xi + u * z - TWO_PI_I
+    return complex(out[0]) if shape == () else out.reshape(shape)
 
 
 def f_zero_value(u: float, p: int) -> complex:
@@ -138,19 +135,26 @@ def f_zero_value(u: float, p: int) -> complex:
     return 4.0 * p * math.pi ** 2 / saddle_data(u, p).xi
 
 
-def phi_m(z: complex, m: int, u: float, p: int) -> complex:
-    """Phi_m(z) = F(z - 2 m pi i / xi) on U_m, with u, m and z checked.
+def phi_m(z, m, u, p):
+    """Phi_m(z) = F(z - 2 m pi i / xi) on U_m, the one checked Phi_m; m = 0 gives F on U_0.
 
-    m = 0 gives F itself on U_0; region.check_f_p12 makes the same checks
-    for a batch of vertices.  u and p are checked, and xi taken, by the
-    cached saddle_data(u, p).
+    z, m, u and p broadcast, and a 0-d batch gives a complex.  Each point's u and p
+    are checked, and xi taken, by the cached saddle_data, and its m by require_sector;
+    then one require_strip checks every z against its U_m, and one f_values call
+    evaluates them all.  Its library caller is region.check_f_p12.
     """
-    xi = saddle_data(u, p).xi
-    require_sector(m, p)
-    z = complex(z)
-    require_strip(z, m / p, (m + 1) / p, f"U_{m}", lambda i: f"(u, p) = ({u}, {p})",
-                  u / (2.0 * math.pi * p))
-    return complex(f_values(z - 2j * m * math.pi / xi, u, p))
+    shape = np.broadcast_shapes(np.shape(z), np.shape(m), np.shape(u), np.shape(p))
+    zs, ms, us, ps = (np.broadcast_to(a, shape).ravel() for a in (np.asarray(z, dtype=complex), m, u, p))
+    triples = list(zip(us.tolist(), ps.tolist(), ms.tolist()))
+    shifts = []
+    for u_i, p_i, m_i in triples:
+        xi = saddle_data(u_i, p_i).xi
+        require_sector(m_i, p_i)
+        shifts.append(2j * m_i * math.pi / xi)
+    require_strip(zs, ms / ps, (ms + 1) / ps, "U_m",
+                  lambda i: "(u, p, m) = (%r, %r, %r)" % triples[i], us / (2.0 * math.pi * ps))
+    values = f_values(zs - np.array(shifts), us, ps)
+    return complex(values[0]) if shape == () else values.reshape(shape)
 
 
 # ---------------------------------------------------------------------------

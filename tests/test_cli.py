@@ -99,6 +99,9 @@ def test_empty_or_bad_n_range_exits_2(command, n_args, flag, capsys):
                  "m must lie in [0, p-1]", id="region-negative-m"),
     *(pytest.param(["region", "--u", "0.5", "--p", "2", "--m", "1", "--res", "50", "--nu", nu],
                    "nu must lie in (0, 0.5)", id=f"region-nu-{nu}") for nu in ("0", "0.5", "nan")),
+    # the grid box ends at x = 1 - nu = 0.8, short of sigma_0 (Re 0.8526)
+    pytest.param(["region", "--u", "0.5", "--p", "1", "--m", "0", "--res", "50", "--nu", "0.2"],
+                 "nu = 0.2 leaves sigma_0 outside the grid box", id="region-nu-past-the-saddle"),
 ])
 def test_bad_value_exits_2(argv, text, capsys):
     code, out, err = run(argv, capsys)
@@ -252,6 +255,33 @@ def test_lemmas_identity_draws_are_the_rng_choice_stream(seed, monkeypatch):
     assert [(name, ctx.u, ctx.p, ctx.n, z) for name, z, ctx in drawn] == expected
     # the L_k rows draw on from the same state
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_lemmas_benchmark_rows_in_order_and_within_bounds(capsys):
+    # the benchmark's lemmas call: its 214 rows (LEMMA_ROWS) come in order, 150
+    # identity rows, 25 L_k rows, the f_sigma row and f_p12 rows of each (u, p) and
+    # 3 constants, so that a batched evaluation which drops or reorders a row fails
+    code, out, err = run(["lemmas", "--samples", "50", "--seed", "0"], capsys)
+    assert code == 0, err
+    rows = parse_jsonl(out)[1:]
+    grid = [(u, p) for u in (0.05, 0.2, 0.5, 0.9) for p in (1, 2, 3)]
+    expected = ([(kind, None, None, None) for kind in ("shift", "gamma_half", "unit_shift") for _ in range(50)]
+                + [("l_k", None, None, None)] * 25
+                + [row for u, p in grid for row in [("f_sigma", u, p, None)] + [("f_p12", u, p, m) for m in range(p)]]
+                + [(name, None, None, None) for name in ("kappa", "c_10_kappa", "c_pm_derivative_bound")])
+
+    def key(r):
+        kind = "l_k" if r["check"].endswith("_quadrature") else r["check"]
+        lemma = kind in ("f_sigma", "f_p12")
+        return (kind, r["u"] if lemma else None, r["p"] if lemma else None, r.get("m"))
+    assert len(rows) == 214
+    assert [key(r) for r in rows] == expected
+    # each identity row meets its identity of E_N, and each L_k row the closed form, to 1e-12
+    bad = [(r["check"], r["residual"]) for r in rows[:175] if r["residual"] > 1e-12]
+    assert not bad, bad
+    # every inequality and constant row passes
+    failed = [r for r in rows[175:] if r["pass"] is not True]
+    assert not failed, failed
 
 
 def test_lemmas_tight_threshold_fails(monkeypatch, capsys):

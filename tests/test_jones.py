@@ -25,7 +25,6 @@ from fig8lab.jones import (
     jones_exp_unity,
     log_qpoch,
     product_identity_residual,
-    sector_point,
     sector_points,
 )
 from fig8lab.modularity import ModularMatrix, build_x, mobius
@@ -298,7 +297,8 @@ def test_f_n_converges_to_phi_m():
 def test_k_range_partition():
     # (3, 101) is coprime; at (2, 100) k = 50 lies on the end of sectors 0 and 1
     for ctx in (EvalContext(u=0.5, p=3, n=101), EvalContext(u=0.5, p=2, n=100)):
-        k, m, z = sector_points(ctx)
+        k = np.arange(1, ctx.n)
+        m, z = sector_points(k, ctx)
         assert k.tolist() == list(range(1, ctx.n))
         # m/p <= k/N < (m+1)/p
         assert np.all((m * ctx.n <= k * ctx.p) & (k * ctx.p < (m + 1) * ctx.n))
@@ -310,12 +310,25 @@ def test_k_range_partition():
 
 @pytest.mark.parametrize("p,n", [(4, 12), (6, 9), (2, 41), (2, 100)])
 def test_sector_point_is_sector_points_entry(p, n):
-    # product_identity_residual places its one k by sector_point; gcd(p, N) is
+    # product_identity_residual places its one k as a scalar k; gcd(p, N) is
     # 4, 3, 1 and 2, so the sector ends k = m N/p are among the k of three of them
     ctx = EvalContext(u=0.5, p=p, n=n)
-    ks, ms, zs = sector_points(ctx)
+    ks = np.arange(1, n)
+    ms, zs = sector_points(ks, ctx)
     for k, m, z in zip(ks.tolist(), ms.tolist(), zs.tolist()):
-        assert sector_point(k, ctx) == (m, z)
+        assert sector_points(k, ctx) == (m, z)
+
+
+@pytest.mark.parametrize("u,p,n", [(0.5, 4, 12), (0.5, 6, 9), (0.2, 2, 97), (0.5, 3, 101),
+                                   (0.9, 1, 201)])
+def test_f_n_at_a_scalar_is_its_array_entry(u, p, n):
+    # a scalar z is the 0-d case of the flat batch: f_N at a sector point alone
+    # (product_identity_residual) equals its entry in the sum (decomposition_residual)
+    ctx = EvalContext(u=u, p=p, n=n)
+    _, zs = sector_points(np.arange(1, n), ctx)
+    values = f_n(zs, ctx)
+    assert [f_n(z, ctx) for z in zs.tolist()] == values.tolist()
+    assert isinstance(f_n(zs[0], ctx), complex)
 
 
 @pytest.mark.parametrize("u,p,n", [(0.5, 2, 97), (0.5, 3, 101), (0.5, 2, 100), (0.5, 3, 99),
@@ -338,7 +351,7 @@ def test_f_n_at_edge_shifted_sector_points_matches_quadrature(monkeypatch, u, p,
     # within the shift width of an end of (0, 1), so the series moves them inward,
     # and the shift corrections are factors of the direct product it compares with
     ctx = EvalContext(u=u, p=p, n=n)
-    z = sector_points(ctx)[2]
+    z = sector_points(np.arange(1, n), ctx)[1]
     args = np.stack([ctx.xi * (1.0 - z) / (2j * math.pi) - p + 1.0,
                      ctx.xi * (1.0 + z) / (2j * math.pi) - p])
     near = (np.minimum(args.real, 1.0 - args.real)

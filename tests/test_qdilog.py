@@ -143,7 +143,7 @@ def test_non_finite_z_is_refused_by_the_one_strip_check(z):
                                ("the L_k strip", "at L_1", lambda: l_k_quadrature(1, z)),
                                ("the L_k strip", "at L_1", lambda: l_k_closed(1, z)),
                                ("the f_N strip", at, lambda: jones.f_n(z, ctx)),
-                               ("U_0", r"at \(u, p\) = \(0\.5, 2\)", lambda: phi_m(z, 0, ctx.u, ctx.p))):
+                               ("U_m", r"at \(u, p, m\) = \(0\.5, 2, 0\)", lambda: phi_m(z, 0, ctx.u, ctx.p))):
         with pytest.raises(DomainError, match=rf"outside {strip}: not finite, not in \(.*\) {where}$"):
             call()
 

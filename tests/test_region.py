@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -95,6 +96,21 @@ def test_grid_resolution_guard():
             grid_scan(0, 0.5, 1, resolution=resolution)
     # a numpy integer is a count: one side of a square grid
     assert grid_scan(0, 0.5, 1, resolution=np.int64(60)).re_phi.shape == (60, 60)
+
+
+def test_grid_scan_box_holds_the_saddle():
+    # the box ends at x = (m + 1 - nu)/p; at (u, p, m) = (0.5, 1, 0) it passes
+    # sigma_0 (Re 0.8526) once nu > 0.1474, and D_0 is then counted without its saddle
+    sigma0 = saddle_data(0.5, 1).sigma0
+    assert grid_scan(0, 0.5, 1, resolution=50, nu=0.14).xs[-1] > sigma0.real
+    for nu in (0.15, 0.2, 0.45):
+        with pytest.raises(DomainError, match=rf"nu = {nu} leaves sigma_0 outside the grid box: "
+                                              rf"Re sigma_0 = {re.escape(str(sigma0.real))} not in"):
+            grid_scan(0, 0.5, 1, resolution=50, nu=nu)
+    # sigma_2 at (0.5, 3) sits at Re 0.952, inside ((2 + nu)/3, (3 - nu)/3) up to nu = 0.144
+    grid_scan(2, 0.5, 3, resolution=50, nu=0.14)
+    with pytest.raises(DomainError, match="leaves sigma_2 outside"):
+        grid_scan(2, 0.5, 3, resolution=50, nu=0.15)
 
 
 @pytest.mark.parametrize("m", [-1, 2, 5, 0.5])
@@ -247,7 +263,7 @@ def test_check_f_p12():
     p12 = 5 / 6 + xi.conjugate() * ims / (3 * math.pi)
     assert p12.real + 0.5 / (6 * math.pi) * p12.imag == pytest.approx(5 / 6, abs=1e-12)
     expected = saddle_data(0.5, 3).f_sigma0.real - phi_m(p12, 2, 0.5, 3).real
-    assert check_f_p12(0.5, 3, 2) == pytest.approx(expected, rel=1e-12)
+    assert check_f_p12(0.5, 3, 2) == expected
     for u in (0.05, 0.2, 0.5, 0.9):
         for p in (1, 2, 3):
             for m in range(p):

@@ -131,7 +131,7 @@ def test_f_forms_agree_in_u0():
 
 def test_f_values_takes_per_point_u_and_p():
     # each point's own (u, p) gives it the value that point takes in a call with
-    # that scalar (u, p); check_f_p12 evaluates all its vertices so
+    # that scalar (u, p), and a 0-d z its entry in any array; phi_m evaluates all its points so
     rng = np.random.default_rng(3)
     u = rng.choice(U_GRID, 60)
     p = rng.choice(P_GRID, 60)
@@ -139,9 +139,7 @@ def test_f_values_takes_per_point_u_and_p():
     values = f_values(z, u, p)
     for i, (u_i, p_i) in enumerate(zip(u.tolist(), p.tolist())):
         assert values[i] == f_values(z, u_i, p_i)[i] == f_values(z[i:i + 1], u_i, p_i)[0]
-        # a 0-d z is numpy scalar arithmetic, whose complex products round
-        # without the fused multiply-add of the array loops on some hosts
-        assert abs(values[i] - f_values(z[i], u_i, p_i)) <= 1e-15 * abs(values[i])
+        assert values[i] == f_values(z[i], u_i, p_i)
     assert f_values(z.reshape(6, 10), u.reshape(6, 10), 2).shape == (6, 10)
 
 
@@ -226,6 +224,34 @@ def test_phi_m_examples():
         f_zero_value(0.5, 2.5)
     assert phi_m(sd.sigma_m(1), 1, u, np.int64(p)) == phi_m(sd.sigma_m(1), 1, u, p)
     assert f_zero_value(u, np.int64(p)) == f_zero_value(u, p)
+
+
+def test_phi_m_batch_is_its_scalar_calls():
+    # one require_strip and one f_values call take every point; each value is the scalar call's
+    sigmas = [(saddle_data(u, p).sigma_m(m), m, u, p)
+              for u in U_GRID for p in P_GRID for m in range(p)]
+    z, m, u, p = (np.array(column) for column in zip(*sigmas))
+    values = phi_m(z + 0.01 - 0.002j, m, u, p)
+    assert values.shape == (18,)
+    assert values.tolist() == [phi_m(z_i + 0.01 - 0.002j, m_i, u_i, p_i) for z_i, m_i, u_i, p_i in sigmas]
+    assert isinstance(phi_m(z[0], m[0], u[0], p[0]), complex)
+    # z, m, u and p broadcast: a column of z against a row of u
+    grid = phi_m(np.array([[0.3], [0.4]]), 0, np.array([0.2, 0.9]), 1)
+    assert grid.shape == (2, 2)
+    assert grid.tolist() == [[phi_m(x, 0, u_i, 1) for u_i in (0.2, 0.9)] for x in (0.3, 0.4)]
+
+
+def test_phi_m_batch_refuses_any_bad_point():
+    # a bad u, p, m or z anywhere in the batch is refused, as its scalar call is
+    z = np.array([0.3, 0.4])
+    with pytest.raises(DomainError, match="u must lie in"):
+        phi_m(z, 0, np.array([0.5, 1.2]), 1)
+    with pytest.raises(DomainError, match="p must be a positive integer"):
+        phi_m(z, 0, 0.5, np.array([1, 2.5]))
+    with pytest.raises(DomainError, match="m must lie in"):
+        phi_m(z + 0.5, np.array([1, 2]), 0.5, 2)
+    with pytest.raises(DomainError, match=r"outside U_m: .* at \(u, p, m\) = \(0\.5, 1, 0\)$"):
+        phi_m(np.array([0.3, 1.3]), 0, 0.5, 1)
 
 
 def test_prefactor_routes_agree():
