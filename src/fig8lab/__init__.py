@@ -9,8 +9,10 @@ The package exports a small surface:
 - the layers the benchmark warms: jones_exp, t_n, li2, saddle_data and
   cusp_volume;
 - one entry point per experiment: jones_at_cusp (jones), asymptotic_ratio
-  (theorem), identity_residuals (lemmas), grid_scan with label_components
-  (region), and estimate_c with its ModularMatrix argument (modularity).
+  (theorem), identity_residuals (lemmas), grid_scan (region's grid files;
+  region counts the components of D_m on the boundary of E_m instead, and
+  label_components labels the grid's regions for the tests), and
+  estimate_c with its ModularMatrix argument (modularity).
 
 Everything else is imported from its module: numkernel, qdilog, jones,
 saddle, region, modularity and cli.

@@ -6,7 +6,9 @@ by one record per line (JSON) or CSV rows.  Identical invocations (including
 failures, 2 bad input (including an --out that cannot be written, or a flag
 that the chosen mode would not read, such as a --step other than 1 with a
 --N that is not a range lo..hi), 3 numeric non-convergence (a quadrature
-that misses qdilog.TOL, or a value that overflows a float).
+that misses qdilog.TOL, a region count that the boundary walk does not
+resolve to 2 within region.WALK_HALVINGS halvings, or a value that overflows
+a float).
 
 lemmas has no accuracy flags: every quadrature runs at qdilog.TOL, an
 identity row passes at residual IDENTITY_BOUND and an L_k row at LK_BOUND.
@@ -248,15 +250,17 @@ def cmd_lemmas(args) -> int:
 
 
 def cmd_region(args) -> int:
-    grid = grid_scan(args.m, args.u, args.p, resolution=args.res, nu=args.nu)
-    components = components_d_cap_e(grid)
+    components = components_d_cap_e(args.m, args.u, args.p, resolution=args.res, nu=args.nu)
     if args.out:
+        grid = grid_scan(args.m, args.u, args.p, resolution=args.res, nu=args.nu)
         write_grid_csv(grid, args.out + ".csv")
         write_grid_header(grid, args.out + ".json", components)
+    sd = saddle_data(args.u, args.p)
+    sigma_m = sd.sigma_m(args.m)
     summary = {"schema": "fig8lab/1", "command": "region",
                "components_d_cap_e": components,
-               "threshold": grid.threshold,
-               "sigma_m": [grid.sigma_m.real, grid.sigma_m.imag]}
+               "threshold": sd.f_sigma0.real,
+               "sigma_m": [sigma_m.real, sigma_m.imag]}
     print(json.dumps(summary, sort_keys=True, separators=(",", ":")))
     return EXIT_OK
 
@@ -354,12 +358,17 @@ def _build_parser() -> argparse.ArgumentParser:
     output(sp)
     sp.set_defaults(func=cmd_lemmas)
 
-    sp = sub.add_parser("region", help="saddle-region grid scan and components")
+    sp = sub.add_parser("region", help="count the components of D_m within E_m; "
+                                       "--out also writes the region grid")
     sp.add_argument("--u", type=float, required=True)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--res", type=int, default=400)
-    sp.add_argument("--nu", type=float, default=0.02)
+    sp.add_argument("--res", type=int, default=400,
+                    help="cells per side of the --out grid, and samples per side of the "
+                         "boundary walk that counts the components (at least 50)")
+    sp.add_argument("--nu", type=float, default=0.02,
+                    help="the box spans (m + nu)/p to (m + 1 - nu)/p in Re z; nu in (0, 0.5), "
+                         "small enough to keep sigma_m inside")
     sp.add_argument("--out", help="prefix of the grid files OUT.csv and OUT.json")
     sp.set_defaults(func=cmd_region)
 

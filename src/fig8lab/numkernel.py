@@ -43,7 +43,8 @@ class BranchCutError(DomainError):
 
 
 class QuadratureError(RuntimeError):
-    """Contour quadrature failed to reach qdilog.TOL."""
+    """A refinement did not converge: a contour quadrature that misses
+    qdilog.TOL, or a region boundary walk that does not resolve its count."""
 
 
 def reduce_phase(x) -> np.ndarray:

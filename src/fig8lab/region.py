@@ -1,15 +1,18 @@
-"""Region geometry around the saddle and grid-based topology checks.
+"""Region geometry around the saddle, its component count and grid checks.
 
 For each m the strip U_m = {m/p < Re z + (u/2 p pi) Im z < (m+1)/p} carries
 the shifted potential Phi_m.  The hexagon E_m (the strip clipped to
-|Im z| <= 2 Im sigma_m and b_m^- <= Re z <= b_m^+), the sublevel region
-D_m = {Re Phi_m < Re Phi_m(sigma_m)} and the two tilted-threshold bands
-R-bar / R-under are reconstructed on a rectangular grid.  4-connected
-component labelling counts the two lobes of D_m within E_m; the tests use
-the same labelling to check that each band joins b_m^- to b_m^+.  The
-closed-form lemma checks return plain margins: Re Phi_m(sigma_m) -
-Re Phi_m(P12) at the hexagon vertex P12, and Re F(sigma_0) - Re f_N at the
-summation points near the ends of each sector.
+|Im z| <= 2 Im sigma_m and b_m^- <= Re z <= b_m^+) holds the sublevel region
+D_m = {Re Phi_m < Re Phi_m(sigma_m)}, which has two lobes there.  That count
+is taken on the boundary of E_m: Re Phi_m is harmonic, so every component of
+D_m within E_m reaches the boundary, and a walk along it counts the runs
+where Re Phi_m lies below the threshold (components_d_cap_e).  D_m and the
+two tilted-threshold bands R-bar / R-under are also reconstructed on a
+rectangular grid, for the grid files; the tests check on it, with 4-connected
+component labelling, that each band joins b_m^- to b_m^+.  The closed-form
+lemma checks return plain margins: Re Phi_m(sigma_m) - Re Phi_m(P12) at the
+hexagon vertex P12, and Re F(sigma_0) - Re f_N at the summation points near
+the ends of each sector.
 """
 
 from __future__ import annotations
@@ -20,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkernel import DomainError, li2
+from .numkernel import DomainError, QuadratureError, li2
 from .qdilog import KAPPA, EvalContext, require_counts, require_sector
 from .jones import f_n, sector_points
-from .saddle import f_values, phi_m, saddle_data, varphi
+from .saddle import f_prime, f_values, phi_m, saddle_data, varphi
 
 
 # ---------------------------------------------------------------------------
@@ -50,13 +53,19 @@ class RegionGrid:
 
 
 _SCAN_BLOCK = 16_384            # in-U_m points per f_values call
+# the walk's inward offset from U_m's sides, where the Li2 arguments of F
+# reach their cut, in units of the skew coordinate Re z + (u/2 p pi) Im z
+_CUT_GAP = 1e-9
+# halvings of the walk's near-threshold segments before a count is refused
+WALK_HALVINGS = 24
 
 
-def grid_scan(m: int, u: float, p: int, resolution=400, nu: float = 0.02) -> RegionGrid:
-    """Re Phi_m and the region flags on the grid over E_m's bounding box.
+def _grid_box(m, u, p, resolution, nu):
+    """The checked grid box of E_m: (nx, ny, saddle_data(u, p), sigma_m, (x_lo, x_hi, y_lo, y_hi)).
 
-    F is evaluated in blocks of _SCAN_BLOCK points, so that the temporaries
-    (256 KB an array) stay in cache; a 400x400 scan peaks at 12 MB, not 28.
+    grid_scan and components_d_cap_e share it, and with it their refusals:
+    a resolution below 50 or not a count, a nu outside (0, 0.5), a bad u, p
+    or m, and a nu whose box leaves out sigma_m.
     """
     nx, ny = (resolution, resolution) if np.ndim(resolution) == 0 else resolution
     require_counts("resolution", nx, ny)
@@ -66,16 +75,22 @@ def grid_scan(m: int, u: float, p: int, resolution=400, nu: float = 0.02) -> Reg
         raise DomainError("nu must lie in (0, 0.5)")
 
     sd = saddle_data(u, p)
-    xi = sd.xi
     sigma_m = sd.sigma_m(m)
-    ims = sigma_m.imag
-    threshold = sd.f_sigma0.real
-
     x_lo, x_hi = (m + nu) / p, (m + 1 - nu) / p
     if not x_lo < sigma_m.real < x_hi:
         raise DomainError(f"nu = {nu} leaves sigma_{m} outside the grid box: "
                           f"Re sigma_{m} = {sigma_m.real} not in ({x_lo}, {x_hi})")
-    y_lo, y_hi = -2.0 * ims, 2.0 * ims
+    return nx, ny, sd, sigma_m, (x_lo, x_hi, -2.0 * sigma_m.imag, 2.0 * sigma_m.imag)
+
+
+def grid_scan(m: int, u: float, p: int, resolution=400, nu: float = 0.02) -> RegionGrid:
+    """Re Phi_m and the region flags on the grid over E_m's bounding box.
+
+    F is evaluated in blocks of _SCAN_BLOCK points, so that the temporaries
+    (256 KB an array) stay in cache; a 400x400 scan peaks at 12 MB, not 28.
+    """
+    nx, ny, sd, sigma_m, (x_lo, x_hi, y_lo, y_hi) = _grid_box(m, u, p, resolution, nu)
+    threshold = sd.f_sigma0.real
     xs = np.linspace(x_lo, x_hi, nx)
     ys = np.linspace(y_lo, y_hi, ny)
     X, Y = np.meshgrid(xs, ys)
@@ -84,7 +99,7 @@ def grid_scan(m: int, u: float, p: int, resolution=400, nu: float = 0.02) -> Reg
     in_u = (skew > m / p) & (skew < (m + 1) / p)
 
     re_phi = np.full(X.shape, np.nan)
-    z_inside = (X + 1j * Y)[in_u] - 2j * m * math.pi / xi
+    z_inside = (X + 1j * Y)[in_u] - 2j * m * math.pi / sd.xi
     values = np.empty(z_inside.size)
     for s in range(0, z_inside.size, _SCAN_BLOCK):
         values[s:s + _SCAN_BLOCK] = f_values(z_inside[s:s + _SCAN_BLOCK], u, p).real
@@ -132,34 +147,90 @@ def label_components(mask: np.ndarray):
     return labels, int(number[-1])
 
 
-def pinch_epsilon(grid: RegionGrid) -> float:
-    """Sublevel regularization matched to the grid's resolution at the saddle.
+def _boundary_walk(m, u, p, box, dx, dy) -> np.ndarray:
+    """Points along the boundary of E_m, counter-clockwise, one cell apart.
 
-    D_m's two lobes meet E_m's excluded ridge only at the single point
-    sigma_m, so the strict sublevel set is separated by a barrier whose
-    width shrinks to zero there; any finite grid leaks through it.  Lowering
-    the threshold by the quadratic variation of Phi_m over a few cells,
-    eps = |a_2| (3 h)^2, restores a barrier wider than one cell while
-    removing only an O(h)-radius disk at the saddle, and vanishes as the
-    grid refines, so the count below converges to the continuum count.
+    The box is clipped to m/p + _CUT_GAP <= skew <= (m+1)/p - _CUT_GAP (one
+    Sutherland-Hodgman pass per side of U_m).  Each edge is cut into the
+    fewest equal segments no wider than dx nor taller than dy, so a full side
+    of the box carries as many points as the grid has cells along it.
     """
-    sd = saddle_data(grid.u, grid.p)
-    dx = grid.xs[1] - grid.xs[0]
-    dy = grid.ys[1] - grid.ys[0]
-    return abs(sd.a2) * (3.0 * max(dx, dy)) ** 2
+    x_lo, x_hi, y_lo, y_hi = box
+    slope = u / (2.0 * math.pi * p)
+    corners = [complex(x_lo, y_lo), complex(x_hi, y_lo), complex(x_hi, y_hi), complex(x_lo, y_hi)]
+    for sign, bound in ((1.0, m / p + _CUT_GAP), (-1.0, _CUT_GAP - (m + 1) / p)):
+        gaps = [sign * (z.real + slope * z.imag) - bound for z in corners]
+        kept = []
+        for a, b, ga, gb in zip(corners, corners[1:] + corners[:1], gaps, gaps[1:] + gaps[:1]):
+            if ga >= 0.0:
+                kept.append(a)
+            if (ga >= 0.0) != (gb >= 0.0):
+                kept.append(a + (b - a) * (ga / (ga - gb)))
+        corners = kept
+    edges = []
+    for a, b in zip(corners, corners[1:] + corners[:1]):
+        n = max(1, math.ceil(max(abs((b - a).real) / dx, abs((b - a).imag) / dy)))
+        edges.append(a + (b - a) * (np.arange(n) / n))
+    return np.concatenate(edges)
 
 
-def components_d_cap_e(grid: RegionGrid) -> int:
-    """Number of 4-connected components of D_m within E_m.
+def _cyclic_runs(below: np.ndarray) -> int:
+    """Number of cyclic runs of True in a closed walk's samples."""
+    if below.all():
+        return 1
+    return int(np.count_nonzero(below & ~np.roll(below, 1)))
 
-    Counted on {Re Phi_m < threshold - pinch_epsilon(grid)}, the sublevel
-    set lowered by the pinch-aware margin above.
+
+def components_d_cap_e(m: int, u: float, p: int, resolution=400, nu: float = 0.02) -> int:
+    """Number of components of D_m within E_m, counted on E_m's boundary.
+
+    The walk samples Re Phi_m at the points of _boundary_walk, with the
+    grid's cell spacing, in one f_values call, and counts k, the cyclic runs
+    of samples below the threshold Re Phi_m(sigma_m).  k = 2 gives exactly 2:
+      - Re Phi_m is harmonic on U_m.  A component of D_m within E_m that
+        stayed off the boundary of E_m would sit at the threshold all along
+        its own boundary, and by the minimum principle not below it inside;
+        so each component reaches a run, and there are at most k of them;
+      - sigma_m, F's only critical point in U_m, lies exactly at the
+        threshold, and the two sublevel sectors at it cannot share a
+        component: a path joining them, closed through sigma_m, would
+        enclose a superlevel sector, with Re Phi_m at most the threshold on
+        the loop, against the maximum principle; so there are at least 2.
+    The bound k holds when the walk sees every run: a run narrower than one
+    segment can hide between two samples above the threshold.  Samples can
+    only miss runs, never make them, so a k below 2 is undersampling: each
+    segment whose two ends both lie within h |Phi_m'| of the threshold (h
+    the segment's length) is halved, up to WALK_HALVINGS times, until k
+    reaches 2.  A k other than 2 at the end, above 2 included, which no
+    halving can lower, is refused with QuadratureError naming (u, p, m) and
+    the stage.  resolution and nu are checked, and the box taken, as in
+    grid_scan.
     """
-    with np.errstate(invalid="ignore"):
-        mask = grid.in_u & (grid.re_phi < grid.threshold - pinch_epsilon(grid))
-    if not mask.any():
-        raise DomainError("D_m ∩ E_m is empty on this grid")
-    _, count = label_components(mask)
+    nx, ny, sd, _, box = _grid_box(m, u, p, resolution, nu)
+    z = _boundary_walk(m, u, p, box, (box[1] - box[0]) / (nx - 1), (box[3] - box[2]) / (ny - 1))
+    shift = 2j * m * math.pi / sd.xi
+    threshold = sd.f_sigma0.real
+    gap = f_values(z - shift, u, p).real - threshold
+    count = _cyclic_runs(gap < 0.0)
+    halvings = 0
+    while count < 2 and halvings < WALK_HALVINGS:
+        z_next = np.roll(z, -1)
+        reach = np.abs(z_next - z)
+        grad = np.abs(f_prime(z - shift, u, p))
+        halve = (np.abs(gap) <= reach * grad) & (np.abs(np.roll(gap, -1)) <= reach * np.roll(grad, -1))
+        if not halve.any():
+            break
+        mid = 0.5 * (z + z_next)[halve]
+        at = np.flatnonzero(halve) + 1
+        z = np.insert(z, at, mid)
+        gap = np.insert(gap, at, f_values(mid - shift, u, p).real - threshold)
+        halvings += 1
+        count = _cyclic_runs(gap < 0.0)
+    if count != 2:
+        raise QuadratureError(
+            f"region count at (u, p, m) = ({u!r}, {p!r}, {m!r}): the boundary walk of E_m "
+            f"resolves k = {count}, not 2, runs of Re Phi_m below its threshold after "
+            f"{halvings} halvings")
     return count
 
 

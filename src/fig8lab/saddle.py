@@ -113,7 +113,9 @@ def f_values(z, u, p):
 
     The caller is responsible for masking to U_0 / U_m.  Its callers are
     saddle_data (F at sigma_0), phi_m (every checked point of a batch in one
-    call) and region.grid_scan (the grid cells inside U_m, decided cell by cell).
+    call), region.grid_scan (the grid cells inside U_m, decided cell by cell)
+    and region.components_d_cap_e (the boundary walk of E_m, inside U_m by
+    construction).
     """
     shape = np.broadcast_shapes(np.shape(z), np.shape(u), np.shape(p))
     z = np.broadcast_to(np.asarray(z, dtype=np.complex128), shape).ravel()
@@ -121,6 +123,17 @@ def f_values(z, u, p):
     xi = u + 2j * math.pi * p
     out = (li2(np.exp(-xi * (1.0 + z))) - li2(np.exp(-xi * (1.0 - z)))) / xi + u * z - TWO_PI_I
     return complex(out[0]) if shape == () else out.reshape(shape)
+
+
+def f_prime(z, u: float, p: int):
+    """F'(z) = log(2 cosh u - 2 cosh(xi z)), principal branch, elementwise over z.
+
+    The elementary formula extends continuously to the closure of U_0, where
+    the Li2 form meets its cut; no strip check here.  Its library caller is
+    region.components_d_cap_e, which takes |Phi_m'| along the boundary of E_m.
+    """
+    xi = complex(u, 2.0 * math.pi * p)
+    return np.log(2.0 * math.cosh(u) - 2.0 * np.cosh(xi * np.asarray(z, dtype=np.complex128)))
 
 
 def f_zero_value(u: float, p: int) -> complex:

@@ -143,8 +143,7 @@ def test_criterion_08_oracle_equivalence():
 def test_criterion_09_region_topology():
     with criterion(9, "two-lobe region topology and boundary inequalities"):
         for (p, m, u) in ((3, 2, 0.5), (1, 0, 0.5), (2, 1, 0.2)):
-            grid = f8.grid_scan(m, u, p, resolution=400)
-            assert components_d_cap_e(grid) == 2, (p, m, u)
+            assert components_d_cap_e(m, u, p, resolution=400) == 2, (p, m, u)
         for u in (0.05, 0.2, 0.5, 0.9):
             for p in P_GRID:
                 re_f0 = f_zero_value(u, p).real

@@ -356,6 +356,32 @@ def test_region_emits_grid_files(tmp_path, capsys):
     assert len(csv_lines) == 1 + 200 * 200
 
 
+@pytest.mark.parametrize("u, res", [(u, res) for u in (0.9, 0.95, 0.96, 0.962) for res in (60, 400)]
+                         + [(0.05, 50), (0.02, 50)])
+def test_region_counts_two_lobes_near_kappa_and_at_small_u(u, res, capsys):
+    # near kappa the second lobe is a sliver a few cells wide, which a grid
+    # count missed or split (it printed 1 at res 60 and 3 at u = 0.96, res
+    # 400); at u = 0.05 and 0.02, res 50, only the walk's refinement finds
+    # the second run (test_region_refuses_an_unresolved_count)
+    code, out, err = run(["region", "--u", str(u), "--p", "1", "--m", "0", "--res", str(res)], capsys)
+    assert code == 0, err
+    assert json.loads(out)["components_d_cap_e"] == 2
+
+
+@pytest.mark.parametrize("u", [0.05, 0.02])
+def test_region_refuses_an_unresolved_count(u, capsys, monkeypatch):
+    from fig8lab import region
+
+    monkeypatch.setattr(region, "WALK_HALVINGS", 0)
+    code, out, err = run(["region", "--u", str(u), "--p", "1", "--m", "0", "--res", "50"], capsys)
+    assert code == 3
+    assert out == ""
+    # without a halving, the walk at cell spacing sees one of the two runs
+    assert err.startswith(f"error: region count at (u, p, m) = ({u}, 1, 0): the boundary walk")
+    assert "k = 1, not 2" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_region_nu_sets_the_x_bounds(tmp_path, capsys):
     # the grid spans (m + nu)/p to (m + 1 - nu)/p: 0.55 to 0.95 at p = 2, m = 1
     prefix = tmp_path / "grid"

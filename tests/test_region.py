@@ -15,6 +15,8 @@ from fig8lab.numkernel import DomainError
 from fig8lab.qdilog import KAPPA, EvalContext
 from fig8lab.region import (
     _SCAN_BLOCK,
+    _boundary_walk,
+    _grid_box,
     c_pm,
     c_pm_derivative_bound,
     check_f_p12,
@@ -22,7 +24,6 @@ from fig8lab.region import (
     endpoint_decay,
     grid_scan,
     label_components,
-    pinch_epsilon,
     write_grid_csv,
     write_grid_header,
 )
@@ -130,7 +131,7 @@ def test_label_components_simple():
     assert count == 3
     assert labels[0, 0] == labels[1, 1]
     assert labels[1, 3] == labels[2, 3] != labels[3, 0]
-    # cells touching only at a corner are apart: pinch_epsilon relies on 4-connectivity
+    # cells touching only at a corner are apart: the labelling is 4-connected
     labels, count = label_components(np.eye(2, dtype=bool))
     assert count == 2 and labels[0, 0] != labels[1, 1]
     labels, count = label_components(np.zeros((3, 5), dtype=bool))
@@ -148,27 +149,52 @@ def test_label_components_matches_ndimage(mask):
 
 @pytest.mark.parametrize("p,m,u", [(3, 2, 0.5), (1, 0, 0.5), (2, 1, 0.2), (1, 0, 0.9)])
 def test_two_components(p, m, u):
-    grid = grid_scan(m, u, p, resolution=400)
-    assert components_d_cap_e(grid) == 2
+    assert components_d_cap_e(m, u, p, resolution=400) == 2
 
 
 def test_component_count_resolution_stable():
     for res in (300, 500):
-        grid = grid_scan(2, 0.5, 3, resolution=res)
-        assert components_d_cap_e(grid) == 2
+        assert components_d_cap_e(2, 0.5, 3, resolution=res) == 2
+
+
+def test_component_count_refuses_as_the_grid_does():
+    # the walk and the grid share one box and one set of refusals
+    for args, text in (((0, 0.5, 1, 30, 0.02), "resolution must be at least 50x50"),
+                       ((0, 0.5, 1, 60.0, 0.02), "resolution must be positive integers"),
+                       ((0, 0.5, 1, 60, 0.5), r"nu must lie in \(0, 0.5\)"),
+                       ((2, 0.5, 2, 60, 0.02), "m must lie"),
+                       ((0, 0.5, 1, 60, 0.2), "nu = 0.2 leaves sigma_0 outside the grid box")):
+        for fn in (grid_scan, components_d_cap_e):
+            with pytest.raises(DomainError, match=text):
+                fn(*args)
+
+
+@pytest.mark.parametrize("p,m,u,res", [(1, 0, 0.9, 60), (3, 2, 0.5, 400), (1, 0, 0.02, 50)])
+def test_boundary_walk_stays_in_e_m(p, m, u, res):
+    # every point lies in the box, strictly inside U_m, and on the boundary
+    # of the clipped box; neighbours are at most one cell apart in x and y
+    nx, ny, _, _, (x_lo, x_hi, y_lo, y_hi) = _grid_box(m, u, p, res, 0.02)
+    dx, dy = (x_hi - x_lo) / (nx - 1), (y_hi - y_lo) / (ny - 1)
+    z = _boundary_walk(m, u, p, (x_lo, x_hi, y_lo, y_hi), dx, dy)
+    skew = z.real + u / (2 * math.pi * p) * z.imag
+    assert np.all((skew > m / p) & (skew < (m + 1) / p))
+    assert np.all((z.real >= x_lo) & (z.real <= x_hi) & (z.imag >= y_lo) & (z.imag <= y_hi))
+    # the sides of U_m are walked 1e-9 inside, off the Li2 cut
+    edge = np.minimum.reduce([z.real - x_lo, x_hi - z.real, z.imag - y_lo, y_hi - z.imag,
+                              skew - m / p, (m + 1) / p - skew])
+    assert np.all(edge <= 2e-9)
+    step = np.diff(np.append(z, z[0]))
+    assert np.all(np.abs(step.real) <= dx * (1 + 1e-12)) and np.all(np.abs(step.imag) <= dy * (1 + 1e-12))
+    assert 4 * min(nx, ny) * 0.6 < z.size <= 2 * (nx + ny)
 
 
 def test_saddle_cell_excluded():
-    # Phi_m equals its own threshold at sigma_m, so the saddle cell is never
-    # part of the regularized sublevel mask
+    # Phi_m equals its own threshold at sigma_m: the saddle lies on the level
+    # at which D_m's two lobes meet, outside the strict sublevel set
     u, p, m = 0.5, 3, 2
     sd = saddle_data(u, p)
     grid = grid_scan(m, u, p, resolution=200)
     assert abs(phi_m(sd.sigma_m(m), m, u, p).real - grid.threshold) <= 1e-10
-    eps = pinch_epsilon(grid)
-    ix = int(np.argmin(np.abs(grid.xs - sd.sigma_m(m).real)))
-    iy = int(np.argmin(np.abs(grid.ys - sd.sigma_m(m).imag)))
-    assert not (grid.re_phi[iy, ix] < grid.threshold - eps)
 
 
 def test_vertical_ridge_above_and_below_saddle():

@@ -11,6 +11,7 @@ from fig8lab.numkernel import DomainError, lc_sum, reduce_phase
 from fig8lab.qdilog import KAPPA, EvalContext
 from fig8lab.jones import beta_factors, jones_at_cusp
 from fig8lab.modularity import cusp_volume
+from fig8lab import saddle
 from fig8lab.saddle import (
     asymptotic_ratio,
     asymptotic_rhs,
@@ -155,6 +156,18 @@ def test_f_prime_vanishes_at_sigma0():
         for p in P_GRID:
             sd = saddle_data(u, p)
             assert abs(f_prime(sd.sigma0, u, p)) <= 1e-10
+
+
+def test_f_prime_is_the_reference_formula():
+    # the library's elementwise F' against the cmath reference, inside U_0 and at sigma_0
+    rng = np.random.default_rng(47)
+    for u in U_GRID:
+        for p in P_GRID:
+            z = rng.uniform(0.05, 0.95, 20) / p + 1j * rng.uniform(-0.04, 0.04, 20)
+            values = saddle.f_prime(z, u, p)
+            assert np.all(np.abs(values - [f_prime(w, u, p) for w in z.tolist()])
+                          <= 1e-14 * np.maximum(1.0, np.abs(values)))
+            assert abs(saddle.f_prime(saddle_data(u, p).sigma0, u, p)) <= 1e-10
 
 
 def test_f_second_matches_closed_form():
