@@ -22,9 +22,10 @@ phases 2 pi e r reduced in exact integers (see _multiples): r = p/N at the
 cusp, num/den at a root of unity, and -N/p for the dual J_p(E; e^{4 N pi^2/xi}),
 whose terms are beta_factors(ctx).
 
-The float64 sum cancels.  The benchmark (bench/README.md) measures about
-4.5 digits lost per 1000 N at u = 0.5, p = 2, and 8.9 digits lost at
-u = 0.2, N = 6401: a small u is not safe either.
+The float64 sum cancels: at u = 0.5, p = 2 about 6.0 digits are lost per
+1000 N (8.3, 17.7 and 75.0 digits at N = 1601, 3201 and 12801), and the
+benchmark (bench/README.md) measures 8.9 digits lost at u = 0.2, N = 6401:
+a small u is not safe either.
 
 Also provided: the splitting J_N(E; e^{xi/N}) = 1 + sum_{k=1}^{N-1} e^{pref +
 beta_m + N f_N(z_k)} into beta-prefactors and the finite-N phase function
@@ -142,15 +143,18 @@ def f_n(z, ctx: EvalContext):
 
     z may be an array; its 2 z.size T_N values come from one batched t_n call,
     so they take the Bernoulli series wherever it meets qdilog.TOL.  A 0-d z is
-    a one-point batch, so its value equals its entry in any array.
+    a one-point batch, so its value equals its entry in any array.  For that,
+    xi (1 -+ z) is an explicit np.multiply call, which numpy never elides: from
+    16,384 points its temporary elision computes xi * (1.0 - z) in place as
+    (1.0 - z) * xi, whose swapped operands round differently, by up to 1.8e-15.
     """
     arr = np.asarray(z, dtype=complex)
     z = arr.ravel()
     xi, n = ctx.xi, ctx.n
     require_strip(z, -0.5 / n, 1.0 / ctx.p + 0.5 / n, "the f_N strip", lambda i: str(ctx),
                   ctx.u / (2.0 * math.pi * ctx.p))
-    a, b = t_n(np.stack([xi * (1.0 - z) / (2j * math.pi) - ctx.p + 1.0,
-                         xi * (1.0 + z) / (2j * math.pi) - ctx.p]), ctx)
+    a, b = t_n(np.stack([np.multiply(xi, 1.0 - z) / (2j * math.pi) - ctx.p + 1.0,
+                         np.multiply(xi, 1.0 + z) / (2j * math.pi) - ctx.p]), ctx)
     value = (a - b) / n - ctx.u * z + 4.0 * ctx.p * math.pi ** 2 / xi
     return complex(value[0]) if arr.ndim == 0 else value.reshape(arr.shape)
 

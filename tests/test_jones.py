@@ -331,6 +331,18 @@ def test_f_n_at_a_scalar_is_its_array_entry(u, p, n):
     assert isinstance(f_n(zs[0], ctx), complex)
 
 
+def test_f_n_large_batch_is_its_small_batches():
+    # a batch of 16,384 points or more crosses numpy's temporary elision size,
+    # where a scalar times a temporary computes in place with its operands
+    # swapped; at (0.5, 2, 40001) 6,177 of these 20,000 points then moved
+    ctx = EvalContext(u=0.5, p=2, n=40001)
+    m, zs = sector_points(np.arange(1, ctx.n), ctx)
+    zs = zs[m == 1][:20_000]
+    values = f_n(zs, ctx)
+    assert np.array_equal(values, np.concatenate([f_n(zs[s:s + 1000], ctx)
+                                                  for s in range(0, zs.size, 1000)]))
+
+
 @pytest.mark.parametrize("u,p,n", [(0.5, 2, 97), (0.5, 3, 101), (0.5, 2, 100), (0.5, 3, 99),
                                    (0.5, 2, 10), (0.5, 4, 12), (0.5, 4, 4),
                                    (0.5, 1, 1), (0.5, 2, 1)])

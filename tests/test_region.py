@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,23 +70,39 @@ def test_grid_flags_are_consistent(u):
 
 @pytest.mark.parametrize("u", [0.5, 0.9])
 def test_grid_scan_blocks_match_one_call(u):
+    # the row-block scan holds, bit for bit, one f_values call over every
+    # inside cell; 160 rows of 200 are four blocks of 40 rows, and 151 rows
+    # end in a short block
     p, m = 1, 0
-    grid = grid_scan(m, u, p, resolution=(200, 150))
-    inside = grid.in_u
-    assert inside.sum() > _SCAN_BLOCK
-    assert (~inside).any() == (u == 0.9)
-    X, Y = np.meshgrid(grid.xs, grid.ys)
-    xi = complex(u, 2 * math.pi * p)
-    ref = np.full(X.shape, np.nan)
-    ref[inside] = f_values((X + 1j * Y)[inside] - 2j * m * math.pi / xi, u, p).real
-    assert np.array_equal(np.isnan(grid.re_phi), np.isnan(ref))
-    assert np.all(np.abs(grid.re_phi[inside] - ref[inside]) <= 1e-15 * np.maximum(1.0, np.abs(ref[inside])))
-    skew = X + u / (2 * math.pi * p) * Y
-    assert np.array_equal(inside, (skew > m / p) & (skew < (m + 1) / p))
-    with np.errstate(invalid="ignore"):
-        assert np.array_equal(grid.in_d, inside & (ref < grid.threshold))
-        assert np.array_equal(grid.in_rbar, inside & (Y >= 0) & (ref < grid.threshold + 2 * math.pi * Y))
-        assert np.array_equal(grid.in_runder, inside & (Y <= 0) & (ref < grid.threshold - 2 * math.pi * Y))
+    for resolution in ((200, 160), (200, 151)):
+        grid = grid_scan(m, u, p, resolution=resolution)
+        inside = grid.in_u
+        assert inside.sum() > _SCAN_BLOCK
+        assert (~inside).any() == (u == 0.9)
+        X, Y = np.meshgrid(grid.xs, grid.ys)
+        xi = complex(u, 2 * math.pi * p)
+        ref = np.full(X.shape, np.nan)
+        ref[inside] = f_values((X + 1j * Y)[inside] - 2j * m * math.pi / xi, u, p).real
+        assert np.array_equal(grid.re_phi, ref, equal_nan=True)
+        skew = X + u / (2 * math.pi * p) * Y
+        assert np.array_equal(inside, (skew > m / p) & (skew < (m + 1) / p))
+        with np.errstate(invalid="ignore"):
+            assert np.array_equal(grid.in_d, inside & (ref < grid.threshold))
+            assert np.array_equal(grid.in_rbar, inside & (Y >= 0) & (ref < grid.threshold + 2 * math.pi * Y))
+            assert np.array_equal(grid.in_runder, inside & (Y <= 0) & (ref < grid.threshold - 2 * math.pi * Y))
+
+
+def test_grid_scan_peak_memory():
+    # the row blocks build no full-grid temporary: a 400x400 scan holds its
+    # RegionGrid (12 bytes a cell, 1.9 MB) and one block's temporaries, about
+    # 2.8 MB in all; full-grid meshes and masked copies peaked at 12.2 MB
+    tracemalloc.start()
+    try:
+        grid_scan(2, 0.5, 3, 400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
 
 
 def test_grid_resolution_guard():

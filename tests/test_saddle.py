@@ -144,6 +144,16 @@ def test_f_values_takes_per_point_u_and_p():
     assert f_values(z.reshape(6, 10), u.reshape(6, 10), 2).shape == (6, 10)
 
 
+def test_f_values_large_batch_is_its_small_batches():
+    # past 16,384 points numpy's temporary elision would compute xi times a
+    # temporary in place, operands swapped, which rounds differently
+    rng = np.random.default_rng(5)
+    z = rng.uniform(0.05, 0.3, 40_000) / 3 + 1j * rng.uniform(-0.05, 0.05, 40_000)
+    values = f_values(z, 0.5, 3)
+    assert np.array_equal(values, np.concatenate([f_values(z[s:s + 1000], 0.5, 3)
+                                                  for s in range(0, z.size, 1000)]))
+
+
 def test_f_domain_error():
     with pytest.raises(DomainError):
         phi_m(0.0, 0, 0.5, 2)
