@@ -13,14 +13,15 @@ whose products come from one numpy kernel, log_qpoch: numkernel.log1mexp of
 every factor (principal logs from real ufuncs, in blocks of bounded scratch),
 then one cumulative sum over the 2k factors.  The outer sum is one
 numkernel.lc_sum, and every value is returned as a complex log (see
-numkernel).  Phases: every factor has the principal phase log1mexp returns,
-and every weight e^{-kNw} is reduced (through reduce_phase), so both lie in
-(-pi, pi] before they are summed; unreduced phases, or pairwise sums of the
-two factors of each l, cost digits at large N.  Every exponent is a pair
-(a, r) for w = a + 2 pi i r with r rational, whose multiples have their
-phases 2 pi e r reduced in exact integers (see _multiples): r = p/N at the
-cusp, num/den at a root of unity, and -N/p for the dual J_p(E; e^{4 N pi^2/xi}),
-whose terms are beta_factors(ctx).
+numkernel).  Every exponent is a multiple e w, e an integer, built by
+_exponents from a pair (a, r) for w = a + 2 pi i r with r rational, its phase
+2 pi e r reduced in exact integers: r = p/N at the cusp, num/den at a root of
+unity, and -N/p for the dual J_p(E; e^{4 N pi^2/xi}), whose terms are
+beta_factors(ctx).  Every factor has the principal phase log1mexp returns, and
+every weight e^{-knw} a phase in (-pi, pi]: exactly 0 where a is real and n r
+an integer (the cusp, a root of unity q with q^n = 1), reduced through
+reduce_phase elsewhere.  Unreduced phases, or pairwise sums of the two factors
+of each l, cost digits at large N.
 
 The float64 sum cancels: at u = 0.5, p = 2 about 6.0 digits are lost per
 1000 N (8.3, 17.7 and 75.0 digits at N = 1601, 3201 and 12801), and the
@@ -46,25 +47,32 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numkernel import DomainError, lc_one_minus_exp, lc_sum, log1mexp, reduce_phase
+from .numkernel import TWO_PI, DomainError, lc_one_minus_exp, lc_sum, log1mexp, reduce_phase
 from .qdilog import EvalContext, require_counts, require_integers, require_sector, require_strip, t_n
 
 
-def _multiples(e: np.ndarray, w) -> np.ndarray:
-    """The exponents e * w for an integer array e.
+def _pair(w) -> tuple:
+    """(a, r) for an exponent w = a + 2 pi i r; a complex w is the pair (w, 0)."""
+    return w if isinstance(w, tuple) else (w, 0)
 
-    w is a pair (a, r) of a complex a and a rational r standing for
-    w = a + 2 pi i r; a complex w is the pair (w, 0).  e * r is reduced
-    modulo 1 in exact integers, so each phase is rounded once however large
-    e is, and e * w is exactly 0 when a = 0 and e * r is an integer.
+
+def _exponents(e: np.ndarray, bound: int, w) -> np.ndarray:
+    """The exponents e * w for an int64 array e with |e| <= bound.
+
+    For w = a + 2 pi i num/den (see _pair) the phase of e * w is 2 pi (e num
+    mod den)/den, a residue taken in exact integers, so each phase is rounded
+    once however large e is, and e * w is exactly 0 when a = 0 and e * num/den
+    is an integer.  e * num is formed in int64 while bound * num and num fit,
+    else in Python integers.
     """
-    a, r = w if isinstance(w, tuple) else (w, 0)
+    a, r = _pair(w)
     num, den = r.numerator % r.denominator, r.denominator
-    if den > 2 ** 31:                  # keep (e mod den) * num within int64
-        e = e.astype(object)
     out = np.empty(e.shape, dtype=complex)
-    out.real = e * a.real
-    out.imag = 2.0 * math.pi / den * (e % den * num % den)
+    np.multiply(e, a.real, out=out.real)
+    residues = (e if max(bound, 1) * num < 2 ** 63 else e.astype(object)) * num
+    residues %= den
+    # an object residue is rounded to a float once, as an int64 one is
+    np.multiply(residues, TWO_PI / den, out=out.imag, casting="unsafe")
     if a.imag:
         out.imag += e * a.imag
     return out
@@ -75,19 +83,35 @@ def log_qpoch(c: int, k: int, w) -> np.ndarray:
 
     One cumulative sum runs over the 2k factor logs in the order c+1, c-1,
     c+2, c-2, ...; a vanishing factor gives -inf, which every later entry
-    inherits.  w is a complex exponent or a pair (a, r) (see _multiples).
+    inherits.  w is a complex exponent or a pair (a, r) (see _pair).
     """
-    # no name holds the exponent array, so it is freed before log1mexp allocates
-    logs = log1mexp(_multiples((c + np.outer(np.arange(1, k + 1), (1, -1))).ravel(), w))
-    return np.concatenate(([0j], np.cumsum(logs)[1::2]))
+    e = np.empty(2 * k, dtype=np.int64)
+    e[0::2] = np.arange(c + 1, c + k + 1)
+    e[1::2] = np.arange(c - 1, c - k - 1, -1)
+    logs = _exponents(e, abs(c) + k, w)
+    del e                               # freed before log1mexp allocates
+    logs = log1mexp(logs)
+    out = np.empty(k + 1, dtype=complex)
+    out[0] = 0.0
+    out[1:] = np.cumsum(logs, out=logs)[1::2]
+    return out
 
 
 def _jones_terms(n: int, w) -> np.ndarray:
     """The complex logs of the n terms of J_n(E; e^w), each weight's phase in (-pi, pi]."""
     terms = log_qpoch(n, n - 1, w)
-    weights = _multiples(-n * np.arange(n), w)
-    terms.real += weights.real
-    terms.imag += reduce_phase(weights.imag)
+    e = np.arange(0, -n * n, -n)       # the weights e^{-knw}, k = 0..n-1
+    a, r = _pair(w)
+    if a.imag == 0 and n * r.numerator % r.denominator == 0:
+        # a is real and n r an integer: every weight is real and positive, its
+        # phase exactly 0; adding +0.0 turns a term phase -0.0 into +0.0, as
+        # adding reduced zero phases does
+        terms.real += e * a.real
+        terms.imag += 0.0
+    else:
+        weights = _exponents(e, n * n, w)
+        terms.real += weights.real
+        terms.imag += reduce_phase(weights.imag)
     return terms
 
 
@@ -95,12 +119,12 @@ def jones_exp(n: int, w) -> complex:
     """The complex log of J_n(E; e^w); w is the exponent of the variable q.
 
     w is a complex, or a pair (a, r) for a + 2 pi i r with a finite complex a and a
-    rational r, whose phases are exact (see _multiples).  q depends on w only modulo
+    rational r, whose phases are exact (see _exponents).  q depends on w only modulo
     2 pi i, so a complex w has Im w reduced into (-pi, pi] first: its multiples, up
     to 2n w, then lose no digits to a dropped multiple of 2 pi.
     """
     require_counts("n", n)
-    a, r = w if isinstance(w, tuple) else (w, 0)
+    a, r = _pair(w)
     if not (cmath.isfinite(a) and isinstance(r, numbers.Rational)):
         raise DomainError(f"w = {w} is not finite at J_{n}")
     if not isinstance(w, tuple):

@@ -18,15 +18,16 @@ log1mexp is the one kernel behind every Jones product (jones.log_qpoch)
 and lc_one_minus_exp.  It takes log(1 - e^w) from real ufuncs (a sin of
 y/2, a sin of y, an atan2 and a hypot per factor), in blocks of bounded
 scratch, and its phase needs no modular reduction.  On long products it
-costs about a third of numpy's complex expm1 and log; on one factor the
-two cost the same, since there the number of ufunc calls sets the time.
+costs about 0.7 of numpy's complex expm1 and log (0.51 against 0.72 ms for
+12,800 factors on a 2-vCPU Xeon).  A short product is one block, whose 19
+ufunc calls then set the time: about 12 us for one to a few factors, against
+under 2 us for expm1 and log.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -51,9 +52,12 @@ def reduce_phase(x) -> np.ndarray:
     """Reduce angles elementwise to the half-open interval (-pi, pi].
 
     Values already in range are returned unchanged so that tiny phases are
-    not destroyed by the modular reduction.
+    not destroyed by the modular reduction, and an input wholly in range
+    costs only its min and max.
     """
     y = np.array(x, dtype=np.float64)
+    if -math.pi < y.min(initial=0.0) and y.max(initial=0.0) <= math.pi:
+        return y
     out = (y <= -math.pi) | (y > math.pi)
     r = math.pi - np.mod(math.pi - y[out], TWO_PI)
     # x = -pi (mod 2pi) must land on +pi, the closed end of the interval
@@ -82,10 +86,10 @@ def lc_sum(logs) -> complex:
     logs = np.asarray(logs, dtype=np.complex128)
     if logs.size == 0:
         raise DomainError("sum of an empty sequence")
-    bad = ~(np.isfinite(logs.imag) & (logs.real < math.inf))
-    if bad.any():
+    m = float(logs.real.max())          # NaN if any real part is
+    if not (m < math.inf and np.isfinite(logs.imag).all()):
+        bad = ~(np.isfinite(logs.imag) & (logs.real < math.inf))
         raise DomainError(f"complex log {logs[bad][0]} is not a number")
-    m = float(logs.real.max())
     if m == -math.inf:
         return complex(-math.inf, 0.0)
     scaled = logs - m
@@ -117,8 +121,7 @@ def log1mexp(w) -> np.ndarray:
     with np.errstate(divide="ignore"):
         for lo in range(0, src.size, _FACTOR_BLOCK):
             hi = lo + _FACTOR_BLOCK
-            rows = scratch if hi <= src.size else scratch[:, :src.size - lo]
-            _log1mexp_block(src[lo:hi], dst[lo:hi], *rows)
+            _log1mexp_block(src[lo:hi], dst[lo:hi], *scratch[:, :src.size - lo])
     # a phase within half an ulp above -pi rounds to -pi, outside the interval
     out.imag[out.imag == _MINUS_PI] = math.pi
     return out
@@ -172,18 +175,21 @@ def lc_one_minus_exp(w: complex) -> complex:
 # Dilogarithm
 # ---------------------------------------------------------------------------
 
-def _bernoulli_coefficients(count: int) -> np.ndarray:
-    """c_n = B_n / (n+1)! for the log-series expansion of Li2."""
-    b = [Fraction(1)]
-    for m in range(1, count):
-        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
-    return np.array([float(b[n] / math.factorial(n + 1)) for n in range(count)])
-
-
-# Li2(t) = sum c_n v^{n+1}, v = -log(1 - t), with c_n = 0 for odd n > 1.  On
-# |v| <= 3.22 the 26 even c_n up to c_50 leave a truncation below rounding;
-# 24 of them cost 8.7e-16 of max(1, |Li2|) near w = 1.52, 22 cost 3.3e-15.
-_LI2_COEF = _bernoulli_coefficients(52)
+# Li2(t) = sum c_n v^{n+1}, v = -log(1 - t), with c_n = B_n/(n+1)! and c_n = 0
+# for odd n > 1.  On |v| <= 3.22 the 26 even c_n up to c_50 leave a truncation
+# below rounding; 24 of them cost 8.7e-16 of max(1, |Li2|) near w = 1.52, 22
+# cost 3.3e-15.  The literals are the exact Bernoulli fractions rounded to floats.
+_LI2_COEF = np.zeros(52)
+_LI2_COEF[:2] = 1.0, -0.25
+_LI2_COEF[2::2] = (
+    0.027777777777777776, -0.0002777777777777778, 4.72411186696901e-06, -9.185773074661964e-08,
+    1.8978869988971e-09, -4.0647616451442256e-11, 8.921691020456452e-13,
+    -1.9939295860721074e-14, 4.518980029619918e-16, -1.0356517612181247e-17,
+    2.395218621026187e-19, -5.581785874325009e-21, 1.3091507554183213e-22,
+    -3.0874198024267403e-24, 7.315975652702203e-26, -1.740845657234001e-27,
+    4.1576356446139e-29, -9.962148488284622e-31, 2.3940344248961652e-32, -5.76834735536739e-34,
+    1.393179479647008e-35, -3.3721219654850894e-37, 8.178208777562102e-39,
+    -1.987010831152386e-40, 4.8357785180405507e-42)
 _EVEN_COEF = _LI2_COEF[-2:1:-2]                 # c_50, c_48, ..., c_2
 
 

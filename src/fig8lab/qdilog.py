@@ -148,25 +148,25 @@ def require_strip(z, lo, hi, name: str, where, skew=0.0) -> None:
         raise DomainError(f"z = {z[i]} outside {name}: {detail}, not in ({lo}, {hi}) at {where(i)}")
 
 
-# The 25-point Gauss-Kronrod rule on [-1, 1] (Laurie, Math. Comp. 66, 1997):
-# the 12 Gauss nodes at the odd positions, bit-equal to leggauss(12)'s, and the
-# 13 Kronrod nodes at the even ones.  The Kronrod nodes and weights, symmetric
-# about 0, were computed in mpmath at 60 digits and rounded to float64.
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(12)
-_KRONROD_HALF_X = np.array([
-    0.0, 0.2485057483204693, 0.48133945047815707, 0.6840598954700559,
-    0.8435581241611533, 0.9505377959431213, 0.9969339225295955])
-_KRONROD_HALF_W = np.array([
+# The 25-point Gauss-Kronrod rule on [-1, 1] (Laurie, Math. Comp. 66, 1997),
+# symmetric about 0, from its nodes >= 0: the 13 Kronrod nodes at the even
+# positions, computed in mpmath at 60 digits and rounded to float64, and the
+# 12 Gauss nodes at the odd ones, with Gauss weights bit-equal to leggauss(12)'s.
+_HALF_NODES = np.array([
+    0.0, 0.1252334085114689, 0.2485057483204693, 0.3678314989981802, 0.48133945047815707,
+    0.5873179542866175, 0.6840598954700559, 0.7699026741943047, 0.8435581241611533,
+    0.9041172563704748, 0.9505377959431213, 0.9815606342467192, 0.9969339225295955])
+_HALF_K_W = np.array([
     0.12555689390547434, 0.12458416453615608, 0.12162630352394839, 0.11671205350175683,
     0.11002260497764407, 0.10164973227906028, 0.09154946829504922, 0.0799202753336017,
     0.06725090705083993, 0.05369701760775625, 0.038915230469299476, 0.023036084038982232,
     0.008257711433168396])
-_NODES = np.empty(25)
-_NODES[0::2] = np.concatenate((-_KRONROD_HALF_X[:0:-1], _KRONROD_HALF_X))
-_NODES[1::2] = _GAUSS_X
-_K_W = np.concatenate((_KRONROD_HALF_W[:0:-1], _KRONROD_HALF_W))
-_G_W = np.zeros(25)
-_G_W[1::2] = _GAUSS_W
+_HALF_G_W = np.array([
+    0.0, 0.2491470458134027, 0.0, 0.2334925365383546, 0.0, 0.20316742672306573, 0.0,
+    0.16007832854334642, 0.0, 0.10693932599531907, 0.0, 0.04717533638651141, 0.0])
+_NODES = np.concatenate((-_HALF_NODES[:0:-1], _HALF_NODES))
+_K_W = np.concatenate((_HALF_K_W[:0:-1], _HALF_K_W))
+_G_W = np.concatenate((_HALF_G_W[:0:-1], _HALF_G_W))
 TOL = 1.0e-10
 _MAX_REFINEMENTS = 3
 _MAX_TAIL = 5.0e5

@@ -4,6 +4,7 @@ finite-N decomposition / product identities."""
 import cmath
 import math
 import re
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fig8lab import qdilog
+from fig8lab import cli, jones, qdilog
 from fig8lab.numkernel import DomainError, lc_sum
 from fig8lab.qdilog import EvalContext
 from fig8lab.jones import (
@@ -83,7 +84,7 @@ def test_counts_must_be_positive_integers():
                                (complex(0.1, math.nan), Fraction(1, 3)), (0.1, 0.5)],
                          ids=["im-inf", "re-inf", "pair-inf", "pair-nan", "pair-float-r"])
 def test_non_finite_exponent_is_refused(w):
-    # refused before reduce_phase or _multiples turns it into NaN terms; a
+    # refused before reduce_phase or _exponents turns it into NaN terms; a
     # float r has no exact phase and is refused too
     with pytest.raises(DomainError, match=rf"w = {re.escape(str(w))} is not finite at J_3"):
         jones_exp(3, w)
@@ -198,6 +199,129 @@ def test_log_qpoch_vanishing_root_of_unity_factor_is_exact():
         q = mp.expjpi(mp.mpf(2) / 5)
         ref = (1 - q ** 8) * (1 - q ** 6)
         assert abs(mp.expm1(mp.mpc(logs[1]) - mp.log(ref))) <= 1e-15
+
+
+def _reduce_phase_reference(x):
+    y = np.array(x, dtype=np.float64)
+    out = (y <= -math.pi) | (y > math.pi)
+    r = math.pi - np.mod(math.pi - y[out], 2.0 * math.pi)
+    r[r <= -math.pi] += 2.0 * math.pi
+    y[out] = r
+    return y
+
+
+def _multiples_reference(e, w):
+    a, r = w if isinstance(w, tuple) else (w, 0)
+    num, den = r.numerator % r.denominator, r.denominator
+    if den > 2 ** 31:
+        e = e.astype(object)
+    out = np.empty(e.shape, dtype=complex)
+    out.real = e * a.real
+    out.imag = 2.0 * math.pi / den * (e % den * num % den)
+    if a.imag:
+        out.imag += e * a.imag
+    return out
+
+
+def _log_qpoch_reference(c, k, w):
+    logs = jones.log1mexp(_multiples_reference((c + np.outer(np.arange(1, k + 1), (1, -1))).ravel(), w))
+    return np.concatenate(([0j], np.cumsum(logs)[1::2]))
+
+
+def _jones_terms_reference(n, w):
+    """J_n's terms as the earlier builder made them: _multiples for factors and
+    weights, an outer product of exponents, and every weight phase reduced."""
+    terms = _log_qpoch_reference(n, n - 1, w)
+    weights = _multiples_reference(-n * np.arange(n), w)
+    terms.real += weights.real
+    terms.imag += _reduce_phase_reference(weights.imag)
+    return terms
+
+
+# the benchmark's jones_sweep calls: jones and theorem at its (u, p, N), and
+# modularity at eta = S, with and without --zagier
+_SWEEP = [("0.5", "2", "101..1001", "100"), ("0.5", "2", "1601,3201", "1"),
+          ("0.2", "1", "401,801,1601,3201,6401", "1"), ("0.9", "1", "51,101,151,201,401", "1")]
+_SWEEP_ARGV = [[command, "--u", u, "--p", p, "--N", n, "--step", step]
+               for command in ("jones", "theorem") for u, p, n, step in _SWEEP]
+_MODULARITY = ["modularity", "--eta", "0,-1,1,0", "--p", "1,2,3", "--N-list", "299,599,899"]
+_SWEEP_ARGV += [_MODULARITY + ["--u", "0.5"], _MODULARITY + ["--zagier"]]
+
+
+def test_jones_terms_bit_equal_to_earlier_builder(monkeypatch, capsys):
+    # every term array of jones_at_cusp, beta_factors, jones_exp and
+    # jones_exp_unity equals the earlier builder's in every bit, signed zeros
+    # included: the zero-phase weights of the cusp and of roots of unity, the
+    # dual's 2-3 terms, a complex a, and a den past 2^31 on both sides of the
+    # switch to Python integers (7^2 * 3 fits int64; 65537 * 65536 * (2^31 + 10),
+    # the largest weight exponent times num, does not)
+    calls = []
+    terms = jones._jones_terms
+    monkeypatch.setattr(jones, "_jones_terms", lambda n, w: calls.append((n, w)) or terms(n, w))
+    for argv in _SWEEP_ARGV:
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == 102
+    jones_exp(1, 0.37 + 1.1j)
+    jones_at_cusp(EvalContext(u=0.5, p=1, n=1))
+    for n, num, den in ((1, 1, 3), (6, 1, 3), (200, 5, 301), (7, 3, 2 ** 31 + 11),
+                        (2 ** 16 + 1, 2 ** 31 + 10, 2 ** 31 + 11)):
+        jones_exp_unity(n, num, den)
+    jones_exp(7, (0.1 + 0.2j, Fraction(1, 3)))
+    jones_exp(20, (0.03 - 0.02j, Fraction(-3, 7)))
+    jones_exp(5, (-0.25, Fraction(2 ** 62 + 1, 2 ** 62 + 5)))
+    for n, w in calls:
+        mine, ref = terms(n, w), _jones_terms_reference(n, w)
+        assert np.array_equal(mine.view(np.int64), ref.view(np.int64)), (n, w)
+    # the partial products of product_identity_residual, and a vanishing factor at c <= k
+    for c, k, w in [(12, k, (0.5 / 12, Fraction(4, 12))) for k in range(12)] + [(5, 9, -0.3 + 1.1j)]:
+        assert np.array_equal(log_qpoch(c, k, w).view(np.int64), _log_qpoch_reference(c, k, w).view(np.int64))
+
+
+@pytest.mark.parametrize("largest", [9, 20], ids=["factors", "weights"])
+def test_exponent_bounds_reach_the_largest_product(largest):
+    # each caller of _exponents states a bound on |e|; at n = 5 the largest
+    # factor exponent is 2n - 1 = 9 and the largest weight exponent n(n - 1) = 20.
+    # With num = ceil(2^63/largest), that exponent times num just passes int64,
+    # so a bound stated below it would wrap e * num by 2^64 and move the phases
+    # by 2 pi (2^64 mod den)/den, here 0.15 of a turn
+    num, den = -(-2 ** 63 // largest), 3 * 10 ** 18 + 1
+    assert (largest - 1) * num < 2 ** 63 <= largest * num and num < den
+    w = (0.0, Fraction(num, den))
+    mine, ref = jones._jones_terms(5, w), _jones_terms_reference(5, w)
+    assert np.array_equal(mine.view(np.int64), ref.view(np.int64))
+
+
+def test_zero_phase_weights_keep_the_reduced_signed_zero(monkeypatch):
+    # log1mexp returns no phase -0.0; were a term's phase -0.0, the exact zero
+    # weight phases must still turn it into +0.0 as reduced zero phases do
+    kernel = jones.log1mexp
+
+    def negative_zero_phases(w):
+        out = kernel(w)
+        out.imag[out.imag == 0.0] = -0.0
+        return out
+
+    monkeypatch.setattr(jones, "log1mexp", negative_zero_phases)
+    for w in (-0.3, (-0.3, Fraction(4))):
+        assert np.signbit(log_qpoch(9, 8, w).imag[1:]).all()
+        mine, ref = jones._jones_terms(9, w), _jones_terms_reference(9, w)
+        assert not np.signbit(mine.imag).any()
+        assert np.array_equal(mine.view(np.int64), ref.view(np.int64))
+
+
+def test_jones_at_cusp_peak_memory():
+    # the int64 exponents are freed before log1mexp allocates: held there,
+    # they would add 0.2 MB to this peak of 1.04 MB for 25,600 factors
+    ctx = EvalContext(u=0.5, p=2, n=12801)
+    jones_at_cusp(ctx)
+    tracemalloc.start()
+    try:
+        jones_at_cusp(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.10e6
 
 
 # ---------------------------------------------------------------------------
