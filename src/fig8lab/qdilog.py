@@ -40,14 +40,17 @@ One batched quadrature driver serves every z, and one call of it takes points
 of any (u, p, N): identity_residuals checks all three functional equations of
 E_N for samples of any contexts with one quadrature call (t_n takes one
 context).  The same driver evaluates the N-free integrals behind L_0, L_1,
-L_2.  Points with the same integrand share the semicircle nodes.  The ray
-nodes of all points, and the semicircle rows of each group of points, are
-evaluated in blocks of at most _BLOCK_NODES nodes, so memory stays bounded
-however large the batch.  Every panel takes the 25-point Gauss-Kronrod rule
-K25, and its 12 embedded Gauss nodes give G12 at no extra evaluation; a
-point's value is its K25 sum and its error estimate |K25 - G12|.  Refinement
-level l splits each ray panel into 2^l panels and the semicircle into 4 * 2^l
-(at least ceil|2z - 1|).  Only the points whose estimate is TOL or more go on
+L_2.  Each refinement level sums both rays of every point still active in
+one ray sum, and points with the same integrand share the semicircle nodes;
+a point's value does not depend on the batch it comes in.  The ray nodes of
+all points, and the semicircle rows of each group of points, are evaluated
+in blocks of at most _BLOCK_NODES nodes, and each ray block builds its own
+panel geometry, so memory stays bounded however large the batch.  The node
+offsets and the semicircle nodes are read-only tables, one per panel count.
+Every panel takes the 25-point Gauss-Kronrod rule K25, and its 12 embedded
+Gauss nodes give G12 at no extra evaluation; a point's value is its K25 sum
+and its error estimate |K25 - G12|.  Refinement level l splits each ray
+panel into 2^l panels and the semicircle into 4 * 2^l (at least ceil|2z - 1|).  Only the points whose estimate is TOL or more go on
 to the next level, up to level 3.  The module constant TOL = 1e-10 is the
 one accuracy target, read at call time: an absolute bound on the error of
 each T_N value, which also sets where each ray is cut.  No argument or option
@@ -229,62 +232,69 @@ _BLOCK_NODES = 16_384
 
 
 def _bend(rate, gamma, key, ray):
-    """Each point's bent ray (see the module docstring) for the given rate.
+    """Each ray's bend (see the module docstring); rate, gamma and key are per ray.
 
-    Returns k, the turn d, the tail's panel count and width, and the path's
-    end x_k + s, which _MAX_TAIL bounds.  The tail's length s is where the
-    bound on the whole integrand left past it, |ray(x_k, Re key)|
-    e^{Re(rate) x_k - nu s} / nu with nu = -Re(rate d), falls below 1e-5 TOL;
-    s is at least one panel width.
+    Returns k, the tail's panel count, its panel step (the panel width times
+    the turn d) and the path's end x_k + s, which _MAX_TAIL bounds.  The
+    tail's length s is where the bound on the whole integrand left past it,
+    |ray(x_k, Re key)| e^{Re(rate) x_k - nu s} / nu with nu = -Re(rate d),
+    falls below 1e-5 TOL; s is at least one panel width.
     """
     cap = _RATE_WIDTH / (np.abs(rate) + np.abs(gamma.imag))
     k = np.maximum(np.ceil(np.log2(cap)), 0.0)
     x_k = 2.0 ** k
-    turn = np.exp(1j * np.clip(np.angle(-rate.conjugate()), -_MAX_TURN, _MAX_TURN))
+    # arg(-conj rate), clipped to [-_MAX_TURN, _MAX_TURN]
+    turn = np.exp(1j * np.minimum(np.maximum(np.arctan2(rate.imag, -rate.real), -_MAX_TURN), _MAX_TURN))
     nu = -(rate * turn).real
     bound = np.abs(ray(x_k, key.real))
     length = np.maximum((np.log(1e5 * bound / (TOL * nu)) + rate.real * x_k) / nu, cap)
     count = np.ceil(length / cap)
-    return k.astype(np.int64), turn, count.astype(np.int64), length / count, x_k + length
+    return k.astype(np.int64), count.astype(np.int64), length / count * turn, x_k + length
 
 
-def _ray_sums(k, turn, count, width, rate, key, split: int, ray) -> np.ndarray:
-    """Per-point K25 and G12 sums of e^{rate x} ray(x, key) along each point's bent ray.
+def _ray_sums(k, count, step, rate, key, split: int, ray) -> np.ndarray:
+    """Per-ray K25 and G12 sums of e^{rate x} ray(x, key) along each bent ray.
 
-    The ray runs along the real axis from 1 to x_k = 2^k in the panels
-    [2^j, 2^{j+1}], then leaves x_k in the direction turn in count evenly
-    spaced panels of the given width.  Each panel is split into `split`
-    equal panels of 25 nodes.  The panels are evaluated in blocks (see
-    _row_blocks).  Returns the Kronrod sums in row 0 and the Gauss sums in row 1.
+    Every argument but split and ray is a per-ray array, so one call sums
+    both rays of every point.  A ray runs along the real axis from 1 to
+    x_k = 2^k in the panels [2^j, 2^{j+1}], then leaves x_k in count panels
+    of the complex step.  Each panel is split into `split` equal panels of
+    25 nodes.  The panels are evaluated in blocks (see _row_blocks), and
+    each block builds its own panel geometry, so that no per-panel array
+    outgrows a block.  Returns the Kronrod sums in row 0 and the Gauss sums
+    in row 1.
     """
-    per = k + count
-    first = np.cumsum(per) - per
-    owner = np.repeat(np.arange(per.size), per)
-    j = np.arange(owner.size) - first[owner]
-    k, rate, key = k[owner], rate[owner], key[owner]
-    x_j = 2.0 ** np.minimum(j, k)
-    step = np.where(j < k, x_j, (width * turn)[owner])
-    left = x_j + np.maximum(j - k, 0) * step
-    half = step / (2 * split)
-    offsets, *weights = _panel_rule(split)
-    panels = np.empty((2, left.size), dtype=complex)
-    for b in _row_blocks(left.size, offsets.size):
-        nodes = left[b, None] + half[b, None] * offsets
-        values = rate[b, None] * nodes
+    ends = np.cumsum(k + count)
+    first = ends - (k + count)
+    offsets, k_w, g_w, _ = _panel_rule(split)
+    panels = np.empty((2, ends[-1]), dtype=complex)
+    for b in _row_blocks(ends[-1], offsets.size):
+        panel = np.arange(b.start, b.stop)
+        owner = np.searchsorted(ends, panel, side="right")
+        j, k_j = panel - first[owner], k[owner]
+        x_j = 2.0 ** np.minimum(j, k_j)
+        width = np.where(j < k_j, x_j, step[owner])
+        left = x_j + np.maximum(j - k_j, 0) * width
+        half = width / (2 * split)
+        nodes = left[:, None] + half[:, None] * offsets
+        values = rate[owner, None] * nodes
         np.exp(values, out=values)
-        values *= ray(nodes, key[b, None])
-        for row, w in zip(panels, weights):
-            row[b] = half[b] * np.dot(values, w)
+        values *= ray(nodes, key[owner, None])
+        for row, w in zip(panels, (k_w, g_w)):
+            row[b] = half * np.dot(values, w)
     return np.add.reduceat(panels, first, axis=1)
 
 
 @functools.lru_cache(maxsize=64)
 def _panel_rule(count: int):
     """K25 on count equal panels of width 2: the node offsets 2 j + 1 + x from
-    the left end, and the K25 and G12 weights tiled to match.  A constant
-    table per count, read-only since every later call shares it."""
-    offsets = (2 * np.arange(count)[:, None] + 1 + _NODES).ravel()
-    rule = offsets, np.tile(_K_W, count), np.tile(_G_W, count)
+    the left end, the K25 and G12 weights tiled to match, and the semicircle
+    nodes e^{i h offsets}, h = pi / (2 count), of count panels of the arc.
+    A constant table per count, read-only since every later call shares it.
+    The offsets are complex: numpy would cast float ones in every product."""
+    offsets = (2 * np.arange(count)[:, None] + 1 + _NODES).ravel().astype(complex)
+    arc = np.exp(1j * (0.5 * math.pi / count) * offsets)
+    rule = offsets, np.tile(_K_W, count), np.tile(_G_W, count), arc
     for table in rule:
         table.flags.writeable = False
     return rule
@@ -293,47 +303,57 @@ def _panel_rule(count: int):
 def _row_blocks(rows: int, width: int) -> list[slice]:
     """Slices covering range(rows), each of at most _BLOCK_NODES // width rows.
 
-    A block holds at least two rows, and no block is a lone last row: BLAS
-    sums a one-row product in another order than a row of a larger one, so
-    the blocks keep every row's sum bit-equal to the unblocked product's.
-    So a block has step = _BLOCK_NODES // width - 1 rows, and the last one
-    up to step + 1, as it takes a row that would be left alone.  step is at
-    least 2, so a width above _BLOCK_NODES / 3 gets blocks of 2 or 3 rows,
-    beyond the bound.
+    Unless rows is 1, a block holds at least two rows, and no block is a lone
+    last row: BLAS sums a one-row product in another order than a row of a
+    larger one, so the blocks keep every row's sum bit-equal to the unblocked
+    product's.  So a block has step = _BLOCK_NODES // width - 1 rows, and the
+    last one up to step + 1, as it takes a row that would be left alone.  step
+    is at least 2, so a width above _BLOCK_NODES / 3 gets blocks of 2 or 3
+    rows, beyond the bound.  A single row is one block, which takes the
+    one-row product; a caller that needs a larger product's sum of it passes
+    the row twice.
     """
     step = max(_BLOCK_NODES // width - 1, 2)
     bounds = [0, *range(step, rows - 1, step), rows]
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _contour(z, gamma, sign, key, ray, circ, where) -> np.ndarray:
+def _contour(z, gamma, sign, key, ray, circ, where, shared: bool) -> np.ndarray:
     """Per-point K25 integrals along Omega, each refined until |K25 - G12| < TOL.
 
-    Every argument but ray, circ and where is a per-point array, so one
-    call takes points of any integrand.  The integrand is e^{(2z-1) x}
+    Every argument but ray, circ, where and shared is a per-point array, so
+    one call takes points of any integrand.  The integrand is e^{(2z-1) x}
     circ(x, key) on the semicircle.  On the rays it is rewritten as
     e^{(2z-2-gamma) x} ray(x, key) on [1, oo), and as sign e^{-(2z+gamma) x}
     ray(x, key) on the negative ray mirrored onto [1, oo) (gamma = 0 for the
     L_k integrals); each ray is bent as the module docstring says, and
-    ray(x_k, key.real) at the real x_k bounds |ray| along its tail.  where(i)
-    names point i in an error.
+    ray(x_k, key.real) at the real x_k bounds |ray| along its tail.  The
+    rays are bent once, and each level sums both rays of every active point
+    in one _ray_sums call.  Points with the same key and semicircle panel
+    count share the rows of one matrix product.  shared says whether points
+    may share a key: T_N's key gamma may, so a lone row is summed as one of
+    two rows, as in any batch that gives it company; L_k's key is the point's
+    index, so its rows are always alone and take the one-row product.
+    where(i) names point i in an error.
     """
     if not z.size:
         return np.zeros(0, dtype=complex)
-    rates = (2.0 * z - 2.0 - gamma, -(2.0 * z + gamma))
-    bends = [_bend(rate, gamma, key, ray) for rate in rates]
-    far = np.flatnonzero((bends[0][-1] > _MAX_TAIL) | (bends[1][-1] > _MAX_TAIL))
+    # the rays of point i are i on [1, oo) and z.size + i on the negative ray
+    rate = np.concatenate((2.0 * z - 2.0 - gamma, -(2.0 * z + gamma)))
+    key2 = np.concatenate((key, key))
+    k, count, step, end = _bend(rate, np.concatenate((gamma, gamma)), key2, ray)
+    far = np.flatnonzero((end > _MAX_TAIL).reshape(2, -1).any(axis=0))
     if far.size:
         raise QuadratureError(f"ray path exceeds {_MAX_TAIL:.3g}: z = {z[far[0]]} "
                               f"too close to the strip edge at {where(far[0])}")
-    signs = (np.ones(z.size), sign)
 
     def evaluate(level: int, idx: np.ndarray) -> np.ndarray:
         """The K25 sums (row 0) and G12 sums (row 1) of the points idx at level."""
+        rays = np.concatenate((idx, z.size + idx))
+        sums = _ray_sums(k[rays], count[rays], step[rays], rate[rays], key2[rays], 1 << level, ray)
         total = np.zeros((2, idx.size), dtype=complex)
-        for s, rate, bend in zip(signs, rates, bends):
-            k, turn, count, width, _ = (part[idx] for part in bend)
-            total += s[idx] * _ray_sums(k, turn, count, width, rate[idx], key[idx], 1 << level, ray)
+        total += sums[:, :idx.size]
+        total += sign[idx] * sums[:, idx.size:]
         # the arc integrand's nearest singularity, sinh x = 0 at x = i pi, sits at
         # t = pi/2 - i log pi, 1.14 off the arc, so G12 on arcs of pi/4 errs near 2e-19
         n_circ = np.maximum(np.ceil(np.abs(2.0 * z[idx] - 1.0)).astype(int), 4 << level)
@@ -341,13 +361,13 @@ def _contour(z, gamma, sign, key, ray, circ, where) -> np.ndarray:
         # points with the same panel count and key share the semicircle nodes
         # x = e^{it} and one matrix product (np.unique would import numpy.ma, 10-20 ms)
         for n, g in set(zip(n_circ.tolist(), keys.tolist())):
-            half = 0.5 * math.pi / n
-            offsets, k_w, g_w = _panel_rule(n)
-            x = np.exp(1j * half * offsets)
+            _, k_w, g_w, x = _panel_rule(n)
             # the semicircle runs t: pi -> 0, and dx = i x dt
-            arc = 1j * half * x * circ(x, g)
+            arc = 1j * (0.5 * math.pi / n) * x * circ(x, g)
             weights = arc * k_w, arc * g_w
             rows = np.flatnonzero((n_circ == n) & (keys == g))
+            if shared and rows.size == 1:
+                rows = np.repeat(rows, 2)
             for b in _row_blocks(rows.size, x.size):
                 sel = rows[b]
                 values = np.exp(np.outer(2.0 * z[idx[sel]] - 1.0, x))
@@ -384,7 +404,7 @@ def _t_circ(x, gamma):
 
 def _t_quadrature(z, gamma, where) -> np.ndarray:
     """T_N at the points z by contour quadrature; gamma and where as in _contour."""
-    return 0.25 * _contour(z, gamma, np.full(z.size, -1.0), gamma, _t_ray, _t_circ, where)
+    return 0.25 * _contour(z, gamma, np.full(z.size, -1.0), gamma, _t_ray, _t_circ, where, True)
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +494,6 @@ def t_n(z, ctx: EvalContext):
     """
     zs = np.asarray(z, dtype=complex)
     flat = zs.ravel()
-    gamma = np.full(flat.size, ctx.gamma)
 
     def where(i):
         return str(ctx)
@@ -482,7 +501,7 @@ def t_n(z, ctx: EvalContext):
     ok, values = _t_series(flat, ctx.gamma)
     rest = np.flatnonzero(~ok)
     if rest.size:
-        values[rest] = _t_quadrature(flat[rest], gamma[rest], where)
+        values[rest] = _t_quadrature(flat[rest], np.full(rest.size, ctx.gamma), where)
     return complex(values[0]) if zs.ndim == 0 else values.reshape(zs.shape)
 
 
@@ -549,7 +568,7 @@ def l_k_quadrature(k, z):
     # on the negative ray x^k flips sign for odd k
     values = _LK_PREFACTOR[ks] * _contour(flat, np.zeros(flat.size, dtype=complex),
                                            -(-1.0) ** ks, np.arange(flat.size),
-                                           ray, circ, lambda i: f"L_{ks[i]}")
+                                           ray, circ, lambda i: f"L_{ks[i]}", False)
     return complex(values[0]) if zs.ndim == 0 else values.reshape(zs.shape)
 
 

@@ -127,25 +127,31 @@ def test_kronrod_rule_is_exact_to_degree_37():
         assert error <= 1e-15 if d <= 37 else error > 1e-15, d
 
 
-def test_lemmas_and_product_identity_points_meet_tol_at_level_0(monkeypatch, capsys):
-    # each quadrature call sums each of its two rays once: the K25 - G12 estimate
-    # clears TOL at level 0 for every point, so no point refines
+def _count_ray_sums(monkeypatch):
+    """The split of every _ray_sums call from now on, in a list."""
     splits = []
     ray_sums = qdilog._ray_sums
 
-    def counted(*args):
-        splits.append(args[6])
-        return ray_sums(*args)
+    def counted(k, count, step, rate, key, split, ray):
+        splits.append(split)
+        return ray_sums(k, count, step, rate, key, split, ray)
 
     monkeypatch.setattr(qdilog, "_ray_sums", counted)
+    return splits
+
+
+def test_lemmas_and_product_identity_points_meet_tol_at_level_0(monkeypatch, capsys):
+    # each quadrature call sums both rays of all its points at once: the K25 - G12
+    # estimate clears TOL at level 0 for every point, so no point refines
+    splits = _count_ray_sums(monkeypatch)
     # one identity_residuals call for the 150 identity samples, one l_k_quadrature call
     assert cli.main(["lemmas", "--samples", "50", "--seed", "0"]) == 0
-    assert splits == [1, 1, 1, 1]
+    assert splits == [1, 1]
     ctx = EvalContext(u=0.5, p=4, n=12)
     for k in range(1, 12):
         splits.clear()
         assert jones.product_identity_residual(k, ctx) <= 1e-12
-        assert splits == [1, 1], k
+        assert splits == [1], k
 
 
 @pytest.mark.parametrize("z", [complex(0.5, math.nan), complex(0.5, math.inf)])
@@ -289,6 +295,104 @@ def test_node_blocks_are_bit_equal(monkeypatch, block):
     assert np.array_equal(blocked[0], whole[0]) and blocked[1] == whole[1]
 
 
+def _two_rate_contour(z, gamma, sign, key, ray, circ, where, shared):
+    """The quadrature driver as it was with one bend and one ray sum per rate.
+
+    A reference copy: each level summed the two rays in a loop over the rates,
+    each ray sum built its panel geometry for the whole call, and the node
+    offsets were floats.  Its semicircle is the driver's, but it tells T_N's
+    groups, whose lone rows are summed as one of two, from L_k's by the key
+    (gamma or a point index), not by the flag shared that the callers pass.
+    """
+    def rule(count):
+        offsets = (2 * np.arange(count)[:, None] + 1 + qdilog._NODES).ravel()
+        return offsets, np.tile(qdilog._K_W, count), np.tile(qdilog._G_W, count)
+
+    def bend(rate):
+        cap = qdilog._RATE_WIDTH / (np.abs(rate) + np.abs(gamma.imag))
+        k = np.maximum(np.ceil(np.log2(cap)), 0.0)
+        x_k = 2.0 ** k
+        turn = np.exp(1j * np.clip(np.angle(-rate.conjugate()), -qdilog._MAX_TURN, qdilog._MAX_TURN))
+        nu = -(rate * turn).real
+        bound = np.abs(ray(x_k, key.real))
+        length = np.maximum((np.log(1e5 * bound / (qdilog.TOL * nu)) + rate.real * x_k) / nu, cap)
+        count = np.ceil(length / cap)
+        return k.astype(np.int64), turn, count.astype(np.int64), length / count, x_k + length
+
+    def ray_sums(k, turn, count, width, rate, key, split):
+        per = k + count
+        first = np.cumsum(per) - per
+        owner = np.repeat(np.arange(per.size), per)
+        j = np.arange(owner.size) - first[owner]
+        k, rate, key = k[owner], rate[owner], key[owner]
+        x_j = 2.0 ** np.minimum(j, k)
+        step = np.where(j < k, x_j, (width * turn)[owner])
+        left = x_j + np.maximum(j - k, 0) * step
+        half = step / (2 * split)
+        offsets, *weights = rule(split)
+        panels = np.empty((2, left.size), dtype=complex)
+        for b in qdilog._row_blocks(left.size, offsets.size):
+            nodes = left[b, None] + half[b, None] * offsets
+            values = rate[b, None] * nodes
+            np.exp(values, out=values)
+            values *= ray(nodes, key[b, None])
+            for row, w in zip(panels, weights):
+                row[b] = half[b] * np.dot(values, w)
+        return np.add.reduceat(panels, first, axis=1)
+
+    rates = (2.0 * z - 2.0 - gamma, -(2.0 * z + gamma))
+    bends = [bend(rate) for rate in rates]
+    signs = (np.ones(z.size), sign)
+
+    def evaluate(level, idx):
+        total = np.zeros((2, idx.size), dtype=complex)
+        for s, rate, parts in zip(signs, rates, bends):
+            k, turn, count, width, _ = (part[idx] for part in parts)
+            total += s[idx] * ray_sums(k, turn, count, width, rate[idx], key[idx], 1 << level)
+        n_circ = np.maximum(np.ceil(np.abs(2.0 * z[idx] - 1.0)).astype(int), 4 << level)
+        keys = key[idx]
+        for n, g in set(zip(n_circ.tolist(), keys.tolist())):
+            half = 0.5 * math.pi / n
+            offsets, k_w, g_w = rule(n)
+            x = np.exp(1j * half * offsets)
+            arc = 1j * half * x * circ(x, g)
+            rows = np.flatnonzero((n_circ == n) & (keys == g))
+            if key.dtype.kind == "c" and rows.size == 1:
+                rows = np.repeat(rows, 2)
+            for b in qdilog._row_blocks(rows.size, x.size):
+                values = np.exp(np.outer(2.0 * z[idx[rows[b]]] - 1.0, x))
+                for row, w in zip(total, (arc * k_w, arc * g_w)):
+                    row[rows[b]] -= np.dot(values, w)
+        return total
+
+    active, value = np.arange(z.size), np.empty(z.size, dtype=complex)
+    for level in range(qdilog._MAX_REFINEMENTS + 1):
+        kronrod, gauss = evaluate(level, active)
+        value[active] = kronrod
+        active = active[np.abs(kronrod - gauss) >= qdilog.TOL]
+        if not active.size:
+            return value
+    raise QuadratureError(f"no convergence at {where(active[0])}")
+
+
+@pytest.mark.parametrize("tol", [TOL, 1e-13])
+def test_one_ray_sum_per_level_is_bit_equal_to_the_two_rate_loop(monkeypatch, tol):
+    # a mixed-context identity batch and an L_k batch; at 1e-13 points refine
+    monkeypatch.setattr(qdilog, "TOL", tol)
+    _, points, gamma = qdilog._identity_points(_lemma_samples(7, 12))
+    k = np.array([2, 0, 1, 1, 2, 0])
+    z = np.array([0.3 + 0.4j, 0.5, 0.06 - 0.9j, 0.94 + 0.99j, 0.7 - 0.2j, 0.2 + 0.8j])
+    splits = _count_ray_sums(monkeypatch)
+
+    def values():
+        return np.concatenate((qdilog._t_quadrature(points, gamma, str), l_k_quadrature(k, z)))
+
+    driver = values()
+    assert (max(splits) > 1) == (tol < TOL)
+    monkeypatch.setattr(qdilog, "_contour", _two_rate_contour)
+    assert np.array_equal(driver.view(np.int64), values().view(np.int64))
+
+
 def test_ray_blocks_stay_under_numpy_elision():
     # from 256 KiB up numpy reuses a temporary operand in place, with a
     # product's operands possibly swapped; no ray block of complex nodes, the
@@ -300,6 +404,22 @@ def test_ray_blocks_stay_under_numpy_elision():
             assert [b.start for b in blocks[1:]] == [b.stop for b in blocks[:-1]]
             assert blocks[0].start == 0 and blocks[-1].stop == rows
             assert max(b.stop - b.start for b in blocks) * width * 16 < 256 * 1024
+
+
+@pytest.mark.parametrize("u, p, n", [(0.5, 2, 9), (0.5, 4, 12), (0.2, 6, 9)])
+def test_t_n_and_f_n_of_a_point_alone_equal_its_batch_entry(u, p, n):
+    # 10 |gamma| >= 1/2, so every T_N point goes to quadrature; a point whose
+    # semicircle group has no other row used to take BLAS's one-row product,
+    # which sums in another order (up to 1.7e-14 relative)
+    ctx = EvalContext(u=u, p=p, n=n)
+    rng = np.random.default_rng(0)
+    z = rng.uniform(0.05, 0.95, 60) + 1j * rng.uniform(-1.0, 1.0, 60)
+    # f_N points across its skewed strip
+    lo, hi, skew = -0.5 / n, 1.0 / p + 0.5 / n, u / (2.0 * math.pi * p)
+    w = lo + (hi - lo) * rng.uniform(0.05, 0.95, 60) - skew * z.imag + 1j * z.imag
+    for evaluate, points in ((t_n, z), (jones.f_n, w)):
+        alone = np.array([evaluate(point, ctx) for point in points])
+        assert np.array_equal(evaluate(points, ctx).view(np.int64), alone.view(np.int64))
 
 
 def _strip_points(count):
