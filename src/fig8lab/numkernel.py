@@ -101,8 +101,8 @@ def lc_sum(logs) -> complex:
 
 
 # Factors per block of log1mexp: its six rows of float scratch stay at
-# 192 KiB however long the product.
-_FACTOR_BLOCK = 4096
+# 96 KiB however long the product.
+_FACTOR_BLOCK = 2048
 # Constant operands of the kernel as 0-d arrays: numpy converts a Python
 # float on every call, which costs half again the call on a short array.
 _ZERO, _HALF, _TWO, _MINUS_ONE, _MINUS_PI = (np.array(x) for x in (0.0, 0.5, 2.0, -1.0, -math.pi))

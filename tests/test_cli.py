@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -255,6 +256,20 @@ def test_lemmas_identity_draws_are_the_rng_choice_stream(seed, monkeypatch):
     assert [(name, ctx.u, ctx.p, ctx.n, z) for name, z, ctx in drawn] == expected
     # the L_k rows draw on from the same state
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_lemmas_identity_rows_keep_memory_small():
+    # the rows' quadrature of 300 points in blocks of 4,096 nodes peaks at
+    # 0.64 MB; in blocks of 16,384 it peaked at 1.67 MB
+    cli._sample_identity_rows(np.random.default_rng(0), 50)
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        cli._sample_identity_rows(rng, 50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.0e6
 
 
 def test_lemmas_benchmark_rows_in_order_and_within_bounds(capsys):

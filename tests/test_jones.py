@@ -310,18 +310,33 @@ def test_zero_phase_weights_keep_the_reduced_signed_zero(monkeypatch):
         assert np.array_equal(mine.view(np.int64), ref.view(np.int64))
 
 
-def test_jones_at_cusp_peak_memory():
-    # the int64 exponents are freed before log1mexp allocates: held there,
-    # they would add 0.2 MB to this peak of 1.04 MB for 25,600 factors
-    ctx = EvalContext(u=0.5, p=2, n=12801)
-    jones_at_cusp(ctx)
+def _warm_peak(call):
+    """The tracemalloc peak of call(), run once untraced first."""
+    call()
     tracemalloc.start()
     try:
-        jones_at_cusp(ctx)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.10e6
+
+
+def test_jones_at_cusp_peak_memory():
+    # the int64 exponents are freed before log1mexp allocates: held there,
+    # they would add 0.2 MB to this peak of 0.94 MB for 25,600 factors;
+    # log1mexp's scratch of 192 KiB (4,096 factors a block) peaked at 1.04 MB
+    ctx = EvalContext(u=0.5, p=2, n=12801)
+    assert _warm_peak(lambda: jones_at_cusp(ctx)) <= 1.00e6
+
+
+def test_f_n_of_many_series_points_keeps_memory_bounded():
+    # t_n's series runs in blocks of 4,095 points: unblocked, its 40,000
+    # points took about 1.1 KB each, a peak of 22.1 MB; blocked, 3.5 MB
+    ctx = EvalContext(u=0.5, p=2, n=40001)
+    m, z = sector_points(np.arange(1, ctx.n), ctx)
+    z = z[m == 0]
+    assert z.size == 20_000
+    assert _warm_peak(lambda: f_n(z, ctx)) < 5e6
 
 
 # ---------------------------------------------------------------------------

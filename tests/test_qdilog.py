@@ -394,16 +394,19 @@ def test_one_ray_sum_per_level_is_bit_equal_to_the_two_rate_loop(monkeypatch, to
 
 
 def test_ray_blocks_stay_under_numpy_elision():
-    # from 256 KiB up numpy reuses a temporary operand in place, with a
-    # product's operands possibly swapped; no ray block of complex nodes, the
-    # last one that takes a lone row included, reaches that size at any level
+    # a ray block of complex nodes holds at most 64 KiB plus the one row that
+    # a last block takes so as not to leave it alone; from 256 KiB up numpy
+    # reuses a temporary operand in place, with a product's operands possibly
+    # swapped, and no block reaches that size at any level
     for level in range(qdilog._MAX_REFINEMENTS + 1):
         width = 25 << level
         for rows in range(2, 2_000):
             blocks = qdilog._row_blocks(rows, width)
             assert [b.start for b in blocks[1:]] == [b.stop for b in blocks[:-1]]
             assert blocks[0].start == 0 and blocks[-1].stop == rows
-            assert max(b.stop - b.start for b in blocks) * width * 16 < 256 * 1024
+            largest = max(b.stop - b.start for b in blocks) * width * 16
+            assert largest <= 64 * 1024 + width * 16
+            assert largest < 256 * 1024
 
 
 @pytest.mark.parametrize("u, p, n", [(0.5, 2, 9), (0.5, 4, 12), (0.2, 6, 9)])
@@ -442,7 +445,8 @@ def test_semicircle_row_blocks_are_bit_equal(monkeypatch, block):
 
 
 def test_many_points_of_one_context_keep_memory_bounded(monkeypatch):
-    # unblocked semicircle rows peaked at 12.7 MB here (3.2 MB for 500 points)
+    # unblocked semicircle rows peaked at 12.7 MB here (3.2 MB for 500 points);
+    # blocks of 16,384 nodes peaked at 3.2 MB, and of 4,096 at 2.2 MB
     ctx = EvalContext(u=0.5, p=2, n=40)
     z = _strip_points(2000)
     monkeypatch.setattr(qdilog, "TOL", 1e-13)
@@ -453,7 +457,7 @@ def test_many_points_of_one_context_keep_memory_bounded(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5e6
+    assert peak < 3e6
 
 
 def test_unmeetable_tol_in_a_batch_names_the_first_failing_point(monkeypatch):
@@ -595,6 +599,18 @@ def test_series_declines_what_it_cannot_promise(monkeypatch):
     assert qdilog._t_series(z, large.gamma)[0].all()
     monkeypatch.setattr(qdilog, "TOL", 1e-16)
     assert not qdilog._t_series(z, large.gamma)[0].any()
+
+
+def test_series_blocks_are_bit_equal_to_any_batching():
+    # t_n runs the series in blocks of 4,095 points, the last taking the one
+    # point that would be left alone; 1,000-point batches cut elsewhere
+    ctx = EvalContext(u=0.5, p=2, n=3201)
+    z = _strip_points(2 * (qdilog._BLOCK_NODES - 1) + 1)
+    assert qdilog._t_series(z, ctx.gamma)[0].all()
+    batches = np.concatenate([t_n(z[lo:lo + 1000], ctx) for lo in range(0, z.size, 1000)])
+    assert np.array_equal(t_n(z, ctx).view(np.int64), batches.view(np.int64))
+    empty = t_n(np.zeros(0, dtype=complex), ctx)
+    assert empty.shape == (0,) and empty.dtype == complex
 
 
 # ---------------------------------------------------------------------------
