@@ -41,8 +41,10 @@ of any (u, p, N): identity_residuals checks all three functional equations of
 E_N for samples of any contexts with one quadrature call (t_n takes one
 context).  The same driver evaluates the N-free integrals behind L_0, L_1,
 L_2.  Each refinement level sums both rays of every point still active in
-one ray sum, and points with the same integrand share the semicircle nodes;
-a point's value does not depend on the batch it comes in.  The ray nodes of
+one ray sum.  On the semicircle, one rule serves every integrand: points with
+the same panel count and key (gamma for T_N, k for L_k) share the nodes and
+one matrix product, a lone row summed as one of two, so a point's value does
+not depend on the batch it comes in.  The ray nodes of
 all points, and the semicircle rows of each group of points, are evaluated
 in blocks of whole rows and at most _BLOCK_NODES = 4,096 nodes, never with a
 lone last row (_row_blocks), and each ray block builds its own panel
@@ -318,31 +320,29 @@ def _row_blocks(rows: int, width: int) -> list[slice]:
     product's.  So a block has step = _BLOCK_NODES // width - 1 rows, and the
     last one up to step + 1, as it takes a row that would be left alone.  step
     is at least 2, so a width above _BLOCK_NODES / 3 gets blocks of 2 or 3
-    rows, beyond the bound.  A single row is one block, which takes the
-    one-row product; a caller that needs a larger product's sum of it passes
-    the row twice.  Zero rows are one empty block.
+    rows, beyond the bound.  A single row is one block; _contour never passes
+    one, since it sums a lone semicircle row as one of two, and the ray
+    panels of a point are at least two.  Zero rows are one empty block.
     """
     step = max(_BLOCK_NODES // width - 1, 2)
     bounds = [0, *range(step, rows - 1, step), rows]
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _contour(z, gamma, sign, key, ray, circ, where, shared: bool) -> np.ndarray:
+def _contour(z, gamma, sign, key, ray, circ, where) -> np.ndarray:
     """Per-point K25 integrals along Omega, each refined until |K25 - G12| < TOL.
 
-    Every argument but ray, circ, where and shared is a per-point array, so
-    one call takes points of any integrand.  The integrand is e^{(2z-1) x}
-    circ(x, key) on the semicircle.  On the rays it is rewritten as
-    e^{(2z-2-gamma) x} ray(x, key) on [1, oo), and as sign e^{-(2z+gamma) x}
-    ray(x, key) on the negative ray mirrored onto [1, oo) (gamma = 0 for the
-    L_k integrals); each ray is bent as the module docstring says, and
-    ray(x_k, key.real) at the real x_k bounds |ray| along its tail.  The
-    rays are bent once, and each level sums both rays of every active point
-    in one _ray_sums call.  Points with the same key and semicircle panel
-    count share the rows of one matrix product.  shared says whether points
-    may share a key: T_N's key gamma may, so a lone row is summed as one of
-    two rows, as in any batch that gives it company; L_k's key is the point's
-    index, so its rows are always alone and take the one-row product.
+    Every argument but ray, circ and where is a per-point array, so one call
+    takes points of any integrand.  The integrand is e^{(2z-1) x} circ(x, key)
+    on the semicircle.  On the rays it is rewritten as e^{(2z-2-gamma) x}
+    ray(x, key) on [1, oo), and as sign e^{-(2z+gamma) x} ray(x, key) on the
+    negative ray mirrored onto [1, oo) (gamma = 0 for the L_k integrals);
+    each ray is bent as the module docstring says, and ray(x_k, key.real) at
+    the real x_k bounds |ray| along its tail.  The rays are bent once, and
+    each level sums both rays of every active point in one _ray_sums call.
+    One rule holds for every key: the points with the same key and
+    semicircle panel count share the rows of one matrix product, and a lone
+    row is summed as one of two rows, as in any batch that gives it company.
     where(i) names point i in an error.
     """
     if not z.size:
@@ -375,7 +375,7 @@ def _contour(z, gamma, sign, key, ray, circ, where, shared: bool) -> np.ndarray:
             arc = 1j * (0.5 * math.pi / n) * x * circ(x, g)
             weights = arc * k_w, arc * g_w
             rows = np.flatnonzero((n_circ == n) & (keys == g))
-            if shared and rows.size == 1:
+            if rows.size == 1:
                 rows = np.repeat(rows, 2)
             for b in _row_blocks(rows.size, x.size):
                 sel = rows[b]
@@ -411,9 +411,17 @@ def _t_circ(x, gamma):
     return 1.0 / (x * np.sinh(x) * np.sinh(gamma * x))
 
 
+def _lk_ray(x, k):
+    return 2.0 / (x ** k * (1.0 - np.exp(-2.0 * x)))
+
+
+def _lk_circ(x, k):
+    return 1.0 / (x ** k * np.sinh(x))
+
+
 def _t_quadrature(z, gamma, where) -> np.ndarray:
     """T_N at the points z by contour quadrature; gamma and where as in _contour."""
-    return 0.25 * _contour(z, gamma, np.full(z.size, -1.0), gamma, _t_ray, _t_circ, where, True)
+    return 0.25 * _contour(z, gamma, np.full(z.size, -1.0), gamma, _t_ray, _t_circ, where)
 
 
 # ---------------------------------------------------------------------------
@@ -526,35 +534,38 @@ def e_n(z: complex, ctx: EvalContext) -> complex:
     return t_n(complex(z), ctx)
 
 
-def _require_lk(k, z) -> None:
-    """Raise DomainError unless each k is 0, 1 or 2 (in turn) and every z lies on 0 < Re z < 1."""
-    ks = np.ravel(k)
-    for k_i in ks:
-        if k_i not in (0, 1, 2):
-            raise DomainError(f"k must be 0, 1 or 2, got {k_i}")
-    require_strip(z, 0, 1, "the L_k strip", lambda i: f"L_{ks[i]}")
+def _lk_points(k, z):
+    """(k, z, shape, where): k and z broadcast to shape, flattened, k as ints, and
+    where(i) naming point i's L_k; DomainError at the first k that is not 0, 1
+    or 2, then at the first z off 0 < Re z < 1."""
+    ks, zs = np.broadcast_arrays(np.asarray(k), np.asarray(z, dtype=complex))
+    bad = ((ks != 0) & (ks != 1) & (ks != 2)).ravel()
+    if bad.any():
+        raise DomainError(f"k must be 0, 1 or 2, got {ks.flat[bad.argmax()]}")
+
+    def where(i):
+        return f"L_{ks.flat[i]}"
+    require_strip(zs, 0, 1, "the L_k strip", where)
+    return ks.ravel().astype(int), zs.ravel(), zs.shape, where
 
 
 def l_k_closed(k, z):
-    """L_k(z) in closed form, k and z as in l_k_quadrature: -2 pi i / (1 - e^{-2 pi i z}),
-    the principal log(1 - e^{2 pi i z}) and Li2(e^{2 pi i z}) for k = 0, 1, 2.
+    """L_k(z) in closed form, k and z as in l_k_quadrature: with w = 2 pi i z,
+    2 pi i / expm1(-w), the principal log(1 - e^w) and Li2(e^w) for k = 0, 1, 2.
 
     k and z are scalars (a complex is returned) or broadcastable arrays (an
-    array is returned).  The exponentials and the k = 0, 1 forms are taken
-    point by point with cmath, and every k = 2 point goes through one li2
-    call, which is elementwise: a point's value is the same in any batch.
+    array is returned).  The forms are elementwise, so a point's value is the
+    same in any batch; an exponential that overflows raises FloatingPointError.
     """
-    ks, zs = np.broadcast_arrays(np.asarray(k), np.asarray(z, dtype=complex))
-    _require_lk(ks, zs)
-    ks = ks.ravel()
-    values = np.array([
-        -2j * math.pi / (1.0 - cmath.exp(-2j * math.pi * z_i)) if k_i == 0
-        else cmath.log(1.0 - cmath.exp(2j * math.pi * z_i)) if k_i == 1
-        else cmath.exp(2j * math.pi * z_i)
-        for k_i, z_i in zip(ks.tolist(), zs.ravel().tolist())], dtype=complex)
-    two = ks == 2
-    values[two] = li2(values[two])
-    return complex(values[0]) if zs.ndim == 0 else values.reshape(zs.shape)
+    ks, z, shape, _ = _lk_points(k, z)
+    w = 2j * math.pi * z
+    zero, one, two = (ks == k_i for k_i in range(3))
+    values = np.empty(w.size, dtype=complex)
+    with np.errstate(over="raise"):
+        values[zero] = 2j * math.pi / np.expm1(-w[zero])
+        values[one] = log1mexp(w[one])
+        values[two] = li2(np.exp(w[two]))
+    return complex(values[0]) if not shape else values.reshape(shape)
 
 
 _LK_PREFACTOR = np.array([1.0, -0.5, 0.5j * math.pi])
@@ -564,25 +575,14 @@ def l_k_quadrature(k, z):
     """L_k(z) by direct contour quadrature, k in {0, 1, 2}, 0 < Re z < 1.
 
     k and z are scalars (a complex is returned) or broadcastable arrays,
-    integrated in one batched quadrature (an array is returned).
+    integrated in one batched quadrature (an array is returned).  The key
+    of a point is its k, so points with the same k share semicircle nodes.
     """
-    ks, zs = np.broadcast_arrays(np.asarray(k), np.asarray(z, dtype=complex))
-    _require_lk(ks, zs)
-    ks, flat = ks.ravel().astype(int), zs.ravel()
-
-    # the integrands take a point's index: each point is its own semicircle
-    # group, summed by the one-row product of a single-point call
-    def ray(x, i):
-        return 2.0 / (np.choose(ks[i], (1.0, x, x * x)) * (1.0 - np.exp(-2.0 * x)))
-
-    def circ(x, i):
-        return 1.0 / (x ** int(ks[i]) * np.sinh(x))
-
+    ks, z, shape, where = _lk_points(k, z)
     # on the negative ray x^k flips sign for odd k
-    values = _LK_PREFACTOR[ks] * _contour(flat, np.zeros(flat.size, dtype=complex),
-                                           -(-1.0) ** ks, np.arange(flat.size),
-                                           ray, circ, lambda i: f"L_{ks[i]}", False)
-    return complex(values[0]) if zs.ndim == 0 else values.reshape(zs.shape)
+    values = _LK_PREFACTOR[ks] * _contour(z, np.zeros(z.size, dtype=complex), -(-1.0) ** ks, ks,
+                                           _lk_ray, _lk_circ, where)
+    return complex(values[0]) if not shape else values.reshape(shape)
 
 
 # ---------------------------------------------------------------------------

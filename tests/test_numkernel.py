@@ -383,6 +383,12 @@ def test_l_closed_examples():
     partial = float(np.sum(terms))
     assert l_k_closed(2, 0.5).real == pytest.approx(partial, abs=1e-10)
     assert l_k_closed(2, 0.5) == pytest.approx(-math.pi ** 2 / 12.0, abs=1e-13)
+    # e^{-w} (k = 0) or e^w (k = 2) past a float's range fails rather than
+    # returning NaN; log(1 - e^w) takes its large factor out of the log
+    for k, z in ((0, 0.5 + 200j), (2, 0.5 - 200j)):
+        with pytest.raises(ArithmeticError):
+            l_k_closed(k, z)
+    assert l_k_closed(1, 0.5 - 200j) == pytest.approx(400 * math.pi, abs=1e-12)
 
 
 def test_l_derivative_relations():

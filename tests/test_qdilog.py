@@ -295,14 +295,13 @@ def test_node_blocks_are_bit_equal(monkeypatch, block):
     assert np.array_equal(blocked[0], whole[0]) and blocked[1] == whole[1]
 
 
-def _two_rate_contour(z, gamma, sign, key, ray, circ, where, shared):
+def _two_rate_contour(z, gamma, sign, key, ray, circ, where):
     """The quadrature driver as it was with one bend and one ray sum per rate.
 
     A reference copy: each level summed the two rays in a loop over the rates,
     each ray sum built its panel geometry for the whole call, and the node
-    offsets were floats.  Its semicircle is the driver's, but it tells T_N's
-    groups, whose lone rows are summed as one of two, from L_k's by the key
-    (gamma or a point index), not by the flag shared that the callers pass.
+    offsets were floats.  Its semicircle is the driver's: a lone row of any
+    key is summed as one of two.
     """
     def rule(count):
         offsets = (2 * np.arange(count)[:, None] + 1 + qdilog._NODES).ravel()
@@ -357,7 +356,7 @@ def _two_rate_contour(z, gamma, sign, key, ray, circ, where, shared):
             x = np.exp(1j * half * offsets)
             arc = 1j * half * x * circ(x, g)
             rows = np.flatnonzero((n_circ == n) & (keys == g))
-            if key.dtype.kind == "c" and rows.size == 1:
+            if rows.size == 1:
                 rows = np.repeat(rows, 2)
             for b in qdilog._row_blocks(rows.size, x.size):
                 values = np.exp(np.outer(2.0 * z[idx[rows[b]]] - 1.0, x))
@@ -432,16 +431,41 @@ def _strip_points(count):
 
 @pytest.mark.parametrize("block", [1, 500])
 def test_semicircle_row_blocks_are_bit_equal(monkeypatch, block):
-    # 41 points of one context share each semicircle; block 1 gives two-row
+    # 41 points of one context share each semicircle, and the 41 L_k points
+    # fall in three groups of 13 or 14 with the same k; block 1 gives two-row
     # blocks and a three-row last one, block 500 blocks of four rows and a
-    # five-row last one
+    # longer or shorter last one
     ctx = EvalContext(u=0.5, p=2, n=40)
     z = _strip_points(41)
+    k = np.arange(z.size) % 3
     monkeypatch.setattr(qdilog, "TOL", 1e-13)
     monkeypatch.setattr(qdilog, "_BLOCK_NODES", 10 ** 9)
-    whole = t_n(z, ctx)
+    whole = t_n(z, ctx), l_k_quadrature(k, z)
     monkeypatch.setattr(qdilog, "_BLOCK_NODES", block)
-    assert np.array_equal(t_n(z, ctx), whole)
+    for blocked, unblocked in zip((t_n(z, ctx), l_k_quadrature(k, z)), whole):
+        assert np.array_equal(blocked.view(np.int64), unblocked.view(np.int64))
+
+
+def test_every_quadrature_product_sums_at_least_two_rows(monkeypatch):
+    # BLAS sums a one-row product in another order than a row of a larger one,
+    # so a point's value is independent of its batch only if no np.dot of the
+    # driver, on a ray or a semicircle, ever has a lone row
+    rows = []
+    dot = qdilog.np.dot
+
+    def counted(values, weights):
+        rows.append(values.shape[0] if values.ndim == 2 else 1)
+        return dot(values, weights)
+
+    monkeypatch.setattr(qdilog.np, "dot", counted)
+    calls = (lambda: t_n(0.3 + 0.2j, EvalContext(u=0.5, p=4, n=12)),       # 10 |gamma| > 1/2: quadrature
+             lambda: l_k_quadrature(1, 0.4 - 0.3j),
+             lambda: identity_residuals(_lemma_samples(7, 12)),
+             lambda: l_k_quadrature([2, 0, 1, 2, 1], [0.3 + 0.4j, 0.5, 0.2 - 0.6j, 0.7 - 0.2j, 0.9 + 0.1j]))
+    for call in calls:
+        rows.clear()
+        call()
+        assert rows and min(rows) >= 2, rows
 
 
 def test_many_points_of_one_context_keep_memory_bounded(monkeypatch):
@@ -470,11 +494,13 @@ def test_unmeetable_tol_in_a_batch_names_the_first_failing_point(monkeypatch):
 
 
 def test_l_k_batch_is_bit_equal_and_names_the_first_failing_row(monkeypatch):
-    k = np.array([2, 0, 1, 1, 2, 0])
-    z = np.array([0.3 + 0.4j, 0.5, 0.06 - 0.9j, 0.94 + 0.99j, 0.7 - 0.2j, 0.2 + 0.8j])
-    alone = [l_k_quadrature(int(k_i), z_i) for k_i, z_i in zip(k, z)]
-    assert np.array_equal(l_k_quadrature(k, z), alone)
-    assert l_k_quadrature(k.reshape(2, 3), z.reshape(2, 3)).shape == (2, 3)
+    # k = 0 has one point, a lone semicircle row; 0.45 + 2.3j has |2z - 1| = 4.6,
+    # so a semicircle of its own panel count, 5 at level 0, where the others take 4
+    k = np.array([2, 0, 1, 1, 2, 1, 1, 2])
+    z = np.array([0.3 + 0.4j, 0.5, 0.06 - 0.9j, 0.94 + 0.99j, 0.7 - 0.2j, 0.2 + 0.8j, 0.45 + 2.3j, 0.6 - 0.3j])
+    alone = np.array([l_k_quadrature(int(k_i), z_i) for k_i, z_i in zip(k, z)])
+    assert np.array_equal(l_k_quadrature(k, z).view(np.int64), alone.view(np.int64))
+    assert l_k_quadrature(k.reshape(2, 4), z.reshape(2, 4)).shape == (2, 4)
     monkeypatch.setattr(qdilog, "TOL", 1e-16)
     first = next(i for i in range(k.size) if _fails_alone(l_k_quadrature, int(k[i]), z[i]))
     with pytest.raises(QuadratureError) as info:
