@@ -3,20 +3,22 @@
 A double x with 1e-4 <= |x| < 1e16 prints under "%.17g" in fixed notation:
 its 17 correctly rounded significant digits D in [10^16, 10^17) and decimal
 exponent E in [-4, 15] give the digits, the '.', the leading "0.000" and the
-stripped trailing zeros of the fraction.  D comes from exact integer
-arithmetic in uint64:
-  - |x| = M 2^q with M < 2^53 from frexp, and E from log10, corrected
-    wherever the floor of the scaled value falls outside [10^16, 10^17);
-  - D = M 5^(16-E) / 2^s with s = E - 16 - q: the product M 5^(16-E) is
-    below 2^100 and is formed in two 64-bit words from 32-bit halves, then
-    shifted right by s and rounded half to even on the exact remainder;
+stripped trailing zeros of the fraction.  D comes from one exact product:
+  - E comes from log10, corrected wherever the floor of the scaled value
+    falls outside [10^16, 10^17);
+  - Dekker's two-product gives |x| 10^(16-E) (10^k, k <= 22, is an exact
+    double) as p + err exactly: p is the rounded product and err its
+    rounding error, from Veltkamp's 26-bit halves of both factors;
+  - p >= 10^16 > 2^53 is an even integer, so p + floor(err) is the exact
+    floor and D = p + rint(err) rounds half to even, as D's parity is
+    rint's; the exponent check reads the floor, as D may round up to 10^17
+    at the right E (below 2^53 the floor may come out low, but under 10^16);
   - D splits into a lead digit and four 4-digit chunks, each looked up in a
     10,000-row digit table, whose trailing-zero counts give %g's stripping.
 One gather from a table of source columns per (E, stripped zeros, sign) then
 lays out every cell.  Every other value goes through Python's "%.17g", which
-stays the reference: NaN, +-inf, +-0, |x| < 1e-4, |x| >= 1e16 and an x whose
-scaled value is an exact integer (s <= 0, no shift).  So a cell is
-byte-identical to "%.17g" % x either way.
+stays the reference: NaN, +-inf, +-0, |x| < 1e-4 (subnormals included) and
+|x| >= 1e16.  So a cell is byte-identical to "%.17g" % x either way.
 
 The tables are built here, at import, by numpy arithmetic: built inside a
 call they would outlive it and add to a caller's traced peak.
@@ -29,11 +31,9 @@ import numpy as np
 # the longest "%.17g": "-1.2345678901234567e-308"
 WIDTH = 24
 
-_LOW32 = np.uint64(0xFFFF_FFFF)
-_ONE = np.uint64(1)
-_TEN4, _TEN8, _TEN16, _TEN17 = (np.uint64(10 ** k) for k in (4, 8, 16, 17))
-# 5^(16 - E) for the guessed exponents E in [-5, 16], indexed by 16 - E
-_POW5 = np.uint64(5) ** np.arange(22, dtype=np.uint64)
+_TEN4, _TEN8, _TEN16, _TEN17 = (np.int64(10 ** k) for k in (4, 8, 16, 17))
+# 10^k as exact doubles, k = 0..22, for the guessed exponents E = 16 - k
+_POW10 = np.array([float(10 ** k) for k in range(23)])
 
 # ASCII digits of each 4-digit chunk 0000..9999 as one native uint32, and
 # its trailing-zero count (4 for 0)
@@ -90,19 +90,16 @@ def text_cells(texts) -> np.ndarray:
     return np.frombuffer(joined.encode("ascii"), dtype=np.uint8).reshape(len(texts), width)
 
 
-def _scaled(m, e, s):
-    """floor(m 5^(16 - e) / 2^s) and whether it rounds up, half to even (1 <= s < 64)."""
-    f = _POW5.take(16 - e)
-    m_hi, m_lo = m >> 32, m & _LOW32
-    f_hi, f_lo = f >> 32, f & _LOW32
-    mid = m_hi * f_lo + m_lo * f_hi
-    part = m_lo * f_lo
-    lo = part + (mid << 32)
-    hi = m_hi * f_hi + (mid >> 32) + (lo < part)
-    s = s.astype(np.uint64)
-    floor = (hi << (64 - s)) | (lo >> s)
-    rest, half = lo & ((_ONE << s) - _ONE), _ONE << (s - _ONE)
-    return floor, (rest > half) | ((rest == half) & (floor & _ONE == _ONE))
+def _scaled(a, e):
+    """floor(a 10^(16 - e)) and a 10^(16 - e) rounded half to even, exact from 2^53 up."""
+    b = _POW10.take(16 - e)
+    p = a * b
+    ca, cb = 134217729.0 * a, 134217729.0 * b       # Veltkamp's split, 2^27 + 1
+    ah, bh = ca - (ca - a), cb - (cb - b)
+    al, bl = a - ah, b - bh
+    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    whole = p.astype(np.int64)
+    return whole + np.floor(err).astype(np.int64), whole + np.rint(err).astype(np.int64)
 
 
 def format_cells(values: np.ndarray) -> np.ndarray:
@@ -111,22 +108,14 @@ def format_cells(values: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore"):
         fast = (a >= 1e-4) & (a < 1e16)
     a[~fast] = 1.0      # a placeholder, so that every lane's arithmetic is defined
-    mant, q = np.frexp(a)
-    m = (mant * 2.0 ** 53).astype(np.uint64)
-    q = q.astype(np.int64) - 53
     e = np.floor(np.log10(a)).astype(np.int64)
-    s = e - 16 - q
-    fast &= s >= 1
-    floor, up = _scaled(m, e, np.maximum(s, 1))
+    floor, digits = _scaled(a, e)
     # log10 puts e off by one at most, next to a power of ten
     wrong = fast & ((floor < _TEN16) | (floor >= _TEN17))
     if wrong.any():
         at = np.flatnonzero(wrong)
         e[at] += np.where(floor[at] >= _TEN17, 1, -1)
-        s[at] = e[at] - 16 - q[at]
-        fast[at] = s[at] >= 1
-        floor[at], up[at] = _scaled(m[at], e[at], np.maximum(s[at], 1))
-    digits = floor + up
+        floor[at], digits[at] = _scaled(a[at], e[at])
     # no double in [1e-4, 1e16) rounds up to the next power of ten, but a
     # cell whose digits left [10^16, 10^17) would go to Python all the same
     fast &= (digits >= _TEN16) & (digits < _TEN17)

@@ -553,18 +553,23 @@ def l_k_closed(k, z):
     """L_k(z) in closed form, k and z as in l_k_quadrature: with w = 2 pi i z,
     2 pi i / expm1(-w), the principal log(1 - e^w) and Li2(e^w) for k = 0, 1, 2.
 
-    k and z are scalars (a complex is returned) or broadcastable arrays (an
-    array is returned).  The forms are elementwise, so a point's value is the
-    same in any batch; an exponential that overflows raises FloatingPointError.
+    Past |Re w| = 700, where that exponential overflows, L_0 is -2 pi i e^w /
+    expm1(w) and L_2 is -pi^2/6 - (w - i pi)^2 / 2 - Li2(e^-w), Li2's
+    inversion with log(-e^w) = w - i pi.  k and z are scalars (a complex is
+    returned) or broadcastable arrays (an array is returned).  The forms are
+    elementwise, so a point's value is the same in any batch.
     """
     ks, z, shape, _ = _lk_points(k, z)
     w = 2j * math.pi * z
     zero, one, two = (ks == k_i for k_i in range(3))
+    low, high = zero & (w.real < -700.0), two & (w.real > 700.0)
     values = np.empty(w.size, dtype=complex)
     with np.errstate(over="raise"):
-        values[zero] = 2j * math.pi / np.expm1(-w[zero])
+        values[zero & ~low] = 2j * math.pi / np.expm1(-w[zero & ~low])
+        values[low] = -2j * math.pi * np.exp(w[low]) / np.expm1(w[low])
         values[one] = log1mexp(w[one])
-        values[two] = li2(np.exp(w[two]))
+        values[two & ~high] = li2(np.exp(w[two & ~high]))
+        values[high] = -math.pi ** 2 / 6 - 0.5 * (w[high] - 1j * math.pi) ** 2 - li2(np.exp(-w[high]))
     return complex(values[0]) if not shape else values.reshape(shape)
 
 

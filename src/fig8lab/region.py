@@ -18,10 +18,10 @@ Emission: the grid files are a JSON header and a CSV of every cell, each
 line the bytes of "%.17g,%.17g,%.17g,%d,%d,%d,%d,%d" % (x, y, Re Phi_m and
 the five flags).  The Re Phi_m cells are formatted in numpy, in row blocks
 (write_grid_csv): a cell with 1e-4 <= |Re Phi_m| < 1e16 gets its 17
-correctly rounded digits from exact integer arithmetic on its binary
-mantissa (_g17), which is what Python's "%.17g" prints; NaN (outside U_m),
-+-0, +-inf, the ranges beyond and exact integers go through Python's "%.17g"
-itself.  So the file is byte-identical to a per-cell "%.17g" dump.
+correctly rounded digits from the exact product of |Re Phi_m| and a power of
+ten, carried in two doubles (_g17), which is what Python's "%.17g" prints;
+NaN (outside U_m), +-0, +-inf and the ranges beyond go through Python's
+"%.17g" itself.  So the file is byte-identical to a per-cell "%.17g" dump.
 """
 
 from __future__ import annotations
@@ -384,8 +384,8 @@ def write_grid_csv(grid: RegionGrid, path) -> None:
     formatted in numpy by _g17.format_cells: a cell with
     1e-4 <= |re_phi| < 1e16 gets the 17 correctly rounded digits of its
     exact binary value, which is what "%.17g" prints, and every other one
-    (NaN outside U_m, +-0, the far ranges and exact integers) goes through
-    Python's "%.17g" itself, so every byte is the per-cell template's.
+    (NaN outside U_m, +-0, +-inf and the far ranges) goes through Python's
+    "%.17g" itself, so every byte is the per-cell template's.
     The four independent flags form a 4-bit code per cell that picks its
     line end from _FLAG_CELLS.  The grid is written in blocks of whole rows,
     at most _WRITE_BLOCK cells each (one row if a row is longer): each

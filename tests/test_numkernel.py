@@ -383,12 +383,17 @@ def test_l_closed_examples():
     partial = float(np.sum(terms))
     assert l_k_closed(2, 0.5).real == pytest.approx(partial, abs=1e-10)
     assert l_k_closed(2, 0.5) == pytest.approx(-math.pi ** 2 / 12.0, abs=1e-13)
-    # e^{-w} (k = 0) or e^w (k = 2) past a float's range fails rather than
-    # returning NaN; log(1 - e^w) takes its large factor out of the log
-    for k, z in ((0, 0.5 + 200j), (2, 0.5 - 200j)):
-        with pytest.raises(ArithmeticError):
-            l_k_closed(k, z)
     assert l_k_closed(1, 0.5 - 200j) == pytest.approx(400 * math.pi, abs=1e-12)
+    # |Re w| > 700: e^{-w} (k = 0) or e^w (k = 2) is past a float's range, so
+    # the closed form switches to e^w / expm1(w) or Li2's inversion there;
+    # log(1 - e^w) takes its large factor out of the log
+    for z in (0.5 + 200j, 0.5 - 200j, 0.3 + 200j, 0.3 - 200j, 0.9 + 150j, 0.9 - 150j):
+        with mp.workdps(40):
+            w = 2j * mp.pi * mp.mpc(z)
+            expected = [complex(value) for value in (
+                2j * mp.pi / mp.expm1(-w), mp.log(1 - mp.exp(w)), mp.polylog(2, mp.exp(w)))]
+        for k in (0, 1, 2):
+            assert abs(l_k_closed(k, z) - expected[k]) <= 1e-12 * max(1.0, abs(expected[k]))
 
 
 def test_l_derivative_relations():

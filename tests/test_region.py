@@ -5,6 +5,7 @@ import json
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
-from fig8lab._g17 import format_cells
+from fig8lab import _g17
+from fig8lab._g17 import format_cells, text_cells
 from fig8lab.numkernel import DomainError
 from fig8lab.qdilog import KAPPA, EvalContext
 from fig8lab.region import (
@@ -455,7 +457,7 @@ def test_grid_emission(tmp_path):
 
 @given(st.floats() | st.floats(1e-4, 1e16) | st.floats(-1e16, -1e-4))
 @settings(max_examples=500)
-# the ends of the integer path and their neighbours
+# the ends of the numpy path and their neighbours
 @example(1e-4)
 @example(np.nextafter(1e-4, 0.0))
 @example(np.nextafter(1e-4, 1.0))
@@ -471,11 +473,11 @@ def test_grid_emission(tmp_path):
 # decimal value, and its rounding carries through a run of nines
 @example(1e-14)
 @example(100.003125)
-# an integer whose digits need no shift
+# the largest double below 1e16, an integer past 2^53
 @example(9999999999999998.0)
 def test_format_cells_is_percent_17g(v):
     # any float64, NaN, +-inf, +-0 and subnormals included, alone and among
-    # cells of the integer path
+    # cells of the numpy path
     values = np.array([v, 0.5, -3.25, v, 1e-300])
     cells = [bytes(cell).rstrip(b"\0").decode() for cell in format_cells(values)]
     assert cells == ["%.17g" % x for x in values.tolist()]
@@ -493,14 +495,53 @@ def reference_grid_csv(grid) -> str:
 
 
 # every class of re_phi cell that format_cells hands to Python's "%.17g"
-# (NaN, +-inf, +-0, subnormal, |x| < 1e-4, |x| >= 1e16, an integer that
-# needs no shift), powers of ten on both sides of the integer path, the
-# ties, and small integers, whose '.' is stripped
+# (NaN, +-inf, +-0, subnormal, |x| < 1e-4, |x| >= 1e16), powers of ten on
+# both sides of the numpy path, the ties, the largest double below 1e16 (an
+# integer past 2^53) and small integers, whose '.' is stripped
 FALLBACK_VALUES = np.array([
     np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, 1e-5, 1e17, -1e300,
     *10.0 ** np.arange(-6, 18), 1234567890123456.75, 1234567890123456.25,
     -1234567890123456.75, 9999999999999998.0, -2.0, 4096.0,
 ])
+
+
+def test_format_cells_rounds_ties_half_to_even_in_every_decade():
+    # for 400 random 17-digit D per decade E = -4..15, the double nearest the
+    # tie (D + 1/2) 10^(E - 16) and its 1-3 ulp neighbours, in both signs
+    rng = np.random.default_rng(17)
+    ties = np.array([float((Fraction(d) + Fraction(1, 2)) * Fraction(10) ** (e - 16))
+                     for e in range(-4, 16) for d in rng.integers(10 ** 16, 10 ** 17, 400).tolist()])
+    values = [ties]
+    for direction in (0.0, np.inf):
+        step = ties
+        for _ in range(3):
+            step = np.nextafter(step, direction)
+            values.append(step)
+    values = np.concatenate(values)
+    values = np.concatenate([values, -values])
+    cells = [bytes(cell).rstrip(b"\0").decode() for cell in format_cells(values)]
+    assert cells == ["%.17g" % x for x in values.tolist()]
+
+
+def test_format_cells_hands_python_only_the_special_values(monkeypatch):
+    # NaN, +-inf, +-0, subnormals and |x| outside [1e-4, 1e16) reach Python's
+    # "%.17g"; every other cell, the integers from 2^53 to 1e16 included, is
+    # formatted in numpy
+    seen = []
+
+    def spy(texts):
+        seen.extend(texts)
+        return text_cells(texts)
+    monkeypatch.setattr(_g17, "text_cells", spy)
+    rng = np.random.default_rng(3)
+    values = np.concatenate([
+        FALLBACK_VALUES, 10.0 ** rng.uniform(-4, 16, 2_000),
+        rng.integers(2 ** 53, 10 ** 16, 1_000).astype(float), [2.0 ** 53],
+    ])
+    values = np.concatenate([values, -values])
+    cells = [bytes(cell).rstrip(b"\0").decode() for cell in format_cells(values)]
+    assert cells == ["%.17g" % x for x in values.tolist()]
+    assert seen == ["%.17g" % x for x in values.tolist() if not 1e-4 <= abs(x) < 1e16]
 
 
 @pytest.mark.parametrize("m, u, p, resolution, rewrite", [
