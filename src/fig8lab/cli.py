@@ -1,14 +1,14 @@
 """Command-line entry point: every experiment as a subcommand.
 
-Output is machine readable and deterministic: a schema header line followed
-by one record per line (JSON) or CSV rows.  Identical invocations (including
---seed) produce byte-identical files.  Exit codes: 0 pass, 1 assertion
-failures, 2 bad input (including an --out that cannot be written, or a flag
-that the chosen mode would not read, such as a --step other than 1 with a
---N that is not a range lo..hi), 3 numeric non-convergence (a quadrature
-that misses qdilog.TOL, a region count that the boundary walk does not
-resolve to 2 within region.WALK_HALVINGS halvings, or a value that overflows
-a float).
+Output is machine readable and deterministic: a JSON header line and one JSON
+record per line, or a "# fig8lab/1 command=... params=<JSON>" line and CSV rows.
+Identical invocations (including --seed) produce byte-identical files.  Exit
+codes: 0 pass, 1 assertion failures, 2 bad input (including an --out that
+cannot be written, or a flag that the chosen mode would not read, such as a
+--step other than 1 with a --N that is not a range lo..hi), 3 numeric
+non-convergence (a quadrature that misses qdilog.TOL, a region count that the
+boundary walk does not resolve to 2 within region.WALK_HALVINGS halvings, or
+a value that overflows a float).
 
 lemmas has no accuracy flags: every quadrature runs at qdilog.TOL, an
 identity row passes at residual IDENTITY_BOUND and an L_k row at LK_BOUND.
@@ -53,16 +53,19 @@ EXIT_NUMERIC = 3
 # Emission helpers
 # ---------------------------------------------------------------------------
 
+_json = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
+
+
 def _emit(header: dict, records: list[dict], args) -> None:
     out = open(args.out, "w") if args.out else sys.stdout
     try:
         if args.format == "json":
-            out.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
+            out.write(_json(header) + "\n")
             for rec in records:
-                out.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+                out.write(_json(rec) + "\n")
         else:
             keys = sorted({k for rec in records for k in rec})
-            meta = " ".join(f"{k}={v}" for k, v in sorted(header.items()) if k != "schema")
+            meta = f"command={header['command']} params={_json(header['params'])}"
             out.write(f"# {header['schema']} {meta}\n")
             writer = csv.writer(out, lineterminator="\n")
             writer.writerow(keys)
@@ -250,9 +253,9 @@ def cmd_lemmas(args) -> int:
 
 
 def cmd_region(args) -> int:
-    components = components_d_cap_e(args.m, args.u, args.p, resolution=args.res, nu=args.nu)
+    components = components_d_cap_e(args.m, args.u, args.p, resolution=args.res)
     if args.out:
-        grid = grid_scan(args.m, args.u, args.p, resolution=args.res, nu=args.nu)
+        grid = grid_scan(args.m, args.u, args.p, resolution=args.res)
         write_grid_csv(grid, args.out + ".csv")
         write_grid_header(grid, args.out + ".json", components)
     sd = saddle_data(args.u, args.p)
@@ -261,7 +264,7 @@ def cmd_region(args) -> int:
                "components_d_cap_e": components,
                "threshold": sd.f_sigma0.real,
                "sigma_m": [sigma_m.real, sigma_m.imag]}
-    print(json.dumps(summary, sort_keys=True, separators=(",", ":")))
+    print(_json(summary))
     return EXIT_OK
 
 
@@ -364,11 +367,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--res", type=int, default=400,
-                    help="cells per side of the --out grid, and samples per side of the "
-                         "boundary walk that counts the components (at least 50)")
-    sp.add_argument("--nu", type=float, default=0.02,
-                    help="the box spans (m + nu)/p to (m + 1 - nu)/p in Re z; nu in (0, 0.5), "
-                         "small enough to keep sigma_m inside")
+                    help="cells per side of the --out grid, and samples per side of the boundary "
+                         "walk that counts the components (at least 50), on a box set by u, p, m")
     sp.add_argument("--out", help="prefix of the grid files OUT.csv and OUT.json")
     sp.set_defaults(func=cmd_region)
 

@@ -48,7 +48,7 @@ from fractions import Fraction
 import numpy as np
 
 from .numkernel import TWO_PI, DomainError, lc_one_minus_exp, lc_sum, log1mexp, reduce_phase
-from .qdilog import EvalContext, require_counts, require_integers, require_sector, require_strip, t_n
+from .qdilog import EvalContext, require_counts, require_integers, require_strip, t_n
 
 
 def _pair(w) -> tuple:
@@ -184,12 +184,16 @@ def f_n(z, ctx: EvalContext):
 
 
 def sector_points(k, ctx: EvalContext):
-    """(m, z_k) for a scalar or an array k in 1..N-1: its sector m = floor(k p/N),
-    and z_k = (2k+1)/(2N) - 2 m pi i/xi.
+    """(m, z_k) for a scalar or an array k in 1..N-1 (any other k is refused): its
+    sector m = floor(k p/N), and z_k = (2k+1)/(2N) - 2 m pi i/xi.
 
     The shift 2 m pi i/xi comes from one p-entry table, so a point's z_k is the
     same whether its k is placed alone or among others.
     """
+    ks = np.asarray(k)
+    bad = ~((ks >= 1) & (ks < ctx.n) & (ks % 1 == 0))
+    if bad.any() or ks.dtype.kind not in "iu":
+        raise DomainError(f"k must lie in [1, N-1], got {ks[bad][0] if bad.any() else k}")
     m = k * ctx.p // ctx.n
     shifts = np.array([2j * j * math.pi / ctx.xi for j in range(ctx.p)])
     return m, (2 * k + 1) / (2.0 * ctx.n) - shifts[m]
@@ -230,7 +234,6 @@ def decomposition_residual(ctx: EvalContext) -> float:
 def product_identity_residual(k: int, ctx: EvalContext) -> float:
     """Relative gap between prod_{l=1}^{k} (1 - q^{N+l})(1 - q^{N-l}), q = e^{xi/N}, and term k
     of the decomposition alone over its weight e^{-k xi} (modulus e^{-k u}, phase 0 mod 2 pi)."""
-    require_sector(k, ctx.n, "k must lie in [1, N-1]", 1)
     term = _term_logs(*sector_points(k, ctx), ctx) + k * ctx.u
     cusp = log_qpoch(ctx.n, k, (ctx.u / ctx.n, Fraction(ctx.p, ctx.n)))[-1]
     return abs(cmath.exp(term - cusp) - 1.0)

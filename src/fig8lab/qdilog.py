@@ -10,8 +10,8 @@ representation that survives the sizes reached downstream.
 The package's parameter checks live here, one per parameter: require_u,
 require_counts (p, N and every other positive-integer count),
 require_integers (any other integer), require_sector (a sector m in
-[0, p-1], or the q-factorial index k) and require_strip (a finite z on the
-T_N, L_k or f_N strip or U_m, each lo < Re z + c Im z < hi).
+[0, p-1]) and require_strip (a finite z on the T_N, L_k or f_N strip or
+U_m, each lo < Re z + c Im z < hi); jones.sector_points checks its k.
 
 Two evaluators serve T_N.  t_n, and so jones.f_n and everything built on it,
 takes the Bernoulli series in its one gamma (_t_series) for every point
@@ -136,10 +136,10 @@ def require_integers(names: str, *values) -> None:
         raise DomainError(f"{names} must be {'integers' if len(values) > 1 else 'an integer'}")
 
 
-def require_sector(m, p: int, rule: str = "m must lie in [0, p-1]", first: int = 0) -> None:
-    """Raise DomainError "<rule>, got m" unless m is an integer in [first, p-1]."""
-    if not (isinstance(m, (int, Integral)) and first <= m <= p - 1):
-        raise DomainError(f"{rule}, got {m}")
+def require_sector(m, p: int) -> None:
+    """Raise DomainError "m must lie in [0, p-1], got m" unless m is an integer in [0, p-1]."""
+    if not (isinstance(m, (int, Integral)) and 0 <= m <= p - 1):
+        raise DomainError(f"m must lie in [0, p-1], got {m}")
 
 
 def require_strip(z, lo, hi, name: str, where, skew=0.0) -> None:

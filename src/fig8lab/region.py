@@ -8,11 +8,12 @@ is taken on the boundary of E_m: Re Phi_m is harmonic, so every component of
 D_m within E_m reaches the boundary, and a walk along it counts the runs
 where Re Phi_m lies below the threshold (components_d_cap_e).  D_m and the
 two tilted-threshold bands R-bar / R-under are also reconstructed on a
-rectangular grid, for the grid files; the tests check on it, with 4-connected
-component labelling, that each band joins b_m^- to b_m^+.  The closed-form
-lemma checks return plain margins: Re Phi_m(sigma_m) - Re Phi_m(P12) at the
-hexagon vertex P12, and Re F(sigma_0) - Re f_N at the summation points near
-the ends of each sector.
+square grid, for the grid files; the tests check on it, with 4-connected
+component labelling, that each band joins b_m^- to b_m^+.  Walk and grid
+share one box (_grid_box), inset from the ends of U_m by a margin set by
+sigma_m.  The closed-form lemma checks return plain margins: the margin
+Re Phi_m(sigma_m) - Re Phi_m(P12) at the hexagon vertex P12, and the margins
+Re F(sigma_0) - Re f_N at the summation points near the ends of each sector.
 
 Emission: the grid files are a JSON header and a CSV of every cell, each
 line the bytes of "%.17g,%.17g,%.17g,%d,%d,%d,%d,%d" % (x, y, Re Phi_m and
@@ -50,10 +51,10 @@ class RegionGrid:
     m: int
     u: float
     p: int
-    nu: float
+    nu: float                # the box's inset from the ends of U_m, chosen by _grid_box
     xs: np.ndarray
     ys: np.ndarray
-    re_phi: np.ndarray       # shape (ny, nx); NaN outside U_m
+    re_phi: np.ndarray       # shape (resolution, resolution); NaN outside U_m
     in_u: np.ndarray         # also E_m: the grid box is E_m's bounding box by construction
     in_d: np.ndarray
     in_rbar: np.ndarray
@@ -75,31 +76,25 @@ WALK_HALVINGS = 24
 _WRITE_BLOCK = 2_048
 
 
-def _grid_box(m, u, p, resolution, nu):
-    """The checked grid box of E_m: (nx, ny, saddle_data(u, p), sigma_m, (x_lo, x_hi, y_lo, y_hi)).
+def _grid_box(m, u, p, resolution):
+    """The checked grid box of E_m: (saddle_data(u, p), sigma_m, nu, (x_lo, x_hi, y_lo, y_hi)).
 
-    grid_scan and components_d_cap_e share it, and with it their refusals:
-    a resolution below 50 or not a count, a nu outside (0, 0.5), a bad u, p
-    or m, and a nu whose box leaves out sigma_m.
+    It spans (m + nu)/p to (m + 1 - nu)/p in Re z, nu = min(0.02, (m + 1 - p Re sigma_m)/2),
+    and holds sigma_m strictly inside: p Re sigma_m - m >= 5/6, and m + 1 - p Re sigma_m
+    falls to 0.023 at p = 1 and 0.0004 at p = 8 near kappa.  grid_scan and components_d_cap_e
+    share it and its refusals: a resolution below 50 or not a count, and a bad u, p or m.
     """
-    nx, ny = (resolution, resolution) if np.ndim(resolution) == 0 else resolution
-    require_counts("resolution", nx, ny)
-    if nx < 50 or ny < 50:
-        raise DomainError("resolution must be at least 50x50")
-    if not 0.0 < nu < 0.5:
-        raise DomainError("nu must lie in (0, 0.5)")
-
+    require_counts("resolution", resolution)
+    if resolution < 50:
+        raise DomainError("resolution must be at least 50")
     sd = saddle_data(u, p)
     sigma_m = sd.sigma_m(m)
-    x_lo, x_hi = (m + nu) / p, (m + 1 - nu) / p
-    if not x_lo < sigma_m.real < x_hi:
-        raise DomainError(f"nu = {nu} leaves sigma_{m} outside the grid box: "
-                          f"Re sigma_{m} = {sigma_m.real} not in ({x_lo}, {x_hi})")
-    return nx, ny, sd, sigma_m, (x_lo, x_hi, -2.0 * sigma_m.imag, 2.0 * sigma_m.imag)
+    nu = min(0.02, 0.5 * (m + 1 - p * sigma_m.real))
+    return sd, sigma_m, nu, ((m + nu) / p, (m + 1 - nu) / p, -2.0 * sigma_m.imag, 2.0 * sigma_m.imag)
 
 
-def grid_scan(m: int, u: float, p: int, resolution=400, nu: float = 0.02) -> RegionGrid:
-    """Re Phi_m and the region flags on the grid over E_m's bounding box.
+def grid_scan(m: int, u: float, p: int, resolution=400) -> RegionGrid:
+    """Re Phi_m and the region flags on the resolution x resolution grid over E_m's bounding box.
 
     The grid is scanned in blocks of whole rows, at most _SCAN_BLOCK cells
     each (one row if a row is longer): each block builds its own points and
@@ -108,17 +103,17 @@ def grid_scan(m: int, u: float, p: int, resolution=400, nu: float = 0.02) -> Reg
     where full-grid meshes peaked at 12.2 MB.  f_values is batch-independent,
     so every cell holds the same bits as F at that cell alone.
     """
-    nx, ny, sd, sigma_m, (x_lo, x_hi, y_lo, y_hi) = _grid_box(m, u, p, resolution, nu)
+    sd, sigma_m, nu, (x_lo, x_hi, y_lo, y_hi) = _grid_box(m, u, p, resolution)
     threshold = sd.f_sigma0.real
-    xs = np.linspace(x_lo, x_hi, nx)
-    ys = np.linspace(y_lo, y_hi, ny)
+    xs = np.linspace(x_lo, x_hi, resolution)
+    ys = np.linspace(y_lo, y_hi, resolution)
     slope = u / (2.0 * math.pi * p)
     shift = 2j * m * math.pi / sd.xi
 
-    re_phi = np.full((ny, nx), np.nan)
-    in_u = np.empty((ny, nx), dtype=bool)
-    rows = max(1, _SCAN_BLOCK // nx)
-    for r in range(0, ny, rows):
+    re_phi = np.full((resolution, resolution), np.nan)
+    in_u = np.empty((resolution, resolution), dtype=bool)
+    rows = max(1, _SCAN_BLOCK // resolution)
+    for r in range(0, resolution, rows):
         y = ys[r:r + rows, None]
         skew = xs + slope * y
         in_u[r:r + rows] = inside = (skew > m / p) & (skew < (m + 1) / p)
@@ -167,15 +162,16 @@ def label_components(mask: np.ndarray):
     return labels, int(number[-1])
 
 
-def _boundary_walk(m, u, p, box, dx, dy) -> np.ndarray:
-    """Points along the boundary of E_m, counter-clockwise, one cell apart.
+def _boundary_walk(m, u, p, box, resolution) -> np.ndarray:
+    """Points along the boundary of E_m, counter-clockwise, one grid cell apart.
 
     The box is clipped to m/p + _CUT_GAP <= skew <= (m+1)/p - _CUT_GAP (one
     Sutherland-Hodgman pass per side of U_m).  Each edge is cut into the
-    fewest equal segments no wider than dx nor taller than dy, so a full side
-    of the box carries as many points as the grid has cells along it.
+    fewest equal segments no wider nor taller than a cell, so a full side of
+    the box carries as many points as the grid has cells along it.
     """
     x_lo, x_hi, y_lo, y_hi = box
+    dx, dy = (x_hi - x_lo) / (resolution - 1), (y_hi - y_lo) / (resolution - 1)
     slope = u / (2.0 * math.pi * p)
     corners = [complex(x_lo, y_lo), complex(x_hi, y_lo), complex(x_hi, y_hi), complex(x_lo, y_hi)]
     for sign, bound in ((1.0, m / p + _CUT_GAP), (-1.0, _CUT_GAP - (m + 1) / p)):
@@ -201,7 +197,7 @@ def _cyclic_runs(below: np.ndarray) -> int:
     return int(np.count_nonzero(below & ~np.roll(below, 1)))
 
 
-def components_d_cap_e(m: int, u: float, p: int, resolution=400, nu: float = 0.02) -> int:
+def components_d_cap_e(m: int, u: float, p: int, resolution=400) -> int:
     """Number of components of D_m within E_m, counted on E_m's boundary.
 
     The walk samples Re Phi_m at the points of _boundary_walk, with the
@@ -223,11 +219,10 @@ def components_d_cap_e(m: int, u: float, p: int, resolution=400, nu: float = 0.0
     the segment's length) is halved, up to WALK_HALVINGS times, until k
     reaches 2.  A k other than 2 at the end, above 2 included, which no
     halving can lower, is refused with QuadratureError naming (u, p, m) and
-    the stage.  resolution and nu are checked, and the box taken, as in
-    grid_scan.
+    the stage.  resolution is checked, and the box taken, as in grid_scan.
     """
-    nx, ny, sd, _, box = _grid_box(m, u, p, resolution, nu)
-    z = _boundary_walk(m, u, p, box, (box[1] - box[0]) / (nx - 1), (box[3] - box[2]) / (ny - 1))
+    sd, _, _, box = _grid_box(m, u, p, resolution)
+    z = _boundary_walk(m, u, p, box, resolution)
     shift = 2j * m * math.pi / sd.xi
     threshold = sd.f_sigma0.real
     gap = f_values(z - shift, u, p).real - threshold

@@ -98,11 +98,11 @@ def test_empty_or_bad_n_range_exits_2(command, n_args, flag, capsys):
                  "m must lie in [0, p-1]", id="region-m-above-strips"),
     pytest.param(["region", "--u", "0.5", "--p", "2", "--m", "-1", "--res", "50"],
                  "m must lie in [0, p-1]", id="region-negative-m"),
-    *(pytest.param(["region", "--u", "0.5", "--p", "2", "--m", "1", "--res", "50", "--nu", nu],
-                   "nu must lie in (0, 0.5)", id=f"region-nu-{nu}") for nu in ("0", "0.5", "nan")),
-    # the grid box ends at x = 1 - nu = 0.8, short of sigma_0 (Re 0.8526)
-    pytest.param(["region", "--u", "0.5", "--p", "1", "--m", "0", "--res", "50", "--nu", "0.2"],
-                 "nu = 0.2 leaves sigma_0 outside the grid box", id="region-nu-past-the-saddle"),
+    pytest.param(["region", "--u", "0.5", "--p", "1", "--m", "0", "--res", "0"],
+                 "resolution must be a positive integer", id="region-res-zero"),
+    # the box's inset comes from sigma_m, not from an option
+    pytest.param(["region", "--u", "0.5", "--p", "1", "--m", "0", "--res", "50", "--nu", "0.02"],
+                 "unrecognized arguments: --nu", id="region-no-nu"),
 ])
 def test_bad_value_exits_2(argv, text, capsys):
     code, out, err = run(argv, capsys)
@@ -397,15 +397,29 @@ def test_region_refuses_an_unresolved_count(u, capsys, monkeypatch):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-def test_region_nu_sets_the_x_bounds(tmp_path, capsys):
-    # the grid spans (m + nu)/p to (m + 1 - nu)/p: 0.55 to 0.95 at p = 2, m = 1
+@pytest.mark.parametrize("u, p, m, nu", [(0.5, 2, 1, 0.02), (0.962, 1, 0, 0.013845342442693365)])
+def test_region_out_records_the_inset(u, p, m, nu, tmp_path, capsys):
+    # the grid spans (m + nu)/p to (m + 1 - nu)/p: nu is 0.02, or half the gap
+    # m + 1 - p Re sigma_m where that is below 0.04, as at p = 1 near kappa
     prefix = tmp_path / "grid"
-    code, _, _ = run(["region", "--u", "0.5", "--p", "2", "--m", "1", "--res", "50",
-                      "--nu", "0.1", "--out", str(prefix)], capsys)
+    code, out, _ = run(["region", "--u", str(u), "--p", str(p), "--m", str(m), "--res", "50",
+                        "--out", str(prefix)], capsys)
     assert code == 0
     header = json.loads((tmp_path / "grid.json").read_text())
-    assert header["params"]["nu"] == 0.1
-    assert header["params"]["bounds"][:2] == [0.55, 0.95]
+    assert header["params"]["nu"] == nu
+    assert header["params"]["bounds"][:2] == [(m + nu) / p, (m + 1 - nu) / p]
+    assert nu == min(0.02, (m + 1 - p * json.loads(out)["sigma_m"][0]) / 2)
+
+
+@pytest.mark.parametrize("u, p, m", [(0.9589, 2, 0), (0.9588096184363086, 2, 0), (0.962, 3, 2),
+                                     (0.96, 8, 7)])
+def test_region_counts_two_lobes_where_sigma_m_nears_the_end_of_u_m(u, p, m, capsys):
+    # sigma_m lies within 0.02/p of the end of U_m: a box inset by a fixed
+    # 0.02 would leave it outside, or 1e-12 inside the box's side
+    code, out, err = run(["region", "--u", str(u), "--p", str(p), "--m", str(m), "--res", "400"],
+                         capsys)
+    assert code == 0, err
+    assert json.loads(out)["components_d_cap_e"] == 2
 
 
 def test_modularity_records(capsys):
@@ -456,12 +470,16 @@ def test_modularity_zagier_mode(capsys):
                  ["check", "expected", "m", "margin", "p", "pass", "re_f0", "re_f_sigma0",
                   "residual", "u", "value", "z_im", "z_re"], 49, id="lemmas"),
 ])
-def test_csv_format(tmp_path, argv, keys, n_rows):
+def test_csv_format(tmp_path, capsys, argv, keys, n_rows):
     # list cells and eta contain commas and must come back whole
     out = tmp_path / "rows.csv"
     assert main(argv + ["--format", "csv", "--out", str(out)]) == 0
     meta, body = out.read_text().split("\n", 1)
-    assert meta.startswith("# fig8lab/1")
+    # the comment line's params are the JSON header's, in the same compact JSON
+    header = parse_jsonl(run(argv, capsys)[1])[0]
+    params = json.dumps(header["params"], sort_keys=True, separators=(",", ":"))
+    assert meta == f"# fig8lab/1 command={header['command']} params={params}"
+    assert json.loads(meta.split(" params=", 1)[1]) == header["params"]
     rows = list(csv.reader(io.StringIO(body)))
     assert rows[0] == sorted(keys)
     assert len(rows) == 1 + n_rows

@@ -538,6 +538,16 @@ def test_product_identity_is_tight(p, n):
     assert max(product_identity_residual(k, ctx) for k in range(1, n)) <= 4e-14
 
 
+@pytest.mark.parametrize("k", [-1, 0, 41, 2.5])
+def test_sector_points_k_domain(k):
+    # -1 would wrap to the last sector's shift, and N and 2.5 index past the
+    # shift table; alone or among good k, each is refused by the one check of k
+    ctx = EvalContext(u=0.5, p=2, n=41)
+    for ks in (k, np.array([1, k, 40])):
+        with pytest.raises(DomainError, match=rf"k must lie in \[1, N-1\], got {k}"):
+            sector_points(ks, ctx)
+
+
 def test_product_identity_k_domain():
     ctx = EvalContext(u=0.5, p=2, n=41)
     with pytest.raises(DomainError):

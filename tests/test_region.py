@@ -3,7 +3,6 @@
 import dataclasses
 import json
 import math
-import re
 import tracemalloc
 from fractions import Fraction
 
@@ -75,10 +74,10 @@ def test_grid_flags_are_consistent(u):
 @pytest.mark.parametrize("u", [0.5, 0.9])
 def test_grid_scan_blocks_match_one_call(u):
     # the row-block scan holds, bit for bit, one f_values call over every
-    # inside cell; 160 rows of 200 are four blocks of 40 rows, and 151 rows
-    # end in a short block
+    # inside cell; 256 rows of 256 are eight blocks of 32 rows, and 151 rows
+    # of 151 are two blocks of 54 and a short one of 43
     p, m = 1, 0
-    for resolution in ((200, 160), (200, 151)):
+    for resolution in (256, 151):
         grid = grid_scan(m, u, p, resolution=resolution)
         inside = grid.in_u
         assert inside.sum() > _SCAN_BLOCK
@@ -127,27 +126,41 @@ def test_write_grid_csv_peak_memory(tmp_path):
 def test_grid_resolution_guard():
     with pytest.raises(DomainError):
         grid_scan(0, 0.5, 1, resolution=30)
-    # a count that is not an integer is refused as one, in either form
-    for resolution in (60.0, (60.5, 60)):
-        with pytest.raises(DomainError, match="resolution must be positive integers"):
+    # a count that is not an integer is refused as one, and so is a pair of
+    # counts: the grid is square
+    for resolution in (60.0, (60, 60)):
+        with pytest.raises(DomainError, match="resolution must be a positive integer"):
             grid_scan(0, 0.5, 1, resolution=resolution)
     # a numpy integer is a count: one side of a square grid
     assert grid_scan(0, 0.5, 1, resolution=np.int64(60)).re_phi.shape == (60, 60)
 
 
+# u from 1e-6 up to kappa, densest near kappa, where sigma_m nears the right
+# end of U_m: m + 1 - p Re sigma_m falls to 0.023 at p = 1 and 0.0004 at p = 8;
+# the extra triple puts sigma_0 1e-12 inside the side of a box inset by 0.02
+_SWEEP = [(u, p, m) for p in (1, 2, 3, 8)
+          for u in np.concatenate([np.geomspace(1e-6, 0.05, 6), np.linspace(0.1, 0.9, 9),
+                                   np.linspace(0.95, KAPPA - 1e-9, 13)]).tolist()
+          for m in range(p)] + [(0.9588096184363086, 2, 0)]
+
+
 def test_grid_scan_box_holds_the_saddle():
-    # the box ends at x = (m + 1 - nu)/p; at (u, p, m) = (0.5, 1, 0) it passes
-    # sigma_0 (Re 0.8526) once nu > 0.1474, and D_0 is then counted without its saddle
-    sigma0 = saddle_data(0.5, 1).sigma0
-    assert grid_scan(0, 0.5, 1, resolution=50, nu=0.14).xs[-1] > sigma0.real
-    for nu in (0.15, 0.2, 0.45):
-        with pytest.raises(DomainError, match=rf"nu = {nu} leaves sigma_0 outside the grid box: "
-                                              rf"Re sigma_0 = {re.escape(str(sigma0.real))} not in"):
-            grid_scan(0, 0.5, 1, resolution=50, nu=nu)
-    # sigma_2 at (0.5, 3) sits at Re 0.952, inside ((2 + nu)/3, (3 - nu)/3) up to nu = 0.144
-    grid_scan(2, 0.5, 3, resolution=50, nu=0.14)
-    with pytest.raises(DomainError, match="leaves sigma_2 outside"):
-        grid_scan(2, 0.5, 3, resolution=50, nu=0.15)
+    # the inset is 0.02 wherever sigma_m lies 0.04/p or more from the right
+    # end of U_m, and half that gap closer in, so sigma_m is strictly inside
+    for u, p, m in _SWEEP:
+        sd, sigma_m, nu, (x_lo, x_hi, y_lo, y_hi) = _grid_box(m, u, p, 50)
+        gap = m + 1 - p * sigma_m.real
+        assert sd is saddle_data(u, p) and sigma_m == sd.sigma_m(m)
+        assert nu == (0.02 if gap >= 0.04 else gap / 2), (u, p, m)
+        assert (x_lo, x_hi) == ((m + nu) / p, (m + 1 - nu) / p)
+        assert x_lo < sigma_m.real < x_hi and y_lo < sigma_m.imag < y_hi, (u, p, m)
+    assert grid_scan(0, KAPPA - 1e-9, 1, resolution=50).nu < 0.02
+
+
+def test_component_count_sweeps_u_to_kappa():
+    # the box never refuses a u in (0, kappa), and the walk counts two lobes everywhere
+    for u, p, m in _SWEEP:
+        assert components_d_cap_e(m, u, p, 50) == 2, (u, p, m)
 
 
 @pytest.mark.parametrize("m", [-1, 2, 5, 0.5])
@@ -195,11 +208,11 @@ def test_component_count_resolution_stable():
 
 def test_component_count_refuses_as_the_grid_does():
     # the walk and the grid share one box and one set of refusals
-    for args, text in (((0, 0.5, 1, 30, 0.02), "resolution must be at least 50x50"),
-                       ((0, 0.5, 1, 60.0, 0.02), "resolution must be positive integers"),
-                       ((0, 0.5, 1, 60, 0.5), r"nu must lie in \(0, 0.5\)"),
-                       ((2, 0.5, 2, 60, 0.02), "m must lie"),
-                       ((0, 0.5, 1, 60, 0.2), "nu = 0.2 leaves sigma_0 outside the grid box")):
+    for args, text in (((0, 0.5, 1, 30), "resolution must be at least 50"),
+                       ((0, 0.5, 1, 60.0), "resolution must be a positive integer"),
+                       ((0, 0.5, 1, (60, 60)), "resolution must be a positive integer"),
+                       ((0, 1.0, 1, 60), "u must lie"),
+                       ((2, 0.5, 2, 60), "m must lie")):
         for fn in (grid_scan, components_d_cap_e):
             with pytest.raises(DomainError, match=text):
                 fn(*args)
@@ -209,9 +222,9 @@ def test_component_count_refuses_as_the_grid_does():
 def test_boundary_walk_stays_in_e_m(p, m, u, res):
     # every point lies in the box, strictly inside U_m, and on the boundary
     # of the clipped box; neighbours are at most one cell apart in x and y
-    nx, ny, _, _, (x_lo, x_hi, y_lo, y_hi) = _grid_box(m, u, p, res, 0.02)
-    dx, dy = (x_hi - x_lo) / (nx - 1), (y_hi - y_lo) / (ny - 1)
-    z = _boundary_walk(m, u, p, (x_lo, x_hi, y_lo, y_hi), dx, dy)
+    *_, (x_lo, x_hi, y_lo, y_hi) = _grid_box(m, u, p, res)
+    dx, dy = (x_hi - x_lo) / (res - 1), (y_hi - y_lo) / (res - 1)
+    z = _boundary_walk(m, u, p, (x_lo, x_hi, y_lo, y_hi), res)
     skew = z.real + u / (2 * math.pi * p) * z.imag
     assert np.all((skew > m / p) & (skew < (m + 1) / p))
     assert np.all((z.real >= x_lo) & (z.real <= x_hi) & (z.imag >= y_lo) & (z.imag <= y_hi))
@@ -221,7 +234,7 @@ def test_boundary_walk_stays_in_e_m(p, m, u, res):
     assert np.all(edge <= 2e-9)
     step = np.diff(np.append(z, z[0]))
     assert np.all(np.abs(step.real) <= dx * (1 + 1e-12)) and np.all(np.abs(step.imag) <= dy * (1 + 1e-12))
-    assert 4 * min(nx, ny) * 0.6 < z.size <= 2 * (nx + ny)
+    assert 4 * res * 0.6 < z.size <= 4 * res
 
 
 def test_saddle_cell_excluded():
@@ -302,7 +315,7 @@ def test_directional_derivatives_on_boundary_segments():
 
 def test_band_connectivity():
     for (p, m, u) in ((3, 2, 0.5), (1, 0, 0.5)):
-        grid = grid_scan(m, u, p, resolution=(301, 301))
+        grid = grid_scan(m, u, p, resolution=301)
         assert band_endpoints_connected(grid)
         assert band_endpoints_connected(grid, lower=True)
 
@@ -547,8 +560,9 @@ def test_format_cells_hands_python_only_the_special_values(monkeypatch):
 @pytest.mark.parametrize("m, u, p, resolution, rewrite", [
     (2, 0.5, 3, 60, False),
     (0, 0.9, 1, 60, False),
-    (0, 0.9, 1, (70, 55), False),
-    (0, 0.9, 1, (70, 55), True),
+    # 151 rows are eleven write blocks of 13 rows and a short one of 8
+    (0, 0.9, 1, 151, False),
+    (0, 0.9, 1, 151, True),
     (2, 0.5, 3, 60, "re_phi"),
     (2, 0.5, 3, 400, False),
 ])
