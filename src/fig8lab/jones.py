@@ -9,19 +9,32 @@ w): individual terms routinely exceed native floating-point range at the
 evaluation points used here (w = 4 N pi^2 / xi has large positive real part).
 
 The n terms of J_n, the dual's included, come from one builder, _jones_terms,
-whose products come from one numpy kernel, log_qpoch: numkernel.log1mexp of
-every factor (principal logs from real ufuncs, in blocks of bounded scratch),
-then one cumulative sum over the 2k factors.  The outer sum is one
-numkernel.lc_sum, and every value is returned as a complex log (see
-numkernel).  Every exponent is a multiple e w, e an integer, built by
-_exponents from a pair (a, r) for w = a + 2 pi i r with r rational, its phase
-2 pi e r reduced in exact integers: r = p/N at the cusp, num/den at a root of
-unity, and -N/p for the dual J_p(E; e^{4 N pi^2/xi}), whose terms are
-beta_factors(ctx).  Every factor has the principal phase log1mexp returns, and
-every weight e^{-knw} a phase in (-pi, pi]: exactly 0 where a is real and n r
-an integer (the cusp, a root of unity q with q^n = 1), reduced through
-reduce_phase elsewhere.  Unreduced phases, or pairwise sums of the two factors
-of each l, cost digits at large N.
+in blocks of _TERM_BLOCK = 1,024 terms, and their products from one numpy
+kernel, _qpoch_blocks.  Each block takes the exponents of its 2,048 factors,
+their numkernel.log1mexp logs (principal logs from real ufuncs, one log1mexp
+block) and one np.cumsum, whose first factor log carries the previous
+block's last entry; cumsum adds in sequence, so every entry has the bits of
+one cumulative sum over all 2k factors (log_qpoch is the blocks end to end).
+numkernel.lc_sum_blocks folds the blocks into the outer sum as they come, and
+every value is returned as a complex log (see numkernel).  A J_n thus holds a
+few blocks at a time: J_N at the cusp (0.5, 2, 12801) and jones_exp_unity(n,
+1, n) at n = 100,001 and 1,000,001 all peak at 0.21 MB (tracemalloc), where
+one pass over all terms took 0.94, 6.7 and 66 MB.  Up to 1,024 terms are one
+block, summed exactly as one lc_sum of the terms.  Beyond, each block is scaled by the
+largest real part read by then (see lc_sum_blocks): the sum rounds apart
+from one scaled sum by a few ulps of its largest partial sums, times the
+cancellation, |delta log J| = 3.1e-15, 3.8e-12 and 3.8e-7 at u = 0.2, p = 1,
+N = 1601, 3201 and 6401, each below that value's own float error.
+
+Every exponent is a multiple e w, e an integer, built by _exponents from a
+pair (a, r) for w = a + 2 pi i r with r rational, its phase 2 pi e r reduced
+in exact integers: r = p/N at the cusp, num/den at a root of unity, and -N/p
+for the dual J_p(E; e^{4 N pi^2/xi}), whose terms are beta_factors(ctx).
+Every factor has the principal phase log1mexp returns, and every weight
+e^{-knw} a phase in (-pi, pi]: exactly 0 where a is real and n r an integer
+(the cusp, a root of unity q with q^n = 1), reduced through reduce_phase
+elsewhere.  Unreduced phases, or pairwise sums of the two factors of each l,
+cost digits at large N.
 
 The float64 sum cancels: at u = 0.5, p = 2 about 6.0 digits are lost per
 1000 N (8.3, 17.7 and 75.0 digits at N = 1601, 3201 and 12801), and the
@@ -47,8 +60,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numkernel import TWO_PI, DomainError, lc_one_minus_exp, lc_sum, log1mexp, reduce_phase
+from .numkernel import (_FACTOR_BLOCK, TWO_PI, DomainError, lc_one_minus_exp, lc_sum, lc_sum_blocks,
+                        log1mexp, reduce_phase)
 from .qdilog import EvalContext, require_counts, require_integers, require_strip, t_n
+
+
+# Terms per block of a Jones sum: 2 factors a term, one log1mexp block.
+_TERM_BLOCK = _FACTOR_BLOCK // 2
 
 
 def _pair(w) -> tuple:
@@ -78,41 +96,68 @@ def _exponents(e: np.ndarray, bound: int, w) -> np.ndarray:
     return out
 
 
+def _qpoch_blocks(c: int, k: int, w):
+    """log_qpoch(c, k, w) in consecutive blocks of at most _TERM_BLOCK entries.
+
+    Block [lo, hi) takes the 2 (hi - lo) factors of l = lo..hi-1 (l >= 1), one
+    log1mexp block.  The previous block's last entry goes onto its first
+    factor log before np.cumsum, whose sequential sum then gives every entry
+    the bits of one cumulative sum over all 2k factors.
+    """
+    bound, carry = abs(c) + k, None
+    for lo in range(0, k + 1, _TERM_BLOCK):
+        hi = min(lo + _TERM_BLOCK, k + 1)
+        first = max(lo, 1)                  # entry 0 is the empty product
+        l = np.arange(first, hi)
+        e = np.empty(2 * l.size, dtype=np.int64)
+        np.add(c, l, out=e[0::2])
+        np.subtract(c, l, out=e[1::2])
+        logs = _exponents(e, bound, w)
+        del e, l                            # freed before log1mexp allocates
+        logs = log1mexp(logs)
+        out = np.empty(hi - lo, dtype=complex)
+        if carry is None:
+            out[0] = 0.0
+        else:
+            logs[0] += carry
+        out[first - lo:] = np.cumsum(logs, out=logs)[1::2]
+        del logs
+        carry = out[-1]
+        yield out
+
+
 def log_qpoch(c: int, k: int, w) -> np.ndarray:
     """Complex logs of prod_{l=1}^{j} (1 - e^{(c+l)w})(1 - e^{(c-l)w}) for j = 0..k.
 
     One cumulative sum runs over the 2k factor logs in the order c+1, c-1,
     c+2, c-2, ...; a vanishing factor gives -inf, which every later entry
-    inherits.  w is a complex exponent or a pair (a, r) (see _pair).
+    inherits.  w is a complex exponent or a pair (a, r) (see _pair).  The
+    entries are the blocks of _qpoch_blocks end to end.
     """
-    e = np.empty(2 * k, dtype=np.int64)
-    e[0::2] = np.arange(c + 1, c + k + 1)
-    e[1::2] = np.arange(c - 1, c - k - 1, -1)
-    logs = _exponents(e, abs(c) + k, w)
-    del e                               # freed before log1mexp allocates
-    logs = log1mexp(logs)
-    out = np.empty(k + 1, dtype=complex)
-    out[0] = 0.0
-    out[1:] = np.cumsum(logs, out=logs)[1::2]
-    return out
+    return np.concatenate(tuple(_qpoch_blocks(c, k, w)))
 
 
-def _jones_terms(n: int, w) -> np.ndarray:
-    """The complex logs of the n terms of J_n(E; e^w), each weight's phase in (-pi, pi]."""
-    terms = log_qpoch(n, n - 1, w)
-    e = np.arange(0, -n * n, -n)       # the weights e^{-knw}, k = 0..n-1
+def _jones_terms(n: int, w):
+    """The complex logs of the n terms of J_n(E; e^w), each weight's phase in
+    (-pi, pi], in the blocks of _qpoch_blocks(n, n - 1, w)."""
     a, r = _pair(w)
-    if a.imag == 0 and n * r.numerator % r.denominator == 0:
-        # a is real and n r an integer: every weight is real and positive, its
-        # phase exactly 0; adding +0.0 turns a term phase -0.0 into +0.0, as
-        # adding reduced zero phases does
-        terms.real += e * a.real
-        terms.imag += 0.0
-    else:
-        weights = _exponents(e, n * n, w)
-        terms.real += weights.real
-        terms.imag += reduce_phase(weights.imag)
-    return terms
+    # a is real and n r an integer: every weight e^{-knw} is real and positive
+    real = a.imag == 0 and n * r.numerator % r.denominator == 0
+    lo = 0
+    for terms in _qpoch_blocks(n, n - 1, w):
+        hi = lo + terms.size
+        e = np.arange(-lo * n, -hi * n, -n)        # the weights' exponents -k n
+        lo = hi
+        if real:
+            # phase exactly 0; adding +0.0 turns a term phase -0.0 into +0.0,
+            # as adding reduced zero phases does
+            terms.real += e * a.real
+            terms.imag += 0.0
+        else:
+            weights = _exponents(e, n * n, w)
+            terms.real += weights.real
+            terms.imag += reduce_phase(weights.imag)
+        yield terms
 
 
 def jones_exp(n: int, w) -> complex:
@@ -129,7 +174,7 @@ def jones_exp(n: int, w) -> complex:
         raise DomainError(f"w = {w} is not finite at J_{n}")
     if not isinstance(w, tuple):
         w = complex(w.real, float(reduce_phase(w.imag)))
-    return lc_sum(_jones_terms(n, w))
+    return lc_sum_blocks(_jones_terms(n, w))
 
 
 def jones_exp_unity(n: int, num: int, den: int) -> complex:
@@ -141,7 +186,7 @@ def jones_exp_unity(n: int, num: int, den: int) -> complex:
     """
     require_counts("n and den", n, den)
     require_integers("num", num)
-    return lc_sum(_jones_terms(n, (0.0, Fraction(num, den))))
+    return lc_sum_blocks(_jones_terms(n, (0.0, Fraction(num, den))))
 
 
 def jones_at_cusp(ctx: EvalContext) -> complex:
@@ -158,8 +203,8 @@ def beta_factors(ctx: EvalContext) -> np.ndarray:
     knot is amphichiral), whose one evaluator is their lc_sum.  Their exponent
     4 N pi^2/xi = 2 pi i N u/(p xi) - 2 pi i N/p is the exact pair (2 pi i N u/(p xi), -N/p).
     """
-    return _jones_terms(ctx.p, (2j * math.pi * ctx.n * ctx.u / (ctx.p * ctx.xi),
-                                Fraction(-ctx.n, ctx.p)))
+    w = (2j * math.pi * ctx.n * ctx.u / (ctx.p * ctx.xi), Fraction(-ctx.n, ctx.p))
+    return np.concatenate(tuple(_jones_terms(ctx.p, w)))
 
 
 def f_n(z, ctx: EvalContext):

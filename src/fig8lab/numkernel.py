@@ -1,8 +1,8 @@
 """Branch-disciplined complex kernels.
 
-Log-domain complex arithmetic (the vectorised log1mexp and lc_sum) and the
-principal dilogarithm Li2.  Every other module builds on these primitives,
-so the conventions are fixed once, here:
+Log-domain complex arithmetic (the vectorised log1mexp, and lc_sum with its
+blocked form lc_sum_blocks) and the principal dilogarithm Li2.  Every other
+module builds on these primitives, so the conventions are fixed once, here:
 
 * a value v too large or too small for a float is kept as its complex log,
   a plain Python complex: the real part is log|v|, the imaginary part a
@@ -14,19 +14,21 @@ so the conventions are fixed once, here:
   error rather than a silent one-sided value.  Li2 is one series after the
   inversion and reflection reductions, its logs taken with real ufuncs.
 
-log1mexp is the one kernel behind every Jones product (jones.log_qpoch)
-and lc_one_minus_exp.  It takes log(1 - e^w) from real ufuncs (a sin of
-y/2, a sin of y, an atan2 and a hypot per factor), in blocks of bounded
-scratch, and its phase needs no modular reduction.  On long products it
-costs about 0.7 of numpy's complex expm1 and log (0.51 against 0.72 ms for
-12,800 factors on a 2-vCPU Xeon).  A short product is one block, whose 19
-ufunc calls then set the time: about 12 us for one to a few factors, against
-under 2 us for expm1 and log.
+log1mexp takes the logs of every Jones product factor (one call per block
+of 2,048 factors, in jones._qpoch_blocks), of lc_one_minus_exp, and of
+qdilog's edge shifts, L_1 values and identity forms.  It takes log(1 - e^w)
+from real ufuncs (a sin of y/2, a sin of y, an atan2 and a hypot per
+factor), in blocks of bounded scratch, and its phase needs no modular
+reduction.  On 12,800 factors it costs about 0.7 of numpy's complex expm1
+and log (0.51 against 0.72 ms on a 2-vCPU Xeon).  A short product is one
+block, whose 19 ufunc calls then set the time: about 12 us for one to a few
+factors, against under 2 us for expm1 and log.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -75,26 +77,52 @@ def exp_of_log(value: complex, what: str) -> complex:
 
 
 def lc_sum(logs) -> complex:
-    """log(sum(exp(logs))) for complex logs, as a complex log.
+    """log(sum(exp(logs))) for complex logs, as a complex log: the one-block
+    case of lc_sum_blocks, and its formula exactly."""
+    return lc_sum_blocks((logs,))
 
-    The largest real part is factored out so intermediates stay in native
-    floating-point range regardless of the terms' scale.  A real part -inf
-    is an exact zero, and so is the result -inf + 0j.  A term with a NaN
-    part, an infinite imaginary part or a real part +inf stands for no
-    complex number and raises DomainError.
+
+def lc_sum_blocks(blocks) -> complex:
+    """log(sum(exp(x))) over the complex logs x of every block, as a complex log.
+
+    The largest real part m read so far is factored out, so intermediates
+    stay in native floating-point range regardless of the terms' scale.  A
+    block is summed as sum(exp(x - m)) once the next block has been read, and
+    the running sum is scaled by e^(m - m') whenever a block raises m to m'.
+    Holding one block back costs its memory and saves time where the largest
+    terms come last (J_N at the cusp): a block's small terms then underflow
+    to zero at once, where scaled by its own maximum they would pass through
+    subnormal values, on which numpy's complex exp takes about eight times as
+    long.  One block is one scaled sum; over several blocks the rounding
+    differs from that one sum by a few ulps of the largest partial sums.
+
+    A real part -inf is an exact zero, and so is the result -inf + 0j.  A
+    term with a NaN part, an infinite imaginary part or a real part +inf
+    stands for no complex number and raises DomainError.
     """
-    logs = np.asarray(logs, dtype=np.complex128)
-    if logs.size == 0:
+    m, acc, held, empty = -math.inf, None, None, True
+    for logs in itertools.chain(blocks, [None]):        # None: the end, to sum the held block
+        if logs is not None:
+            logs = np.asarray(logs, dtype=np.complex128)
+            if not logs.size:
+                continue
+            empty = False
+            top = float(logs.real.max())        # NaN if any real part is
+            if not (top < math.inf and np.isfinite(logs.imag).all()):
+                bad = ~(np.isfinite(logs.imag) & (logs.real < math.inf))
+                raise DomainError(f"complex log {logs[bad][0]} is not a number")
+            if top > m:
+                if acc is not None:
+                    acc *= math.exp(m - top)
+                m = top
+        if held is not None:
+            scaled = held - m
+            part = complex(np.exp(scaled, out=scaled).sum())
+            acc = part if acc is None else acc + part
+        held = logs if m > -math.inf else None
+    if empty:
         raise DomainError("sum of an empty sequence")
-    m = float(logs.real.max())          # NaN if any real part is
-    if not (m < math.inf and np.isfinite(logs.imag).all()):
-        bad = ~(np.isfinite(logs.imag) & (logs.real < math.inf))
-        raise DomainError(f"complex log {logs[bad][0]} is not a number")
-    if m == -math.inf:
-        return complex(-math.inf, 0.0)
-    scaled = logs - m
-    acc = complex(np.exp(scaled, out=scaled).sum())
-    if acc == 0j:
+    if acc is None or acc == 0j:
         return complex(-math.inf, 0.0)
     # math.atan2, not cmath.phase, which raises when the phase is subnormal
     return complex(math.log(abs(acc)) + m, math.atan2(acc.imag, acc.real))

@@ -271,7 +271,7 @@ def test_jones_terms_bit_equal_to_earlier_builder(monkeypatch, capsys):
     jones_exp(20, (0.03 - 0.02j, Fraction(-3, 7)))
     jones_exp(5, (-0.25, Fraction(2 ** 62 + 1, 2 ** 62 + 5)))
     for n, w in calls:
-        mine, ref = terms(n, w), _jones_terms_reference(n, w)
+        mine, ref = np.concatenate(tuple(terms(n, w))), _jones_terms_reference(n, w)
         assert np.array_equal(mine.view(np.int64), ref.view(np.int64)), (n, w)
     # the partial products of product_identity_residual, and a vanishing factor at c <= k
     for c, k, w in [(12, k, (0.5 / 12, Fraction(4, 12))) for k in range(12)] + [(5, 9, -0.3 + 1.1j)]:
@@ -288,7 +288,7 @@ def test_exponent_bounds_reach_the_largest_product(largest):
     num, den = -(-2 ** 63 // largest), 3 * 10 ** 18 + 1
     assert (largest - 1) * num < 2 ** 63 <= largest * num and num < den
     w = (0.0, Fraction(num, den))
-    mine, ref = jones._jones_terms(5, w), _jones_terms_reference(5, w)
+    mine, ref = np.concatenate(tuple(jones._jones_terms(5, w))), _jones_terms_reference(5, w)
     assert np.array_equal(mine.view(np.int64), ref.view(np.int64))
 
 
@@ -305,9 +305,106 @@ def test_zero_phase_weights_keep_the_reduced_signed_zero(monkeypatch):
     monkeypatch.setattr(jones, "log1mexp", negative_zero_phases)
     for w in (-0.3, (-0.3, Fraction(4))):
         assert np.signbit(log_qpoch(9, 8, w).imag[1:]).all()
-        mine, ref = jones._jones_terms(9, w), _jones_terms_reference(9, w)
+        mine, ref = np.concatenate(tuple(jones._jones_terms(9, w))), _jones_terms_reference(9, w)
         assert not np.signbit(mine.imag).any()
         assert np.array_equal(mine.view(np.int64), ref.view(np.int64))
+
+
+# ---------------------------------------------------------------------------
+# blocks: every J_n is one pass over blocks of _TERM_BLOCK terms
+# ---------------------------------------------------------------------------
+
+B = jones._TERM_BLOCK
+# 3100 first divides 2000 + l at l = 1100 and 2000 - l at l = 2000, both in the second block
+_VANISHING_IN_BLOCK_2 = (0.0, Fraction(3, 3100))
+
+
+@pytest.mark.parametrize("c, w", [
+    pytest.param(3081, (0.5 / 3081, Fraction(2, 3081)), id="cusp"),
+    pytest.param(7, 0.002 + 0.7j, id="complex"),
+    pytest.param(2000, _VANISHING_IN_BLOCK_2, id="unity-vanishing-in-block-2"),
+])
+@pytest.mark.parametrize("k", [B - 1, B, B + 1, 2 * B, 3 * B + 5])
+def test_log_qpoch_bit_equal_across_block_boundaries(c, k, w):
+    # each block's first factor log takes the carry before np.cumsum, which
+    # sums in sequence: every entry has the bits of one cumulative sum
+    mine, ref = log_qpoch(c, k, w), _log_qpoch_reference(c, k, w)
+    assert np.array_equal(mine.view(np.int64), ref.view(np.int64))
+
+
+def test_vanishing_factor_in_block_2_zeroes_every_later_block():
+    blocks = list(jones._qpoch_blocks(2000, 3 * B + 5, _VANISHING_IN_BLOCK_2))
+    assert [b.size for b in blocks] == [B, B, B, 6]
+    assert np.isfinite(blocks[0].real).all()
+    assert np.isfinite(blocks[1].real[:1100 - B]).all()
+    assert (blocks[1].real[1100 - B:] == -math.inf).all()
+    assert all((b.real == -math.inf).all() for b in blocks[2:])
+
+
+def _lc_sum_reference(logs):
+    """The one scaled sum of all terms, as lc_sum made it before sums ran in blocks."""
+    m = float(logs.real.max())
+    if m == -math.inf:
+        return complex(-math.inf, 0.0)
+    acc = complex(np.exp(logs - m).sum())
+    if acc == 0j:
+        return complex(-math.inf, 0.0)
+    return complex(math.log(abs(acc)) + m, math.atan2(acc.imag, acc.real))
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, B - 1, B])
+def test_one_block_sums_bit_equal_to_one_scaled_sum(n):
+    # n <= B terms are one block, summed by the one-pass formula exactly
+    def bits(value):
+        return np.array([value]).view(np.int64).tolist()
+
+    for w in ((0.5 / n, Fraction(2, n)), 0.01 - 0.4j, (0.03 - 0.02j, Fraction(-3, 7))):
+        assert bits(jones_exp(n, w)) == bits(_lc_sum_reference(_jones_terms_reference(n, w)))
+    unity = (0.0, Fraction(1, n))
+    assert bits(jones_exp_unity(n, 1, n)) == bits(_lc_sum_reference(_jones_terms_reference(n, unity)))
+
+
+def test_kashaev_sum_across_blocks_against_mpmath():
+    # J_N(E; e^{2 pi i/N}), 3 blocks: its terms |prod (1 - q^l)|^2 are >= 0, so
+    # the sum does not cancel and the blocked sum keeps the one-pass accuracy, 9.4e-12
+    n = 3000
+    value = jones_exp_unity(n, 1, n)
+    with mp.workdps(30):
+        def factor(e):
+            return 1 - mp.expjpi(mp.mpf(2 * (e % n)) / n)
+
+        assert log_relative_error(value, mp_jones(n, mp.expjpi(mp.mpf(2) / n), factor)) <= 2e-11
+
+
+def test_cusp_sum_whose_later_blocks_raise_the_maximum():
+    # at the cusp the largest terms are in the last sector: each block's maximum
+    # exceeds the last, so the running sum is rescaled; the result stays within
+    # rounding of one scaled sum over all terms (6.9e-14) and of mpmath (6.7e-11)
+    n = 2501
+    w = (0.2 / n, Fraction(1, n))
+    maxima = [block.real.max() for block in jones._jones_terms(n, w)]
+    assert len(maxima) == 3 and maxima[0] < maxima[1] < maxima[2]
+    value = jones_exp(n, w)
+    assert abs(value - _lc_sum_reference(_jones_terms_reference(n, w))) <= 1e-12
+    with mp.workdps(40):
+        assert log_relative_error(value, mp_jones(n, mp.exp((mp.mpf(0.2) + 2j * mp.pi) / n))) <= 2e-10
+
+
+def test_nan_in_a_later_block_is_refused(monkeypatch):
+    # a NaN factor log in the second block reaches every later term and the sum refuses it
+    kernel, calls = jones.log1mexp, []
+
+    def nan_in_block_2(w):
+        out = kernel(w)
+        calls.append(None)
+        if len(calls) == 2:
+            out[5] = complex(math.nan, 0.0)
+        return out
+
+    monkeypatch.setattr(jones, "log1mexp", nan_in_block_2)
+    with pytest.raises(DomainError, match="is not a number"):
+        jones_exp(B + 100, (0.5 / (B + 100), Fraction(2, B + 100)))
+    assert len(calls) == 2
 
 
 def _warm_peak(call):
@@ -322,11 +419,15 @@ def _warm_peak(call):
 
 
 def test_jones_at_cusp_peak_memory():
-    # the int64 exponents are freed before log1mexp allocates: held there,
-    # they would add 0.2 MB to this peak of 0.94 MB for 25,600 factors;
-    # log1mexp's scratch of 192 KiB (4,096 factors a block) peaked at 1.04 MB
+    # every J_n runs in blocks of _TERM_BLOCK terms, so its peak does not grow
+    # with n: 0.21 MB here, where one pass over all 25,600 factors peaked at 0.94 MB
     ctx = EvalContext(u=0.5, p=2, n=12801)
-    assert _warm_peak(lambda: jones_at_cusp(ctx)) <= 1.00e6
+    assert _warm_peak(lambda: jones_at_cusp(ctx)) <= 0.30e6
+
+
+def test_kashaev_sum_peak_memory_does_not_grow_with_n():
+    # 98 blocks of terms, with the same peak as the 13 above; unblocked, 6.7 MB
+    assert _warm_peak(lambda: jones_exp_unity(100001, 1, 100001)) <= 0.30e6
 
 
 def test_f_n_of_many_series_points_keeps_memory_bounded():

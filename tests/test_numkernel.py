@@ -20,6 +20,7 @@ from fig8lab.numkernel import (
     DomainError,
     lc_one_minus_exp,
     lc_sum,
+    lc_sum_blocks,
     li2,
     log1mexp,
     reduce_phase,
@@ -133,27 +134,55 @@ def test_lc_sum_refuses_non_numbers(bad):
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.one_of(st.just(-math.inf), st.floats(-800.0, 800.0)), min_size=1, max_size=12),
-       st.lists(st.floats(-50.0, 50.0), min_size=12, max_size=12))
-@example([710.0, 709.5], [0.0] * 12)
-@example([-math.inf], [1.0] * 12)
-@example([0.0, 0.0], [0.0, 5e-324] + [0.0] * 10)
-def test_lc_sum_against_mpmath(reals, phases):
-    # terms with real parts -inf (zero) and beyond 700, where e^{Re} overflows a float
+       st.lists(st.floats(-50.0, 50.0), min_size=12, max_size=12),
+       st.lists(st.integers(0, 12), max_size=4))
+@example([710.0, 709.5], [0.0] * 12, [1])
+@example([-math.inf], [1.0] * 12, [])
+@example([0.0, 0.0], [0.0, 5e-324] + [0.0] * 10, [])
+@example([0.0, 30.0, 800.0, -5.0], [0.5] * 12, [1, 2, 3])           # each block raises the maximum
+def test_lc_sum_against_mpmath(reals, phases, cuts):
+    # terms with real parts -inf (zero) and beyond 700, where e^{Re} overflows a
+    # float; lc_sum_blocks takes them cut into blocks, empty ones included
     terms = [complex(r, 0.0 if r == -math.inf else phi) for r, phi in zip(reals, phases)]
-    got = lc_sum(terms)
+    ends = sorted(min(c, len(terms)) for c in cuts)
+    blocks = [terms[lo:hi] for lo, hi in zip([0] + ends, ends + [len(terms)])]
     with mp.workdps(50):
         total = mp.fsum(mp.exp(mp.mpc(t)) for t in terms if t.real > -math.inf)
         scale = mp.fsum(mp.exp(mp.mpf(t.real)) for t in terms)      # sum of |v|
-        if abs(total) <= 1e-12 * scale:
-            # all zero, or cancelled below the float noise of the terms
-            assert got.real == -math.inf or mp.exp(mp.mpf(got.real)) <= 1e-11 * scale
-            return
-        diff = mp.mpc(got) - mp.log(total)
-        diff = mp.mpc(diff.real, (diff.imag + mp.pi) % (2 * mp.pi) - mp.pi)
-        # a term's log rounds to eps |log|, and the cancellation amplifies it by sum|v| / |sum v|
-        size = max(abs(t) for t in terms if t.real > -math.inf)
-        bound = 64 * 2.0 ** -52 * (1 + size) * scale / abs(total)
-        assert abs(diff) <= bound
+        for got in (lc_sum(terms), lc_sum_blocks(blocks)):
+            if abs(total) <= 1e-12 * scale:
+                # all zero, or cancelled below the float noise of the terms
+                assert got.real == -math.inf or mp.exp(mp.mpf(got.real)) <= 1e-11 * scale
+                continue
+            diff = mp.mpc(got) - mp.log(total)
+            diff = mp.mpc(diff.real, (diff.imag + mp.pi) % (2 * mp.pi) - mp.pi)
+            # a term's log rounds to eps |log|, and the cancellation amplifies it by sum|v| / |sum v|
+            size = max(abs(t) for t in terms if t.real > -math.inf)
+            bound = 64 * 2.0 ** -52 * (1 + size) * scale / abs(total)
+            assert abs(diff) <= bound
+
+
+def test_lc_sum_blocks_merge():
+    def bits(value):
+        return np.array([value]).view(np.int64).tolist()
+
+    # empty blocks add nothing, not even a signed zero
+    for one in (np.array([0.3 + 1j, 2.0 - 0.5j, -1.0 + 3j]), [complex(1.0, -0.0)]):
+        assert bits(lc_sum_blocks([[], one, []])) == bits(lc_sum(one))
+    quadruple = lc_sum_blocks([[0j], [0j], [complex(math.log(2.0), 0.0)]])
+    assert quadruple == pytest.approx(math.log(4.0), abs=1e-15)
+    # a block is summed once the next is read, at the larger maximum; the third
+    # block raises it again, and the running sum is rescaled
+    expected = math.log(1.0 + math.e + math.e ** 2)
+    assert lc_sum_blocks([[0j], [1 + 0j], [2 + 0j]]) == pytest.approx(expected, abs=1e-15)
+    assert lc_sum_blocks([[0j], [complex(800.0, 0.1)]]) == pytest.approx(complex(800.0, 0.1), abs=1e-15)
+    assert lc_sum_blocks([[complex(-math.inf, 0.0)], [complex(-math.inf, 1.0)]]) == complex(-math.inf, 0.0)
+    with pytest.raises(DomainError, match="empty"):
+        lc_sum_blocks([[], []])
+    # finite phases whose sum would overflow a float are numbers
+    assert lc_sum([complex(0.0, 1e308)] * 2).real == pytest.approx(math.log(2.0))
+    with pytest.raises(DomainError, match=r"complex log \(nan\+0j\) is not a number"):
+        lc_sum_blocks([[1 + 0j], [0j, complex(math.nan, 0.0)]])
 
 
 def test_one_minus_exp_stability():
